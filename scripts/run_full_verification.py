@@ -14,6 +14,7 @@ import sys
 import time
 
 from orbitsym import SUITE_NAMES, SpecialLinearModel, run_suite
+from orbitsym.cli import suite_line
 
 CONFIGS = [
     ("regular", [1, -1]),
@@ -56,14 +57,8 @@ def main() -> int:
                 samples = min(samples, 10)
             reports = run_suite(chamber, name, samples=samples, seed=args.seed)
             all_reports += [r.as_dict() for r in reports]
-            ok = all(r.passed for r in reports)
-            failures += 0 if ok else 1
-            worst = max(reports, key=lambda r: r.max_error / r.tolerance)
-            print(
-                f"  {name:<22} samples={samples:<4d} "
-                f"max_error={worst.max_error:10.3e} tol={worst.tolerance:8.1e} "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
+            failures += 0 if all(r.passed for r in reports) else 1
+            print(f"  {suite_line(name, samples, reports)}")
     elapsed = time.perf_counter() - started
     print(f"done in {elapsed:.1f}s, {failures} failing suite runs")
 

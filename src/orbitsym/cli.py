@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import NotInChamber, SpecialLinearModel
@@ -27,20 +27,6 @@ from .suites import (
 )
 
 SUITE_CHOICES = SUITE_NAMES + ("all",)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n: int
-    entries: tuple
-    suite: str
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    fd_step: float = DEFAULT_FD_STEP
-    tol_exact: float | None = None
-    tol_fd: float | None = None
-    json_path: str | None = None
-    quiet: bool = False
 
 
 def parse_entries(text: str) -> list:
@@ -112,13 +98,15 @@ def _resolve_chamber(n_arg, h_text: str):
     return model, model.chamber_element(entries)
 
 
-def _print_suite_line(name: str, samples: int, reports: list[VerificationReport]) -> None:
+def suite_line(name: str, samples: int, reports: list[VerificationReport]) -> str:
+    """Summary line for one suite run: the binding report (largest
+    max_error/tolerance) and PASS only when every report passed."""
     def ratio(r: VerificationReport) -> float:
         return r.max_error / r.tolerance if r.tolerance > 0 else float("inf")
 
     binding = max(reports, key=ratio)
     status = "PASS" if all(r.passed for r in reports) else "FAIL"
-    print(
+    return (
         f"{name:<22} samples={samples:<4d} max_error={binding.max_error:10.3e} "
         f"tol={binding.tolerance:8.1e} {status}"
     )
@@ -132,48 +120,36 @@ def _run_verify(args) -> int:
         return _usage_error("positional suite and --suite disagree")
     if args.samples < 1:
         return _usage_error("--samples must be positive")
+    for flag, value in (("--fd-step", args.fd_step), ("--tol-exact", args.tol_exact),
+                        ("--tol-fd", args.tol_fd)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return _usage_error(f"{flag} must be finite and positive")
     try:
         _, chamber = _resolve_chamber(args.n, args.H)
     except (ValueError, NotInChamber) as exc:
         return _usage_error(str(exc))
-    config = RunConfig(
-        n=chamber.model.n,
-        entries=chamber.entries,
-        suite=suite,
-        samples=args.samples,
-        seed=args.seed,
-        fd_step=args.fd_step,
-        tol_exact=args.tol_exact,
-        tol_fd=args.tol_fd,
-        json_path=args.json_path,
-        quiet=args.quiet,
-    )
-    return run(config, chamber)
 
-
-def run(config: RunConfig, chamber) -> int:
-    """Execute the configured suites; print summaries and write JSON."""
-    names = SUITE_NAMES if config.suite == "all" else (config.suite,)
+    names = SUITE_NAMES if suite == "all" else (suite,)
     all_reports: list[VerificationReport] = []
     ok = True
     for name in names:
         reports = run_suite(
             chamber,
             name,
-            samples=config.samples,
-            seed=config.seed,
-            fd_step=config.fd_step,
-            tol_exact=config.tol_exact,
-            tol_fd=config.tol_fd,
+            samples=args.samples,
+            seed=args.seed,
+            fd_step=args.fd_step,
+            tol_exact=args.tol_exact,
+            tol_fd=args.tol_fd,
         )
         all_reports.extend(reports)
         ok = ok and all(r.passed for r in reports)
-        if not config.quiet:
-            _print_suite_line(name, config.samples, reports)
+        if not args.quiet:
+            print(suite_line(name, args.samples, reports))
 
-    if config.json_path:
+    if args.json_path:
         payload = [r.as_dict() for r in all_reports]
-        with open(config.json_path, "w", encoding="utf-8") as fh:
+        with open(args.json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 0 if ok else 1

@@ -23,7 +23,9 @@ import numpy as np
 from .model import split_kan
 from .numerics import central_diff, mat_exp, qr_positive
 
-DET_RTOL = 1e-6
+# One threshold for every determinant-one check on a group element or
+# orbit witness: |log det g| may not exceed DET_RTOL * max(1, n).
+DET_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,9 +106,6 @@ class SpecialLinearModel:
     def cartan_involution(self, x) -> np.ndarray:
         return -np.asarray(x, dtype=float).T
 
-    def decompose_kan(self, x):
-        return split_kan(x)
-
     def chamber_element(self, entries) -> "ChamberElement":
         """Build the chamber element for weakly decreasing, zero-sum
         diagonal entries, with all derived subspace bases.

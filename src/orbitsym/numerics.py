@@ -1,10 +1,10 @@
 """Dense real matrix kernel shared by every other module.
 
-Everything here targets small fixed-size problems (n <= 8): QR with
-strictly positive pivots, a scaling-and-squaring matrix exponential,
-minimum-norm least squares, characteristic polynomials without an
-eigensolve, and fourth-order central differences used as the oracle for
-all derivative claims.
+Everything here targets small fixed-size problems (n <= 8): Householder
+QR (LAPACK) with a sign fix for strictly positive pivots, a
+scaling-and-squaring matrix exponential, minimum-norm least squares,
+characteristic polynomials without an eigensolve, and fourth-order
+central differences used as the oracle for all derivative claims.
 """
 
 from __future__ import annotations
@@ -54,31 +54,18 @@ def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
     """Factor an invertible square matrix as Q R with orthonormal Q and
     upper-triangular R whose diagonal is strictly positive.
 
-    Modified Gram-Schmidt with one reorthogonalization pass.  Pivots are
-    column norms, so the positive-diagonal normalization that makes the
-    factorization unique holds by construction.  Raises ``SingularInput``
-    when a pivot collapses below ``SINGULAR_RTOL * ||M||``.
+    Householder QR (LAPACK) followed by a sign fix: each column of Q and
+    row of R whose pivot is negative is flipped, which makes the
+    factorization unique.  Raises ``SingularInput`` when a pivot falls
+    below ``SINGULAR_RTOL * ||M||``.
     """
     a = _square(m)
-    n = a.shape[0]
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        raise SingularInput("zero matrix")
-    q = np.zeros((n, n))
-    r = np.zeros((n, n))
-    for j in range(n):
-        v = a[:, j].copy()
-        for _ in range(2):  # second pass mops up cancellation
-            for i in range(j):
-                c = q[:, i] @ v
-                r[i, j] += c
-                v -= c * q[:, i]
-        pivot = np.linalg.norm(v)
-        if pivot < SINGULAR_RTOL * scale:
-            raise SingularInput(f"column {j} is linearly dependent at working precision")
-        r[j, j] = pivot
-        q[:, j] = v / pivot
-    return q, r
+    q, r = np.linalg.qr(a)
+    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+    dependent = np.flatnonzero(np.abs(np.diag(r)) <= SINGULAR_RTOL * np.linalg.norm(a))
+    if dependent.size:
+        raise SingularInput(f"column {dependent[0]} is linearly dependent at working precision")
+    return q * signs, signs[:, None] * r
 
 
 def mat_exp(x) -> np.ndarray:

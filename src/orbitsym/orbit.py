@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, iwasawa
+from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
 from .model import ChamberElement
 from .numerics import char_poly, commutator, mat_exp
 
@@ -100,9 +100,7 @@ def _check_on_orbit(chamber: ChamberElement, point: np.ndarray) -> None:
 def orbit_point(chamber: ChamberElement, witness) -> OrbitPoint:
     """Orbit point g H g^-1 carrying its witness g (determinant one)."""
     g = np.asarray(witness, dtype=float)
-    sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0 or abs(logdet) > 1e-8 * max(1.0, chamber.model.n):
-        raise ValueError("witness must have determinant 1")
+    _require_det_one(g)
     point = g @ chamber.matrix @ np.linalg.inv(g)
     _check_on_orbit(chamber, point)
     return OrbitPoint(chamber=chamber, witness=_locked(g), point=_locked(point))
@@ -264,11 +262,12 @@ def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
 class OrbitChart:
     """Chart t -> Ad(g exp(sum t_i X_i)) H around a given point.
 
-    ``velocity`` returns honest coordinate vector fields (pushforwards of
-    the flat coordinates, which commute); away from t = 0 these pick up
-    the exponential-derivative correction to the raw conjugated
-    directions.  ``frame_velocity`` returns the moving frame
-    [Ad(g(t)) X_i, x(t)] instead; the two agree at t = 0.
+    ``coordinate_frame`` returns honest coordinate vector fields
+    (pushforwards of the flat coordinates, which commute); away from
+    t = 0 these pick up the exponential-derivative correction to the raw
+    conjugated directions.  ``frame_generators`` returns the generators
+    Ad(g(t)) X_i of the moving frame [Ad(g(t)) X_i, x(t)] instead; the two
+    agree at t = 0.
     """
 
     at: OrbitPoint
@@ -290,20 +289,6 @@ class OrbitChart:
     def point(self, t) -> OrbitPoint:
         u = self._displacement(t)
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
-
-    def velocity(self, t, i: int, at: OrbitPoint | None = None) -> TangentVector:
-        u = self._displacement(t)
-        p = at if at is not None else self.point(t)
-        w = p.witness
-        d = _dexp(u, self.directions[i])
-        z = w @ d @ np.linalg.inv(w)
-        return tangent_vector(p, commutator(z, p.point), generator=z)
-
-    def frame_velocity(self, t, i: int, at: OrbitPoint | None = None) -> TangentVector:
-        p = at if at is not None else self.point(t)
-        w = p.witness
-        z = w @ self.directions[i] @ np.linalg.inv(w)
-        return tangent_vector(p, commutator(z, p.point), generator=z)
 
     def frame_generators(self, t) -> tuple[OrbitPoint, list[np.ndarray]]:
         """Point and all moving-frame generators at t, sharing one

@@ -5,7 +5,8 @@ relative discrepancy of a family of identities, and returns one report
 per tolerance class.  Exact-formula identities run at rounding-level
 tolerances; anything that differentiates numerically runs at a looser
 finite-difference tolerance.  Reports satisfy
-``passed == (max_error <= tolerance)`` by construction.
+``passed == (max_error <= tolerance)`` by construction, and a
+non-finite error counts as infinite, so NaN never passes.
 
 Samples are independent, so ``ORBITSYM_THREADS`` may fan them out to a
 thread pool; results are collected in sample order either way.
@@ -13,15 +14,17 @@ thread pool; results are collected in sample order either way.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, random_combination
-from .numerics import commutator, mat_exp
+from .numerics import mat_exp
 from .orbit import (
     cotangent_rep,
     from_cotangent,
@@ -44,16 +47,6 @@ TOL_INVARIANCE = 1e-9
 TOL_FD_DERIV = 1e-6
 TOL_FD_FORM = 1e-5
 SMIN_THRESHOLD = 1e-8
-
-SUITE_NAMES = (
-    "iwasawa",
-    "infinitesimal",
-    "projection",
-    "lagrangian-vertical",
-    "lagrangian-horizontal",
-    "graph",
-    "theorem",
-)
 
 
 @dataclass(frozen=True)
@@ -86,9 +79,19 @@ class VerificationReport:
         }
 
 
+def _worst(errors) -> float:
+    """Largest error, counting any non-finite value as infinite so that
+    NaN can never pass a tolerance check."""
+    return max((e if math.isfinite(e) else math.inf for e in map(float, errors)), default=0.0)
+
+
+def _tol(override, default) -> float:
+    return default if override is None else override
+
+
 def _report(suite, chamber, seed, fd_step, errors, tolerance) -> VerificationReport:
     errs = tuple(float(e) for e in errors)
-    worst = max(errs, default=0.0)
+    worst = _worst(errs)
     return VerificationReport(
         suite=suite,
         n=chamber.model.n,
@@ -101,6 +104,15 @@ def _report(suite, chamber, seed, fd_step, errors, tolerance) -> VerificationRep
         tolerance=float(tolerance),
         passed=worst <= tolerance,
     )
+
+
+def _reports(chamber, seed, fd_step, results, columns) -> list[VerificationReport]:
+    """One report per ``(name, tolerance)`` column of the per-sample
+    result tuples."""
+    return [
+        _report(name, chamber, seed, fd_step, [r[i] for r in results], tol)
+        for i, (name, tol) in enumerate(columns)
+    ]
 
 
 def _worker_count() -> int:
@@ -161,11 +173,10 @@ def verify_iwasawa(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         errs.append(_rel(np.linalg.norm(fac2.k_factor - k0), scale))
         errs.append(_rel(np.linalg.norm(fac2.a_factor - a0), scale))
         errs.append(_rel(np.linalg.norm(fac2.n_factor - n0), scale))
-        return max(errs)
+        return _worst(errs)
 
     errors = _map_samples(one, samples)
-    tol = TOL_RECONSTRUCTION if tol_exact is None else tol_exact
-    return [_report("iwasawa", chamber, seed, fd_step, errors, tol)]
+    return [_report("iwasawa", chamber, seed, fd_step, errors, _tol(tol_exact, TOL_RECONSTRUCTION))]
 
 
 def verify_infinitesimal(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
@@ -188,27 +199,25 @@ def verify_infinitesimal(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         e_recon = _rel(np.linalg.norm(y - recon), np.linalg.norm(y))
         inf2 = infinitesimal_iwasawa(x, an)
         scale_w = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(an)))
-        e_witness = max(
+        e_witness = _worst([
             _rel(np.linalg.norm(inf.k_deriv - inf2.k_deriv), scale_w),
             _rel(np.linalg.norm(inf.a_deriv - inf2.a_deriv), scale_w),
             _rel(np.linalg.norm(inf.n_deriv - inf2.n_deriv), scale_w),
-        )
+        ])
         k_fd, a_fd, n_fd = fd_iwasawa_velocities(x, g, fd_step)
         scale_fd = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(g)))
-        e_fd = max(
+        e_fd = _worst([
             _rel(np.linalg.norm(inf.k_deriv - k_fd), scale_fd),
             _rel(np.linalg.norm(inf.a_deriv - a_fd), scale_fd),
             _rel(np.linalg.norm(inf.n_deriv - n_fd), scale_fd),
-        )
-        return max(e_recon, e_witness), e_fd
+        ])
+        return _worst([e_recon, e_witness]), e_fd
 
     results = _map_samples(one, samples)
-    tol_e = TOL_RECONSTRUCTION if tol_exact is None else tol_exact
-    tol_f = TOL_FD_DERIV if tol_fd is None else tol_fd
-    return [
-        _report("infinitesimal-exact", chamber, seed, fd_step, [r[0] for r in results], tol_e),
-        _report("infinitesimal-fd", chamber, seed, fd_step, [r[1] for r in results], tol_f),
-    ]
+    return _reports(chamber, seed, fd_step, results, [
+        ("infinitesimal-exact", _tol(tol_exact, TOL_RECONSTRUCTION)),
+        ("infinitesimal-fd", _tol(tol_fd, TOL_FD_DERIV)),
+    ])
 
 
 def verify_projection(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
@@ -250,26 +259,26 @@ def verify_projection(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         rep1 = cotangent_rep(chamber, k0, v1)
         rep3 = to_cotangent(from_cotangent(rep1))
         scale_f = max(1.0, float(np.linalg.norm(v1)))
-        e_round = max(
+        e_round = _worst([
             e_round,
             _rel(np.linalg.norm(rep3.base - rep1.base), scale_f),
             _rel(np.linalg.norm(rep3.fiber - rep1.fiber), scale_f),
             _rel(np.max(np.abs(np.subtract(rep3.coords, rep1.coords)), initial=0.0), scale_f),
-        )
+        ])
 
         rep2 = cotangent_rep(chamber, k0, v2)
         rep12 = to_cotangent(from_cotangent(cotangent_rep(chamber, k0, v1 + v2)))
         summed = np.add(rep1.coords, rep2.coords)
         scale_l = max(1.0, float(np.max(np.abs(summed), initial=0.0)))
-        e_linear = max(
+        e_linear = _worst([
             _rel(np.linalg.norm(rep12.base - rep1.base), scale_f),
             _rel(np.max(np.abs(np.subtract(rep12.coords, summed)), initial=0.0), scale_l),
-        )
+        ])
         return e_welldef, e_disp, e_round, e_linear
 
     results = _map_samples(one, samples)
-    tol_e = TOL_EXACT if tol_exact is None else tol_exact
-    tol_d = TOL_DISPLACEMENT if tol_exact is None else tol_exact
+    tol_e = _tol(tol_exact, TOL_EXACT)
+    tol_d = _tol(tol_exact, TOL_DISPLACEMENT)
 
     if chamber.dim_n:
         pairing = np.array(
@@ -280,13 +289,12 @@ def verify_projection(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     else:
         ratio = 0.0
 
-    return [
-        _report("projection-welldef", chamber, seed, fd_step, [r[0] for r in results], tol_e),
-        _report("projection-displacement", chamber, seed, fd_step, [r[1] for r in results], tol_d),
-        _report("projection-roundtrip", chamber, seed, fd_step, [r[2] for r in results], tol_e),
-        _report("projection-linearity", chamber, seed, fd_step, [r[3] for r in results], tol_d),
-        _report("projection-pairing", chamber, seed, fd_step, [ratio], 1.0),
-    ]
+    return _reports(chamber, seed, fd_step, results, [
+        ("projection-welldef", tol_e),
+        ("projection-displacement", tol_d),
+        ("projection-roundtrip", tol_e),
+        ("projection-linearity", tol_d),
+    ]) + [_report("projection-pairing", chamber, seed, fd_step, [ratio], 1.0)]
 
 
 def _lagrangian_basis(chamber, mode: str):
@@ -303,34 +311,25 @@ def verify_lagrangian(chamber, mode: str, *, samples=DEFAULT_SAMPLES, seed=DEFAU
     tangents (horizontal) for both symplectic forms."""
     model = chamber.model
     basis = _lagrangian_basis(chamber, mode)
-    killing = model.killing
 
     def one(index: int) -> tuple[float, float]:
         rng = _rng(seed, index, 3 if mode == "vertical" else 4)
         g = _sample_group(model, rng)
-        x = orbit_point(chamber, g)
-        g_inv = np.linalg.inv(g)
-        gens = [g @ b @ g_inv for b in basis]
+        chart = orbit_chart(orbit_point(chamber, g), directions=basis)
+        x, gens = chart.frame_generators(np.zeros(chart.dim))
         zmax = max((float(np.linalg.norm(z)) for z in gens), default=0.0)
         scale = max(1.0, model.killing_coefficient * float(np.linalg.norm(x.point)) * zmax**2)
-        e_kks = 0.0
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                val = abs(killing(x.point, commutator(gens[i], gens[j])))
-                e_kks = max(e_kks, _rel(val, scale))
+        e_kks = _rel(np.max(np.abs(omega_kks_chart(chart).entries), initial=0.0), scale)
         e_std = 0.0
-        if len(basis) >= 2:
-            form = omega_std_chart(orbit_chart(x, directions=basis), fd_step)
-            e_std = _rel(np.max(np.abs(form.entries)), scale)
+        if chart.dim >= 2:
+            e_std = _rel(np.max(np.abs(omega_std_chart(chart, fd_step).entries)), scale)
         return e_kks, e_std
 
     results = _map_samples(one, samples)
-    tol_z = TOL_PAIR_ZERO if tol_exact is None else tol_exact
-    tol_f = TOL_FD_FORM if tol_fd is None else tol_fd
-    return [
-        _report(f"lagrangian-{mode}-kks", chamber, seed, fd_step, [r[0] for r in results], tol_z),
-        _report(f"lagrangian-{mode}-std", chamber, seed, fd_step, [r[1] for r in results], tol_f),
-    ]
+    return _reports(chamber, seed, fd_step, results, [
+        (f"lagrangian-{mode}-kks", _tol(tol_exact, TOL_PAIR_ZERO)),
+        (f"lagrangian-{mode}-std", _tol(tol_fd, TOL_FD_FORM)),
+    ])
 
 
 def verify_graph(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
@@ -354,22 +353,20 @@ def verify_graph(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         else:
             g = _sample_group(model, rng)
         k = model.random_orthogonal(rng, 1.5 / n)
-        e_exact = 0.0
-        e_fd = 0.0
+        e_exact = []
+        e_fd = []
         for direction in chamber.m_basis:
             a_val, b_val, c_val = graph_routes(chamber, g, k, direction, fd_step)
             scale = max(1.0, abs(a_val), abs(b_val), abs(c_val))
-            e_exact = max(e_exact, _rel(abs(a_val - b_val), scale))
-            e_fd = max(e_fd, _rel(abs(a_val - c_val), scale), _rel(abs(b_val - c_val), scale))
-        return e_exact, e_fd
+            e_exact.append(_rel(abs(a_val - b_val), scale))
+            e_fd += [_rel(abs(a_val - c_val), scale), _rel(abs(b_val - c_val), scale)]
+        return _worst(e_exact), _worst(e_fd)
 
     results = _map_samples(one, samples)
-    tol_e = TOL_EXACT if tol_exact is None else tol_exact
-    tol_f = TOL_FD_FORM if tol_fd is None else tol_fd
-    return [
-        _report("graph-exact", chamber, seed, fd_step, [r[0] for r in results], tol_e),
-        _report("graph-fd", chamber, seed, fd_step, [r[1] for r in results], tol_f),
-    ]
+    return _reports(chamber, seed, fd_step, results, [
+        ("graph-exact", _tol(tol_exact, TOL_EXACT)),
+        ("graph-fd", _tol(tol_fd, TOL_FD_FORM)),
+    ])
 
 
 def verify_theorem(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
@@ -402,44 +399,42 @@ def verify_theorem(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
             float(np.max(np.abs(std_form.entries))),
         )
         e_match = _rel(np.max(np.abs(std_form.entries - kks_form.entries)), scale)
-        e_inv = 0.0
+        e_inv = []
         for i in range(chart.dim):
             for s in (fd_step, -fd_step):
                 t = np.zeros(chart.dim)
                 t[i] = s
                 shifted = omega_kks_chart(chart, t)
-                e_inv = max(e_inv, _rel(np.max(np.abs(shifted.entries - kks_form.entries)), scale))
+                e_inv.append(_rel(np.max(np.abs(shifted.entries - kks_form.entries)), scale))
         smin = kks_form.smallest_singular_value()
         ratio = 0.0 if np.isinf(smin) else SMIN_THRESHOLD / smin
-        return e_match, e_inv, ratio
+        return e_match, _worst(e_inv), ratio
 
     results = _map_samples(one, samples)
-    tol_m = TOL_FD_FORM if tol_fd is None else tol_fd
-    tol_i = TOL_INVARIANCE if tol_exact is None else tol_exact
-    return [
-        _report("theorem-match", chamber, seed, fd_step, [r[0] for r in results], tol_m),
-        _report("theorem-invariance", chamber, seed, fd_step, [r[1] for r in results], tol_i),
-        _report("theorem-nondegenerate", chamber, seed, fd_step, [r[2] for r in results], 1.0),
-    ]
+    return _reports(chamber, seed, fd_step, results, [
+        ("theorem-match", _tol(tol_fd, TOL_FD_FORM)),
+        ("theorem-invariance", _tol(tol_exact, TOL_INVARIANCE)),
+        ("theorem-nondegenerate", 1.0),
+    ])
+
+
+SUITES = {
+    "iwasawa": verify_iwasawa,
+    "infinitesimal": verify_infinitesimal,
+    "projection": verify_projection,
+    "lagrangian-vertical": partial(verify_lagrangian, mode="vertical"),
+    "lagrangian-horizontal": partial(verify_lagrangian, mode="horizontal"),
+    "graph": verify_graph,
+    "theorem": verify_theorem,
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(chamber: ChamberElement, name: str, **kwargs) -> list[VerificationReport]:
     """Run one named suite and return its reports."""
-    if name == "iwasawa":
-        return verify_iwasawa(chamber, **kwargs)
-    if name == "infinitesimal":
-        return verify_infinitesimal(chamber, **kwargs)
-    if name == "projection":
-        return verify_projection(chamber, **kwargs)
-    if name == "lagrangian-vertical":
-        return verify_lagrangian(chamber, "vertical", **kwargs)
-    if name == "lagrangian-horizontal":
-        return verify_lagrangian(chamber, "horizontal", **kwargs)
-    if name == "graph":
-        return verify_graph(chamber, **kwargs)
-    if name == "theorem":
-        return verify_theorem(chamber, **kwargs)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](chamber, **kwargs)
 
 
 __all__ = [

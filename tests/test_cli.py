@@ -1,9 +1,13 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from orbitsym import SUITE_NAMES
 from orbitsym.cli import main, parse_entries
 
 
@@ -124,6 +128,24 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--fd-step", "0"),
+        ("--fd-step", "nan"),
+        ("--fd-step", "-0.5"),
+        ("--tol-exact", "nan"),
+        ("--tol-exact", "-1"),
+        ("--tol-fd", "0"),
+        ("--tol-fd", "inf"),
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "verify", "graph", "--H", "1,-1", "--samples", "2", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be finite and positive\n"
+
+
 class TestInfoCommand:
     def test_regular_three(self, capsys):
         code, out, _ = run_cli(capsys, "info", "--n", "3", "--H", "1,0,-1")
@@ -159,3 +181,25 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "graph" in result.stdout
+
+
+def test_full_sweep_script_passes_every_suite_run():
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    expected = sum(
+        len(SUITE_NAMES) if len(entries) < 6 else len(sweep.SUITES_AT_N6)
+        for _, entries in sweep.CONFIGS
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(script), "--samples", "1"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    suite_lines = [l for l in result.stdout.splitlines() if l.startswith("  ")]
+    assert len(suite_lines) == expected
+    assert all(l.endswith(" PASS") for l in suite_lines)

@@ -77,6 +77,11 @@ class TestQrPositive:
         with pytest.raises(SingularInput):
             qr_positive(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_dependent_middle_column_raises(self):
+        m = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [-1.0, -2.0, 3.0]])
+        with pytest.raises(SingularInput, match="column 1"):
+            qr_positive(m)
+
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularInput):
             qr_positive(np.zeros((3, 3)))

@@ -10,6 +10,7 @@ from orbitsym import (
     cotangent_rep,
     flag_point,
     from_cotangent,
+    iwasawa,
     mat_exp,
     orbit_chart,
     orbit_point,
@@ -50,6 +51,13 @@ class TestOrbitPoints:
     def test_rejects_non_unimodular_witness(self, chamber2):
         with pytest.raises(ValueError, match="determinant"):
             orbit_point(chamber2, np.diag([2.0, 1.0]))
+
+    def test_witness_and_factorization_share_one_det_threshold(self, chamber2):
+        g = np.diag([np.exp(1e-7), 1.0])
+        with pytest.raises(ValueError, match="determinant"):
+            orbit_point(chamber2, g)
+        with pytest.raises(ValueError, match="determinant"):
+            iwasawa(g)
 
     def test_flag_point_rejects_non_rotation(self, chamber2):
         with pytest.raises(NotOrthogonal):
@@ -203,19 +211,22 @@ class TestCharts:
         g = chamber3.model.random_group_element(43, 0.4)
         chart = orbit_chart(orbit_point(chamber3, g))
         t0 = np.zeros(chart.dim)
+        p, frame = chart.coordinate_frame(t0)
+        p_gen, gens = chart.frame_generators(t0)
+        assert_allclose(p_gen.point, p.point, atol=1e-13)
         for i in range(chart.dim):
-            v = chart.velocity(t0, i)
-            f = chart.frame_velocity(t0, i)
-            assert_allclose(v.value, f.value, atol=1e-13)
+            z = gens[i]
+            assert_allclose(frame[i].value, z @ p.point - p.point @ z, atol=1e-13)
             expected = g @ chart.directions[i] @ np.linalg.inv(g)
-            assert_allclose(v.generator, expected, atol=1e-13)
+            assert_allclose(frame[i].generator, expected, atol=1e-13)
+            assert_allclose(z, expected, atol=1e-13)
 
     def test_single_direction_velocity_is_bracket(self, chamber3):
         x = orbit_point(chamber3, np.eye(3))
         d = chamber3.n_basis[0]
         chart = orbit_chart(x, directions=[d])
-        v = chart.velocity(np.zeros(1), 0)
-        assert_allclose(v.value, d @ x.point - x.point @ d, atol=1e-14)
+        _, frame = chart.coordinate_frame(np.zeros(1))
+        assert_allclose(frame[0].value, d @ x.point - x.point @ d, atol=1e-14)
 
     def test_centralizer_direction_raises(self, chamber3):
         x = orbit_point(chamber3, np.eye(3))

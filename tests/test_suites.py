@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
 
 from orbitsym import SUITE_NAMES, run_suite
+from orbitsym import suites
 from orbitsym.suites import (
+    _report,
+    _worst,
     verify_graph,
     verify_infinitesimal,
     verify_iwasawa,
@@ -77,6 +81,39 @@ def test_tolerance_overrides(chamber2, chamber3):
 def test_lagrangian_rejects_unknown_mode(chamber2):
     with pytest.raises(ValueError, match="mode"):
         verify_lagrangian(chamber2, "diagonal", samples=2, seed=1)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("errors", [
+    [NAN, 1e-13, 1e-14],
+    [1e-13, NAN, 1e-14],
+    [1e-13, 1e-14, NAN],
+    [1e-13, math.inf, 1e-14],
+])
+def test_nonfinite_error_fails_report(chamber2, errors):
+    assert _worst(errors) == math.inf
+    report = _report("graph-exact", chamber2, 1, 1e-3, errors, 1e-12)
+    assert report.max_error == math.inf
+    assert not report.passed
+
+
+def test_nan_inside_a_sample_fails_suite(chamber3, monkeypatch):
+    """A NaN from a later direction of one sample may not be dropped by
+    the per-sample reduction."""
+    real = suites.graph_routes
+    calls = []
+
+    def routes(*args):
+        calls.append(1)
+        a_val, b_val, c_val = real(*args)
+        return (NAN if len(calls) == 2 else a_val), b_val, c_val
+
+    monkeypatch.setattr(suites, "graph_routes", routes)
+    exact, fd = verify_graph(chamber3, samples=1, seed=1)
+    assert exact.max_error == math.inf and not exact.passed
+    assert fd.max_error == math.inf and not fd.passed
 
 
 def test_unknown_suite_rejected(chamber2):
