@@ -150,7 +150,7 @@ def _run_verify(args) -> int:
     if args.json_path:
         payload = [r.as_dict() for r in all_reports]
         with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0 if ok else 1
 

@@ -51,12 +51,16 @@ def split_kan(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     L - L^T, the diagonal part is diag(X), and the nilpotent part is the
     strictly upper part of what remains.  The components recover X to
     working precision and re-splitting each component is the identity.
+    A stack of shape (..., n, n) is split slice by slice.
     """
     a = np.asarray(x, dtype=float)
     lower = np.tril(a, -1)
-    x_k = lower - lower.T
-    x_a = np.diag(np.diag(a))
-    x_n = np.triu(a, 1) + lower.T
+    lower_t = np.swapaxes(lower, -1, -2)
+    x_k = lower - lower_t
+    x_a = np.zeros_like(a)
+    diag = np.arange(a.shape[-1])
+    x_a[..., diag, diag] = a[..., diag, diag]
+    x_n = np.triu(a, 1) + lower_t
     return x_k, x_a, x_n
 
 

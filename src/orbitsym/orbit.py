@@ -13,6 +13,7 @@ for a unipotent witness inside the nilpotent slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -247,13 +248,16 @@ def solve_generator(x: OrbitPoint, value, rtol: float = 1e-9) -> np.ndarray:
 def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
     """Left-trivialized directional derivative of the exponential:
     returns D with d/ds exp(u + s x)|_0 = exp(u) D.  Series in nested
-    brackets, summed to machine precision."""
-    term = x
-    total = np.array(x, dtype=float)
+    brackets, summed to machine precision.  ``x`` may be a stack of
+    directions (..., n, n); the series then runs until every slice has
+    converged."""
+    term = np.asarray(x, dtype=float)
+    total = np.array(term)
     for m in range(1, max_terms):
         term = commutator(u, term) * (-1.0 / (m + 1))
         total += term
-        if np.linalg.norm(term) <= 1e-17 * max(1.0, np.linalg.norm(total)):
+        sizes = np.linalg.norm(term, axis=(-2, -1))
+        if np.all(sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))):
             break
     return total
 
@@ -277,39 +281,43 @@ class OrbitChart:
     def dim(self) -> int:
         return len(self.directions)
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """The directions as one (dim, n, n) array."""
+        n = self.at.point.shape[0]
+        return _locked(np.reshape(self.directions, (self.dim, n, n)))
+
     def _displacement(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if t.shape != (self.dim,):
             raise ValueError(f"chart parameter must have shape ({self.dim},)")
-        u = np.zeros_like(self.at.point)
-        for ti, xi in zip(t, self.directions):
-            u = u + ti * xi
-        return u
+        return np.einsum("i,ijk->jk", t, self._stack)
 
     def point(self, t) -> OrbitPoint:
         u = self._displacement(t)
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
 
-    def frame_generators(self, t) -> tuple[OrbitPoint, list[np.ndarray]]:
-        """Point and all moving-frame generators at t, sharing one
-        witness inversion."""
+    def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
+        """Point at t and the left-trivialized generators dexp(u, X_i) of
+        all coordinate fields, stacked (dim, n, n): the field of X_i at t
+        is [w dexp(u, X_i) w^-1, x(t)] for the point's witness w."""
+        u = self._displacement(t)
+        return self.point(t), _dexp(u, self._stack)
+
+    def frame_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
+        """Point and all moving-frame generators at t, stacked
+        (dim, n, n), sharing one witness inversion."""
         p = self.point(t)
         w = p.witness
-        w_inv = np.linalg.inv(w)
-        return p, [w @ x @ w_inv for x in self.directions]
+        return p, w @ self._stack @ np.linalg.inv(w)
 
     def coordinate_frame(self, t) -> tuple[OrbitPoint, list[TangentVector]]:
         """Point and all coordinate velocity fields at t, sharing one
         witness inversion."""
-        u = self._displacement(t)
-        p = self.point(t)
+        p, gens = self._dexp_generators(t)
         w = p.witness
-        w_inv = np.linalg.inv(w)
-        frame = []
-        for x in self.directions:
-            z = w @ _dexp(u, x) @ w_inv
-            frame.append(tangent_vector(p, commutator(z, p.point), generator=z))
-        return p, frame
+        zs = w @ gens @ np.linalg.inv(w)
+        return p, [tangent_vector(p, commutator(z, p.point), generator=z) for z in zs]
 
 
 def orbit_chart(x: OrbitPoint, directions=None) -> OrbitChart:

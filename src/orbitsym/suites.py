@@ -7,16 +7,11 @@ tolerances; anything that differentiates numerically runs at a looser
 finite-difference tolerance.  Reports satisfy
 ``passed == (max_error <= tolerance)`` by construction, and a
 non-finite error counts as infinite, so NaN never passes.
-
-Samples are independent, so ``ORBITSYM_THREADS`` may fan them out to a
-thread pool; results are collected in sample order either way.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,6 +44,16 @@ TOL_FD_FORM = 1e-5
 SMIN_THRESHOLD = 1e-8
 
 
+def _json_number(value: float):
+    """``value`` itself when finite; JSON has no non-finite numbers, so
+    those become the strings "NaN", "Infinity" and "-Infinity"."""
+    if math.isfinite(value):
+        return value
+    if math.isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     suite: str
@@ -70,11 +75,11 @@ class VerificationReport:
             "samples": self.samples,
             "seed": self.seed,
             "fd_step": self.fd_step,
-            "max_error": self.max_error,
+            "max_error": _json_number(self.max_error),
             "tolerance": self.tolerance,
             "pass": self.passed,
             "samples_detail": [
-                {"index": i, "error": e} for i, e in enumerate(self.sample_errors)
+                {"index": i, "error": _json_number(e)} for i, e in enumerate(self.sample_errors)
             ],
         }
 
@@ -113,22 +118,6 @@ def _reports(chamber, seed, fd_step, results, columns) -> list[VerificationRepor
         _report(name, chamber, seed, fd_step, [r[i] for r in results], tol)
         for i, (name, tol) in enumerate(columns)
     ]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ORBITSYM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_samples(fn, count: int) -> list:
-    workers = _worker_count()
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -175,7 +164,7 @@ def verify_iwasawa(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         errs.append(_rel(np.linalg.norm(fac2.n_factor - n0), scale))
         return _worst(errs)
 
-    errors = _map_samples(one, samples)
+    errors = [one(i) for i in range(samples)]
     return [_report("iwasawa", chamber, seed, fd_step, errors, _tol(tol_exact, TOL_RECONSTRUCTION))]
 
 
@@ -213,7 +202,7 @@ def verify_infinitesimal(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         ])
         return _worst([e_recon, e_witness]), e_fd
 
-    results = _map_samples(one, samples)
+    results = [one(i) for i in range(samples)]
     return _reports(chamber, seed, fd_step, results, [
         ("infinitesimal-exact", _tol(tol_exact, TOL_RECONSTRUCTION)),
         ("infinitesimal-fd", _tol(tol_fd, TOL_FD_DERIV)),
@@ -276,7 +265,7 @@ def verify_projection(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         ])
         return e_welldef, e_disp, e_round, e_linear
 
-    results = _map_samples(one, samples)
+    results = [one(i) for i in range(samples)]
     tol_e = _tol(tol_exact, TOL_EXACT)
     tol_d = _tol(tol_exact, TOL_DISPLACEMENT)
 
@@ -325,7 +314,7 @@ def verify_lagrangian(chamber, mode: str, *, samples=DEFAULT_SAMPLES, seed=DEFAU
             e_std = _rel(np.max(np.abs(omega_std_chart(chart, fd_step).entries)), scale)
         return e_kks, e_std
 
-    results = _map_samples(one, samples)
+    results = [one(i) for i in range(samples)]
     return _reports(chamber, seed, fd_step, results, [
         (f"lagrangian-{mode}-kks", _tol(tol_exact, TOL_PAIR_ZERO)),
         (f"lagrangian-{mode}-std", _tol(tol_fd, TOL_FD_FORM)),
@@ -362,7 +351,7 @@ def verify_graph(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
             e_fd += [_rel(abs(a_val - c_val), scale), _rel(abs(b_val - c_val), scale)]
         return _worst(e_exact), _worst(e_fd)
 
-    results = _map_samples(one, samples)
+    results = [one(i) for i in range(samples)]
     return _reports(chamber, seed, fd_step, results, [
         ("graph-exact", _tol(tol_exact, TOL_EXACT)),
         ("graph-fd", _tol(tol_fd, TOL_FD_FORM)),
@@ -410,7 +399,7 @@ def verify_theorem(chamber, *, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         ratio = 0.0 if np.isinf(smin) else SMIN_THRESHOLD / smin
         return e_match, _worst(e_inv), ratio
 
-    results = _map_samples(one, samples)
+    results = [one(i) for i in range(samples)]
     return _reports(chamber, seed, fd_step, results, [
         ("theorem-match", _tol(tol_fd, TOL_FD_FORM)),
         ("theorem-invariance", _tol(tol_exact, TOL_INVARIANCE)),

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import infinitesimal_iwasawa, iwasawa
-from .model import ChamberElement
-from .numerics import central_diff, commutator, mat_exp
+from .iwasawa import IwasawaFactors, infinitesimal_iwasawa, iwasawa
+from .model import ChamberElement, split_kan
+from .numerics import central_diff, mat_exp
 from .orbit import (
     OrbitChart,
     OrbitPoint,
@@ -53,15 +53,39 @@ def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
     return solve_generator(x, v.value)
 
 
+def _bracket_pairing(x: OrbitPoint, gens: np.ndarray) -> np.ndarray:
+    """Matrix of <x, [Z_i, Z_j]> over a stack of generators (m, n, n).
+
+    With M_ij = tr(x Z_i Z_j) the entries are 2n (M - M^T), exactly
+    antisymmetric with a zero diagonal."""
+    m = np.einsum("iab,jba->ij", x.point @ gens, gens)
+    return x.chamber.model.killing_coefficient * (m - m.T)
+
+
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
     """Orbit symplectic form on two tangent vectors at x.
 
     Value <x, [Z_v, Z_w]>; well defined up to centralizer ambiguity in
     the generators, which the Killing pairing kills.
     """
-    zv = _generator(x, v)
-    zw = _generator(x, w)
-    return x.chamber.model.killing(x.point, commutator(zv, zw))
+    gens = np.stack([_generator(x, v), _generator(x, w)])
+    return float(_bracket_pairing(x, gens)[0, 1])
+
+
+def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray) -> np.ndarray:
+    """Tautological form at x on a stack (m, n, n) of left-trivialized
+    generators g^-1 Z g, with ``factors`` the factorization of the
+    witness g.
+
+    The K-velocity of each generator is the antisymmetric part of its
+    conjugate by A(g)N(g); it is paired with the fiber deconjugated by
+    K(g), k^T (x - k H k^T) k.
+    """
+    k = factors.k_factor
+    an = factors.an_factor()
+    fiber = k.T @ (x.point - k @ x.chamber.matrix @ k.T) @ k
+    k_velocities, _, _ = split_kan(an @ gens @ np.linalg.inv(an))
+    return x.chamber.model.killing_coefficient * np.einsum("ab,mba->m", fiber, k_velocities)
 
 
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
@@ -72,14 +96,10 @@ def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     section.  ``factors`` may carry a precomputed factorization of the
     witness.
     """
-    z = _generator(x, v)
     g = x.witness
     fac = factors if factors is not None else iwasawa(g)
-    k = fac.k_factor
-    fiber = x.point - k @ x.chamber.matrix @ k.T
-    x_alg = np.linalg.solve(g, z @ g)
-    inf = infinitesimal_iwasawa(x_alg, g, factors=fac)
-    return x.chamber.model.killing(fiber, k @ inf.k_deriv @ k.T)
+    x_alg = np.linalg.solve(g, _generator(x, v) @ g)
+    return float(_tautological_stack(x, fac, x_alg[None])[0])
 
 
 def _axis(dim: int, i: int, s: float) -> np.ndarray:
@@ -95,8 +115,9 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0) with fourth-order
     central differences along the coordinate axes; lambda_j is evaluated
     on the honest coordinate field, so the mixed partials cancel exactly
-    and only the finite-difference error survives.  Grid points, their
-    factorizations and all velocities are shared across direction pairs.
+    and only the finite-difference error survives.  Each of the 4 dim
+    stencil points gets one orbit point, one factorization and one
+    stacked evaluation of lambda on every coordinate field there.
     """
     m = chart.dim
     entries = np.zeros((m, m))
@@ -106,18 +127,11 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
         lam = np.zeros((m, 4, m))  # axis, stencil offset, paired direction
         for i in range(m):
             for si, s in enumerate(offsets):
-                p, frame = chart.coordinate_frame(_axis(m, i, s))
-                fac = iwasawa(p.witness)
-                for j in range(m):
-                    if j != i:
-                        lam[i, si, j] = tautological(p, frame[j], factors=fac)
-        for i in range(m):
-            for j in range(i + 1, m):
-                dij = (lam[i, 0, j] - 8.0 * lam[i, 1, j] + 8.0 * lam[i, 2, j] - lam[i, 3, j]) / (12.0 * h)
-                dji = (lam[j, 0, i] - 8.0 * lam[j, 1, i] + 8.0 * lam[j, 2, i] - lam[j, 3, i]) / (12.0 * h)
-                value = -(dij - dji)
-                entries[i, j] = value
-                entries[j, i] = -value
+                p, gens = chart._dexp_generators(_axis(m, i, s))
+                lam[i, si] = _tautological_stack(p, iwasawa(p.witness), gens)
+        # d[i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
+        d = (lam[:, 0] - 8.0 * lam[:, 1] + 8.0 * lam[:, 2] - lam[:, 3]) / (12.0 * h)
+        entries = d.T - d
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)
 
@@ -127,19 +141,13 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
 
     The frame generators conjugate along with the point, so every entry
     equals the value at t = 0; re-evaluating on a t-grid measures the
-    invariance defect of the floating-point arithmetic.
+    invariance defect of the floating-point arithmetic.  All pairs come
+    from one contraction over the stacked generators.
     """
     if t is None:
         t = np.zeros(chart.dim)
     p, gens = chart.frame_generators(t)
-    killing = chart.at.chamber.model.killing
-    m = chart.dim
-    entries = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = killing(p.point, commutator(gens[i], gens[j]))
-            entries[i, j] = value
-            entries[j, i] = -value
+    entries = _bracket_pairing(p, gens)
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitsym import SUITE_NAMES
+from orbitsym import SUITE_NAMES, suites
 from orbitsym.cli import main, parse_entries
 
 
@@ -119,6 +119,32 @@ class TestVerifyCommand:
         assert code == 0
         assert out == ""
 
+    def test_nonfinite_sample_writes_strict_json(self, capsys, tmp_path, monkeypatch):
+        """A failing non-finite sample is written as a string, so a strict
+        parser reads the file; the run still exits 1."""
+        real = suites.graph_routes
+
+        def routes(*args):
+            a_val, b_val, c_val = real(*args)
+            return float("nan"), b_val, c_val
+
+        def reject(token):
+            raise ValueError(f"bare {token} in JSON")
+
+        monkeypatch.setattr(suites, "graph_routes", routes)
+        path = tmp_path / "out.json"
+        code, out, _ = run_cli(
+            capsys, "verify", "graph", "--H", "1,0,-1", "--samples", "2", "--seed", "1",
+            "--json", str(path),
+        )
+        assert code == 1
+        assert "FAIL" in out
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        exact = payload[0]
+        assert exact["suite"] == "graph-exact" and exact["pass"] is False
+        assert exact["max_error"] == "Infinity"
+        assert [d["error"] for d in exact["samples_detail"]] == ["Infinity", "Infinity"]
+
     def test_failure_exit_code(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "theorem", "--H", "1,0,-1", "--samples", "3",
@@ -183,23 +209,34 @@ def test_module_entry_point_runs():
     assert "graph" in result.stdout
 
 
-def test_full_sweep_script_passes_every_suite_run():
-    root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "run_full_verification.py"
-    spec = importlib.util.spec_from_file_location("run_full_verification", script)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    expected = sum(
-        len(SUITE_NAMES) if len(entries) < 6 else len(sweep.SUITES_AT_N6)
-        for _, entries in sweep.CONFIGS
-    )
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
+
+
+def run_sweep(*argv):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(script), "--samples", "1"],
+    src = str(SWEEP.parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SWEEP), *argv],
         capture_output=True, text=True, timeout=300, env=env,
     )
+
+
+def test_full_sweep_script_passes_every_suite_run():
+    spec = importlib.util.spec_from_file_location("run_full_verification", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    expected = len(SUITE_NAMES) * len(sweep.CONFIGS)
+    result = run_sweep("--samples", "1")
     assert result.returncode == 0, result.stderr
     suite_lines = [l for l in result.stdout.splitlines() if l.startswith("  ")]
     assert len(suite_lines) == expected
     assert all(l.endswith(" PASS") for l in suite_lines)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_full_sweep_script_rejects_empty_sample_count(samples):
+    result = run_sweep("--samples", samples)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: --samples must be positive"]

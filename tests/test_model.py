@@ -107,6 +107,14 @@ class TestSplitKan:
         assert_allclose(split_kan(xa)[1], xa)
         assert_allclose(split_kan(xn)[2], xn)
 
+    def test_stack_splits_slice_by_slice(self):
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(-3, 3, (2, 5, 4, 4))
+        parts = split_kan(stack)
+        for idx in np.ndindex(stack.shape[:2]):
+            for part, single in zip(parts, split_kan(stack[idx])):
+                assert np.array_equal(part[idx], single)
+
 
 class TestChamberElement:
     def test_regular_three(self, chamber3):

@@ -19,6 +19,7 @@ from orbitsym import (
     tangent_vector,
     to_cotangent,
 )
+from orbitsym.orbit import _dexp
 
 
 def unit(n, i, j):
@@ -227,6 +228,21 @@ class TestCharts:
         chart = orbit_chart(x, directions=[d])
         _, frame = chart.coordinate_frame(np.zeros(1))
         assert_allclose(frame[0].value, d @ x.point - x.point @ d, atol=1e-14)
+
+    @pytest.mark.parametrize("chamber_name", ["chamber3", "wall3", "chamber4"])
+    def test_stacked_dexp_matches_per_direction(self, chamber_name, request):
+        chamber = request.getfixturevalue(chamber_name)
+        chart = orbit_chart(orbit_point(chamber, chamber.model.random_group_element(45, 0.4)))
+        rng = np.random.default_rng(47)
+        u = chart._displacement(rng.uniform(-0.3, 0.3, chart.dim))
+        # u commutes with itself, so its slice converges after one term
+        # and may not stop the series for the others
+        directions = [u, *chart.directions]
+        stacked = _dexp(u, np.stack(directions))
+        assert stacked.shape == (chart.dim + 1,) + u.shape
+        for d, got in zip(directions, stacked):
+            single = _dexp(u, d)
+            assert np.max(np.abs(got - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
 
     def test_centralizer_direction_raises(self, chamber3):
         x = orbit_point(chamber3, np.eye(3))

@@ -91,12 +91,19 @@ NAN = float("nan")
     [1e-13, NAN, 1e-14],
     [1e-13, 1e-14, NAN],
     [1e-13, math.inf, 1e-14],
+    [1e-13, 1e-14, -math.inf],
 ])
 def test_nonfinite_error_fails_report(chamber2, errors):
     assert _worst(errors) == math.inf
     report = _report("graph-exact", chamber2, 1, 1e-3, errors, 1e-12)
     assert report.max_error == math.inf
     assert not report.passed
+    payload = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+    names = {math.inf: "Infinity", -math.inf: "-Infinity"}
+    assert payload["max_error"] == "Infinity"
+    assert [d["error"] for d in payload["samples_detail"]] == [
+        "NaN" if math.isnan(e) else names.get(e, e) for e in errors
+    ]
 
 
 def test_nan_inside_a_sample_fails_suite(chamber3, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,8 +18,11 @@ from orbitsym import (
     tautological,
     to_cotangent,
 )
+from orbitsym import orbit as orbit_module
+from orbitsym import symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.numerics import commutator
+from orbitsym.orbit import _dexp
 
 
 def unit(n, i, j):
@@ -297,3 +301,117 @@ class TestFormMatrices:
         chart = orbit_chart(orbit_point(chamber2, np.eye(2)))
         form = omega_kks_chart(chart)
         assert form.smallest_singular_value() == pytest.approx(8.0)
+
+
+def reference_tautological(x, fac, gens):
+    """Tautological values on left-trivialized generators, one direction
+    at a time through the public closed-form factor velocities."""
+    model = x.chamber.model
+    k = fac.k_factor
+    fiber = x.point - k @ x.chamber.matrix @ k.T
+    return np.array([
+        model.killing(fiber, k @ infinitesimal_iwasawa(z, x.witness, factors=fac).k_deriv @ k.T)
+        for z in gens
+    ])
+
+
+def reference_std_chart(chart, h=1e-3):
+    """The chart matrix of the cotangent form, pair by pair, from
+    per-direction exponential derivatives and reference values."""
+    m = chart.dim
+    offsets = (-2.0 * h, -h, h, 2.0 * h)
+    lam = np.zeros((m, 4, m))
+    for i in range(m):
+        for si, s in enumerate(offsets):
+            t = np.zeros(m)
+            t[i] = s
+            u = chart._displacement(t)
+            p = chart.point(t)
+            gens = [_dexp(u, d) for d in chart.directions]
+            lam[i, si] = reference_tautological(p, iwasawa(p.witness), gens)
+    entries = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                dij = (lam[i, 0, j] - 8.0 * lam[i, 1, j] + 8.0 * lam[i, 2, j] - lam[i, 3, j]) / (12.0 * h)
+                dji = (lam[j, 0, i] - 8.0 * lam[j, 1, i] + 8.0 * lam[j, 2, i] - lam[j, 3, i]) / (12.0 * h)
+                entries[i, j] = -(dij - dji)
+    return entries
+
+
+STACK_CHAMBERS = ["chamber3", "wall3", "chamber4"]
+
+
+class TestStackedKernels:
+    """The stacked chart-form kernels against one-direction-at-a-time
+    evaluations through public calls."""
+
+    def chart(self, chamber):
+        g = chamber.model.random_group_element(55, 0.4)
+        return orbit_chart(orbit_point(chamber, g))
+
+    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
+    def test_tautological_stack_matches_reference(self, chamber_name, request):
+        chart = self.chart(request.getfixturevalue(chamber_name))
+        rng = np.random.default_rng(57)
+        for t in (np.zeros(chart.dim), rng.uniform(-1e-2, 1e-2, chart.dim)):
+            p, gens = chart._dexp_generators(t)
+            fac = iwasawa(p.witness)
+            got = symplectic._tautological_stack(p, fac, gens)
+            ref = reference_tautological(p, fac, gens)
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+            w = p.witness
+            for z, expected in zip(w @ gens @ np.linalg.inv(w), ref):
+                value = tautological(p, bracket_tangent(p, z), factors=fac)
+                assert abs(value - expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
+    def test_kks_chart_matches_pair_loop(self, chamber_name, request):
+        chart = self.chart(request.getfixturevalue(chamber_name))
+        model = chart.at.chamber.model
+        t = np.random.default_rng(59).uniform(-1e-2, 1e-2, chart.dim)
+        p, gens = chart.frame_generators(t)
+        ref = np.array([[model.killing(p.point, commutator(a, b)) for b in gens] for a in gens])
+        entries = omega_kks_chart(chart, t).entries
+        assert np.max(np.abs(entries - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        assert np.array_equal(entries, -entries.T)
+        assert np.all(np.diag(entries) == 0.0)
+
+    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
+    def test_std_chart_matches_reference_loop(self, chamber_name, request):
+        chart = self.chart(request.getfixturevalue(chamber_name))
+        ref = reference_std_chart(chart)
+        entries = omega_std_chart(chart).entries
+        assert np.max(np.abs(entries - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_small_charts_give_zero_matrices(self, dim, model2, chamber2):
+        if dim == 0:
+            chart = orbit_chart(orbit_point(model2.chamber_element([0, 0]), np.eye(2)))
+        else:
+            chart = orbit_chart(orbit_point(chamber2, np.eye(2)), directions=chamber2.n_basis)
+        assert chart.dim == dim
+        for form in (omega_std_chart(chart), omega_kks_chart(chart)):
+            assert form.entries.shape == (dim, dim)
+            assert np.all(form.entries == 0.0)
+
+    def test_std_chart_factors_once_per_stencil_point(self, chamber3, monkeypatch):
+        """Call-count guard: one factorization per stencil point and no
+        per-pair tautological calls."""
+        calls = {"iwasawa": 0, "tautological": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the package re-exports the function iwasawa under its module's name
+        iwasawa_module = importlib.import_module("orbitsym.iwasawa")
+        for module in (symplectic, orbit_module, iwasawa_module):
+            monkeypatch.setattr(module, "iwasawa", counted("iwasawa", iwasawa))
+        monkeypatch.setattr(symplectic, "tautological", counted("tautological", tautological))
+        chart = self.chart(chamber3)
+        omega_std_chart(chart)
+        assert calls == {"iwasawa": 4 * chart.dim, "tautological": 0}
