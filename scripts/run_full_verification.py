@@ -11,12 +11,11 @@ otherwise).
 """
 
 import argparse
-import json
 import sys
 import time
 
 from orbitsym import SUITE_NAMES, SpecialLinearModel, run_suite
-from orbitsym.cli import suite_line
+from orbitsym.cli import suite_line, write_reports
 
 CONFIGS = [
     ("regular", [1, -1]),
@@ -51,16 +50,14 @@ def main() -> int:
         print(label)
         for name in SUITE_NAMES:
             reports = run_suite(chamber, name, samples=args.samples, seed=args.seed)
-            all_reports += [r.as_dict() for r in reports]
+            all_reports += reports
             failures += 0 if all(r.passed for r in reports) else 1
             print(f"  {suite_line(name, args.samples, reports)}")
     elapsed = time.perf_counter() - started
     print(f"done in {elapsed:.1f}s, {failures} failing suite runs")
 
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(all_reports, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_reports(args.json_path, all_reports)
         print(f"wrote {len(all_reports)} reports to {args.json_path}")
     return 1 if failures else 0
 

@@ -106,10 +106,19 @@ def suite_line(name: str, samples: int, reports: list[VerificationReport]) -> st
 
     binding = max(reports, key=ratio)
     status = "PASS" if all(r.passed for r in reports) else "FAIL"
-    return (
+    line = (
         f"{name:<22} samples={samples:<4d} max_error={binding.max_error:10.3e} "
         f"tol={binding.tolerance:8.1e} {status}"
     )
+    raised = min((e for r in reports for e in r.exceptions), default=None)
+    return line if raised is None else f"{line} ({raised[1]} at sample {raised[0]})"
+
+
+def write_reports(path, reports: list[VerificationReport]) -> None:
+    """Write the reports as one strict JSON array with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump([r.as_dict() for r in reports], fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _run_verify(args) -> int:
@@ -148,10 +157,7 @@ def _run_verify(args) -> int:
             print(suite_line(name, args.samples, reports))
 
     if args.json_path:
-        payload = [r.as_dict() for r in all_reports]
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_reports(args.json_path, all_reports)
     return 0 if ok else 1
 
 

@@ -122,8 +122,14 @@ class SpecialLinearModel:
         raw = list(entries)
         if len(raw) != self.n:
             raise NotInChamber(f"expected {self.n} entries, got {len(raw)}")
+        try:
+            floats = tuple(float(e) for e in raw)
+        except OverflowError:
+            floats = (math.inf,)
+        if not all(math.isfinite(f) for f in floats):
+            raise NotInChamber("H entries must be finite")
         exact = all(isinstance(e, (int, Fraction)) for e in raw)
-        vals = raw if exact else [float(e) for e in raw]
+        vals = raw if exact else list(floats)
         for a, b in zip(vals, vals[1:]):
             if a < b:
                 raise NotInChamber("H not weakly decreasing")
@@ -143,7 +149,6 @@ class SpecialLinearModel:
                 block_index[i] = len(blocks)
                 blocks.append((float(v), 1))
 
-        floats = tuple(float(v) for v in vals)
         matrix = _locked(np.diag(np.asarray(floats)))
 
         positions = tuple(
@@ -274,12 +279,6 @@ class ChamberElement:
         if not self.zk_basis:
             return np.zeros((self.model.n, self.model.n))
         return random_combination(self.zk_basis, rng, scale)
-
-    def random_flag_direction(self, rng: np.random.Generator, scale: float) -> np.ndarray:
-        """Random element of m(H)."""
-        if not self.m_basis:
-            return np.zeros((self.model.n, self.model.n))
-        return random_combination(self.m_basis, rng, scale)
 
 
 __all__ = [

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from orbitsym import SUITE_NAMES, suites
 from orbitsym.cli import main, parse_entries
+from orbitsym.orbit import FiberResidual
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,43 @@ class TestVerifyCommand:
         assert exact["max_error"] == "Infinity"
         assert [d["error"] for d in exact["samples_detail"]] == ["Infinity", "Infinity"]
 
+    def test_exception_inside_a_sample_fails_without_traceback(self, capsys, tmp_path,
+                                                                monkeypatch):
+        """A named error raised in one sample becomes an infinite error in
+        every sampled column, carrying its class name; the run exits 1."""
+        real = suites.to_cotangent
+        calls = []
+
+        def to_cotangent(x):
+            calls.append(1)
+            if len(calls) == 4:  # the first of the three calls in sample 1
+                raise FiberResidual("fiber residual off the nilpotent slice")
+            return real(x)
+
+        def reject(token):
+            raise ValueError(f"bare {token} in JSON")
+
+        monkeypatch.setattr(suites, "to_cotangent", to_cotangent)
+        path = tmp_path / "out.json"
+        code, out, err = run_cli(
+            capsys, "verify", "projection", "--H", "1,0,-1", "--samples", "3", "--seed", "1",
+            "--json", str(path),
+        )
+        assert code == 1
+        assert err == ""
+        assert out.rstrip().endswith("FAIL (FiberResidual at sample 1)")
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        *sampled, pairing = payload
+        assert len(sampled) == 4
+        for report in sampled:
+            assert report["pass"] is False and report["max_error"] == "Infinity"
+            detail = report["samples_detail"]
+            assert detail[1] == {"index": 1, "error": "Infinity", "exception": "FiberResidual"}
+            assert "exception" not in detail[0] and "exception" not in detail[2]
+            assert math.isfinite(detail[0]["error"]) and math.isfinite(detail[2]["error"])
+        assert pairing["pass"] is True
+        assert "exception" not in pairing["samples_detail"][0]
+
     def test_failure_exit_code(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "theorem", "--H", "1,0,-1", "--samples", "3",
@@ -197,6 +236,15 @@ class TestInfoCommand:
         code, _, err = run_cli(capsys, "info", "--n", "2", "--H", "-1,1")
         assert code == 2
         assert "H not weakly decreasing" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "iwasawa"], ["info"]])
+@pytest.mark.parametrize("entries", ["1e400,0,-1e400", "inf,0,-inf"])
+def test_nonfinite_chamber_entry_is_usage_error(capsys, command, entries):
+    code, out, err = run_cli(capsys, *command, "--H", entries)
+    assert code == 2
+    assert out == ""
+    assert err == "error: H entries must be finite\n"
 
 
 def test_module_entry_point_runs():

@@ -5,6 +5,7 @@ import pytest
 
 from orbitsym import SUITE_NAMES, run_suite
 from orbitsym import suites
+from orbitsym.orbit import OrbitChart
 from orbitsym.suites import (
     _report,
     _worst,
@@ -121,6 +122,32 @@ def test_nan_inside_a_sample_fails_suite(chamber3, monkeypatch):
     exact, fd = verify_graph(chamber3, samples=1, seed=1)
     assert exact.max_error == math.inf and not exact.passed
     assert fd.max_error == math.inf and not fd.passed
+
+
+def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
+    """Only numerical breakdown is recorded as a failed sample; a
+    TypeError is a bug and must surface."""
+    def routes(*args):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(suites, "graph_routes", routes)
+    with pytest.raises(TypeError, match="bad argument"):
+        verify_graph(chamber3, samples=2, seed=1)
+
+
+@pytest.mark.parametrize("mode", ["vertical", "horizontal"])
+def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
+    real = OrbitChart.frame_generators
+    calls = []
+
+    def frame_generators(self, t):
+        calls.append(1)
+        return real(self, t)
+
+    monkeypatch.setattr(OrbitChart, "frame_generators", frame_generators)
+    reports = verify_lagrangian(chamber3, mode, samples=3, seed=2)
+    assert all(r.passed for r in reports)
+    assert len(calls) == 3
 
 
 def test_unknown_suite_rejected(chamber2):
