@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -117,7 +118,8 @@ class SpecialLinearModel:
         Comparisons are exact on the supplied values (Fractions and ints
         compare in exact arithmetic, floats bit for bit); whether two
         entries coincide decides walls versus regular points and must not
-        flip under rounding.
+        flip under rounding, so entries that differ but round to the same
+        float are rejected.
         """
         raw = list(entries)
         if len(raw) != self.n:
@@ -133,6 +135,8 @@ class SpecialLinearModel:
         for a, b in zip(vals, vals[1:]):
             if a < b:
                 raise NotInChamber("H not weakly decreasing")
+        if any(a != b and fa == fb for a, b, fa, fb in zip(vals, vals[1:], floats, floats[1:])):
+            raise NotInChamber("H entries that differ must stay distinct as floats")
         total = sum(vals) if exact else math.fsum(vals)
         if total != 0:
             raise NotInChamber("H entries must sum to zero")
@@ -221,6 +225,8 @@ class ChamberElement:
 
     ``n_positions`` lists the (i, j) index pairs of n(H) in basis order
     and ``n_gaps`` the corresponding positive differences H_ii - H_jj.
+    ``_n_index`` caches the positions as (rows, columns) index arrays, so
+    ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
     """
 
     model: SpecialLinearModel
@@ -235,6 +241,10 @@ class ChamberElement:
     zk_basis: tuple[np.ndarray, ...]
     m_basis: tuple[np.ndarray, ...]
     char_coeffs: np.ndarray
+
+    @cached_property
+    def _n_index(self) -> tuple[np.ndarray, ...]:
+        return tuple(_locked(np.array(self.n_positions, dtype=np.intp).reshape(-1, 2).T))
 
     @property
     def dim_n(self) -> int:

@@ -7,7 +7,8 @@ compact flag orbit (the zero section of the ruling); the difference
 x - pr(x) is the fiber part, which lies in the K(g)-conjugate of n(H).
 Pairing the fiber against conjugated m(H)-basis elements through the
 Killing form gives cotangent coordinates; the inverse direction solves
-for a unipotent witness inside the nilpotent slice.
+for a unipotent witness inside the nilpotent slice.  ``_cotangent`` builds
+every ``CotangentRep``; ``_fiber_coefficients`` alone reads the slice.
 """
 
 from __future__ import annotations
@@ -138,13 +139,29 @@ def project_ruling(x: OrbitPoint, factors: IwasawaFactors | None = None) -> Orbi
 
 
 def _fiber_coefficients(chamber: ChamberElement, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients of w on the n(H) basis plus the off-pattern residual."""
-    coeffs = np.array([w[i, j] for i, j in chamber.n_positions])
+    """Coefficients of w on the n(H) basis plus the off-slice residual."""
+    coeffs = w[chamber._n_index]
     recon = np.zeros_like(w)
-    for c, (i, j) in zip(coeffs, chamber.n_positions):
-        recon[i, j] = c
-    residual = float(np.linalg.norm(w - recon))
-    return coeffs, residual
+    recon[chamber._n_index] = coeffs
+    return coeffs, float(np.linalg.norm(w - recon))
+
+
+def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
+               rtol: float) -> CotangentRep:
+    """Representative over the flag point ``base`` = k H k^T.  Raises
+    ``FiberResidual`` when k^T fiber k leaves n(H) by more than ``rtol``
+    |base + fiber|, the orbit point whose rounding the residual carries."""
+    _, residual = _fiber_coefficients(chamber, k.T @ fiber @ k)
+    if residual > rtol * max(1.0, float(np.linalg.norm(base + fiber))):
+        raise FiberResidual(f"fiber residual {residual:.3e} off the nilpotent slice")
+    coords = tuple(chamber.model.killing(fiber, k @ e @ k.T) for e in chamber.m_basis)
+    return CotangentRep(
+        chamber=chamber,
+        base_witness=_locked(k),
+        base=base,
+        fiber=_locked(fiber),
+        coords=coords,
+    )
 
 
 def to_cotangent(x: OrbitPoint, rtol: float = 1e-10) -> CotangentRep:
@@ -154,44 +171,19 @@ def to_cotangent(x: OrbitPoint, rtol: float = 1e-10) -> CotangentRep:
     Raises ``FiberResidual`` when the deconjugated fiber leaves the
     nilpotent slice, which signals witness or rounding breakdown.
     """
-    chamber = x.chamber
     fac = iwasawa(x.witness)
-    k = fac.k_factor
-    base = project_ruling(x, factors=fac)
-    fiber = x.point - base.point
-    w = k.T @ fiber @ k
-    _, residual = _fiber_coefficients(chamber, w)
-    if residual > rtol * max(1.0, float(np.linalg.norm(w))):
-        raise FiberResidual(f"fiber residual {residual:.3e} off the nilpotent slice")
-    coords = tuple(chamber.model.killing(fiber, k @ e @ k.T) for e in chamber.m_basis)
-    return CotangentRep(
-        chamber=chamber,
-        base_witness=_locked(k),
-        base=base.point,
-        fiber=_locked(fiber),
-        coords=coords,
-    )
+    base = project_ruling(x, factors=fac).point
+    return _cotangent(x.chamber, fac.k_factor, base, x.point - base, rtol)
 
 
 def cotangent_rep(chamber: ChamberElement, base_witness, fiber, rtol: float = 1e-10) -> CotangentRep:
     """Build a cotangent representative from a rotation and a fiber
     matrix given at the base point."""
     base = flag_point(chamber, base_witness)
-    k = base.witness
     v = np.asarray(fiber, dtype=float)
-    w = k.T @ v @ k
-    _, residual = _fiber_coefficients(chamber, w)
-    if residual > rtol * max(1.0, float(np.linalg.norm(w))):
-        raise FiberResidual(f"fiber residual {residual:.3e} off the nilpotent slice")
+    rep = _cotangent(chamber, base.witness, base.point, v, rtol)
     _check_on_orbit(chamber, base.point + v)
-    coords = tuple(chamber.model.killing(v, k @ e @ k.T) for e in chamber.m_basis)
-    return CotangentRep(
-        chamber=chamber,
-        base_witness=k,
-        base=base.point,
-        fiber=_locked(v),
-        coords=coords,
-    )
+    return rep
 
 
 def from_cotangent(rep: CotangentRep, max_iterations: int = 50, tol: float = 1e-12) -> OrbitPoint:
@@ -216,8 +208,7 @@ def from_cotangent(rep: CotangentRep, max_iterations: int = 50, tol: float = 1e-
     scale = max(1.0, float(np.linalg.norm(target)))
     for _ in range(max_iterations):
         y = np.zeros_like(w)
-        for c, (i, j) in zip(coeffs, chamber.n_positions):
-            y[i, j] = c
+        y[chamber._n_index] = coeffs
         displaced = mat_exp(y) @ h @ mat_exp(-y) - h
         current, _ = _fiber_coefficients(chamber, displaced)
         gap = target - current

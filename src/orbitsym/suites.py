@@ -26,6 +26,7 @@ from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, random_combination
 from .numerics import mat_exp
 from .orbit import (
+    _fiber_coefficients,
     cotangent_rep,
     from_cotangent,
     orbit_chart,
@@ -33,7 +34,7 @@ from .orbit import (
     project_ruling,
     to_cotangent,
 )
-from .symplectic import _bracket_pairing, graph_routes, omega_kks_chart, omega_std_chart
+from .symplectic import _axis, _bracket_pairing, graph_routes, omega_kks_chart, omega_std_chart
 
 DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 42
@@ -203,10 +204,7 @@ def _check_projection(chamber, rng, index, fd_step):
     e_welldef = _rel(np.linalg.norm(project_ruling(x2).point - base.point), scale)
 
     w = fac.k_factor.T @ (x.point - base.point) @ fac.k_factor
-    recon = np.zeros_like(w)
-    for (i, j) in chamber.n_positions:
-        recon[i, j] = w[i, j]
-    e_disp = _rel(np.linalg.norm(w - recon), np.linalg.norm(w))
+    e_disp = _rel(_fiber_coefficients(chamber, w)[1], np.linalg.norm(w))
 
     rep = to_cotangent(x)
     e_round = _rel(np.linalg.norm(from_cotangent(rep).point - x.point), scale)
@@ -326,9 +324,7 @@ def _check_theorem(chamber, rng, index, fd_step):
     e_inv = []
     for i in range(chart.dim):
         for s in (fd_step, -fd_step):
-            t = np.zeros(chart.dim)
-            t[i] = s
-            shifted = omega_kks_chart(chart, t)
+            shifted = omega_kks_chart(chart, _axis(chart.dim, i, s))
             e_inv.append(_rel(np.max(np.abs(shifted.entries - kks_form.entries)), scale))
     smin = kks_form.smallest_singular_value()
     ratio = 0.0 if np.isinf(smin) else SMIN_THRESHOLD / smin

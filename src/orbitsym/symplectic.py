@@ -112,25 +112,23 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     """Cotangent-bundle form, as minus the exterior derivative of the
     tautological one-form in chart coordinates.
 
-    Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0) with fourth-order
-    central differences along the coordinate axes; lambda_j is evaluated
-    on the honest coordinate field, so the mixed partials cancel exactly
-    and only the finite-difference error survives.  Each of the 4 dim
+    Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0), all axes at once
+    by one fourth-order ``central_diff``; lambda_j is evaluated on the
+    honest coordinate field, so the mixed partials cancel exactly and
+    only the finite-difference error survives.  Each of the 4 dim
     stencil points gets one orbit point, one factorization and one
     stacked evaluation of lambda on every coordinate field there.
     """
     m = chart.dim
     entries = np.zeros((m, m))
     if m >= 2:
-        h = fd_step
-        offsets = (-2.0 * h, -h, h, 2.0 * h)
-        lam = np.zeros((m, 4, m))  # axis, stencil offset, paired direction
-        for i in range(m):
-            for si, s in enumerate(offsets):
-                p, gens = chart._dexp_generators(_axis(m, i, s))
-                lam[i, si] = _tautological_stack(p, iwasawa(p.witness), gens)
+
+        def lam(s: float) -> np.ndarray:  # [i, j]: lambda_j at s along axis i
+            frames = (chart._dexp_generators(_axis(m, i, s)) for i in range(m))
+            return np.array([_tautological_stack(p, iwasawa(p.witness), z) for p, z in frames])
+
         # d[i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
-        d = (lam[:, 0] - 8.0 * lam[:, 1] + 8.0 * lam[:, 2] - lam[:, 3]) / (12.0 * h)
+        d = central_diff(lam, 0.0, fd_step)
         entries = d.T - d
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)

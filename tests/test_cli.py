@@ -247,6 +247,30 @@ def test_nonfinite_chamber_entry_is_usage_error(capsys, command, entries):
     assert err == "error: H entries must be finite\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "all"], ["info"]])
+@pytest.mark.parametrize("entries", [
+    "1e-400,0,-1e-400",
+    "1,0.99999999999999999999,-1.99999999999999999999",
+])
+def test_entries_equal_as_floats_are_usage_error(capsys, command, entries):
+    """Entries that differ exactly but round to the same float would make
+    a regular chamber with a repeated diagonal entry."""
+    code, out, err = run_cli(capsys, *command, "--H", entries)
+    assert code == 2
+    assert out == ""
+    assert err == "error: H entries that differ must stay distinct as floats\n"
+
+
+def test_large_chamber_raises_no_fiber_residual(capsys):
+    """The fiber check is relative to the orbit point, so rounding of
+    order eps |H| no longer raises inside a sample."""
+    _, out, err = run_cli(capsys, "verify", "projection", "--H", "1e6,0,-1e6",
+                          "--samples", "3")
+    assert err == ""
+    assert out.startswith("projection ")
+    assert out.rstrip().endswith((" PASS", " FAIL"))
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "orbitsym.cli", "verify", "graph",

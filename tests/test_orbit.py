@@ -19,7 +19,7 @@ from orbitsym import (
     tangent_vector,
     to_cotangent,
 )
-from orbitsym.orbit import _dexp
+from orbitsym.orbit import _dexp, _fiber_coefficients
 
 
 def unit(n, i, j):
@@ -108,7 +108,52 @@ class TestRulingProjection:
         assert np.linalg.norm(w - recon) <= 1e-10 * max(1.0, np.linalg.norm(w))
 
 
+class TestFiberSlice:
+    @pytest.mark.parametrize("chamber_name", ["chamber3", "wall3", "wall4", "zero2"])
+    def test_slice_matches_per_position_loop(self, chamber_name, request, model2):
+        chamber = (model2.chamber_element([0, 0]) if chamber_name == "zero2"
+                   else request.getfixturevalue(chamber_name))
+        n = chamber.model.n
+        w = np.random.default_rng(4).normal(size=(n, n))
+        coeffs, residual = _fiber_coefficients(chamber, w)
+        expected = np.array([w[i, j] for i, j in chamber.n_positions])
+        recon = np.zeros_like(w)
+        for c, (i, j) in zip(expected, chamber.n_positions):
+            recon[i, j] = c
+        assert coeffs.shape == (chamber.dim_n,)
+        assert np.array_equal(coeffs, expected)
+        assert residual == float(np.linalg.norm(w - recon))
+
+
 class TestCotangentIdentification:
+    @pytest.mark.parametrize("chamber_name", ["chamber3", "wall3", "chamber4"])
+    def test_both_builders_agree_exactly(self, chamber_name, request):
+        chamber = request.getfixturevalue(chamber_name)
+        g = chamber.model.random_group_element(5, 0.4)
+        x = orbit_point(chamber, g)
+        rep = to_cotangent(x)
+        same = cotangent_rep(chamber, iwasawa(g).k_factor, x.point - project_ruling(x).point)
+        assert np.array_equal(rep.base, same.base)
+        assert np.array_equal(rep.fiber, same.fiber)
+        assert rep.coords == same.coords
+
+    def test_large_chamber_round_trip_keeps_the_slice(self):
+        """Rounding of order eps |H| is measured against the orbit point,
+        not the fiber: no FiberResidual at |H| = 1e6."""
+        from orbitsym import SpecialLinearModel
+
+        model = SpecialLinearModel(3)
+        chamber = model.chamber_element([10**6, 0, -10**6])
+        for i in range(20):
+            rng = np.random.default_rng([41, i])
+            k = model.random_orthogonal(rng, 1.5 / model.n)
+            v = k @ chamber.random_fiber(rng, 0.8) @ k.T
+            rep = cotangent_rep(chamber, k, v)
+            back = to_cotangent(from_cotangent(rep))
+            scale = np.linalg.norm(chamber.matrix)
+            assert np.linalg.norm(back.base - rep.base) <= 1e-12 * scale
+            assert np.linalg.norm(back.fiber - rep.fiber) <= 1e-12 * scale
+
     def test_zero_section_has_zero_coords(self, chamber3):
         k = chamber3.model.random_orthogonal(12, 0.5)
         rep = to_cotangent(flag_point(chamber3, k))
