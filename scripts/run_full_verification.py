@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep every verification suite over a matrix of chamber elements.
 
-Covers regular and wall chambers for n = 2..5 and the regular chamber
-at n = 6, runs every suite at each with the same sample count, prints
+Covers regular and wall chambers for n = 2..5, 7 and 8 and the regular
+chamber at n = 6, runs every suite at each with the same sample count, prints
 one line per suite and configuration, and optionally writes the full
 report list as JSON.  ``--samples`` must be at least 1 (exit 2
 otherwise).
@@ -27,6 +27,10 @@ CONFIGS = [
     ("regular", [2, 1, 0, -1, -2]),
     ("wall", [1, 1, 1, 1, -4]),
     ("regular", [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]),
+    ("regular", [3, 2, 1, 0, -1, -2, -3]),
+    ("wall", [1, 1, 1, 1, 1, 1, -6]),
+    ("regular", [3.5, 2.5, 1.5, 0.5, -0.5, -1.5, -2.5, -3.5]),
+    ("wall", [1, 1, 1, 1, -1, -1, -1, -1]),
 ]
 
 

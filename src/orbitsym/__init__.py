@@ -9,7 +9,6 @@ seeded verification suites and a command-line runner.
 """
 
 from .numerics import (
-    NoSolution,
     SingularInput,
     as_matrix,
     central_diff,
@@ -17,7 +16,6 @@ from .numerics import (
     commutator,
     mat_exp,
     qr_positive,
-    solve_least_squares,
 )
 from .model import (
     ChamberElement,

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import split_kan
-from .numerics import central_diff, mat_exp, qr_positive
+from .numerics import (
+    STENCIL_OFFSETS,
+    _mat_exp_stack,
+    _qr_positive_stack,
+    _stencil_diff,
+    qr_positive,
+)
 
 # One threshold for every determinant-one check on a group element or
 # orbit witness: |log det g| may not exceed DET_RTOL * max(1, n).
@@ -60,6 +66,13 @@ def _require_det_one(g: np.ndarray) -> None:
         raise ValueError("group element must have determinant 1")
 
 
+def _require_det_one_stack(g: np.ndarray) -> None:
+    """``_require_det_one`` for every slice of a stack (..., n, n)."""
+    sign, logdet = np.linalg.slogdet(g)
+    if np.any((sign <= 0) | (np.abs(logdet) > DET_RTOL * max(1.0, g.shape[-1]))):
+        raise ValueError("group element must have determinant 1")
+
+
 def iwasawa(g) -> IwasawaFactors:
     """Unique factorization of a determinant-one matrix as k a n."""
     mat = np.asarray(g, dtype=float)
@@ -69,6 +82,22 @@ def iwasawa(g) -> IwasawaFactors:
     a = np.diag(diag)
     n = np.diag(1.0 / diag) @ r
     h = np.diag(np.log(diag))
+    return IwasawaFactors(k_factor=q, a_factor=a, n_factor=n, h_projection=h)
+
+
+def _iwasawa_stack(g) -> IwasawaFactors:
+    """``iwasawa`` of every slice of a stack (..., n, n), with the same
+    arithmetic per slice; each factor is a stack of the same shape."""
+    mat = np.asarray(g, dtype=float)
+    _require_det_one_stack(mat)
+    q, r = _qr_positive_stack(mat)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    a = np.zeros_like(r)
+    h = np.zeros_like(r)
+    index = np.arange(r.shape[-1])
+    a[..., index, index] = diag
+    h[..., index, index] = np.log(diag)
+    n = (1.0 / diag)[..., :, None] * r
     return IwasawaFactors(k_factor=q, a_factor=a, n_factor=n, h_projection=h)
 
 
@@ -92,13 +121,12 @@ def fd_iwasawa_velocities(x, g, h: float = 1e-3):
     ``infinitesimal_iwasawa``; error O(h^4)."""
     mat = np.asarray(x, dtype=float)
     base = np.asarray(g, dtype=float)
-
-    def factor_curve(t: float) -> np.ndarray:
-        fac = iwasawa(base @ mat_exp(t * mat))
-        return np.stack([fac.k_factor, fac.a_factor, fac.n_factor])
-
-    stack0 = factor_curve(0.0)
-    dstack = central_diff(factor_curve, 0.0, h)
+    # t = 0 and the stencil points, factored in one stacked pass
+    ts = np.array([0.0, *(o * h for o in STENCIL_OFFSETS)])
+    fac = _iwasawa_stack(base @ _mat_exp_stack(ts[:, None, None] * mat))
+    curves = np.stack([fac.k_factor, fac.a_factor, fac.n_factor], axis=1)
+    stack0 = curves[0]
+    dstack = _stencil_diff(curves[1:], h)
     k_fd = np.linalg.solve(stack0[0], dstack[0])
     a_fd = np.linalg.solve(stack0[1], dstack[1])
     n_fd = np.linalg.solve(stack0[2], dstack[2])

@@ -2,9 +2,13 @@
 
 Everything here targets small fixed-size problems (n <= 8): Householder
 QR (LAPACK) with a sign fix for strictly positive pivots, a
-scaling-and-squaring matrix exponential, minimum-norm least squares,
-characteristic polynomials without an eigensolve, and fourth-order
-central differences used as the oracle for all derivative claims.
+scaling-and-squaring matrix exponential, characteristic polynomials
+without an eigensolve, and fourth-order central differences used as the
+oracle for all derivative claims.
+
+The public kernels take one matrix.  Their private ``_*_stack`` twins
+take a stack (..., n, n) and give every slice the arithmetic of a single
+call, so a stacked caller gets the single-call values bit for bit.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ SINGULAR_RTOL = 1e-10
 EXP_NORM_CAP = 0.5
 EXP_TAYLOR_DEGREE = 18
 
+# Points of the fourth-order central-difference stencil, in steps h.
+STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
+
 
 class SingularInput(ValueError):
     """Input matrix is rank deficient at working precision."""
-
-
-class NoSolution(ValueError):
-    """Least-squares residual is too large for a requested exact solve."""
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -44,6 +47,25 @@ def _square(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _stack(entries) -> np.ndarray:
+    """``entries`` as a float stack (..., n, n) of square matrices,
+    rejecting NaN/Inf as ``as_matrix`` does."""
+    a = np.asarray(entries, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _frobenius_stack(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every slice, each summed as ``np.linalg.norm``
+    sums one matrix (a dot product of its entries), so that thresholds
+    built on it match a single call's."""
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,20 +111,11 @@ def mat_exp(x) -> np.ndarray:
     return acc
 
 
-def solve_least_squares(a, b, *, exact: bool = False, tol: float = 1e-9):
-    """Minimum-norm least-squares solution of ``A x = b``.
-
-    Returns ``(x, residual)`` with ``residual = ||A x - b||``.  With
-    ``exact=True`` raises ``NoSolution`` when the residual exceeds
-    ``tol * max(1, ||b||)``.
-    """
-    mat = as_matrix(a)
-    vec = as_matrix(b).ravel()
-    x, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    residual = float(np.linalg.norm(mat @ x - vec))
-    if exact and residual > tol * max(1.0, float(np.linalg.norm(vec))):
-        raise NoSolution(f"residual {residual:.3e} exceeds tolerance for an exact solve")
-    return x, residual
+def _stencil_diff(values, h: float):
+    """Fourth-order central difference from the values at the
+    ``STENCIL_OFFSETS`` points, stacked along the first axis."""
+    f0, f1, f2, f3 = values
+    return (f0 - 8.0 * f1 + 8.0 * f2 - f3) / (12.0 * h)
 
 
 def central_diff(f, t: float = 0.0, h: float = 1e-3):
@@ -110,7 +123,7 @@ def central_diff(f, t: float = 0.0, h: float = 1e-3):
 
     Works for scalar- and array-valued ``f`` alike.
     """
-    return (f(t - 2 * h) - 8.0 * f(t - h) + 8.0 * f(t + h) - f(t + 2 * h)) / (12.0 * h)
+    return _stencil_diff([f(t + o * h) for o in STENCIL_OFFSETS], h)
 
 
 def char_poly(m) -> np.ndarray:
@@ -128,4 +141,58 @@ def char_poly(m) -> np.ndarray:
     for k in range(1, n + 1):
         mk = a @ (mk + coeffs[k - 1] * ident)
         coeffs[k] = -np.trace(mk) / k
+    return coeffs
+
+
+def _qr_positive_stack(m) -> tuple[np.ndarray, np.ndarray]:
+    """``qr_positive`` of every slice of a stack (..., n, n).  Raises
+    ``SingularInput`` for the first slice with a dependent column."""
+    a = _stack(m)
+    q, r = np.linalg.qr(a)
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    dependent = np.abs(pivots) <= SINGULAR_RTOL * _frobenius_stack(a)[..., None]
+    if dependent.any():
+        column = np.argwhere(dependent)[0, -1]
+        raise SingularInput(f"column {column} is linearly dependent at working precision")
+    signs = np.where(pivots < 0, -1.0, 1.0)
+    return q * signs[..., None, :], signs[..., :, None] * r
+
+
+def _mat_exp_stack(x) -> np.ndarray:
+    """``mat_exp`` of every slice of a stack (..., n, n).
+
+    Each slice gets the squaring count a single call would choose; the
+    Taylor sum runs over the whole stack and each squaring over the
+    slices whose count it is within, so every slice equals a single call
+    bit for bit.
+    """
+    a = _stack(x)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    counts = np.array([
+        0 if nrm <= EXP_NORM_CAP else int(math.ceil(math.log2(nrm / EXP_NORM_CAP)))
+        for nrm in _frobenius_stack(flat).tolist()
+    ], dtype=int)
+    y = flat / (2.0 ** counts)[:, None, None]
+    ident = np.eye(n)
+    acc = np.broadcast_to(ident, flat.shape)
+    for k in range(EXP_TAYLOR_DEGREE, 0, -1):
+        acc = ident + (y / k) @ acc
+    for step in range(counts.max(initial=0)):
+        due = counts > step
+        acc[due] = acc[due] @ acc[due]
+    return acc.reshape(a.shape)
+
+
+def _char_poly_stack(m) -> np.ndarray:
+    """``char_poly`` of every slice of a stack (..., n, n), as (..., n + 1)."""
+    a = _stack(m)
+    n = a.shape[-1]
+    coeffs = np.empty((*a.shape[:-2], n + 1))
+    coeffs[..., 0] = 1.0
+    ident = np.eye(n)
+    mk = np.zeros(a.shape)
+    for k in range(1, n + 1):
+        mk = a @ (mk + coeffs[..., k - 1, None, None] * ident)
+        coeffs[..., k] = -np.trace(mk, axis1=-2, axis2=-1) / k
     return coeffs

@@ -18,9 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
+from .iwasawa import IwasawaFactors, _require_det_one, _require_det_one_stack, iwasawa
 from .model import ChamberElement
-from .numerics import char_poly, commutator, mat_exp
+from .numerics import (
+    _char_poly_stack,
+    _frobenius_stack,
+    _mat_exp_stack,
+    char_poly,
+    commutator,
+    mat_exp,
+)
 
 
 class NotOrthogonal(ValueError):
@@ -106,6 +113,33 @@ def orbit_point(chamber: ChamberElement, witness) -> OrbitPoint:
     point = g @ chamber.matrix @ np.linalg.inv(g)
     _check_on_orbit(chamber, point)
     return OrbitPoint(chamber=chamber, witness=_locked(g), point=_locked(point))
+
+
+def _check_on_orbit_stack(chamber: ChamberElement, points: np.ndarray) -> None:
+    """``_check_on_orbit`` for every slice of a stack (..., n, n); the
+    first failing slice raises the message a single check would."""
+    nx = np.maximum(1.0, _frobenius_stack(points))
+    off_trace = np.abs(np.trace(points, axis1=-2, axis2=-1)) > TRACE_RTOL * nx
+    coeffs = _char_poly_stack(points)
+    powers = nx[..., None] ** np.arange(1, points.shape[-1] + 1)
+    off_spectrum = np.abs(coeffs[..., 1:] - chamber.char_coeffs[1:]) > CHAR_RTOL * powers
+    failed = off_trace | off_spectrum.any(axis=-1)
+    if failed.any():
+        first = tuple(np.argwhere(failed)[0])
+        if off_trace[first]:
+            raise ValueError("orbit point must be traceless")
+        raise ValueError("point spectrum does not match the chamber element")
+
+
+def _orbit_points(chamber: ChamberElement, witnesses) -> tuple[np.ndarray, np.ndarray]:
+    """``orbit_point`` for every witness of a stack (..., n, n): the points
+    g H g^-1 and the witness inverses, as plain arrays."""
+    g = np.asarray(witnesses, dtype=float)
+    _require_det_one_stack(g)
+    g_inv = np.linalg.inv(g)
+    points = g @ chamber.matrix @ g_inv
+    _check_on_orbit_stack(chamber, points)
+    return points, g_inv
 
 
 def flag_point(chamber: ChamberElement, k) -> OrbitPoint:
@@ -253,6 +287,22 @@ def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
     return total
 
 
+def _dexp_adjoint(u: np.ndarray, v: np.ndarray, max_terms: int = 40) -> np.ndarray:
+    """Adjoint of X -> dexp(u, X) under the trace pairing: returns D with
+    tr(V dexp(u, X)) = tr(D X) for every X.  The trace adjoint of -ad_u is
+    ad_u, so D = sum_k ad_u^k(V) / (k + 1)!, summed as ``_dexp`` sums its
+    series; ``u`` and ``v`` may be matching stacks (..., n, n)."""
+    term = np.asarray(v, dtype=float)
+    total = np.array(term)
+    for m in range(1, max_terms):
+        term = commutator(u, term) * (1.0 / (m + 1))
+        total += term
+        sizes = np.linalg.norm(term, axis=(-2, -1))
+        if np.all(sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))):
+            break
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class OrbitChart:
     """Chart t -> Ad(g exp(sum t_i X_i)) H around a given point.
@@ -287,6 +337,16 @@ class OrbitChart:
     def point(self, t) -> OrbitPoint:
         u = self._displacement(t)
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
+
+    def _shifted_points(self, offsets) -> tuple[np.ndarray, ...]:
+        """The chart points at every axis shift s e_i, for each s in
+        ``offsets`` and each axis i, in one stacked pass.  Returns the
+        displacements s X_i, the witnesses g exp(s X_i), the points and
+        the witness inverses, each stacked (len(offsets), dim, n, n)."""
+        u = np.multiply.outer(np.asarray(offsets, dtype=float), self._stack)
+        w = self.at.witness @ _mat_exp_stack(u)
+        x, w_inv = _orbit_points(self.at.chamber, w)
+        return u, w, x, w_inv
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of

@@ -34,7 +34,13 @@ from .orbit import (
     project_ruling,
     to_cotangent,
 )
-from .symplectic import _axis, _bracket_pairing, graph_routes, omega_kks_chart, omega_std_chart
+from .symplectic import (
+    _bracket_pairing,
+    _omega_kks_shifts,
+    graph_routes,
+    omega_kks_chart,
+    omega_std_chart,
+)
 
 DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 42
@@ -260,7 +266,7 @@ def _check_lagrangian(basis: str):
         x, gens = chart.frame_generators(np.zeros(chart.dim))
         zmax = max((float(np.linalg.norm(z)) for z in gens), default=0.0)
         scale = max(1.0, model.killing_coefficient * float(np.linalg.norm(x.point)) * zmax**2)
-        e_kks = _rel(np.max(np.abs(_bracket_pairing(x, gens)), initial=0.0), scale)
+        e_kks = _rel(np.max(np.abs(_bracket_pairing(chamber, x.point, gens)), initial=0.0), scale)
         e_std = 0.0
         if chart.dim >= 2:
             e_std = _rel(np.max(np.abs(omega_std_chart(chart, fd_step).entries)), scale)
@@ -321,11 +327,8 @@ def _check_theorem(chamber, rng, index, fd_step):
         float(np.max(np.abs(std_form.entries))),
     )
     e_match = _rel(np.max(np.abs(std_form.entries - kks_form.entries)), scale)
-    e_inv = []
-    for i in range(chart.dim):
-        for s in (fd_step, -fd_step):
-            shifted = omega_kks_chart(chart, _axis(chart.dim, i, s))
-            e_inv.append(_rel(np.max(np.abs(shifted.entries - kks_form.entries)), scale))
+    shifted = _omega_kks_shifts(chart, (fd_step, -fd_step))
+    e_inv = np.max(np.abs(shifted - kks_form.entries), axis=(-2, -1)).ravel() / max(1.0, scale)
     smin = kks_form.smallest_singular_value()
     ratio = 0.0 if np.isinf(smin) else SMIN_THRESHOLD / smin
     return e_match, _worst(e_inv), ratio

@@ -9,10 +9,13 @@ expression
     lambda(V) = < x - pr(x), Ad(K(g)) K-velocity >,
 
 where the K-velocity is the antisymmetric part of the Iwasawa factor
-derivative along V's generator.  Chart matrices of both forms, the
-scalar potential of the abelian Iwasawa projection, and the one-form
-cutting out a displaced flag section live here; the seeded verification
-suites are in ``suites``.
+derivative along V's generator.  On all coordinate fields of a chart
+at once this pairing is one matrix per point (``_tautological_dual``),
+so the stencil of the chart matrix factors all its points in one
+stacked pass.  Chart matrices of both forms, the scalar potential of the
+abelian Iwasawa projection, and the one-form cutting out a displaced
+flag section live here; the seeded verification suites are in
+``suites``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, infinitesimal_iwasawa, iwasawa
+from .iwasawa import IwasawaFactors, _iwasawa_stack, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, split_kan
-from .numerics import central_diff, mat_exp
+from .numerics import STENCIL_OFFSETS, _mat_exp_stack, _stencil_diff
 from .orbit import (
     OrbitChart,
     OrbitPoint,
     TangentVector,
+    _dexp_adjoint,
     orbit_point,
     solve_generator,
     to_cotangent,
@@ -53,13 +57,14 @@ def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
     return solve_generator(x, v.value)
 
 
-def _bracket_pairing(x: OrbitPoint, gens: np.ndarray) -> np.ndarray:
-    """Matrix of <x, [Z_i, Z_j]> over a stack of generators (m, n, n).
+def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Matrix of <x, [Z_i, Z_j]> over a stack of generators (..., m, n, n)
+    at the orbit point x (..., n, n).
 
     With M_ij = tr(x Z_i Z_j) the entries are 2n (M - M^T), exactly
     antisymmetric with a zero diagonal."""
-    m = np.einsum("iab,jba->ij", x.point @ gens, gens)
-    return x.chamber.model.killing_coefficient * (m - m.T)
+    m = np.einsum("...iab,...jba->...ij", x[..., None, :, :] @ gens, gens)
+    return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
 
 
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
@@ -69,7 +74,7 @@ def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
     the generators, which the Killing pairing kills.
     """
     gens = np.stack([_generator(x, v), _generator(x, w)])
-    return float(_bracket_pairing(x, gens)[0, 1])
+    return float(_bracket_pairing(x.chamber, x.point, gens)[0, 1])
 
 
 def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray) -> np.ndarray:
@@ -88,6 +93,27 @@ def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray
     return x.chamber.model.killing_coefficient * np.einsum("ab,mba->m", fiber, k_velocities)
 
 
+def _tautological_dual(chamber: ChamberElement, x: np.ndarray, factors: IwasawaFactors,
+                       u: np.ndarray) -> np.ndarray:
+    """The tautological form on the coordinate fields at a stack of chart
+    points, as one matrix D per point: lambda_j = 2n tr(D X_j) for every
+    chart direction X_j.
+
+    ``x`` holds the points (..., n, n), ``factors`` the stacked
+    factorization of their witnesses and ``u`` their displacements.  With
+    F the deconjugated fiber and C = A N Z (A N)^-1, the pairing of F with
+    the antisymmetric part of C equals tr(W^T C) for W = tril(F^T - F, -1),
+    that is tr(V Z) for V = (A N)^-1 W^T A N.  The generator is
+    Z = dexp(u, X_j), so D is V carried through the adjoint series.
+    """
+    k = factors.k_factor
+    k_t = np.swapaxes(k, -1, -2)
+    fiber = k_t @ (x - k @ chamber.matrix @ k_t) @ k
+    w = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
+    an = factors.an_factor()
+    return _dexp_adjoint(u, np.linalg.solve(an, np.swapaxes(w, -1, -2) @ an))
+
+
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     """Tautological (Liouville) one-form transported to the orbit.
 
@@ -102,33 +128,27 @@ def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     return float(_tautological_stack(x, fac, x_alg[None])[0])
 
 
-def _axis(dim: int, i: int, s: float) -> np.ndarray:
-    t = np.zeros(dim)
-    t[i] = s
-    return t
-
-
 def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     """Cotangent-bundle form, as minus the exterior derivative of the
     tautological one-form in chart coordinates.
 
     Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0), all axes at once
-    by one fourth-order ``central_diff``; lambda_j is evaluated on the
-    honest coordinate field, so the mixed partials cancel exactly and
-    only the finite-difference error survives.  Each of the 4 dim
-    stencil points gets one orbit point, one factorization and one
-    stacked evaluation of lambda on every coordinate field there.
+    by one fourth-order stencil; lambda_j is evaluated on the honest
+    coordinate field, so the mixed partials cancel exactly and only the
+    finite-difference error survives.  The 4 dim stencil points get their
+    orbit points and factorizations in one stacked pass, and each point's
+    dual matrix gives lambda on every coordinate field at once.
     """
     m = chart.dim
     entries = np.zeros((m, m))
     if m >= 2:
-
-        def lam(s: float) -> np.ndarray:  # [i, j]: lambda_j at s along axis i
-            frames = (chart._dexp_generators(_axis(m, i, s)) for i in range(m))
-            return np.array([_tautological_stack(p, iwasawa(p.witness), z) for p, z in frames])
-
+        u, w, x, _ = chart._shifted_points(np.multiply(STENCIL_OFFSETS, fd_step))
+        dual = _tautological_dual(chart.at.chamber, x, _iwasawa_stack(w), u)
+        # lam[o, i, j]: lambda_j at stencil offset o along axis i
+        coefficient = chart.at.chamber.model.killing_coefficient
+        lam = coefficient * np.einsum("oiab,jba->oij", dual, chart._stack)
         # d[i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
-        d = central_diff(lam, 0.0, fd_step)
+        d = _stencil_diff(lam, fd_step)
         entries = d.T - d
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)
@@ -145,20 +165,35 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
     if t is None:
         t = np.zeros(chart.dim)
     p, gens = chart.frame_generators(t)
-    entries = _bracket_pairing(p, gens)
+    entries = _bracket_pairing(p.chamber, p.point, gens)
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)
 
 
-def iwasawa_potential(chamber: ChamberElement, g, k) -> float:
-    """Scalar potential <H, log A(g k)> on rotations k.
+def _omega_kks_shifts(chart: OrbitChart, offsets) -> np.ndarray:
+    """Entries of ``omega_kks_chart`` at every axis shift s e_i, for each
+    s in ``offsets`` and each axis i, stacked (len(offsets), dim, dim,
+    dim).  The shifted points come from one stacked pass; their frame
+    generators, dim per point, are built one offset at a time, which
+    halves the working set at two offsets."""
+    _, w, x, w_inv = chart._shifted_points(offsets)
+    return np.stack([
+        _bracket_pairing(chart.at.chamber, x_s, w_s[:, None] @ chart._stack @ w_inv_s[:, None])
+        for w_s, x_s, w_inv_s in zip(w, x, w_inv)
+    ])
+
+
+def iwasawa_potential(chamber: ChamberElement, g, k):
+    """Scalar potential <H, log A(g k)> on rotations k; a stack of
+    rotations (..., n, n) gives the stack of values.
 
     Constant along the compact centralizer, so it descends to the flag;
     its negative differential cuts out the displaced section through
     Ad(g) of the flag.
     """
-    fac = iwasawa(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
-    return chamber.model.killing(chamber.matrix, fac.h_projection)
+    fac = _iwasawa_stack(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
+    h_a = chamber.matrix @ fac.h_projection
+    return chamber.model.killing_coefficient * np.trace(h_a, axis1=-2, axis2=-1)
 
 
 def section_one_form(chamber: ChamberElement, g, k, direction) -> float:
@@ -191,9 +226,9 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     kf = fac.k_factor
     pairing_value = rep.pair(kf @ inf.k_deriv @ kf.T)
 
-    derivative_value = -central_diff(
-        lambda t: iwasawa_potential(chamber, g, k @ mat_exp(t * x_dir)), 0.0, fd_step
-    )
+    ts = np.multiply(STENCIL_OFFSETS, fd_step)
+    potentials = iwasawa_potential(chamber, g, k @ _mat_exp_stack(np.multiply.outer(ts, x_dir)))
+    derivative_value = -float(_stencil_diff(potentials, fd_step))
     return form_value, pairing_value, derivative_value
 
 

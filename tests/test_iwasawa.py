@@ -14,6 +14,7 @@ from orbitsym import (
     random_combination,
     split_kan,
 )
+from orbitsym.iwasawa import _iwasawa_stack
 
 
 def unit(n, i, j):
@@ -147,3 +148,24 @@ class TestFiniteDifferenceOracle:
         assert np.linalg.norm(k_fd) <= 1e-9
         assert_allclose(a_fd, x, atol=1e-9)
         assert np.linalg.norm(n_fd) <= 1e-9
+
+
+class TestStackedFactorization:
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_matches_single_calls(self, n):
+        model = SpecialLinearModel(n)
+        rng = np.random.default_rng(61)
+        stack = np.stack([model.random_group_element(rng, 0.5) for _ in range(6)])
+        stack = stack.reshape(2, 3, n, n)
+        fac = _iwasawa_stack(stack)
+        for index in np.ndindex(2, 3):
+            single = iwasawa(stack[index])
+            for name in ("k_factor", "a_factor", "n_factor", "h_projection"):
+                assert np.array_equal(getattr(fac, name)[index], getattr(single, name)), name
+
+    def test_wrong_determinant_slice_raises_like_iwasawa(self):
+        stack = np.stack([np.eye(2), np.diag([2.0, 1.0])])
+        with pytest.raises(ValueError, match="group element must have determinant 1"):
+            iwasawa(stack[1])
+        with pytest.raises(ValueError, match="group element must have determinant 1"):
+            _iwasawa_stack(stack)

@@ -6,14 +6,16 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from orbitsym.numerics import (
-    NoSolution,
+    EXP_NORM_CAP,
     SingularInput,
+    _char_poly_stack,
+    _mat_exp_stack,
+    _qr_positive_stack,
     as_matrix,
     central_diff,
     char_poly,
     mat_exp,
     qr_positive,
-    solve_least_squares,
 )
 
 
@@ -129,37 +131,6 @@ class TestMatExp:
         assert np.linalg.norm(mat_exp(x) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-class TestLeastSquares:
-    def test_identity(self):
-        x, res = solve_least_squares(np.eye(3), [1.0, 2.0, 3.0])
-        assert_allclose(x, [1.0, 2.0, 3.0], atol=1e-14)
-        assert res <= 1e-14
-
-    def test_consistent_overdetermined(self):
-        x, res = solve_least_squares([[1.0], [1.0]], [1.0, 1.0])
-        assert_allclose(x, [1.0], atol=1e-14)
-        assert res <= 1e-14
-
-    def test_inconsistent_residual_by_hand(self):
-        x, res = solve_least_squares([[1.0], [1.0]], [1.0, 0.0])
-        assert_allclose(x, [0.5], atol=1e-14)
-        assert abs(res - math.sqrt(2.0) / 2.0) <= 1e-14
-
-    def test_minimum_norm_on_rank_deficient(self):
-        a = np.array([[1.0, 1.0]])
-        x, res = solve_least_squares(a, [2.0])
-        assert res <= 1e-14
-        assert_allclose(x, [1.0, 1.0], atol=1e-14)  # the shortest solution
-
-    def test_exact_mode_raises(self):
-        with pytest.raises(NoSolution):
-            solve_least_squares([[1.0], [1.0]], [1.0, 0.0], exact=True)
-
-    def test_exact_mode_passes_consistent(self):
-        x, _ = solve_least_squares([[1.0], [1.0]], [1.0, 1.0], exact=True)
-        assert_allclose(x, [1.0], atol=1e-14)
-
-
 class TestCentralDiff:
     def test_square_function(self):
         d = central_diff(lambda t: t * t, 1.0, 1e-3)
@@ -194,3 +165,58 @@ class TestCharPoly:
         n = int(rng.integers(2, 7))
         m = rng.uniform(-2, 2, (n, n))
         assert_allclose(char_poly(m), np.poly(m), atol=1e-9 * max(1.0, np.linalg.norm(m)) ** n)
+
+
+def mixed_norm_stack(seed, n):
+    """Stack whose slices need 0, 1 and several squarings in ``mat_exp``,
+    in a (2, 3) layout so that leading axes are exercised too."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1, 1, (6, n, n))
+    norms = np.array([0.3, 0.9, 7.0, 0.45, 40.0, 1e-3])
+    return (raw * (norms / np.linalg.norm(raw, axis=(-2, -1)))[:, None, None]).reshape(2, 3, n, n)
+
+
+class TestStackedTwins:
+    """The private stacked kernels give every slice a single call's
+    result bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_mat_exp_mixed_norms_match_single_calls(self, n):
+        stack = mixed_norm_stack(n, n)
+        squarings = {
+            0 if nrm <= EXP_NORM_CAP else math.ceil(math.log2(nrm / EXP_NORM_CAP))
+            for nrm in np.linalg.norm(stack, axis=(-2, -1)).ravel()
+        }
+        assert {0, 1} <= squarings and max(squarings) >= 4
+        got = _mat_exp_stack(stack)
+        assert got.shape == stack.shape
+        for index in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(got[index], mat_exp(stack[index]))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_char_poly_and_qr_match_single_calls(self, n):
+        matrices = np.stack([random_invertible(n + i, n) for i in range(6)]).reshape(3, 2, n, n)
+        coeffs = _char_poly_stack(matrices)
+        q, r = _qr_positive_stack(matrices)
+        assert coeffs.shape == (3, 2, n + 1)
+        for index in np.ndindex(3, 2):
+            assert np.array_equal(coeffs[index], char_poly(matrices[index]))
+            q1, r1 = qr_positive(matrices[index])
+            assert np.array_equal(q[index], q1)
+            assert np.array_equal(r[index], r1)
+
+    def test_singular_slice_raises_with_its_column(self):
+        dependent = [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [-1.0, -2.0, 3.0]]
+        stack = np.stack([np.eye(3), dependent])
+        with pytest.raises(SingularInput, match="column 1"):
+            qr_positive(stack[1])
+        with pytest.raises(SingularInput, match="column 1"):
+            _qr_positive_stack(stack)
+
+    @pytest.mark.parametrize("twin", [_mat_exp_stack, _char_poly_stack, _qr_positive_stack])
+    def test_nonfinite_slice_rejected_like_single_calls(self, twin):
+        stack = np.stack([np.eye(2), [[1.0, float("nan")], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="finite"):
+            mat_exp(stack[1])
+        with pytest.raises(ValueError, match="finite"):
+            twin(stack)

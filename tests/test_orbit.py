@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,13 @@ from orbitsym import (
     tangent_vector,
     to_cotangent,
 )
-from orbitsym.orbit import _dexp, _fiber_coefficients
+from orbitsym.orbit import (
+    _check_on_orbit,
+    _check_on_orbit_stack,
+    _dexp,
+    _fiber_coefficients,
+    _orbit_points,
+)
 
 
 def unit(n, i, j):
@@ -329,3 +337,60 @@ class TestGenerators:
         x = orbit_point(chamber2, np.eye(2))
         with pytest.raises(NotTangent):
             tangent_vector(x, unit(2, 0, 1), generator=unit(2, 0, 1))
+
+
+class TestStackedOrbitPoints:
+    """``_orbit_points`` against ``orbit_point`` slice by slice, including
+    the message of the first failing slice."""
+
+    def witnesses(self, chamber, count=4):
+        rng = np.random.default_rng(63)
+        return np.stack([chamber.model.random_group_element(rng, 0.5) for _ in range(count)])
+
+    @pytest.mark.parametrize("chamber_name", ["chamber3", "wall4"])
+    def test_matches_single_calls(self, chamber_name, request):
+        chamber = request.getfixturevalue(chamber_name)
+        g = self.witnesses(chamber).reshape(2, 2, chamber.model.n, chamber.model.n)
+        points, g_inv = _orbit_points(chamber, g)
+        for index in np.ndindex(2, 2):
+            assert np.array_equal(points[index], orbit_point(chamber, g[index]).point)
+            assert np.array_equal(g_inv[index], np.linalg.inv(g[index]))
+
+    def test_wrong_determinant_slice_raises_like_orbit_point(self, chamber3):
+        g = self.witnesses(chamber3)
+        g[2] = 2.0 * g[2]
+        self.assert_same_message(chamber3, g, 2)
+
+    @pytest.mark.parametrize("field, message", [
+        ("char_coeffs", "spectrum"),
+        ("matrix", "traceless"),
+    ])
+    def test_off_orbit_slice_raises_like_orbit_point(self, chamber3, wall3, field, message):
+        # a chamber whose stored spectrum (or matrix) disagrees with its
+        # points puts every witness off the orbit
+        wrong = wall3.char_coeffs if field == "char_coeffs" else chamber3.matrix + np.eye(3)
+        off = dataclasses.replace(chamber3, **{field: wrong})
+        text = self.assert_same_message(off, self.witnesses(chamber3), 0)
+        assert message in text
+
+    def test_first_failing_slice_names_the_failure(self, chamber3):
+        """One slice off the spectrum, a later one off the trace: the stack
+        raises what a loop of single checks raises first."""
+        points = _orbit_points(chamber3, self.witnesses(chamber3))[0].copy()
+        points[1] = np.diag([2.0, 0.0, -2.0])
+        points[2] = points[2] + 1e-3 * np.eye(3)
+        with pytest.raises(ValueError) as single:
+            for point in points:
+                _check_on_orbit(chamber3, point)
+        with pytest.raises(ValueError) as stacked:
+            _check_on_orbit_stack(chamber3, points)
+        assert "spectrum" in str(single.value)
+        assert str(stacked.value) == str(single.value)
+
+    def assert_same_message(self, chamber, g, bad):
+        with pytest.raises(ValueError) as single:
+            orbit_point(chamber, g[bad])
+        with pytest.raises(ValueError) as stacked:
+            _orbit_points(chamber, g)
+        assert str(stacked.value) == str(single.value)
+        return str(single.value)

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orbitsym import SUITE_NAMES, run_suite
@@ -47,11 +49,10 @@ def test_reports_are_deterministic(chamber2):
     assert json.dumps(first) == json.dumps(second)
 
 
-def test_thread_pool_matches_serial(chamber3, monkeypatch):
-    serial = [r.as_dict() for r in verify_graph(chamber3, samples=6, seed=5)]
-    monkeypatch.setenv("ORBITSYM_THREADS", "4")
-    pooled = [r.as_dict() for r in verify_graph(chamber3, samples=6, seed=5)]
-    assert json.dumps(serial) == json.dumps(pooled)
+def test_graph_reports_are_deterministic(chamber3):
+    first = [r.as_dict() for r in verify_graph(chamber3, samples=6, seed=5)]
+    repeat = [r.as_dict() for r in verify_graph(chamber3, samples=6, seed=5)]
+    assert json.dumps(first) == json.dumps(repeat)
 
 
 def test_report_shape(chamber3):
@@ -148,6 +149,50 @@ def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
     reports = verify_lagrangian(chamber3, mode, samples=3, seed=2)
     assert all(r.passed for r in reports)
     assert len(calls) == 3
+
+
+AT = (3, 1)  # stencil offset +2h along axis 1
+
+
+def scale_witness(real, u):
+    out = real(u)
+    out[AT] *= 2.0  # determinant 2^n, which orbit_point rejects
+    return out
+
+
+def drop_column(real, g):
+    g = np.array(g)
+    g[AT][:, 1] = 0.0  # a dependent column for the factorization
+    return real(g)
+
+
+@pytest.mark.parametrize("module, name, corrupt, exception", [
+    ("orbitsym.orbit", "_mat_exp_stack", scale_witness, "ValueError"),
+    ("orbitsym.iwasawa", "_qr_positive_stack", drop_column, "SingularInput"),
+])
+def test_breakdown_at_one_stencil_point_fails_only_its_sample(
+        chamber3, monkeypatch, module, name, corrupt, exception):
+    """A breakdown at one of the 4 dim stencil points of sample 1's
+    cotangent form fails that sample, under the exception name a
+    per-point evaluation raises, and leaves samples 0 and 2 passing."""
+    owner = importlib.import_module(module)
+    real = getattr(owner, name)
+    stencils = []
+
+    def kernel(stack):
+        if np.shape(stack)[0] == 4:  # the stencil, not the two invariance offsets
+            stencils.append(1)
+            if len(stencils) == 2:
+                return corrupt(real, stack)
+        return real(stack)
+
+    monkeypatch.setattr(owner, name, kernel)
+    reports = verify_theorem(chamber3, samples=3, seed=7)
+    assert len(stencils) == 3
+    for report in reports:
+        assert report.exceptions == ((1, exception),)
+        assert report.sample_errors[1] == math.inf
+        assert max(report.sample_errors[0], report.sample_errors[2]) <= report.tolerance
 
 
 def test_unknown_suite_rejected(chamber2):

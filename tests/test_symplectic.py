@@ -22,7 +22,7 @@ from orbitsym import orbit as orbit_module
 from orbitsym import symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.numerics import commutator
-from orbitsym.orbit import _dexp
+from orbitsym.orbit import _dexp, _dexp_adjoint
 
 
 def unit(n, i, j):
@@ -396,10 +396,54 @@ class TestStackedKernels:
             assert form.entries.shape == (dim, dim)
             assert np.all(form.entries == 0.0)
 
+    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
+    def test_dual_matches_per_point_tautological_stack(self, chamber_name, request):
+        """lambda from one dual matrix per point, against the tautological
+        stack on every per-direction generator dexp(u, X_j)."""
+        chart = self.chart(request.getfixturevalue(chamber_name))
+        offsets = (-0.05, -1e-3, 2e-3, 0.1)
+        u, w, x, _ = chart._shifted_points(offsets)
+        dual = symplectic._tautological_dual(chart.at.chamber, x, symplectic._iwasawa_stack(w), u)
+        coefficient = chart.at.chamber.model.killing_coefficient
+        got = coefficient * np.einsum("oiab,jba->oij", dual, chart._stack)
+        for o, s in enumerate(offsets):
+            for i in range(chart.dim):
+                t = np.zeros(chart.dim)
+                t[i] = s
+                p = chart.point(t)
+                gens = np.stack([_dexp(u[o, i], d) for d in chart.directions])
+                ref = symplectic._tautological_stack(p, iwasawa(p.witness), gens)
+                scale = max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(got[o, i] - ref)) <= 1e-12 * scale
+
+    def test_dexp_adjoint_is_the_trace_adjoint(self, chamber4):
+        rng = np.random.default_rng(65)
+        model = chamber4.model
+        u = np.stack([model.random_algebra_element(rng, 0.3) for _ in range(3)])
+        v = np.stack([model.random_algebra_element(rng, 1.0) for _ in range(3)])
+        d = _dexp_adjoint(u, v)
+        for x_dir in model.algebra_basis:
+            lhs = np.einsum("pab,pba->p", v, _dexp(u, np.broadcast_to(x_dir, u.shape)))
+            rhs = np.einsum("pab,ba->p", d, x_dir)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
+    def test_kks_shifts_match_single_charts(self, chamber_name, request):
+        chart = self.chart(request.getfixturevalue(chamber_name))
+        offsets = (1e-3, -1e-3)
+        shifted = symplectic._omega_kks_shifts(chart, offsets)
+        assert shifted.shape == (2, chart.dim, chart.dim, chart.dim)
+        for o, s in enumerate(offsets):
+            for i in range(chart.dim):
+                t = np.zeros(chart.dim)
+                t[i] = s
+                assert np.array_equal(shifted[o, i], omega_kks_chart(chart, t).entries)
+
     def test_std_chart_factors_once_per_stencil_point(self, chamber3, monkeypatch):
-        """Call-count guard: one factorization per stencil point and no
-        per-pair tautological calls."""
-        calls = {"iwasawa": 0, "tautological": 0}
+        """Call-count guard: every stencil point is factored once, all in
+        one stacked factorization; no single-point orbit point,
+        factorization or tautological call."""
+        calls = {"iwasawa": 0, "orbit_point": 0, "tautological": 0, "_iwasawa_stack": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -411,7 +455,18 @@ class TestStackedKernels:
         iwasawa_module = importlib.import_module("orbitsym.iwasawa")
         for module in (symplectic, orbit_module, iwasawa_module):
             monkeypatch.setattr(module, "iwasawa", counted("iwasawa", iwasawa))
+        for module in (symplectic, orbit_module):
+            monkeypatch.setattr(module, "orbit_point", counted("orbit_point", orbit_point))
         monkeypatch.setattr(symplectic, "tautological", counted("tautological", tautological))
+        shapes = []
+
+        def factor_stack(g):
+            shapes.append(np.shape(g))
+            return real_stack(g)
+
+        real_stack = symplectic._iwasawa_stack
+        monkeypatch.setattr(symplectic, "_iwasawa_stack", counted("_iwasawa_stack", factor_stack))
         chart = self.chart(chamber3)
         omega_std_chart(chart)
-        assert calls == {"iwasawa": 4 * chart.dim, "tautological": 0}
+        assert calls == {"iwasawa": 0, "orbit_point": 0, "tautological": 0, "_iwasawa_stack": 1}
+        assert shapes == [(4, chart.dim, 3, 3)]
