@@ -2,16 +2,16 @@
 """Record one point of the benchmark trajectory as ``BENCH_<label>.json``.
 
 Runs the benchmark of a checkout (its ``perfbench/run.py``, unchanged)
-for ``--seeds`` seeds per workload of its ``BENCHMARK.json``, plus one
-``--trace 1`` run per workload, and writes to the root of this
-repository:
+for ``--seeds`` seeds (1, 2, ...) per workload of its ``BENCHMARK.json``,
+plus one 20 s ``--trace 1`` run per workload on seed 1, and writes to
+the root of this repository:
 
 - the median of each end-to-end metric over the seeds, with every run;
 - the call counts per pass from the traced run;
 - the provenance that the benchmark records, per workload.
 
     python3 scripts/record_bench.py --label 44823e4 --checkout /path/to/parent
-    python3 scripts/record_bench.py --label HEAD --seeds 3 --seconds 60
+    python3 scripts/record_bench.py --label 46ea2cf --seeds 3 --seconds 60
 
 A failed run (non-zero exit or ``"correct": false``) stops the recording
 with exit code 1 and writes nothing.
@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACE_SECONDS = 20.0  # the traced run only needs its counts, which repeat every pass
 
 
 class RunFailed(RuntimeError):
@@ -52,10 +53,9 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
     return {"seed": seed, "result": result, "provenance": provenance}
 
 
-def record_workload(checkout: Path, workload: str, seeds: list[int], seconds: float,
-                    trace_seconds: float) -> dict:
+def record_workload(checkout: Path, workload: str, seeds: list[int], seconds: float) -> dict:
     runs = [run_benchmark(checkout, workload, seed, seconds, 0) for seed in seeds]
-    traced = run_benchmark(checkout, workload, seeds[0], trace_seconds, 1)
+    traced = run_benchmark(checkout, workload, seeds[0], TRACE_SECONDS, 1)
     metrics = {name: [r["result"]["metrics"][name]["value"] for r in runs]
                for name in runs[0]["result"]["metrics"]}
     calls = {name[: -len(".calls")]: entry["value"]
@@ -77,23 +77,20 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout whose benchmark runs (default: this repository)")
     parser.add_argument("--seeds", type=int, default=3, help="untraced runs per workload")
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=60.0, help="length of each untraced run")
-    parser.add_argument("--trace-seconds", type=float, default=20.0,
-                        help="length of the traced run")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error("--label may only hold letters, digits, '.', '_' and '-'")
-    if args.seeds < 1 or args.seconds <= 0 or args.trace_seconds <= 0:
-        parser.error("--seeds must be positive, and so must both lengths")
+    if args.seeds < 1 or args.seconds <= 0:
+        parser.error("--seeds and --seconds must be positive")
     checkout = args.checkout.resolve()
-    workloads = [w["name"] for w in json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
+    declared = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in declared["workloads"]]
+    seeds = list(range(1, args.seeds + 1))
 
     started = time.time()
     try:
-        recorded = {w: record_workload(checkout, w, seeds, args.seconds, args.trace_seconds)
-                    for w in workloads}
+        recorded = {w: record_workload(checkout, w, seeds, args.seconds) for w in workloads}
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -103,7 +100,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "seconds": args.seconds,
         "trace_seed": seeds[0],
-        "trace_seconds": args.trace_seconds,
+        "trace_seconds": TRACE_SECONDS,
         "workloads": recorded,
     }
     path = ROOT / f"BENCH_{args.label}.json"
