@@ -2,16 +2,16 @@
 """Record one point of the benchmark trajectory as ``BENCH_<label>.json``.
 
 Runs the benchmark of a checkout (its ``perfbench/run.py``, unchanged)
-for ``--seeds`` seeds (1, 2, ...) per workload of its ``BENCHMARK.json``,
-plus one 20 s ``--trace 1`` run per workload on seed 1, and writes to
-the root of this repository:
+for 60 s on each of seeds 1, 2 and 3 per workload of its
+``BENCHMARK.json``, plus one 20 s ``--trace 1`` run per workload on
+seed 1, and writes to the root of this repository:
 
 - the median of each end-to-end metric over the seeds, with every run;
 - the call counts per pass from the traced run;
 - the provenance that the benchmark records, per workload.
 
     python3 scripts/record_bench.py --label 44823e4 --checkout /path/to/parent
-    python3 scripts/record_bench.py --label 46ea2cf --seeds 3 --seconds 60
+    python3 scripts/record_bench.py --label 46ea2cf
 
 A failed run (non-zero exit or ``"correct": false``) stops the recording
 with exit code 1 and writes nothing.
@@ -29,6 +29,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Every point of the trajectory uses the same seeds and run length, so
+# that points stay comparable; 60 s is the benchmark's own run length.
+SEEDS = (1, 2, 3)
+SECONDS = 60.0
 TRACE_SECONDS = 20.0  # the traced run only needs its counts, which repeat every pass
 
 
@@ -53,9 +57,9 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
     return {"seed": seed, "result": result, "provenance": provenance}
 
 
-def record_workload(checkout: Path, workload: str, seeds: list[int], seconds: float) -> dict:
-    runs = [run_benchmark(checkout, workload, seed, seconds, 0) for seed in seeds]
-    traced = run_benchmark(checkout, workload, seeds[0], TRACE_SECONDS, 1)
+def record_workload(checkout: Path, workload: str) -> dict:
+    runs = [run_benchmark(checkout, workload, seed, SECONDS, 0) for seed in SEEDS]
+    traced = run_benchmark(checkout, workload, SEEDS[0], TRACE_SECONDS, 1)
     metrics = {name: [r["result"]["metrics"][name]["value"] for r in runs]
                for name in runs[0]["result"]["metrics"]}
     calls = {name[: -len(".calls")]: entry["value"]
@@ -76,30 +80,25 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout whose benchmark runs (default: this repository)")
-    parser.add_argument("--seeds", type=int, default=3, help="untraced runs per workload")
-    parser.add_argument("--seconds", type=float, default=60.0, help="length of each untraced run")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
         parser.error("--label may only hold letters, digits, '.', '_' and '-'")
-    if args.seeds < 1 or args.seconds <= 0:
-        parser.error("--seeds and --seconds must be positive")
     checkout = args.checkout.resolve()
     declared = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in declared["workloads"]]
-    seeds = list(range(1, args.seeds + 1))
 
     started = time.time()
     try:
-        recorded = {w: record_workload(checkout, w, seeds, args.seconds) for w in workloads}
+        recorded = {w: record_workload(checkout, w) for w in workloads}
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {
         "label": args.label,
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        "seeds": seeds,
-        "seconds": args.seconds,
-        "trace_seed": seeds[0],
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
+        "trace_seed": SEEDS[0],
         "trace_seconds": TRACE_SECONDS,
         "workloads": recorded,
     }

@@ -61,15 +61,10 @@ class InfinitesimalIwasawa:
 
 
 def _require_det_one(g: np.ndarray) -> None:
+    """Reject a matrix, or a stack (..., n, n) with any slice, whose
+    determinant is not 1."""
     sign, logdet = np.linalg.slogdet(g)
-    if sign <= 0 or abs(logdet) > DET_RTOL * max(1.0, g.shape[0]):
-        raise ValueError("group element must have determinant 1")
-
-
-def _require_det_one_stack(g: np.ndarray) -> None:
-    """``_require_det_one`` for every slice of a stack (..., n, n)."""
-    sign, logdet = np.linalg.slogdet(g)
-    if np.any((sign <= 0) | (np.abs(logdet) > DET_RTOL * max(1.0, g.shape[-1]))):
+    if np.count_nonzero((sign <= 0) | (abs(logdet) > DET_RTOL * max(1.0, g.shape[-1]))):
         raise ValueError("group element must have determinant 1")
 
 
@@ -89,7 +84,7 @@ def _iwasawa_stack(g) -> IwasawaFactors:
     """``iwasawa`` of every slice of a stack (..., n, n), with the same
     arithmetic per slice; each factor is a stack of the same shape."""
     mat = np.asarray(g, dtype=float)
-    _require_det_one_stack(mat)
+    _require_det_one(mat)
     q, r = _qr_positive_stack(mat)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     a = np.zeros_like(r)

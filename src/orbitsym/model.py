@@ -106,7 +106,12 @@ class SpecialLinearModel:
 
     def killing(self, x, y) -> float:
         """Killing form 2n tr(XY) on traceless matrices."""
-        return self.killing_coefficient * float(np.trace(np.asarray(x) @ np.asarray(y)))
+        return float(self._killing_stack(x, y))
+
+    def _killing_stack(self, x, y) -> np.ndarray:
+        """``killing`` slice by slice over stacks (..., n, n) that
+        broadcast against each other."""
+        return self.killing_coefficient * np.trace(np.asarray(x) @ np.asarray(y), axis1=-2, axis2=-1)
 
     def cartan_involution(self, x) -> np.ndarray:
         return -np.asarray(x, dtype=float).T

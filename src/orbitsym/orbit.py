@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, _require_det_one, _require_det_one_stack, iwasawa
+from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
 from .model import ChamberElement
 from .numerics import (
     _char_poly_stack,
@@ -135,7 +135,7 @@ def _orbit_points(chamber: ChamberElement, witnesses) -> tuple[np.ndarray, np.nd
     """``orbit_point`` for every witness of a stack (..., n, n): the points
     g H g^-1 and the witness inverses, as plain arrays."""
     g = np.asarray(witnesses, dtype=float)
-    _require_det_one_stack(g)
+    _require_det_one(g)
     g_inv = np.linalg.inv(g)
     points = g @ chamber.matrix @ g_inv
     _check_on_orbit_stack(chamber, points)
@@ -280,22 +280,6 @@ def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
     total = np.array(term)
     for m in range(1, max_terms):
         term = commutator(u, term) * (-1.0 / (m + 1))
-        total += term
-        sizes = np.linalg.norm(term, axis=(-2, -1))
-        if np.all(sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))):
-            break
-    return total
-
-
-def _dexp_adjoint(u: np.ndarray, v: np.ndarray, max_terms: int = 40) -> np.ndarray:
-    """Adjoint of X -> dexp(u, X) under the trace pairing: returns D with
-    tr(V dexp(u, X)) = tr(D X) for every X.  The trace adjoint of -ad_u is
-    ad_u, so D = sum_k ad_u^k(V) / (k + 1)!, summed as ``_dexp`` sums its
-    series; ``u`` and ``v`` may be matching stacks (..., n, n)."""
-    term = np.asarray(v, dtype=float)
-    total = np.array(term)
-    for m in range(1, max_terms):
-        term = commutator(u, term) * (1.0 / (m + 1))
         total += term
         sizes = np.linalg.norm(term, axis=(-2, -1))
         if np.all(sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))):

@@ -31,7 +31,7 @@ from .orbit import (
     OrbitChart,
     OrbitPoint,
     TangentVector,
-    _dexp_adjoint,
+    _dexp,
     orbit_point,
     solve_generator,
     to_cotangent,
@@ -104,14 +104,15 @@ def _tautological_dual(chamber: ChamberElement, x: np.ndarray, factors: IwasawaF
     F the deconjugated fiber and C = A N Z (A N)^-1, the pairing of F with
     the antisymmetric part of C equals tr(W^T C) for W = tril(F^T - F, -1),
     that is tr(V Z) for V = (A N)^-1 W^T A N.  The generator is
-    Z = dexp(u, X_j), so D is V carried through the adjoint series.
+    Z = dexp(u, X_j), and the trace adjoint of dexp(u, .) is dexp(-u, .)
+    (the trace adjoint of ad_u is -ad_u), so D = dexp(-u, V).
     """
     k = factors.k_factor
     k_t = np.swapaxes(k, -1, -2)
     fiber = k_t @ (x - k @ chamber.matrix @ k_t) @ k
     w = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
     an = factors.an_factor()
-    return _dexp_adjoint(u, np.linalg.solve(an, np.swapaxes(w, -1, -2) @ an))
+    return _dexp(-u, np.linalg.solve(an, np.swapaxes(w, -1, -2) @ an))
 
 
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
@@ -183,17 +184,17 @@ def _omega_kks_shifts(chart: OrbitChart, offsets) -> np.ndarray:
     ])
 
 
-def iwasawa_potential(chamber: ChamberElement, g, k):
-    """Scalar potential <H, log A(g k)> on rotations k; a stack of
-    rotations (..., n, n) gives the stack of values.
+def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:
+    """Scalar potential <H, log A(g k)> on rotations k.  A single rotation
+    gives a float (a numpy float64); a stack of rotations (..., n, n)
+    gives the array (...) of values.
 
     Constant along the compact centralizer, so it descends to the flag;
     its negative differential cuts out the displaced section through
     Ad(g) of the flag.
     """
     fac = _iwasawa_stack(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
-    h_a = chamber.matrix @ fac.h_projection
-    return chamber.model.killing_coefficient * np.trace(h_a, axis1=-2, axis2=-1)
+    return chamber.model._killing_stack(chamber.matrix, fac.h_projection)
 
 
 def section_one_form(chamber: ChamberElement, g, k, direction) -> float:

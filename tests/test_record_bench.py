@@ -1,0 +1,71 @@
+"""scripts/record_bench.py, with the benchmark run replaced by a stub."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "record_bench.py"
+METRICS = ("samples_per_s", "peak_rss_mb")
+
+
+@pytest.fixture
+def record_bench(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("record_bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, seed, seconds, trace))
+        metrics = {name: {"value": float(10 * seed + i)} for i, name in enumerate(METRICS)}
+        if trace:
+            metrics["orbit.orbit_point.calls"] = {"value": 6}
+        result = {"correct": True, "attempted": 5 * seed, "failed": 0, "metrics": metrics}
+        return {"seed": seed, "result": result, "provenance": {"git_commit": "abc"}}
+
+    monkeypatch.setattr(module, "run_benchmark", fake_run)
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": [{"name": "w1"}, {"name": "w2"}]}), encoding="utf-8"
+    )
+    module.calls = calls
+    return module
+
+
+def test_workload_records_medians_counts_and_provenance(record_bench, tmp_path):
+    entry = record_bench.record_workload(tmp_path, "w1")
+    assert [c[1:] for c in record_bench.calls] == [
+        (1, 60.0, 0), (2, 60.0, 0), (3, 60.0, 0), (1, record_bench.TRACE_SECONDS, 1)
+    ]
+    assert entry["median"] == {"samples_per_s": 20.0, "peak_rss_mb": 21.0}
+    assert [run["seed"] for run in entry["runs"]] == [1, 2, 3]
+    assert entry["runs"][2] == {"seed": 3, "attempted": 15, "failed": 0,
+                                "samples_per_s": 30.0, "peak_rss_mb": 31.0}
+    assert entry["calls_per_pass"] == {"orbit.orbit_point": 6}
+    assert entry["provenance"] == {"git_commit": "abc"}
+
+
+def test_main_writes_one_file_per_label(record_bench, tmp_path, capsys):
+    assert record_bench.main(["--label", "x1", "--checkout", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "BENCH_x1.json").read_text(encoding="utf-8"))
+    assert payload["seeds"] == [1, 2, 3] and payload["seconds"] == 60.0
+    assert sorted(payload["workloads"]) == ["w1", "w2"]
+    assert "wrote BENCH_x1.json" in capsys.readouterr().out
+
+
+def test_failed_run_writes_nothing(record_bench, tmp_path, monkeypatch):
+    def failing(*args):
+        raise record_bench.RunFailed("gate")
+
+    monkeypatch.setattr(record_bench, "run_benchmark", failing)
+    assert record_bench.main(["--label", "x2", "--checkout", str(tmp_path)]) == 1
+    assert not (tmp_path / "BENCH_x2.json").exists()
+
+
+def test_label_must_be_a_plain_name(record_bench, tmp_path):
+    with pytest.raises(SystemExit):
+        record_bench.main(["--label", "../x", "--checkout", str(tmp_path)])
