@@ -167,7 +167,7 @@ class SpecialLinearModel:
             if block_index[i] != block_index[j]
         )
         n_of_h = tuple(_locked(_unit(n, i, j)) for i, j in positions)
-        theta_n_of_h = tuple(_locked(-_unit(n, j, i)) for i, j in positions)
+        theta_n_of_h = tuple(_locked(self.cartan_involution(e)) for e in n_of_h)
         z_of_h = list(self.a_basis)
         z_of_h += [
             _locked(_unit(n, i, j))

@@ -64,7 +64,7 @@ def _frobenius_stack(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of every slice, each summed as ``np.linalg.norm``
     sums one matrix (a dot product of its entries), so that thresholds
     built on it match a single call's."""
-    flat = a.reshape(*a.shape[:-2], 1, -1)
+    flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 

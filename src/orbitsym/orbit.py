@@ -319,7 +319,11 @@ class OrbitChart:
         return np.einsum("i,ijk->jk", t, self._stack)
 
     def point(self, t) -> OrbitPoint:
+        """Chart point at t; at zero displacement the base point itself,
+        which is what g exp(0) = g rebuilds bit for bit."""
         u = self._displacement(t)
+        if not u.any():
+            return self.at
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
 
     def _shifted_points(self, offsets) -> tuple[np.ndarray, ...]:

@@ -14,8 +14,11 @@ at once this pairing is one matrix per point (``_tautological_dual``),
 so the stencil of the chart matrix factors all its points in one
 stacked pass.  Chart matrices of both forms, the scalar potential of the
 abelian Iwasawa projection, and the one-form cutting out a displaced
-flag section live here; the seeded verification suites are in
-``suites``.
+flag section live here.  ``graph_routes`` compares that one-form with
+the cotangent covector and the potential's differential along a whole
+stack of flag directions at once, sharing one factorization, orbit point
+and cotangent representative among them.  The seeded verification
+suites are in ``suites``.
 """
 
 from __future__ import annotations
@@ -213,23 +216,30 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     and minus the central difference of the potential along k exp(tX).
     The first two agree to rounding; the third carries the O(h^4)
     stencil error.
+
+    A single direction (n, n) gives three scalars; a stack of directions
+    (..., n, n) gives three arrays (...), each slice equal bit for bit to
+    a single call.  The factorization of g k, its orbit point and
+    cotangent representative are built once for the whole stack, and the
+    potential stencil of every direction is one stacked pass.
     """
     g = np.asarray(g, dtype=float)
     k = np.asarray(k, dtype=float)
     x_dir = np.asarray(direction, dtype=float)
     gk = g @ k
+    killing = chamber.model._killing_stack
 
     fac = iwasawa(gk)
     inf = infinitesimal_iwasawa(x_dir, gk, factors=fac)
-    form_value = -chamber.model.killing(chamber.matrix, inf.a_deriv)
+    form_value = -killing(chamber.matrix, inf.a_deriv)
 
     rep = to_cotangent(orbit_point(chamber, gk))
     kf = fac.k_factor
-    pairing_value = rep.pair(kf @ inf.k_deriv @ kf.T)
+    pairing_value = killing(rep.fiber, kf @ inf.k_deriv @ kf.T)
 
     ts = np.multiply(STENCIL_OFFSETS, fd_step)
     potentials = iwasawa_potential(chamber, g, k @ _mat_exp_stack(np.multiply.outer(ts, x_dir)))
-    derivative_value = -float(_stencil_diff(potentials, fd_step))
+    derivative_value = -_stencil_diff(potentials, fd_step)
     return form_value, pairing_value, derivative_value
 
 

@@ -163,6 +163,11 @@ class TestStackedFactorization:
             for name in ("k_factor", "a_factor", "n_factor", "h_projection"):
                 assert np.array_equal(getattr(fac, name)[index], getattr(single, name)), name
 
+    def test_empty_stack_gives_empty_factors(self):
+        fac = _iwasawa_stack(np.zeros((0, 3, 3)))
+        for name in ("k_factor", "a_factor", "n_factor", "h_projection"):
+            assert getattr(fac, name).shape == (0, 3, 3), name
+
     def test_wrong_determinant_slice_raises_like_iwasawa(self):
         stack = np.stack([np.eye(2), np.diag([2.0, 1.0])])
         with pytest.raises(ValueError, match="group element must have determinant 1"):

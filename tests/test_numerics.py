@@ -213,6 +213,13 @@ class TestStackedTwins:
         with pytest.raises(SingularInput, match="column 1"):
             _qr_positive_stack(stack)
 
+    def test_empty_stack_gives_empty_results(self):
+        empty = np.zeros((0, 3, 3))
+        assert _mat_exp_stack(empty).shape == (0, 3, 3)
+        assert _char_poly_stack(empty).shape == (0, 4)
+        assert [a.shape for a in _qr_positive_stack(empty)] == [(0, 3, 3)] * 2
+        assert _mat_exp_stack(np.zeros((4, 0, 3, 3))).shape == (4, 0, 3, 3)
+
     @pytest.mark.parametrize("twin", [_mat_exp_stack, _char_poly_stack, _qr_positive_stack])
     def test_nonfinite_slice_rejected_like_single_calls(self, twin):
         stack = np.stack([np.eye(2), [[1.0, float("nan")], [0.0, 1.0]]])

@@ -261,6 +261,18 @@ class TestCharts:
         assert chart.dim == 6
         assert_allclose(chart.point(np.zeros(6)).point, x.point, atol=1e-13)
 
+    def test_center_is_the_base_point(self, chamber3):
+        """At zero displacement the chart hands back its base point, which
+        rebuilding it from the witness g exp(0) reproduces bit for bit."""
+        x = orbit_point(chamber3, chamber3.model.random_group_element(41, 0.4))
+        chart = orbit_chart(x)
+        t0 = np.zeros(chart.dim)
+        assert chart.point(t0) is x
+        assert chart.frame_generators(t0)[0] is x
+        rebuilt = orbit_point(chamber3, x.witness @ mat_exp(np.zeros((3, 3))))
+        assert np.array_equal(rebuilt.witness, x.witness)
+        assert np.array_equal(rebuilt.point, x.point)
+
     def test_velocities_agree_at_center(self, chamber3):
         g = chamber3.model.random_group_element(43, 0.4)
         chart = orbit_chart(orbit_point(chamber3, g))
@@ -355,6 +367,12 @@ class TestStackedOrbitPoints:
         for index in np.ndindex(2, 2):
             assert np.array_equal(points[index], orbit_point(chamber, g[index]).point)
             assert np.array_equal(g_inv[index], np.linalg.inv(g[index]))
+
+    def test_empty_stack_gives_empty_points(self, chamber3):
+        empty = np.zeros((0, 3, 3))
+        _check_on_orbit_stack(chamber3, empty)
+        points, g_inv = _orbit_points(chamber3, empty)
+        assert points.shape == g_inv.shape == (0, 3, 3)
 
     def test_wrong_determinant_slice_raises_like_orbit_point(self, chamber3):
         g = self.witnesses(chamber3)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from orbitsym import SUITE_NAMES, run_suite
-from orbitsym import suites
+from orbitsym import SUITE_NAMES, SpecialLinearModel, run_suite
+from orbitsym import orbit as orbit_module
+from orbitsym import suites, symplectic
 from orbitsym.orbit import OrbitChart
 from orbitsym.suites import (
     _report,
@@ -112,17 +113,36 @@ def test_nan_inside_a_sample_fails_suite(chamber3, monkeypatch):
     """A NaN from a later direction of one sample may not be dropped by
     the per-sample reduction."""
     real = suites.graph_routes
-    calls = []
 
     def routes(*args):
-        calls.append(1)
         a_val, b_val, c_val = real(*args)
-        return (NAN if len(calls) == 2 else a_val), b_val, c_val
+        a_val = a_val.copy()
+        a_val[1] = NAN
+        return a_val, b_val, c_val
 
     monkeypatch.setattr(suites, "graph_routes", routes)
     exact, fd = verify_graph(chamber3, samples=1, seed=1)
     assert exact.max_error == math.inf and not exact.passed
     assert fd.max_error == math.inf and not fd.passed
+
+
+def test_nan_derivative_route_fails_only_the_fd_report(chamber3, monkeypatch):
+    """graph-exact compares the form and pairing routes alone, so a NaN
+    from the potential's stencil fails graph-fd and leaves graph-exact,
+    scales included, as it was."""
+    clean_exact, _ = verify_graph(chamber3, samples=2, seed=1)
+    real = suites.graph_routes
+
+    def routes(*args):
+        a_val, b_val, c_val = real(*args)
+        c_val = c_val.copy()
+        c_val[1] = NAN
+        return a_val, b_val, c_val
+
+    monkeypatch.setattr(suites, "graph_routes", routes)
+    exact, fd = verify_graph(chamber3, samples=2, seed=1)
+    assert exact == clean_exact
+    assert fd.sample_errors == (math.inf, math.inf) and not fd.passed
 
 
 def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
@@ -134,6 +154,31 @@ def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
     monkeypatch.setattr(suites, "graph_routes", routes)
     with pytest.raises(TypeError, match="bad argument"):
         verify_graph(chamber3, samples=2, seed=1)
+
+
+def test_graph_factors_once_per_sample(monkeypatch):
+    """Call-count guard: one stacked ``graph_routes`` call per sample
+    covers all 15 m(H) directions at n = 6, with one orbit point, one
+    cotangent representative and two factorizations (g k, and the
+    representative's own) between them."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    calls = dict.fromkeys(("graph_routes", "orbit_point", "to_cotangent", "iwasawa"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the package re-exports the function iwasawa under its module's name
+    iwasawa_module = importlib.import_module("orbitsym.iwasawa")
+    for module in (suites, symplectic, orbit_module, iwasawa_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    reports = run_suite(chamber, "graph", samples=2)
+    assert all(r.passed for r in reports)
+    assert calls == {"graph_routes": 2, "orbit_point": 2, "to_cotangent": 2, "iwasawa": 4}
 
 
 @pytest.mark.parametrize("mode", ["vertical", "horizontal"])

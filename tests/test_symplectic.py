@@ -21,6 +21,7 @@ from orbitsym import (
 from orbitsym import orbit as orbit_module
 from orbitsym import symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
+from orbitsym.model import random_combination
 from orbitsym.numerics import commutator
 from orbitsym.orbit import _dexp
 
@@ -213,6 +214,28 @@ class TestSectionOneForm:
                 assert abs(a_val - b_val) <= 1e-9 * scale
                 assert abs(a_val - c_val) <= 1e-5 * scale
                 assert abs(b_val - c_val) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("chamber_name", ["chamber2", "chamber3", "wall3", "wall4"])
+    def test_stacked_directions_match_single_calls(self, chamber_name, request):
+        chamber = request.getfixturevalue(chamber_name)
+        model = chamber.model
+        rng = np.random.default_rng(39)
+        g = model.random_group_element(rng, 0.4)
+        k = model.random_orthogonal(rng, 0.6)
+        directions = np.stack([*chamber.m_basis, random_combination(chamber.m_basis, rng, 1.0)])
+        stacked = graph_routes(chamber, g, k, directions)
+        assert [np.shape(route) for route in stacked] == [(len(directions),)] * 3
+        for i, direction in enumerate(directions):
+            single = graph_routes(chamber, g, k, direction)
+            assert [np.shape(route) for route in single] == [()] * 3
+            assert np.array_equal([route[i] for route in stacked], single)
+
+    def test_empty_direction_stack_gives_empty_routes(self, model2):
+        chamber = model2.chamber_element([0, 0])
+        g = model2.random_group_element(43, 0.4)
+        k = model2.random_orthogonal(43, 0.6)
+        routes = graph_routes(chamber, g, k, np.zeros((0, 2, 2)))
+        assert [np.shape(route) for route in routes] == [(0,)] * 3
 
 
 class TestMixedPairIdentity:
