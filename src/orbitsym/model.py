@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import char_poly, mat_exp
+from .numerics import _mat_exp_stack, char_poly, mat_exp
 
 
 class NotInChamber(ValueError):
@@ -212,9 +212,10 @@ class SpecialLinearModel:
         matrices; reaches points far from the identity while keeping the
         conditioning under control.  Determinant is 1 up to rounding."""
         rng = _as_rng(seed)
+        logs = [self.random_algebra_element(rng, scale) for _ in range(factors)]
         g = np.eye(self.n)
-        for _ in range(factors):
-            g = g @ mat_exp(self.random_algebra_element(rng, scale))
+        for factor in _mat_exp_stack(np.reshape(logs, (factors, self.n, self.n))):
+            g = g @ factor
         return g
 
     def random_orthogonal(self, seed, scale: float) -> np.ndarray:
@@ -250,6 +251,12 @@ class ChamberElement:
     @cached_property
     def _n_index(self) -> tuple[np.ndarray, ...]:
         return tuple(_locked(np.array(self.n_positions, dtype=np.intp).reshape(-1, 2).T))
+
+    @cached_property
+    def _m_stack(self) -> np.ndarray:
+        """The m(H) basis as one (dim_m, n, n) array."""
+        n = self.model.n
+        return _locked(np.reshape(self.m_basis, (self.dim_m, n, n)))
 
     @property
     def dim_n(self) -> int:

@@ -7,8 +7,15 @@ compact flag orbit (the zero section of the ruling); the difference
 x - pr(x) is the fiber part, which lies in the K(g)-conjugate of n(H).
 Pairing the fiber against conjugated m(H)-basis elements through the
 Killing form gives cotangent coordinates; the inverse direction solves
-for a unipotent witness inside the nilpotent slice.  ``_cotangent`` builds
-every ``CotangentRep``; ``_fiber_coefficients`` alone reads the slice.
+for a unipotent witness inside the nilpotent slice.
+
+The builders behind the public functions take one matrix or a stack
+(..., n, n) and give every slice the single-point result bit for bit:
+``_orbit_points``, ``_flag_points``, ``_split`` (``to_cotangent`` after
+the factorization), ``_cotangent_reps`` and ``_from_cotangent``.  Each
+raises the single call's error for the first failing slice.
+``_cotangent`` computes the coordinates of every representative and
+``_fiber_coefficients`` alone reads the slice.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from .numerics import (
     _char_poly_stack,
     _frobenius_stack,
     _mat_exp_stack,
-    char_poly,
     commutator,
     mat_exp,
 )
@@ -53,6 +59,11 @@ class DegenerateChart(ValueError):
 ORTHO_RTOL = 1e-8
 CHAR_RTOL = 1e-9
 TRACE_RTOL = 1e-10
+# A fiber may leave the conjugated n(H) by FIBER_RTOL times its orbit point.
+FIBER_RTOL = 1e-10
+# Unipotent witness iteration: step cap and convergence tolerance.
+WITNESS_ITERATIONS = 50
+WITNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,28 +107,17 @@ def _locked(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_on_orbit(chamber: ChamberElement, point: np.ndarray) -> None:
-    nx = max(1.0, float(np.linalg.norm(point)))
-    if abs(np.trace(point)) > TRACE_RTOL * nx:
-        raise ValueError("orbit point must be traceless")
-    coeffs = char_poly(point)
-    for k, (got, ref) in enumerate(zip(coeffs[1:], chamber.char_coeffs[1:]), start=1):
-        if abs(got - ref) > CHAR_RTOL * nx**k:
-            raise ValueError("point spectrum does not match the chamber element")
-
-
 def orbit_point(chamber: ChamberElement, witness) -> OrbitPoint:
     """Orbit point g H g^-1 carrying its witness g (determinant one)."""
     g = np.asarray(witness, dtype=float)
-    _require_det_one(g)
-    point = g @ chamber.matrix @ np.linalg.inv(g)
-    _check_on_orbit(chamber, point)
+    point, _ = _orbit_points(chamber, g)
     return OrbitPoint(chamber=chamber, witness=_locked(g), point=_locked(point))
 
 
 def _check_on_orbit_stack(chamber: ChamberElement, points: np.ndarray) -> None:
-    """``_check_on_orbit`` for every slice of a stack (..., n, n); the
-    first failing slice raises the message a single check would."""
+    """Check that a point, or every slice of a stack (..., n, n), is
+    traceless and has the chamber's spectrum; the first failing slice
+    raises."""
     nx = np.maximum(1.0, _frobenius_stack(points))
     off_trace = np.abs(np.trace(points, axis1=-2, axis2=-1)) > TRACE_RTOL * nx
     coeffs = _char_poly_stack(points)
@@ -132,8 +132,8 @@ def _check_on_orbit_stack(chamber: ChamberElement, points: np.ndarray) -> None:
 
 
 def _orbit_points(chamber: ChamberElement, witnesses) -> tuple[np.ndarray, np.ndarray]:
-    """``orbit_point`` for every witness of a stack (..., n, n): the points
-    g H g^-1 and the witness inverses, as plain arrays."""
+    """The points g H g^-1 of a witness or of every witness of a stack
+    (..., n, n), and the witness inverses, as plain arrays."""
     g = np.asarray(witnesses, dtype=float)
     _require_det_one(g)
     g_inv = np.linalg.inv(g)
@@ -142,14 +142,23 @@ def _orbit_points(chamber: ChamberElement, witnesses) -> tuple[np.ndarray, np.nd
     return points, g_inv
 
 
+def _flag_points(chamber: ChamberElement, k: np.ndarray) -> np.ndarray:
+    """The flag points k H k^T of a rotation or of every rotation of a
+    stack (..., n, n); the first slice that is no rotation raises
+    ``NotOrthogonal``."""
+    k_t = np.swapaxes(k, -1, -2)
+    off = _frobenius_stack(k_t @ k - np.eye(chamber.model.n)) > ORTHO_RTOL
+    if np.any(off | (np.linalg.det(k) < 0)):
+        raise NotOrthogonal("flag witness must be a rotation")
+    points = k @ chamber.matrix @ k_t
+    _check_on_orbit_stack(chamber, points)
+    return points
+
+
 def flag_point(chamber: ChamberElement, k) -> OrbitPoint:
     """Orbit point with rotation witness; lies on the compact flag."""
     mat = np.asarray(k, dtype=float)
-    n = chamber.model.n
-    if np.linalg.norm(mat.T @ mat - np.eye(n)) > ORTHO_RTOL or np.linalg.det(mat) < 0:
-        raise NotOrthogonal("flag witness must be a rotation")
-    point = mat @ chamber.matrix @ mat.T
-    _check_on_orbit(chamber, point)
+    point = _flag_points(chamber, mat)
     return OrbitPoint(chamber=chamber, witness=_locked(mat), point=_locked(point))
 
 
@@ -172,55 +181,131 @@ def project_ruling(x: OrbitPoint, factors: IwasawaFactors | None = None) -> Orbi
     return flag_point(x.chamber, fac.k_factor)
 
 
-def _fiber_coefficients(chamber: ChamberElement, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients of w on the n(H) basis plus the off-slice residual."""
-    coeffs = w[chamber._n_index]
+def _fiber_coefficients(chamber: ChamberElement, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of w on the n(H) basis plus the off-slice residual;
+    a stack w (..., n, n) gives coefficients (..., dim_n) and residuals
+    (...)."""
+    rows, cols = chamber._n_index
+    coeffs = w[..., rows, cols]
     recon = np.zeros_like(w)
-    recon[chamber._n_index] = coeffs
-    return coeffs, float(np.linalg.norm(w - recon))
+    recon[..., rows, cols] = coeffs
+    return coeffs, _frobenius_stack(w - recon)
 
 
 def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
-               rtol: float) -> CotangentRep:
-    """Representative over the flag point ``base`` = k H k^T.  Raises
-    ``FiberResidual`` when k^T fiber k leaves n(H) by more than ``rtol``
+               rtol: float = FIBER_RTOL) -> np.ndarray:
+    """Cotangent coordinates (..., dim_m) of the representatives over the
+    flag points ``base`` = k H k^T with the given fibers, all stacks
+    (..., n, n) that broadcast together.  Raises ``FiberResidual`` for the
+    first slice whose k^T fiber k leaves n(H) by more than ``rtol``
     |base + fiber|, the orbit point whose rounding the residual carries."""
-    _, residual = _fiber_coefficients(chamber, k.T @ fiber @ k)
-    if residual > rtol * max(1.0, float(np.linalg.norm(base + fiber))):
-        raise FiberResidual(f"fiber residual {residual:.3e} off the nilpotent slice")
-    coords = tuple(chamber.model.killing(fiber, k @ e @ k.T) for e in chamber.m_basis)
-    return CotangentRep(
-        chamber=chamber,
-        base_witness=_locked(k),
-        base=base,
-        fiber=_locked(fiber),
-        coords=coords,
-    )
+    k_t = np.swapaxes(k, -1, -2)
+    _, residual = _fiber_coefficients(chamber, k_t @ fiber @ k)
+    off = residual > rtol * np.maximum(1.0, _frobenius_stack(base + fiber))
+    if off.any():
+        first = float(np.asarray(residual)[off][0])
+        raise FiberResidual(f"fiber residual {first:.3e} off the nilpotent slice")
+    moved = k[..., None, :, :] @ chamber._m_stack @ k_t[..., None, :, :]
+    return chamber.model._killing_stack(fiber[..., None, :, :], moved)
 
 
-def to_cotangent(x: OrbitPoint, rtol: float = 1e-10) -> CotangentRep:
+def _rep(chamber: ChamberElement, k, base, fiber, coords) -> CotangentRep:
+    """One representative from the arrays of a single-point builder."""
+    return CotangentRep(chamber=chamber, base_witness=_locked(k), base=_locked(base),
+                        fiber=_locked(fiber), coords=tuple(coords.tolist()))
+
+
+def _split(chamber: ChamberElement, k: np.ndarray, points: np.ndarray,
+           rtol: float = FIBER_RTOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``to_cotangent`` of an orbit point, or of every point of a stack
+    (..., n, n), given the orthogonal Iwasawa factors k of its witnesses:
+    the flag points, fibers and cotangent coordinates."""
+    base = _flag_points(chamber, k)
+    fiber = points - base
+    return base, fiber, _cotangent(chamber, k, base, fiber, rtol)
+
+
+def to_cotangent(x: OrbitPoint, rtol: float = FIBER_RTOL) -> CotangentRep:
     """Inverse of the bundle identification: split x into a flag base
     point and a fiber, and read off covector coordinates.
 
     Raises ``FiberResidual`` when the deconjugated fiber leaves the
     nilpotent slice, which signals witness or rounding breakdown.
     """
-    fac = iwasawa(x.witness)
-    base = project_ruling(x, factors=fac).point
-    return _cotangent(x.chamber, fac.k_factor, base, x.point - base, rtol)
+    k = iwasawa(x.witness).k_factor
+    return _rep(x.chamber, k, *_split(x.chamber, k, x.point, rtol))
 
 
-def cotangent_rep(chamber: ChamberElement, base_witness, fiber, rtol: float = 1e-10) -> CotangentRep:
+def _cotangent_reps(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
+                    rtol: float = FIBER_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """``cotangent_rep`` of a rotation and fiber, or of stacks (..., n, n)
+    that broadcast together: the flag points and cotangent coordinates.
+    The representatives must lie on the orbit."""
+    base = _flag_points(chamber, k)
+    coords = _cotangent(chamber, k, base, fiber, rtol)
+    _check_on_orbit_stack(chamber, base + fiber)
+    return base, coords
+
+
+def cotangent_rep(chamber: ChamberElement, base_witness, fiber,
+                  rtol: float = FIBER_RTOL) -> CotangentRep:
     """Build a cotangent representative from a rotation and a fiber
     matrix given at the base point."""
-    base = flag_point(chamber, base_witness)
+    k = np.asarray(base_witness, dtype=float)
     v = np.asarray(fiber, dtype=float)
-    rep = _cotangent(chamber, base.witness, base.point, v, rtol)
-    _check_on_orbit(chamber, base.point + v)
-    return rep
+    base, coords = _cotangent_reps(chamber, k, v, rtol)
+    return _rep(chamber, k, base, v, coords)
 
 
-def from_cotangent(rep: CotangentRep, max_iterations: int = 50, tol: float = 1e-12) -> OrbitPoint:
+def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
+                    max_iterations: int = WITNESS_ITERATIONS,
+                    tol: float = WITNESS_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``from_cotangent`` of one representative, or of stacks (..., n, n)
+    of rotations and fibers that broadcast together: the witnesses
+    k exp(Y), Y in n(H), and their orbit points base + fiber.
+
+    Quasi-Newton iteration on the n(H) coefficients of every slice at
+    once, each Y exponentiated together with -Y; a slice freezes once it
+    has converged, so it takes the steps a single call would.  A slice
+    that has not converged after ``max_iterations`` steps raises
+    ``NoNilpotentWitness``, after the orbit points of the slices before
+    it, as a loop of single calls would.
+    """
+    h = chamber.matrix
+    w = np.swapaxes(k, -1, -2) @ fiber @ k
+    k = np.broadcast_to(k, w.shape)
+    if not chamber.dim_n:  # n(H) = 0: the fiber is zero and k itself the witness
+        return np.array(k), _orbit_points(chamber, k)[0]
+    k = k.reshape(-1, *h.shape)
+    target = _fiber_coefficients(chamber, w)[0].reshape(len(k), chamber.dim_n)
+    unipotent = np.empty_like(k)
+    rows, cols = chamber._n_index
+    denom = -np.asarray(chamber.n_gaps)  # coords([Y, H]) = -gap * coords(Y)
+    coeffs = target / denom
+    scale = np.maximum(1.0, _frobenius_stack(target[:, None, :]))
+    active = np.arange(len(k))
+    for _ in range(max_iterations):
+        if not active.size:
+            break
+        y = np.zeros((active.size, *h.shape))
+        y[:, rows, cols] = coeffs[active]
+        exp_y, exp_minus_y = _mat_exp_stack(np.stack([y, -y]))
+        current, _ = _fiber_coefficients(chamber, exp_y @ h @ exp_minus_y - h)
+        gap = target[active] - current
+        done = _frobenius_stack(gap[:, None, :]) <= tol * scale[active]
+        unipotent[active[done]] = exp_y[done]
+        coeffs[active[~done]] += gap[~done] / denom
+        active = active[~done]
+    first = active[0] if active.size else len(k)
+    witnesses = k[:first] @ unipotent[:first]
+    points, _ = _orbit_points(chamber, witnesses)
+    if active.size:
+        raise NoNilpotentWitness(f"no unipotent witness after {max_iterations} iterations")
+    return witnesses.reshape(w.shape), points.reshape(w.shape)
+
+
+def from_cotangent(rep: CotangentRep, max_iterations: int = WITNESS_ITERATIONS,
+                   tol: float = WITNESS_TOL) -> OrbitPoint:
     """Bundle identification: recover the orbit point base + fiber with a
     witness k exp(Y), Y in n(H).
 
@@ -230,26 +315,8 @@ def from_cotangent(rep: CotangentRep, max_iterations: int = 50, tol: float = 1e-
     upward in the block grading, so the iteration settles in at most n
     steps.
     """
-    chamber = rep.chamber
-    h = chamber.matrix
-    k = rep.base_witness
-    w = k.T @ rep.fiber @ k
-    target, _ = _fiber_coefficients(chamber, w)
-    if len(target) == 0:
-        return orbit_point(chamber, k)
-    denom = -np.asarray(chamber.n_gaps)  # coords([Y, H]) = -gap * coords(Y)
-    coeffs = target / denom
-    scale = max(1.0, float(np.linalg.norm(target)))
-    for _ in range(max_iterations):
-        y = np.zeros_like(w)
-        y[chamber._n_index] = coeffs
-        displaced = mat_exp(y) @ h @ mat_exp(-y) - h
-        current, _ = _fiber_coefficients(chamber, displaced)
-        gap = target - current
-        if np.linalg.norm(gap) <= tol * scale:
-            return orbit_point(chamber, k @ mat_exp(y))
-        coeffs = coeffs + gap / denom
-    raise NoNilpotentWitness(f"no unipotent witness after {max_iterations} iterations")
+    witness, point = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber, max_iterations, tol)
+    return OrbitPoint(chamber=rep.chamber, witness=_locked(witness), point=_locked(point))
 
 
 def solve_generator(x: OrbitPoint, value, rtol: float = 1e-9) -> np.ndarray:

@@ -22,17 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
+from .iwasawa import _iwasawa_stack, fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, random_combination
-from .numerics import mat_exp
+from .numerics import _mat_exp_stack, mat_exp
 from .orbit import (
+    _cotangent,
+    _cotangent_reps,
     _fiber_coefficients,
-    cotangent_rep,
-    from_cotangent,
+    _flag_points,
+    _from_cotangent,
+    _orbit_points,
+    _split,
     orbit_chart,
     orbit_point,
-    project_ruling,
-    to_cotangent,
 )
 from .symplectic import (
     _bracket_pairing,
@@ -195,48 +197,54 @@ def _check_infinitesimal(chamber, rng, index, fd_step):
 
 def _check_projection(chamber, rng, index, fd_step):
     """Ruling projection and bundle identification: witness
-    independence, fiber membership, round trips and fiber linearity."""
+    independence, fiber membership, round trips and fiber linearity.
+
+    Each stage runs once over a stack: the orbit points and flag points
+    of g and g z; the representatives over one rotation k0 with fibers
+    v1, v2 and v1 + v2; the unipotent witnesses of the round trips from
+    x and from v1 and v1 + v2; and the return of the last two.
+    """
     model = chamber.model
     g = _sample_group(model, rng)
-    x = orbit_point(chamber, g)
-    fac = iwasawa(g)
-    base = project_ruling(x, factors=fac)
-    scale = max(1.0, float(np.linalg.norm(x.point)))
-
-    z = mat_exp(chamber.random_centralizer(rng, 0.4)) @ mat_exp(
-        chamber.random_compact_centralizer(rng, 0.6)
-    )
-    x2 = orbit_point(chamber, g @ z)
-    e_welldef = _rel(np.linalg.norm(project_ruling(x2).point - base.point), scale)
-
-    w = fac.k_factor.T @ (x.point - base.point) @ fac.k_factor
-    e_disp = _rel(_fiber_coefficients(chamber, w)[1], np.linalg.norm(w))
-
-    rep = to_cotangent(x)
-    e_round = _rel(np.linalg.norm(from_cotangent(rep).point - x.point), scale)
-
+    z = _mat_exp_stack([
+        chamber.random_centralizer(rng, 0.4),
+        chamber.random_compact_centralizer(rng, 0.6),
+    ])
     k0 = model.random_orthogonal(rng, 1.5 / model.n)
-    w1 = chamber.random_fiber(rng, 0.8)
-    w2 = chamber.random_fiber(rng, 0.8)
-    v1 = k0 @ w1 @ k0.T
-    v2 = k0 @ w2 @ k0.T
-    rep1 = cotangent_rep(chamber, k0, v1)
-    rep3 = to_cotangent(from_cotangent(rep1))
+    w12 = np.stack([chamber.random_fiber(rng, 0.8), chamber.random_fiber(rng, 0.8)])
+
+    witnesses = np.stack([g, g @ (z[0] @ z[1])])
+    points, _ = _orbit_points(chamber, witnesses)
+    k = _iwasawa_stack(witnesses).k_factor
+    bases = _flag_points(chamber, k)
+    x, base = points[0], bases[0]
+    fiber = x - base
+    scale = max(1.0, float(np.linalg.norm(x)))
+    e_welldef = _rel(np.linalg.norm(bases[1] - base), scale)
+
+    w = k[0].T @ fiber @ k[0]
+    e_disp = _rel(_fiber_coefficients(chamber, w)[1], np.linalg.norm(w))
+    _cotangent(chamber, k[0], base, fiber)  # the slice check of to_cotangent(x)
+
+    v1, v2 = k0 @ w12 @ k0.T
+    base0, coords = _cotangent_reps(chamber, k0, np.stack([v1, v2, v1 + v2]))
+
+    trips, back = _from_cotangent(chamber, np.stack([k[0], k0, k0]), np.stack([fiber, v1, v1 + v2]))
+    base_b, fiber_b, coords_b = _split(chamber, _iwasawa_stack(trips[1:]).k_factor, back[1:])
+
     scale_f = max(1.0, float(np.linalg.norm(v1)))
     e_round = _worst([
-        e_round,
-        _rel(np.linalg.norm(rep3.base - rep1.base), scale_f),
-        _rel(np.linalg.norm(rep3.fiber - rep1.fiber), scale_f),
-        _rel(np.max(np.abs(np.subtract(rep3.coords, rep1.coords)), initial=0.0), scale_f),
+        _rel(np.linalg.norm(back[0] - x), scale),
+        _rel(np.linalg.norm(base_b[0] - base0), scale_f),
+        _rel(np.linalg.norm(fiber_b[0] - v1), scale_f),
+        _rel(np.max(np.abs(coords_b[0] - coords[0]), initial=0.0), scale_f),
     ])
 
-    rep2 = cotangent_rep(chamber, k0, v2)
-    rep12 = to_cotangent(from_cotangent(cotangent_rep(chamber, k0, v1 + v2)))
-    summed = np.add(rep1.coords, rep2.coords)
+    summed = coords[0] + coords[1]
     scale_l = max(1.0, float(np.max(np.abs(summed), initial=0.0)))
     e_linear = _worst([
-        _rel(np.linalg.norm(rep12.base - rep1.base), scale_f),
-        _rel(np.max(np.abs(np.subtract(rep12.coords, summed)), initial=0.0), scale_l),
+        _rel(np.linalg.norm(base_b[1] - base0), scale_f),
+        _rel(np.max(np.abs(coords_b[1] - summed), initial=0.0), scale_l),
     ])
     return e_welldef, e_disp, e_round, e_linear
 
@@ -246,10 +254,9 @@ def _pairing_ratio(chamber) -> float:
     over its smallest singular value (0 when n(H) = 0)."""
     if not chamber.dim_n:
         return 0.0
-    model = chamber.model
-    pairing = np.array(
-        [[model.killing(u, e) for e in chamber.m_basis] for u in chamber.n_basis]
-    )
+    n = chamber.model.n
+    u = np.reshape(chamber.n_basis, (chamber.dim_n, 1, n, n))
+    pairing = chamber.model._killing_stack(u, chamber._m_stack)
     smin = float(np.linalg.svd(pairing, compute_uv=False)[-1])
     return SMIN_THRESHOLD / smin
 
@@ -293,8 +300,7 @@ def _check_graph(chamber, rng, index, fd_step):
     else:
         g = _sample_group(model, rng)
     k = model.random_orthogonal(rng, 1.5 / n)
-    directions = np.reshape(chamber.m_basis, (chamber.dim_m, n, n))
-    a_val, b_val, c_val = graph_routes(chamber, g, k, directions, fd_step)
+    a_val, b_val, c_val = graph_routes(chamber, g, k, chamber._m_stack, fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
     scale = np.fmax(np.fmax(1.0, np.abs(a_val)), np.fmax(np.abs(b_val), np.abs(c_val)))

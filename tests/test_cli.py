@@ -10,6 +10,7 @@ import pytest
 
 from orbitsym import SUITE_NAMES, suites
 from orbitsym.cli import main, parse_entries
+from orbitsym import orbit
 from orbitsym.orbit import FiberResidual
 
 
@@ -151,19 +152,22 @@ class TestVerifyCommand:
                                                                 monkeypatch):
         """A named error raised in one sample becomes an infinite error in
         every sampled column, carrying its class name; the run exits 1."""
-        real = suites.to_cotangent
+        real = orbit._cotangent
         calls = []
 
-        def to_cotangent(x):
+        def cotangent(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 4:  # the first of the three calls in sample 1
+            if len(calls) == 4:  # the first of the three stacked calls in sample 1
                 raise FiberResidual("fiber residual off the nilpotent slice")
-            return real(x)
+            return real(*args, **kwargs)
 
         def reject(token):
             raise ValueError(f"bare {token} in JSON")
 
-        monkeypatch.setattr(suites, "to_cotangent", to_cotangent)
+        # the suite calls the builder directly and through orbit's stacked
+        # cotangent_rep and to_cotangent paths
+        monkeypatch.setattr(suites, "_cotangent", cotangent)
+        monkeypatch.setattr(orbit, "_cotangent", cotangent)
         path = tmp_path / "out.json"
         code, out, err = run_cli(
             capsys, "verify", "projection", "--H", "1,0,-1", "--samples", "3", "--seed", "1",

@@ -223,6 +223,18 @@ class TestRandomness:
         g2 = model3.random_group_element(77, 0.4)
         assert np.array_equal(g1, g2)
 
+    @pytest.mark.parametrize("n, factors", [(2, 3), (4, 3), (6, 3), (4, 1), (4, 0)])
+    def test_group_element_is_the_product_of_single_exponentials(self, n, factors):
+        """The stacked exponentials give the left-to-right product of one
+        ``mat_exp`` per factor, bit for bit, from the same draws."""
+        model = SpecialLinearModel(n)
+        rng = np.random.default_rng(19)
+        expected = np.eye(n)
+        for _ in range(factors):
+            expected = expected @ mat_exp(model.random_algebra_element(rng, 0.5))
+        g = model.random_group_element(np.random.default_rng(19), 0.5, factors=factors)
+        assert np.array_equal(g, expected)
+
     def test_algebra_element_is_traceless(self, model4):
         x = model4.random_algebra_element(3, 1.0)
         assert abs(np.trace(x)) <= 1e-13

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from orbitsym import (
     DegenerateChart,
     FiberResidual,
+    NoNilpotentWitness,
     NotOrthogonal,
     NotTangent,
     cotangent_rep,
@@ -22,11 +23,14 @@ from orbitsym import (
     to_cotangent,
 )
 from orbitsym.orbit import (
-    _check_on_orbit,
     _check_on_orbit_stack,
+    _cotangent_reps,
     _dexp,
     _fiber_coefficients,
+    _flag_points,
+    _from_cotangent,
     _orbit_points,
+    _split,
 )
 
 
@@ -399,7 +403,7 @@ class TestStackedOrbitPoints:
         points[2] = points[2] + 1e-3 * np.eye(3)
         with pytest.raises(ValueError) as single:
             for point in points:
-                _check_on_orbit(chamber3, point)
+                _check_on_orbit_stack(chamber3, point)
         with pytest.raises(ValueError) as stacked:
             _check_on_orbit_stack(chamber3, points)
         assert "spectrum" in str(single.value)
@@ -412,3 +416,193 @@ class TestStackedOrbitPoints:
             _orbit_points(chamber, g)
         assert str(stacked.value) == str(single.value)
         return str(single.value)
+
+
+class TestStackedBundleBuilders:
+    """The stack-aware builders behind ``flag_point``, ``to_cotangent``,
+    ``cotangent_rep`` and ``from_cotangent`` against the single calls,
+    slice by slice and bit for bit, and the error of the first failing
+    slice."""
+
+    CHAMBERS = ["chamber2", "chamber3", "wall3", "wall4", "zero2"]
+
+    def chamber(self, name, request, model2):
+        return model2.chamber_element([0, 0]) if name == "zero2" else request.getfixturevalue(name)
+
+    def data(self, chamber, count=4):
+        """Rotations, fibers at them, and witnesses, each (count, n, n)."""
+        model = chamber.model
+        rng = np.random.default_rng(71)
+        ks = np.stack([model.random_orthogonal(rng, 1.5 / model.n) for _ in range(count)])
+        ws = np.stack([chamber.random_fiber(rng, 0.8) for _ in ks])
+        gs = np.stack([model.random_group_element(rng, 1.2 / model.n) for _ in range(count)])
+        return ks, ks @ ws @ np.swapaxes(ks, -1, -2), gs
+
+    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    def test_flag_points_match_single_calls(self, chamber_name, request, model2):
+        chamber = self.chamber(chamber_name, request, model2)
+        ks, _, _ = self.data(chamber)
+        points = _flag_points(chamber, ks.reshape(2, 2, *ks.shape[1:]))
+        for index in np.ndindex(2, 2):
+            k = ks[2 * index[0] + index[1]]
+            assert np.array_equal(points[index], flag_point(chamber, k).point)
+
+    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    def test_split_matches_to_cotangent(self, chamber_name, request, model2):
+        chamber = self.chamber(chamber_name, request, model2)
+        _, _, gs = self.data(chamber)
+        points, _ = _orbit_points(chamber, gs)
+        bases, fibers, coords = _split(chamber, np.stack([iwasawa(g).k_factor for g in gs]), points)
+        for g, base, fiber, c in zip(gs, bases, fibers, coords):
+            rep = to_cotangent(orbit_point(chamber, g))
+            assert np.array_equal(base, rep.base)
+            assert np.array_equal(fiber, rep.fiber)
+            assert tuple(c.tolist()) == rep.coords
+
+    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    def test_cotangent_reps_match_single_calls(self, chamber_name, request, model2):
+        chamber = self.chamber(chamber_name, request, model2)
+        model = chamber.model
+        ks, vs, _ = self.data(chamber)
+        bases, coords = _cotangent_reps(chamber, ks, vs)
+        for k, v, base, c in zip(ks, vs, bases, coords):
+            rep = cotangent_rep(chamber, k, v)
+            assert np.array_equal(base, rep.base)
+            assert tuple(c.tolist()) == rep.coords
+            # the Killing pairings against the moved basis, one call each
+            assert rep.coords == tuple(model.killing(v, k @ e @ k.T) for e in chamber.m_basis)
+        # one rotation shared by a stack of fibers, as in the projection suite
+        k0 = ks[0]
+        shared_vs = k0 @ (ks.transpose(0, 2, 1) @ vs @ ks) @ k0.T
+        shared_base, shared = _cotangent_reps(chamber, k0, shared_vs)
+        assert np.array_equal(shared_base, flag_point(chamber, k0).point)
+        for v, c in zip(shared_vs, shared):
+            assert tuple(c.tolist()) == cotangent_rep(chamber, k0, v).coords
+
+    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    def test_from_cotangent_matches_single_calls(self, chamber_name, request, model2):
+        chamber = self.chamber(chamber_name, request, model2)
+        ks, vs, _ = self.data(chamber)
+        witnesses, points = _from_cotangent(chamber, ks, vs)
+        for k, v, witness, point in zip(ks, vs, witnesses, points):
+            x = from_cotangent(cotangent_rep(chamber, k, v))
+            assert np.array_equal(witness, x.witness)
+            assert np.array_equal(witness, self.witness_by_loop(chamber, k, v))
+            assert np.array_equal(point, x.point)
+
+    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    def test_fiber_coefficients_match_single_calls(self, chamber_name, request, model2):
+        chamber = self.chamber(chamber_name, request, model2)
+        n = chamber.model.n
+        w = np.random.default_rng(5).normal(size=(3, n, n))
+        coeffs, residuals = _fiber_coefficients(chamber, w)
+        for slice_, c, r in zip(w, coeffs, residuals):
+            single_c, single_r = _fiber_coefficients(chamber, slice_)
+            assert np.array_equal(c, single_c)
+            assert r == single_r == float(np.linalg.norm(slice_ - self.on_slice(chamber, slice_)))
+
+    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    def test_empty_stacks(self, chamber_name, request, model2):
+        chamber = self.chamber(chamber_name, request, model2)
+        n = chamber.model.n
+        empty = np.zeros((0, n, n))
+        assert _flag_points(chamber, empty).shape == (0, n, n)
+        bases, fibers, coords = _split(chamber, empty, empty)
+        assert bases.shape == fibers.shape == (0, n, n) and coords.shape == (0, chamber.dim_m)
+        bases, coords = _cotangent_reps(chamber, empty, empty)
+        assert bases.shape == (0, n, n) and coords.shape == (0, chamber.dim_m)
+        witnesses, points = _from_cotangent(chamber, empty, empty, max_iterations=0)
+        assert witnesses.shape == points.shape == (0, n, n)
+
+    def test_reflection_slice_raises_like_flag_point(self, chamber3):
+        ks, vs, _ = self.data(chamber3)
+        ks[1] = ks[1] @ np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(NotOrthogonal) as single:
+            flag_point(chamber3, ks[1])
+        for stacked_call in (_flag_points, lambda c, k: _cotangent_reps(c, k, vs)):
+            with pytest.raises(NotOrthogonal) as stacked:
+                stacked_call(chamber3, ks)
+            assert str(stacked.value) == str(single.value)
+
+    def test_off_slice_fiber_raises_like_cotangent_rep(self, chamber3):
+        """Two slices leave n(H) by different amounts; the stack names the
+        residual of the first, as a loop of single calls does."""
+        ks, vs, _ = self.data(chamber3)
+        vs[1] = vs[1] + 0.3 * ks[1] @ unit(3, 2, 0) @ ks[1].T
+        vs[2] = vs[2] + 0.7 * ks[2] @ unit(3, 1, 0) @ ks[2].T
+        with pytest.raises(FiberResidual) as single:
+            for k, v in zip(ks, vs):
+                cotangent_rep(chamber3, k, v)
+        with pytest.raises(FiberResidual) as stacked:
+            _cotangent_reps(chamber3, ks, vs)
+        assert str(stacked.value) == str(single.value)
+
+    def test_exhausted_iteration_raises_like_from_cotangent(self, chamber3):
+        ks, vs, _ = self.data(chamber3)
+        with pytest.raises(NoNilpotentWitness) as single:
+            from_cotangent(cotangent_rep(chamber3, ks[0], vs[0]), max_iterations=0)
+        with pytest.raises(NoNilpotentWitness) as stacked:
+            _from_cotangent(chamber3, ks, vs, max_iterations=0)
+        assert str(stacked.value) == str(single.value)
+
+    def test_earlier_orbit_point_error_comes_first(self, model3):
+        """Slice 0 converges to a witness of determinant 2 and slice 1 does
+        not converge: the stack raises slice 0's orbit-point error, as a
+        loop of single calls does."""
+        chamber = model3.chamber_element([2, 1, -3])
+        ks, vs, _ = self.data(chamber, count=2)
+        ks[0] = 2.0 ** (1.0 / 3.0) * ks[0]
+        vs[0] = 0.0
+        with pytest.raises(ValueError, match="determinant") as single:
+            for k, v in zip(ks, vs):
+                _from_cotangent(chamber, k, v, max_iterations=1)
+        with pytest.raises(ValueError) as stacked:
+            _from_cotangent(chamber, ks, vs, max_iterations=1)
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
+
+    def test_converged_slices_freeze_while_others_iterate(self, model3):
+        """A zero fiber settles in one step.  With unequal gaps the
+        quadratic term of Ad(exp Y) H survives, so a generic fiber needs
+        more: one step raises for it alone, and with enough steps both
+        slices are their own single calls."""
+        chamber = model3.chamber_element([2, 1, -3])
+        ks, vs, _ = self.data(chamber, count=2)
+        vs[0] = 0.0
+        singles = [cotangent_rep(chamber, k, v) for k, v in zip(ks, vs)]
+        from_cotangent(singles[0], max_iterations=1)
+        with pytest.raises(NoNilpotentWitness):
+            from_cotangent(singles[1], max_iterations=1)
+        with pytest.raises(NoNilpotentWitness):
+            _from_cotangent(chamber, ks, vs, max_iterations=1)
+        witnesses, _ = _from_cotangent(chamber, ks, vs)
+        for witness, rep in zip(witnesses, singles):
+            assert np.array_equal(witness, from_cotangent(rep).witness)
+
+    @staticmethod
+    def witness_by_loop(chamber, k, v, max_iterations=50, tol=1e-12):
+        """The witness iteration for one representative, one ``mat_exp``
+        per exponential."""
+        if not chamber.dim_n:
+            return k
+        h = chamber.matrix
+        rows, cols = chamber._n_index
+        target = (k.T @ v @ k)[rows, cols]
+        denom = -np.asarray(chamber.n_gaps)
+        coeffs = target / denom
+        scale = max(1.0, float(np.linalg.norm(target)))
+        for _ in range(max_iterations):
+            y = np.zeros_like(h)
+            y[rows, cols] = coeffs
+            gap = target - (mat_exp(y) @ h @ mat_exp(-y) - h)[rows, cols]
+            if np.linalg.norm(gap) <= tol * scale:
+                return k @ mat_exp(y)
+            coeffs = coeffs + gap / denom
+        raise AssertionError("no convergence")
+
+    @staticmethod
+    def on_slice(chamber, w):
+        recon = np.zeros_like(w)
+        for i, j in chamber.n_positions:
+            recon[i, j] = w[i, j]
+        return recon

@@ -181,6 +181,53 @@ def test_graph_factors_once_per_sample(monkeypatch):
     assert calls == {"graph_routes": 2, "orbit_point": 2, "to_cotangent": 2, "iwasawa": 4}
 
 
+def test_projection_factors_once_per_sample(monkeypatch):
+    """Call-count guard: a ``projection`` sample at n = 6 factors g and
+    g z in one stacked pass and the two returning witnesses in another,
+    runs its three round trips through one stacked witness iteration, and
+    makes no single-point bundle call or Killing pairing.  Its slice
+    checks are three stacked ``_cotangent`` calls: x's representative,
+    the three over k0, and the two returns."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    single = ("iwasawa", "to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point",
+              "flag_point")
+    calls = dict.fromkeys((*single, "_iwasawa_stack", "_from_cotangent", "_cotangent", "killing"),
+                          0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    iwasawa_module = importlib.import_module("orbitsym.iwasawa")
+    for module in (suites, symplectic, orbit_module, iwasawa_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(SpecialLinearModel, "killing",
+                        counted("killing", SpecialLinearModel.killing))
+    reports = run_suite(chamber, "projection", samples=2)
+    assert all(r.passed for r in reports)
+    assert calls == {**dict.fromkeys(single, 0), "_iwasawa_stack": 4, "_from_cotangent": 2,
+                     "_cotangent": 6, "killing": 0}
+
+
+@pytest.mark.parametrize("entries", [[1, -1], [0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1],
+                                     [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]])
+def test_pairing_ratio_matches_the_pairing_loop(entries):
+    """The stacked n(H) x m(H) pairing equals one ``killing`` call per
+    entry exactly: the basis matrices are 0/+-1 unit matrices."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    ratio = suites._pairing_ratio(chamber)
+    if not chamber.dim_n:
+        assert ratio == 0.0
+        return
+    pairing = np.array([[model.killing(u, e) for e in chamber.m_basis] for u in chamber.n_basis])
+    assert ratio == suites.SMIN_THRESHOLD / float(np.linalg.svd(pairing, compute_uv=False)[-1])
+
+
 @pytest.mark.parametrize("mode", ["vertical", "horizontal"])
 def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
     real = OrbitChart.frame_generators
