@@ -8,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from orbitsym import SUITE_NAMES, suites
+from orbitsym import SUITE_NAMES, orbit, suites
 from orbitsym.cli import main, parse_entries
-from orbitsym import orbit
 from orbitsym.orbit import FiberResidual
 
 
