@@ -11,6 +11,7 @@ derived dimensions.  Exit codes: 0 all suites pass, 1 any failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,7 +53,11 @@ def parse_entries(text: str) -> list:
     return [float(v) for v in values]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process; each ``parse_args`` call returns a
+    fresh namespace, so no state carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="orbitsym",
         description="Verification suites for hyperbolic adjoint orbits of SL(n,R).",
@@ -198,8 +203,7 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(raw))
+    args = build_parser().parse_args(_merge_value_flags(raw))
     if args.command == "verify":
         return _run_verify(args)
     return _run_info(args)

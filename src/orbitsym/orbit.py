@@ -28,6 +28,7 @@ import numpy as np
 from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
 from .model import ChamberElement
 from .numerics import (
+    STENCIL_OFFSETS,
     _char_poly_stack,
     _frobenius_stack,
     _mat_exp_stack,
@@ -402,6 +403,22 @@ class OrbitChart:
         w = self.at.witness @ _mat_exp_stack(u)
         x, w_inv = _orbit_points(self.at.chamber, w)
         return u, w, x, w_inv
+
+    @cached_property
+    def _stencils(self) -> dict:
+        return {}
+
+    def _stencil(self, fd_step: float) -> tuple[np.ndarray, ...]:
+        """``_shifted_points`` at the offsets ``STENCIL_OFFSETS`` times
+        ``fd_step``, built and checked once per step and read-only, so
+        that both chart forms share the points of one stacked pass.  The
+        slices at offsets -h and +h are indices 1 and 2."""
+        if fd_step not in self._stencils:
+            arrays = self._shifted_points(np.multiply(STENCIL_OFFSETS, fd_step))
+            for a in arrays:
+                a.setflags(write=False)
+            self._stencils[fd_step] = arrays
+        return self._stencils[fd_step]
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of

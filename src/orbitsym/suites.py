@@ -9,10 +9,13 @@ one ``(report name, tolerance class, default)`` column per error.
 override every column of their class, and "fixed" columns never change.
 ``run_suite`` is the one sample loop.  Its reports satisfy
 ``passed == (max_error <= tolerance)``, and a non-finite error counts as
-infinite, so NaN never passes.  A sample whose check raises
-``ValueError`` or ``ArithmeticError`` (the named orbitsym errors,
-``LinAlgError``, ``OverflowError``) gets an infinite error in every
-column and records the exception's class name; others propagate.
+infinite, so NaN never passes.  Each check runs with numpy's overflow,
+division by zero and invalid operations raised as
+``FloatingPointError`` rather than warned about.  A sample whose check
+raises ``ValueError`` or ``ArithmeticError`` (the named orbitsym errors,
+``LinAlgError``, ``OverflowError``, ``FloatingPointError``) gets an
+infinite error in every column and records the exception's class name;
+others propagate.
 """
 
 from __future__ import annotations
@@ -333,7 +336,7 @@ def _check_theorem(chamber, rng, index, fd_step):
         float(np.max(np.abs(std_form.entries))),
     )
     e_match = _rel(np.max(np.abs(std_form.entries - kks_form.entries)), scale)
-    shifted = _omega_kks_shifts(chart, (fd_step, -fd_step))
+    shifted = _omega_kks_shifts(chart, fd_step)
     e_inv = np.max(np.abs(shifted - kks_form.entries), axis=(-2, -1)).ravel() / max(1.0, scale)
     smin = kks_form.smallest_singular_value()
     ratio = 0.0 if np.isinf(smin) else SMIN_THRESHOLD / smin
@@ -386,7 +389,8 @@ def run_suite(chamber: ChamberElement, name: str, *, samples=DEFAULT_SAMPLES,
     rows, raised = [], []
     for index in range(samples):
         try:
-            rows.append(check(chamber, _rng(seed, index, key), index, fd_step))
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                rows.append(check(chamber, _rng(seed, index, key), index, fd_step))
         except (ValueError, ArithmeticError) as exc:
             rows.append((math.inf,) * len(columns))
             raised.append((index, type(exc).__name__))

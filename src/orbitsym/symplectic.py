@@ -12,9 +12,12 @@ where the K-velocity is the antisymmetric part of the Iwasawa factor
 derivative along V's generator.  On all coordinate fields of a chart
 at once this pairing is one matrix per point (``_tautological_dual``),
 so the stencil of the chart matrix factors all its points in one
-stacked pass.  Chart matrices of both forms, the scalar potential of the
-abelian Iwasawa projection, and the one-form cutting out a displaced
-flag section live here.  ``graph_routes`` compares that one-form with
+stacked pass.  A chart builds and checks its stencil points once per
+step (``OrbitChart._stencil``): the standard form reads all four
+offsets and the invariance shifts of the orbit form read the +h and -h
+slices of the same points.  Chart matrices of both forms, the scalar
+potential of the abelian Iwasawa projection, and the one-form cutting
+out a displaced flag section live here.  ``graph_routes`` compares that one-form with
 the cotangent covector and the potential's differential along a whole
 stack of flag directions at once, sharing one factorization, orbit point
 and cotangent representative among them.  The seeded verification
@@ -139,14 +142,16 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0), all axes at once
     by one fourth-order stencil; lambda_j is evaluated on the honest
     coordinate field, so the mixed partials cancel exactly and only the
-    finite-difference error survives.  The 4 dim stencil points get their
-    orbit points and factorizations in one stacked pass, and each point's
-    dual matrix gives lambda on every coordinate field at once.
+    finite-difference error survives.  The 4 dim stencil points come
+    from the chart's stencil at ``fd_step``, built in one stacked pass and
+    shared with ``_omega_kks_shifts``; their factorizations are one more
+    stacked pass, and each point's dual matrix gives lambda on every
+    coordinate field at once.
     """
     m = chart.dim
     entries = np.zeros((m, m))
     if m >= 2:
-        u, w, x, _ = chart._shifted_points(np.multiply(STENCIL_OFFSETS, fd_step))
+        u, w, x, _ = chart._stencil(fd_step)
         dual = _tautological_dual(chart.at.chamber, x, _iwasawa_stack(w), u)
         # lam[o, i, j]: lambda_j at stencil offset o along axis i
         coefficient = chart.at.chamber.model.killing_coefficient
@@ -174,16 +179,17 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
     return FormMatrix(chart=chart, entries=entries)
 
 
-def _omega_kks_shifts(chart: OrbitChart, offsets) -> np.ndarray:
-    """Entries of ``omega_kks_chart`` at every axis shift s e_i, for each
-    s in ``offsets`` and each axis i, stacked (len(offsets), dim, dim,
-    dim).  The shifted points come from one stacked pass; their frame
-    generators, dim per point, are built one offset at a time, which
-    halves the working set at two offsets."""
-    _, w, x, w_inv = chart._shifted_points(offsets)
+def _omega_kks_shifts(chart: OrbitChart, fd_step: float) -> np.ndarray:
+    """Entries of ``omega_kks_chart`` at every axis shift s e_i, for s =
+    +fd_step and -fd_step (in that order) and each axis i, stacked (2,
+    dim, dim, dim).  The shifted points are the +h and -h slices of the
+    chart's stencil, shared with ``omega_std_chart`` at the same step, so
+    the two forms build and check them once; their frame generators, dim
+    per point, are built one offset at a time."""
+    _, w, x, w_inv = chart._stencil(fd_step)
     return np.stack([
-        _bracket_pairing(chart.at.chamber, x_s, w_s[:, None] @ chart._stack @ w_inv_s[:, None])
-        for w_s, x_s, w_inv_s in zip(w, x, w_inv)
+        _bracket_pairing(chart.at.chamber, x[o], w[o][:, None] @ chart._stack @ w_inv[o][:, None])
+        for o in (2, 1)
     ])
 
 

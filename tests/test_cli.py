@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from orbitsym import SUITE_NAMES, orbit, suites
-from orbitsym.cli import main, parse_entries
+from orbitsym.cli import build_parser, main, parse_entries
 from orbitsym.orbit import FiberResidual
 
 
@@ -196,6 +196,16 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+    def test_floating_point_breakdown_is_named(self, capsys):
+        """An overflow inside a sample is raised as FloatingPointError and
+        reported by name, with no warning on stderr."""
+        code, out, err = run_cli(
+            capsys, "verify", "graph", "--H", "1,0,-1", "--samples", "2", "--fd-step", "1e300"
+        )
+        assert code == 1
+        assert err == ""
+        assert out.rstrip().endswith("(FloatingPointError at sample 0)")
+
     @pytest.mark.parametrize("flag, value", [
         ("--fd-step", "0"),
         ("--fd-step", "nan"),
@@ -282,6 +292,44 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "graph" in result.stdout
+
+
+def test_reused_parser_matches_fresh_processes(capsys, tmp_path):
+    """``main`` builds its parser once per process.  A usage error, a run
+    with --json and --tol-exact, and a run with neither, made one after
+    the other in one process, each give the exit code, stdout and JSON
+    bytes of the same call made alone in a fresh interpreter."""
+    assert build_parser() is build_parser()
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = ("verify", "iwasawa", "--H", "1,0,-1", "--samples", "2", "--seed", "4")
+    calls = [
+        (("verify", "theorem", "--samples", "2"), None),
+        (run + ("--json", "{}", "--tol-exact", "1e-3"), "out.json"),
+        (run, None),
+    ]
+    outputs = []
+    for argv, json_name in calls:
+        results = []
+        for where in ("in-process", "fresh"):
+            json_path = tmp_path / f"{where}-{json_name}" if json_name else None
+            full = [a.format(json_path) for a in argv]
+            if where == "in-process":
+                try:
+                    code = main(full)
+                except SystemExit as exc:
+                    code = exc.code
+                out = capsys.readouterr().out
+            else:
+                result = subprocess.run([sys.executable, "-m", "orbitsym", *full],
+                                        capture_output=True, text=True, timeout=120, env=env)
+                code, out = result.returncode, result.stdout
+            results.append((code, out, json_path.read_bytes() if json_path else None))
+        assert results[0] == results[1]
+        outputs.append(results[0])
+    assert [code for code, _, _ in outputs] == [2, 0, 0]
+    assert outputs[1][1] != outputs[2][1]  # the --tol-exact override did not persist
 
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"

@@ -181,6 +181,30 @@ def test_graph_factors_once_per_sample(monkeypatch):
     assert calls == {"graph_routes": 2, "orbit_point": 2, "to_cotangent": 2, "iwasawa": 4}
 
 
+@pytest.mark.parametrize("entries", [
+    [1, 0, -1],
+    [2.5, 1.5, 0.5, -0.5, -1.5, -2.5],
+], ids=["chamber3", "n6-regular"])
+def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
+    """Call-count guard: a ``theorem`` sample builds and checks its chart
+    points in one stacked pass of shape (4, dim, n, n), which the standard
+    form's stencil and the invariance shifts share; the sample's own
+    orbit point is the only other pass."""
+    n = len(entries)
+    chamber = SpecialLinearModel(n).chamber_element(entries)
+    real = orbit_module._orbit_points
+    shapes = []
+
+    def orbit_points(chamber, witnesses):
+        shapes.append(np.shape(witnesses))
+        return real(chamber, witnesses)
+
+    monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
+    reports = run_suite(chamber, "theorem", samples=2)
+    assert all(r.passed for r in reports)
+    assert shapes == [(n, n), (4, 2 * chamber.dim_n, n, n)] * 2
+
+
 def test_projection_factors_once_per_sample(monkeypatch):
     """Call-count guard: a ``projection`` sample at n = 6 factors g and
     g z in one stacked pass and the two returning witnesses in another,

@@ -455,10 +455,10 @@ class TestStackedKernels:
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_kks_shifts_match_single_charts(self, chamber_name, request):
         chart = self.chart(request.getfixturevalue(chamber_name))
-        offsets = (1e-3, -1e-3)
-        shifted = symplectic._omega_kks_shifts(chart, offsets)
+        fd_step = 1e-3
+        shifted = symplectic._omega_kks_shifts(chart, fd_step)
         assert shifted.shape == (2, chart.dim, chart.dim, chart.dim)
-        for o, s in enumerate(offsets):
+        for o, s in enumerate((fd_step, -fd_step)):
             for i in range(chart.dim):
                 t = np.zeros(chart.dim)
                 t[i] = s
