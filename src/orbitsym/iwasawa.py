@@ -11,7 +11,9 @@ by A(g)N(g) and split the result into antisymmetric / diagonal /
 strictly-upper parts.  The antisymmetric and diagonal parts are the K-
 and A-velocities; conjugating the upper part back by (A(g)N(g))^-1
 gives the N-velocity.  ``fd_iwasawa_velocities`` recomputes all three by
-central differences and serves as the independent oracle.
+central differences and serves as the independent oracle.  Each function
+takes one matrix or a stack (..., n, n) and gives every slice a single
+matrix's result.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import split_kan
 from .numerics import (
     STENCIL_OFFSETS,
     _mat_exp_stack,
-    _qr_positive_stack,
     _stencil_diff,
     qr_positive,
 )
@@ -69,23 +70,12 @@ def _require_det_one(g: np.ndarray) -> None:
 
 
 def iwasawa(g) -> IwasawaFactors:
-    """Unique factorization of a determinant-one matrix as k a n."""
+    """Unique factorization of a determinant-one matrix as k a n.  A
+    stack (..., n, n) is factored slice by slice, with the arithmetic of
+    a single call, into factors of the same shape."""
     mat = np.asarray(g, dtype=float)
     _require_det_one(mat)
     q, r = qr_positive(mat)
-    diag = np.diag(r)
-    a = np.diag(diag)
-    n = np.diag(1.0 / diag) @ r
-    h = np.diag(np.log(diag))
-    return IwasawaFactors(k_factor=q, a_factor=a, n_factor=n, h_projection=h)
-
-
-def _iwasawa_stack(g) -> IwasawaFactors:
-    """``iwasawa`` of every slice of a stack (..., n, n), with the same
-    arithmetic per slice; each factor is a stack of the same shape."""
-    mat = np.asarray(g, dtype=float)
-    _require_det_one(mat)
-    q, r = _qr_positive_stack(mat)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     a = np.zeros_like(r)
     h = np.zeros_like(r)
@@ -99,7 +89,9 @@ def _iwasawa_stack(g) -> IwasawaFactors:
 def infinitesimal_iwasawa(x, g, factors: IwasawaFactors | None = None) -> InfinitesimalIwasawa:
     """Closed-form factor-curve velocities of t -> factors(g exp(tX)).
 
-    ``factors`` may carry a precomputed factorization of g.
+    ``x`` and ``g`` may be matrices or stacks (..., n, n) that broadcast
+    together; each slice gets a single call's velocities.  ``factors``
+    may carry a precomputed factorization of g.
     """
     mat = np.asarray(x, dtype=float)
     fac = factors if factors is not None else iwasawa(g)
@@ -113,12 +105,13 @@ def infinitesimal_iwasawa(x, g, factors: IwasawaFactors | None = None) -> Infini
 def fd_iwasawa_velocities(x, g, h: float = 1e-3):
     """Factor-curve velocities by fourth-order central differences,
     left-translated to the identity.  Independent oracle for
-    ``infinitesimal_iwasawa``; error O(h^4)."""
+    ``infinitesimal_iwasawa``; error O(h^4).  ``x`` and ``g`` may be
+    stacks (..., n, n) that broadcast together, as there."""
     mat = np.asarray(x, dtype=float)
     base = np.asarray(g, dtype=float)
-    # t = 0 and the stencil points, factored in one stacked pass
+    # t = 0 and the stencil points of every slice, factored in one stacked pass
     ts = np.array([0.0, *(o * h for o in STENCIL_OFFSETS)])
-    fac = _iwasawa_stack(base @ _mat_exp_stack(ts[:, None, None] * mat))
+    fac = iwasawa(base @ _mat_exp_stack(np.multiply.outer(ts, mat)))
     curves = np.stack([fac.k_factor, fac.a_factor, fac.n_factor], axis=1)
     stack0 = curves[0]
     dstack = _stencil_diff(curves[1:], h)

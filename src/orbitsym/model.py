@@ -33,10 +33,17 @@ class NotInChamber(ValueError):
     """Entries are not weakly decreasing with zero sum."""
 
 
-def _unit(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
+def _units(n: int, plus, minus=()) -> np.ndarray:
+    """Read-only stack of the basis matrices E_p, or E_p - E_q when
+    ``minus`` is given, for the index pairs p of ``plus`` and q of
+    ``minus`` in order, filled through flat index arrays."""
+    stack = np.zeros((len(plus), n, n))
+    flat = stack.reshape(-1)
+    for pairs, value in ((plus, 1.0), (minus, -1.0)):
+        if pairs:
+            flat[[(slot * n + i) * n + j for slot, (i, j) in enumerate(pairs)]] = value
+    stack.setflags(write=False)
+    return stack
 
 
 def _locked(m: np.ndarray) -> np.ndarray:
@@ -93,15 +100,11 @@ class SpecialLinearModel:
         self.n = n
         self.dim = n * n - 1
         self.killing_coefficient = float(2 * n)
-        self.k_basis = tuple(
-            _locked(_unit(n, i, j) - _unit(n, j, i)) for i in range(n) for j in range(i + 1, n)
-        )
-        self.a_basis = tuple(
-            _locked(_unit(n, i, i) - _unit(n, i + 1, i + 1)) for i in range(n - 1)
-        )
-        self.n_basis = tuple(
-            _locked(_unit(n, i, j)) for i in range(n) for j in range(i + 1, n)
-        )
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.k_basis = tuple(_units(n, upper, [(j, i) for i, j in upper]))
+        self.a_basis = tuple(_units(n, [(i, i) for i in range(n - 1)],
+                                    [(i + 1, i + 1) for i in range(n - 1)]))
+        self.n_basis = tuple(_units(n, upper))
         self.algebra_basis = self.k_basis + self.a_basis + self.n_basis
 
     def killing(self, x, y) -> float:
@@ -114,7 +117,8 @@ class SpecialLinearModel:
         return self.killing_coefficient * np.trace(np.asarray(x) @ np.asarray(y), axis1=-2, axis2=-1)
 
     def cartan_involution(self, x) -> np.ndarray:
-        return -np.asarray(x, dtype=float).T
+        """-X^T, slice by slice for a stack (..., n, n)."""
+        return -np.swapaxes(np.asarray(x, dtype=float), -1, -2)
 
     def chamber_element(self, entries) -> "ChamberElement":
         """Build the chamber element for weakly decreasing, zero-sum
@@ -166,22 +170,13 @@ class SpecialLinearModel:
             for j in range(i + 1, n)
             if block_index[i] != block_index[j]
         )
-        n_of_h = tuple(_locked(_unit(n, i, j)) for i, j in positions)
-        theta_n_of_h = tuple(_locked(self.cartan_involution(e)) for e in n_of_h)
-        z_of_h = list(self.a_basis)
-        z_of_h += [
-            _locked(_unit(n, i, j))
-            for i in range(n)
-            for j in range(n)
-            if i != j and block_index[i] == block_index[j]
-        ]
-        zk_of_h = tuple(
-            _locked(_unit(n, i, j) - _unit(n, j, i))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if block_index[i] == block_index[j]
-        )
-        m_of_h = tuple(_locked(_unit(n, i, j) - _unit(n, j, i)) for i, j in positions)
+        n_of_h = _units(n, positions)
+        theta_n_of_h = _locked(self.cartan_involution(n_of_h))
+        same_block = [(i, j) for i in range(n) for j in range(n)
+                      if i != j and block_index[i] == block_index[j]]
+        zk_pairs = [(i, j) for i, j in same_block if i < j]
+        zk_of_h = _units(n, zk_pairs, [(j, i) for i, j in zk_pairs])
+        m_of_h = _units(n, positions, [(j, i) for i, j in positions])
         gaps = tuple(floats[i] - floats[j] for i, j in positions)
 
         return ChamberElement(
@@ -191,11 +186,11 @@ class SpecialLinearModel:
             matrix=matrix,
             n_positions=positions,
             n_gaps=gaps,
-            n_basis=n_of_h,
-            theta_n_basis=theta_n_of_h,
-            z_basis=tuple(z_of_h),
-            zk_basis=zk_of_h,
-            m_basis=m_of_h,
+            n_basis=tuple(n_of_h),
+            theta_n_basis=tuple(theta_n_of_h),
+            z_basis=self.a_basis + tuple(_units(n, same_block)),
+            zk_basis=tuple(zk_of_h),
+            m_basis=tuple(m_of_h),
             char_coeffs=_locked(char_poly(matrix)),
         )
 
@@ -211,18 +206,31 @@ class SpecialLinearModel:
         """Product of up to ``factors`` exponentials of random traceless
         matrices; reaches points far from the identity while keeping the
         conditioning under control.  Determinant is 1 up to rounding."""
-        rng = _as_rng(seed)
+        logs = self._group_logs(_as_rng(seed), scale, factors)
+        return self._group_products(_mat_exp_stack(logs))
+
+    def _group_logs(self, rng: np.random.Generator, scale: float, factors: int) -> np.ndarray:
+        """The draws of ``random_group_element``: its factors' logarithms,
+        stacked (factors, n, n)."""
         logs = [self.random_algebra_element(rng, scale) for _ in range(factors)]
+        return np.reshape(logs, (factors, self.n, self.n))
+
+    def _group_products(self, exps: np.ndarray) -> np.ndarray:
+        """``random_group_element`` from its factors' exponentials: a stack
+        (..., factors, n, n) gives the products (..., n, n)."""
         g = np.eye(self.n)
-        for factor in _mat_exp_stack(np.reshape(logs, (factors, self.n, self.n))):
-            g = g @ factor
+        for j in range(exps.shape[-3]):
+            g = g @ exps[..., j, :, :]
         return g
 
     def random_orthogonal(self, seed, scale: float) -> np.ndarray:
         """Exponential of a random antisymmetric matrix: a rotation."""
-        rng = _as_rng(seed)
+        return mat_exp(self._rotation_log(_as_rng(seed), scale))
+
+    def _rotation_log(self, rng: np.random.Generator, scale: float) -> np.ndarray:
+        """The draw of ``random_orthogonal``: the antisymmetric logarithm."""
         m = self.random_algebra_element(rng, scale)
-        return mat_exp((m - m.T) / 2.0)
+        return (m - m.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,10 @@ scaling-and-squaring matrix exponential, characteristic polynomials
 without an eigensolve, and fourth-order central differences used as the
 oracle for all derivative claims.
 
-The public kernels take one matrix.  Their private ``_*_stack`` twins
-take a stack (..., n, n) and give every slice the arithmetic of a single
-call, so a stacked caller gets the single-call values bit for bit.
+``qr_positive`` takes one matrix or a stack (..., n, n).  The other
+public kernels take one matrix, and their private ``_*_stack`` twins take
+a stack and give every slice the arithmetic of a single call, so a
+stacked caller gets the single-call values bit for bit.
 """
 
 from __future__ import annotations
@@ -73,21 +74,24 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
-    """Factor an invertible square matrix as Q R with orthonormal Q and
-    upper-triangular R whose diagonal is strictly positive.
+    """Factor an invertible square matrix, or every slice of a stack
+    (..., n, n), as Q R with orthonormal Q and upper-triangular R whose
+    diagonal is strictly positive.
 
     Householder QR (LAPACK) followed by a sign fix: each column of Q and
     row of R whose pivot is negative is flipped, which makes the
-    factorization unique.  Raises ``SingularInput`` when a pivot falls
-    below ``SINGULAR_RTOL * ||M||``.
+    factorization unique.  Raises ``SingularInput`` for the first slice
+    with a pivot below ``SINGULAR_RTOL * ||M||``.
     """
-    a = _square(m)
+    a = _stack(m)
     q, r = np.linalg.qr(a)
-    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-    dependent = np.flatnonzero(np.abs(np.diag(r)) <= SINGULAR_RTOL * np.linalg.norm(a))
-    if dependent.size:
-        raise SingularInput(f"column {dependent[0]} is linearly dependent at working precision")
-    return q * signs, signs[:, None] * r
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    dependent = np.abs(pivots) <= SINGULAR_RTOL * _frobenius_stack(a)[..., None]
+    if dependent.any():
+        column = np.argwhere(dependent)[0, -1]
+        raise SingularInput(f"column {column} is linearly dependent at working precision")
+    signs = np.where(pivots < 0, -1.0, 1.0)
+    return q * signs[..., None, :], signs[..., :, None] * r
 
 
 def mat_exp(x) -> np.ndarray:
@@ -142,20 +146,6 @@ def char_poly(m) -> np.ndarray:
         mk = a @ (mk + coeffs[k - 1] * ident)
         coeffs[k] = -np.trace(mk) / k
     return coeffs
-
-
-def _qr_positive_stack(m) -> tuple[np.ndarray, np.ndarray]:
-    """``qr_positive`` of every slice of a stack (..., n, n).  Raises
-    ``SingularInput`` for the first slice with a dependent column."""
-    a = _stack(m)
-    q, r = np.linalg.qr(a)
-    pivots = np.diagonal(r, axis1=-2, axis2=-1)
-    dependent = np.abs(pivots) <= SINGULAR_RTOL * _frobenius_stack(a)[..., None]
-    if dependent.any():
-        column = np.argwhere(dependent)[0, -1]
-        raise SingularInput(f"column {column} is linearly dependent at working precision")
-    signs = np.where(pivots < 0, -1.0, 1.0)
-    return q * signs[..., None, :], signs[..., :, None] * r
 
 
 def _mat_exp_stack(x) -> np.ndarray:

@@ -1,21 +1,34 @@
 """Seeded verification suites over sampled orbit data.
 
-A suite is a per-sample check ``(chamber, rng, index, fd_step) -> tuple
-of errors`` and a row of the ``SUITES`` table: the key that seeds each
-sample's generator along with the run's seed and the sample index, and
-one ``(report name, tolerance class, default)`` column per error.
-"exact" columns run at rounding-level tolerances and "fd" columns
-(numerical derivatives) at a looser one; ``tol_exact`` and ``tol_fd``
-override every column of their class, and "fixed" columns never change.
-``run_suite`` is the one sample loop.  Its reports satisfy
-``passed == (max_error <= tolerance)``, and a non-finite error counts as
-infinite, so NaN never passes.  Each check runs with numpy's overflow,
-division by zero and invalid operations raised as
-``FloatingPointError`` rather than warned about.  A sample whose check
-raises ``ValueError`` or ``ArithmeticError`` (the named orbitsym errors,
-``LinAlgError``, ``OverflowError``, ``FloatingPointError``) gets an
-infinite error in every column and records the exception's class name;
-others propagate.
+A suite is a stacked check ``(chamber, rngs, indices, fd_step) -> one
+tuple of errors per sample`` and a row of the ``SUITES`` table: the key
+that seeds each sample's generator along with the run's seed and the
+sample index, and one ``(report name, tolerance class, default)`` column
+per error.  "exact" columns run at rounding-level tolerances and "fd"
+columns (numerical derivatives) at a looser one; ``tol_exact`` and
+``tol_fd`` override every column of their class, and "fixed" columns
+never change.
+
+The factor suites (``iwasawa``, ``infinitesimal``, ``projection``,
+``graph``) draw every sample from its own generator, then run each stage
+once over the stack of samples: the sampler's exponentials, the
+factorizations, the orbit and flag points, the cotangent
+representatives, the witness iteration, the graph routes and the error
+reductions.  Every stage gives each slice the arithmetic of a single
+sample and checks every slice, so a sample's errors do not depend on the
+samples it is stacked with.  The chart suites (``theorem``,
+``lagrangian-*``) build one chart per sample behind the same interface.
+
+``run_suite`` is the one sample loop.  It passes the samples to the
+check in chunks of a fixed size; a chunk that raises ``ValueError`` or
+``ArithmeticError`` (the named orbitsym errors, ``LinAlgError``,
+``OverflowError``, ``FloatingPointError``) runs again one sample at a
+time, and each sample that raises on its own gets an infinite error in
+every column and records the exception's class name; other exceptions
+propagate.  Each check runs with numpy's overflow, division by zero and
+invalid operations raised as ``FloatingPointError`` rather than warned
+about.  Reports satisfy ``passed == (max_error <= tolerance)``, and a
+non-finite error counts as infinite, so NaN never passes.
 """
 
 from __future__ import annotations
@@ -25,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import _iwasawa_stack, fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
+from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, random_combination
-from .numerics import _mat_exp_stack, mat_exp
+from .numerics import _frobenius_stack, _mat_exp_stack
 from .orbit import (
     _cotangent,
     _cotangent_reps,
@@ -132,124 +145,170 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**63, *key])
 
 
-def _sample_group(model, rng, strength: float = 1.2, factors: int = 3) -> np.ndarray:
-    return model.random_group_element(rng, strength / model.n, factors=factors)
+def _sample_group(model, rng, strength: float = 1.2) -> np.ndarray:
+    """A sampled witness: a random group element at strength / n."""
+    return model.random_group_element(rng, strength / model.n)
 
 
-def _rel(err: float, scale: float) -> float:
-    return float(err) / max(1.0, scale)
+def _group_logs(model, rng, strength: float = 1.2) -> np.ndarray:
+    """The draws of ``_sample_group``: the logarithms (3, n, n) of the
+    witness's factors, which ``model._group_products`` multiplies after
+    their exponentials."""
+    return model._group_logs(rng, strength / model.n, 3)
 
 
-def _check_iwasawa(chamber, rng, index, fd_step):
+def _rel(err, scale):
+    """err / max(1, scale), elementwise over arrays; as with Python
+    floats, a non-finite quotient becomes NaN rather than an error."""
+    with np.errstate(invalid="ignore"):
+        return np.divide(err, np.fmax(1.0, scale))
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """Largest absolute entry along the last axis, 0 when it is empty."""
+    return np.max(np.abs(a), axis=-1, initial=0.0)
+
+
+def _check_iwasawa(chamber, rngs, indices, fd_step):
     """Factorization shape, reconstruction, and exact recovery of
     hand-assembled k a n products."""
     model = chamber.model
     n = model.n
-    g = _sample_group(model, rng)
+    # per sample: the witness's factor logs, then the logs of k0, a0, n0
+    logs = np.array([
+        [*_group_logs(model, rng), model._rotation_log(rng, 1.5 / n),
+         random_combination(model.a_basis, rng, 0.5), random_combination(model.n_basis, rng, 0.5)]
+        for rng in rngs
+    ])
+    exps = _mat_exp_stack(logs)
+    g = model._group_products(exps[:, :3])
+    k0, a0, n0 = exps[:, 3], exps[:, 4], exps[:, 5]
+
     fac = iwasawa(g)
+    a_diag = np.diagonal(fac.a_factor, axis1=-2, axis2=-1)
+    a_part = np.zeros_like(fac.a_factor)
+    a_part[..., range(n), range(n)] = a_diag
+    n_diag = np.diagonal(fac.n_factor, axis1=-2, axis2=-1)
+    k_t = np.swapaxes(fac.k_factor, -1, -2)
     errs = [
-        _rel(np.linalg.norm(g - fac.reconstruct()), np.linalg.norm(g)),
-        float(np.linalg.norm(fac.k_factor.T @ fac.k_factor - np.eye(n))),
-        float(np.linalg.norm(fac.a_factor - np.diag(np.diag(fac.a_factor)))),
-        float(np.linalg.norm(np.tril(fac.n_factor, -1)))
-        + float(np.linalg.norm(np.diag(fac.n_factor) - 1.0)),
-        float(abs(np.trace(fac.h_projection))),
+        _rel(_frobenius_stack(g - fac.reconstruct()), _frobenius_stack(g)),
+        _frobenius_stack(k_t @ fac.k_factor - np.eye(n)),
+        _frobenius_stack(fac.a_factor - a_part),
+        _frobenius_stack(np.tril(fac.n_factor, -1)) + _frobenius_stack((n_diag - 1.0)[:, None]),
+        np.abs(np.trace(fac.h_projection, axis1=-2, axis2=-1)),
     ]
-    if np.min(np.diag(fac.a_factor)) <= 0:
-        errs.append(float("inf"))
-    k0 = model.random_orthogonal(rng, 1.5 / n)
-    a0 = mat_exp(random_combination(model.a_basis, rng, 0.5))
-    n0 = mat_exp(random_combination(model.n_basis, rng, 0.5))
+    nonpositive = np.min(a_diag, axis=-1) <= 0
     fac2 = iwasawa(k0 @ a0 @ n0)
-    scale = max(1.0, float(np.linalg.norm(a0) * np.linalg.norm(n0)))
-    errs.append(_rel(np.linalg.norm(fac2.k_factor - k0), scale))
-    errs.append(_rel(np.linalg.norm(fac2.a_factor - a0), scale))
-    errs.append(_rel(np.linalg.norm(fac2.n_factor - n0), scale))
-    return (_worst(errs),)
+    scale = _frobenius_stack(a0) * _frobenius_stack(n0)
+    errs.append(_rel(_frobenius_stack(fac2.k_factor - k0), scale))
+    errs.append(_rel(_frobenius_stack(fac2.a_factor - a0), scale))
+    errs.append(_rel(_frobenius_stack(fac2.n_factor - n0), scale))
+    return [
+        (math.inf if bad else _worst(row),)
+        for row, bad in zip(np.transpose(errs), nonpositive)
+    ]
 
 
-def _check_infinitesimal(chamber, rng, index, fd_step):
+def _check_infinitesimal(chamber, rngs, indices, fd_step):
     """Closed-form factor velocities: reconstruction identity and
     witness independence exactly, central-difference match loosely."""
     model = chamber.model
-    x = model.random_algebra_element(rng, 1.5 / model.n)
-    g = _sample_group(model, rng)
+    draws = [(model.random_algebra_element(rng, 1.5 / model.n), _group_logs(model, rng))
+             for rng in rngs]
+    x = np.array([d[0] for d in draws])
+    g = model._group_products(_mat_exp_stack(np.array([d[1] for d in draws])))
     fac = iwasawa(g)
     inf = infinitesimal_iwasawa(x, g, factors=fac)
     an = fac.an_factor()
     an_inv = np.linalg.inv(an)
     y = an @ x @ an_inv
     recon = inf.k_deriv + inf.a_deriv + an @ inf.n_deriv @ an_inv
-    e_recon = _rel(np.linalg.norm(y - recon), np.linalg.norm(y))
+    e_recon = _rel(_frobenius_stack(y - recon), _frobenius_stack(y))
     inf2 = infinitesimal_iwasawa(x, an)
-    scale_w = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(an)))
-    e_witness = _worst([
-        _rel(np.linalg.norm(inf.k_deriv - inf2.k_deriv), scale_w),
-        _rel(np.linalg.norm(inf.a_deriv - inf2.a_deriv), scale_w),
-        _rel(np.linalg.norm(inf.n_deriv - inf2.n_deriv), scale_w),
-    ])
+    scale_w = _frobenius_stack(x) * _frobenius_stack(an)
+    e_witness = [
+        _rel(_frobenius_stack(inf.k_deriv - inf2.k_deriv), scale_w),
+        _rel(_frobenius_stack(inf.a_deriv - inf2.a_deriv), scale_w),
+        _rel(_frobenius_stack(inf.n_deriv - inf2.n_deriv), scale_w),
+    ]
     k_fd, a_fd, n_fd = fd_iwasawa_velocities(x, g, fd_step)
-    scale_fd = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(g)))
-    e_fd = _worst([
-        _rel(np.linalg.norm(inf.k_deriv - k_fd), scale_fd),
-        _rel(np.linalg.norm(inf.a_deriv - a_fd), scale_fd),
-        _rel(np.linalg.norm(inf.n_deriv - n_fd), scale_fd),
-    ])
-    return _worst([e_recon, e_witness]), e_fd
+    scale_fd = _frobenius_stack(x) * _frobenius_stack(g)
+    e_fd = [
+        _rel(_frobenius_stack(inf.k_deriv - k_fd), scale_fd),
+        _rel(_frobenius_stack(inf.a_deriv - a_fd), scale_fd),
+        _rel(_frobenius_stack(inf.n_deriv - n_fd), scale_fd),
+    ]
+    return [
+        (_worst([r, *w]), _worst(f))
+        for r, w, f in zip(e_recon, np.transpose(e_witness), np.transpose(e_fd))
+    ]
 
 
-def _check_projection(chamber, rng, index, fd_step):
+def _check_projection(chamber, rngs, indices, fd_step):
     """Ruling projection and bundle identification: witness
     independence, fiber membership, round trips and fiber linearity.
 
-    Each stage runs once over a stack: the orbit points and flag points
-    of g and g z; the representatives over one rotation k0 with fibers
-    v1, v2 and v1 + v2; the unipotent witnesses of the round trips from
-    x and from v1 and v1 + v2; and the return of the last two.
+    Each stage runs once over the stack of samples: the orbit points and
+    flag points of g and g z; the representatives over one rotation k0
+    with fibers v1, v2 and v1 + v2; the unipotent witnesses of the round
+    trips from x and from v1 and v1 + v2; and the return of the last two.
     """
     model = chamber.model
-    g = _sample_group(model, rng)
-    z = _mat_exp_stack([
-        chamber.random_centralizer(rng, 0.4),
-        chamber.random_compact_centralizer(rng, 0.6),
-    ])
-    k0 = model.random_orthogonal(rng, 1.5 / model.n)
-    w12 = np.stack([chamber.random_fiber(rng, 0.8), chamber.random_fiber(rng, 0.8)])
+    # per sample: the witness's factor logs, the logs of z, the log of k0,
+    # and two fibers
+    logs, fibers = [], []
+    for rng in rngs:
+        logs.append([
+            *_group_logs(model, rng),
+            chamber.random_centralizer(rng, 0.4),
+            chamber.random_compact_centralizer(rng, 0.6),
+            model._rotation_log(rng, 1.5 / model.n),
+        ])
+        fibers.append([chamber.random_fiber(rng, 0.8), chamber.random_fiber(rng, 0.8)])
+    exps = _mat_exp_stack(np.array(logs))
+    g = model._group_products(exps[:, :3])
+    k0 = exps[:, 5, None]  # (samples, 1, n, n), against stacks of fibers
 
-    witnesses = np.stack([g, g @ (z[0] @ z[1])])
+    witnesses = np.stack([g, g @ (exps[:, 3] @ exps[:, 4])], axis=1)
     points, _ = _orbit_points(chamber, witnesses)
-    k = _iwasawa_stack(witnesses).k_factor
+    k = iwasawa(witnesses).k_factor
     bases = _flag_points(chamber, k)
-    x, base = points[0], bases[0]
+    x, base, k_x = points[:, 0], bases[:, 0], k[:, 0]
     fiber = x - base
-    scale = max(1.0, float(np.linalg.norm(x)))
-    e_welldef = _rel(np.linalg.norm(bases[1] - base), scale)
+    scale = _frobenius_stack(x)
+    e_welldef = _rel(_frobenius_stack(bases[:, 1] - base), scale)
 
-    w = k[0].T @ fiber @ k[0]
-    e_disp = _rel(_fiber_coefficients(chamber, w)[1], np.linalg.norm(w))
-    _cotangent(chamber, k[0], base, fiber)  # the slice check of to_cotangent(x)
+    w = np.swapaxes(k_x, -1, -2) @ fiber @ k_x
+    e_disp = _rel(_fiber_coefficients(chamber, w)[1], _frobenius_stack(w))
+    _cotangent(chamber, k_x, base, fiber)  # the slice check of to_cotangent(x)
 
-    v1, v2 = k0 @ w12 @ k0.T
-    base0, coords = _cotangent_reps(chamber, k0, np.stack([v1, v2, v1 + v2]))
+    v = k0 @ np.array(fibers) @ np.swapaxes(k0, -1, -2)
+    v1, v2 = v[:, 0], v[:, 1]
+    base0, coords = _cotangent_reps(chamber, k0, np.stack([v1, v2, v1 + v2], axis=1))
+    base0 = base0[:, 0]
 
-    trips, back = _from_cotangent(chamber, np.stack([k[0], k0, k0]), np.stack([fiber, v1, v1 + v2]))
-    base_b, fiber_b, coords_b = _split(chamber, _iwasawa_stack(trips[1:]).k_factor, back[1:])
+    trips, back = _from_cotangent(chamber, np.concatenate([k_x[:, None], k0, k0], axis=1),
+                                  np.stack([fiber, v1, v1 + v2], axis=1))
+    base_b, fiber_b, coords_b = _split(chamber, iwasawa(trips[:, 1:]).k_factor, back[:, 1:])
 
-    scale_f = max(1.0, float(np.linalg.norm(v1)))
-    e_round = _worst([
-        _rel(np.linalg.norm(back[0] - x), scale),
-        _rel(np.linalg.norm(base_b[0] - base0), scale_f),
-        _rel(np.linalg.norm(fiber_b[0] - v1), scale_f),
-        _rel(np.max(np.abs(coords_b[0] - coords[0]), initial=0.0), scale_f),
-    ])
+    scale_f = _frobenius_stack(v1)
+    e_round = [
+        _rel(_frobenius_stack(back[:, 0] - x), scale),
+        _rel(_frobenius_stack(base_b[:, 0] - base0), scale_f),
+        _rel(_frobenius_stack(fiber_b[:, 0] - v1), scale_f),
+        _rel(_max_abs(coords_b[:, 0] - coords[:, 0]), scale_f),
+    ]
 
-    summed = coords[0] + coords[1]
-    scale_l = max(1.0, float(np.max(np.abs(summed), initial=0.0)))
-    e_linear = _worst([
-        _rel(np.linalg.norm(base_b[1] - base0), scale_f),
-        _rel(np.max(np.abs(coords_b[1] - summed), initial=0.0), scale_l),
-    ])
-    return e_welldef, e_disp, e_round, e_linear
+    summed = coords[:, 0] + coords[:, 1]
+    e_linear = [
+        _rel(_frobenius_stack(base_b[:, 1] - base0), scale_f),
+        _rel(_max_abs(coords_b[:, 1] - summed), _max_abs(summed)),
+    ]
+    return [
+        (float(wd), float(disp), _worst(rnd), _worst(lin))
+        for wd, disp, rnd, lin in zip(e_welldef, e_disp, np.transpose(e_round),
+                                      np.transpose(e_linear))
+    ]
 
 
 def _pairing_ratio(chamber) -> float:
@@ -264,10 +323,20 @@ def _pairing_ratio(chamber) -> float:
     return SMIN_THRESHOLD / smin
 
 
+def _per_sample(check):
+    """The stacked interface over a check of one sample at a time,
+    ``check(chamber, rng, index, fd_step) -> tuple of errors``."""
+
+    def stacked(chamber, rngs, indices, fd_step):
+        return [check(chamber, rng, index, fd_step) for rng, index in zip(rngs, indices)]
+
+    return stacked
+
+
 def _check_lagrangian(basis: str):
     """Isotropy, for both symplectic forms, of the chart spanned by
     ``chamber.<basis>``: the ruling fibers (``n_basis``) or displaced
-    flag tangents (``m_basis``)."""
+    flag tangents (``m_basis``); one chart per sample."""
 
     def check(chamber, rng, index, fd_step):
         model = chamber.model
@@ -282,38 +351,52 @@ def _check_lagrangian(basis: str):
             e_std = _rel(np.max(np.abs(omega_std_chart(chart, fd_step).entries)), scale)
         return e_kks, e_std
 
-    return check
+    return _per_sample(check)
 
 
-def _check_graph(chamber, rng, index, fd_step):
+def _check_graph(chamber, rngs, indices, fd_step):
     """The displaced flag section is the graph of minus the potential's
     differential: section one-form, cotangent covector, and central
     difference of the potential agree pairwise, along every m(H)
-    direction at once through one stacked ``graph_routes`` call.
+    direction of every sample at once through one stacked
+    ``graph_routes`` call.
 
     Sample 0 uses the identity and sample 1 a diagonal group element;
     later samples draw generic witnesses.
     """
     model = chamber.model
     n = model.n
-    if index == 0:
-        g = np.eye(n)
-    elif index == 1:
-        g = mat_exp(random_combination(model.a_basis, rng, 0.6))
-    else:
-        g = _sample_group(model, rng)
-    k = model.random_orthogonal(rng, 1.5 / n)
-    a_val, b_val, c_val = graph_routes(chamber, g, k, chamber._m_stack, fd_step)
+    # per sample: the witness's logs (none, one diagonal log, or three
+    # factor logs), then the rotation's log
+    g_logs, k_logs = [], []
+    for rng, index in zip(rngs, indices):
+        if index == 0:
+            g_logs.append(np.zeros((0, n, n)))
+        elif index == 1:
+            g_logs.append(random_combination(model.a_basis, rng, 0.6)[None])
+        else:
+            g_logs.append(_group_logs(model, rng))
+        k_logs.append(model._rotation_log(rng, 1.5 / n))
+    counts = [len(logs) for logs in g_logs]
+    exps = _mat_exp_stack(np.concatenate([*g_logs, k_logs]))
+    k = exps[sum(counts):]
+    g_exps = np.split(exps[:sum(counts)], np.cumsum(counts)[:-1])
+    g = np.array([e[0] if len(e) == 1 else np.eye(n) for e in g_exps])
+    generic = [i for i, count in enumerate(counts) if count == 3]
+    if generic:
+        g[generic] = model._group_products(np.stack([g_exps[i] for i in generic]))
+
+    a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber._m_stack, fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
     scale = np.fmax(np.fmax(1.0, np.abs(a_val)), np.fmax(np.abs(b_val), np.abs(c_val)))
     errors = np.abs([a_val - b_val, a_val - c_val, b_val - c_val]) / scale
-    return _worst(errors[0]), _worst(errors[1:].ravel())
+    return [(_worst(e[0]), _worst(e[1:].ravel())) for e in np.moveaxis(errors, 1, 0)]
 
 
 def _check_theorem(chamber, rng, index, fd_step):
     """Entrywise equality of the two forms in the default chart, plus
-    invariance and nondegeneracy of the orbit form.
+    invariance and nondegeneracy of the orbit form; one chart per sample.
 
     Sample 0 sits at the identity witness and sample 1 far from it.
     """
@@ -343,7 +426,7 @@ def _check_theorem(chamber, rng, index, fd_step):
     return e_match, _worst(e_inv), ratio
 
 
-# name -> (rng key, per-sample check, sampled columns (report, tolerance
+# name -> (rng key, stacked check, sampled columns (report, tolerance
 # class, default), chamber-level columns (report, chamber -> error, fixed
 # tolerance) reported after the sampled ones)
 SUITES = {
@@ -370,7 +453,7 @@ SUITES = {
         ("graph-exact", "exact", TOL_EXACT),
         ("graph-fd", "fd", TOL_FD_FORM),
     ), ()),
-    "theorem": (6, _check_theorem, (
+    "theorem": (6, _per_sample(_check_theorem), (
         ("theorem-match", "fd", TOL_FD_FORM),
         ("theorem-invariance", "exact", TOL_INVARIANCE),
         ("theorem-nondegenerate", "fixed", 1.0),
@@ -378,22 +461,46 @@ SUITES = {
 }
 SUITE_NAMES = tuple(SUITES)
 
+# Samples per stacked check call.  Every slice gets the arithmetic of a
+# chunk of one, so the size changes no report byte.
+_CHUNK = 64
+
+
+def _sample_rows(check, chamber, seed, key, indices, fd_step) -> list:
+    """The check's error rows for the samples ``indices``, each drawn from
+    its own generator, with numpy's floating-point faults raised."""
+    rngs = [_rng(seed, index, key) for index in indices]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return check(chamber, rngs, indices, fd_step)
+
 
 def run_suite(chamber: ChamberElement, name: str, *, samples=DEFAULT_SAMPLES,
               seed=DEFAULT_SEED, fd_step=DEFAULT_FD_STEP, tol_exact=None,
               tol_fd=None) -> list[VerificationReport]:
-    """Run one named suite and return its reports, one per column."""
+    """Run one named suite and return its reports, one per column.
+
+    The samples go to the check in chunks of ``_CHUNK``.  A chunk that
+    raises ``ValueError`` or ``ArithmeticError`` runs again one sample
+    at a time, so that the failure is charged to the samples that raise
+    on their own.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     key, check, columns, chamber_columns = SUITES[name]
     rows, raised = [], []
-    for index in range(samples):
+    for start in range(0, samples, _CHUNK):
+        chunk = range(start, min(start + _CHUNK, samples))
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                rows.append(check(chamber, _rng(seed, index, key), index, fd_step))
-        except (ValueError, ArithmeticError) as exc:
-            rows.append((math.inf,) * len(columns))
-            raised.append((index, type(exc).__name__))
+            rows += _sample_rows(check, chamber, seed, key, chunk, fd_step)
+            continue
+        except (ValueError, ArithmeticError):
+            pass
+        for index in chunk:
+            try:
+                rows += _sample_rows(check, chamber, seed, key, [index], fd_step)
+            except (ValueError, ArithmeticError) as exc:
+                rows.append((math.inf,) * len(columns))
+                raised.append((index, type(exc).__name__))
     override = {"exact": tol_exact, "fd": tol_fd, "fixed": None}
     reports = [
         _report(report, chamber, seed, fd_step, [r[i] for r in rows],

@@ -17,11 +17,11 @@ step (``OrbitChart._stencil``): the standard form reads all four
 offsets and the invariance shifts of the orbit form read the +h and -h
 slices of the same points.  Chart matrices of both forms, the scalar
 potential of the abelian Iwasawa projection, and the one-form cutting
-out a displaced flag section live here.  ``graph_routes`` compares that one-form with
-the cotangent covector and the potential's differential along a whole
-stack of flag directions at once, sharing one factorization, orbit point
-and cotangent representative among them.  The seeded verification
-suites are in ``suites``.
+out a displaced flag section live here.  ``graph_routes`` compares that
+one-form with the cotangent covector and the potential's differential
+over stacks of witnesses and flag directions at once; each witness's
+factorization serves both its velocities and its cotangent
+representative.  The seeded verification suites are in ``suites``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, _iwasawa_stack, infinitesimal_iwasawa, iwasawa
+from .iwasawa import IwasawaFactors, InfinitesimalIwasawa, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, split_kan
 from .numerics import STENCIL_OFFSETS, _mat_exp_stack, _stencil_diff
 from .orbit import (
@@ -38,9 +38,9 @@ from .orbit import (
     OrbitPoint,
     TangentVector,
     _dexp,
-    orbit_point,
+    _orbit_points,
+    _split,
     solve_generator,
-    to_cotangent,
 )
 
 
@@ -152,7 +152,7 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     entries = np.zeros((m, m))
     if m >= 2:
         u, w, x, _ = chart._stencil(fd_step)
-        dual = _tautological_dual(chart.at.chamber, x, _iwasawa_stack(w), u)
+        dual = _tautological_dual(chart.at.chamber, x, iwasawa(w), u)
         # lam[o, i, j]: lambda_j at stencil offset o along axis i
         coefficient = chart.at.chamber.model.killing_coefficient
         lam = coefficient * np.einsum("oiab,jba->oij", dual, chart._stack)
@@ -202,8 +202,14 @@ def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:
     its negative differential cuts out the displaced section through
     Ad(g) of the flag.
     """
-    fac = _iwasawa_stack(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
+    fac = iwasawa(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
     return chamber.model._killing_stack(chamber.matrix, fac.h_projection)
+
+
+def _section_value(chamber: ChamberElement, inf: InfinitesimalIwasawa):
+    """The section one-form from the factor velocities along its
+    directions: minus <H, A-velocity>, slice by slice."""
+    return -chamber.model._killing_stack(chamber.matrix, inf.a_deriv)
 
 
 def section_one_form(chamber: ChamberElement, g, k, direction) -> float:
@@ -211,7 +217,7 @@ def section_one_form(chamber: ChamberElement, g, k, direction) -> float:
     the flag tangent generated by an antisymmetric ``direction`` at k:
     minus <H, A-velocity of the factor curve>."""
     inf = infinitesimal_iwasawa(direction, np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
-    return -chamber.model.killing(chamber.matrix, inf.a_deriv)
+    return float(_section_value(chamber, inf))
 
 
 def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3):
@@ -223,11 +229,13 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     The first two agree to rounding; the third carries the O(h^4)
     stencil error.
 
-    A single direction (n, n) gives three scalars; a stack of directions
-    (..., n, n) gives three arrays (...), each slice equal bit for bit to
-    a single call.  The factorization of g k, its orbit point and
-    cotangent representative are built once for the whole stack, and the
-    potential stencil of every direction is one stacked pass.
+    Single matrices g, k and direction (n, n) give three scalars; stacks
+    (..., n, n) that broadcast together give three arrays of the
+    broadcast shape (...), each entry equal bit for bit to a single call.
+    Each product g k is factored once, and that factorization gives both
+    the velocities along all its directions and the flag point of its
+    cotangent representative; each offset of the potential stencil is one
+    stacked pass over every entry.
     """
     g = np.asarray(g, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -237,14 +245,17 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
 
     fac = iwasawa(gk)
     inf = infinitesimal_iwasawa(x_dir, gk, factors=fac)
-    form_value = -killing(chamber.matrix, inf.a_deriv)
+    form_value = _section_value(chamber, inf)
 
-    rep = to_cotangent(orbit_point(chamber, gk))
     kf = fac.k_factor
-    pairing_value = killing(rep.fiber, kf @ inf.k_deriv @ kf.T)
+    points, _ = _orbit_points(chamber, gk)
+    _, fiber, _ = _split(chamber, kf, points)
+    pairing_value = killing(fiber, kf @ inf.k_deriv @ np.swapaxes(kf, -1, -2))
 
-    ts = np.multiply(STENCIL_OFFSETS, fd_step)
-    potentials = iwasawa_potential(chamber, g, k @ _mat_exp_stack(np.multiply.outer(ts, x_dir)))
+    # the potentials one stencil offset at a time, each over the whole
+    # stack, which bounds the arrays alive at once to one offset's
+    exps = _mat_exp_stack(np.multiply.outer(np.multiply(STENCIL_OFFSETS, fd_step), x_dir))
+    potentials = [iwasawa_potential(chamber, g, k @ e) for e in exps]
     derivative_value = -_stencil_diff(potentials, fd_step)
     return form_value, pairing_value, derivative_value
 

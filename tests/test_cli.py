@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from orbitsym import SUITE_NAMES, orbit, suites
+from orbitsym import SUITE_NAMES, SpecialLinearModel, iwasawa, orbit, suites
 from orbitsym.cli import build_parser, main, parse_entries
 from orbitsym.orbit import FiberResidual
 
@@ -151,20 +152,25 @@ class TestVerifyCommand:
                                                                 monkeypatch):
         """A named error raised in one sample becomes an infinite error in
         every sampled column, carrying its class name; the run exits 1."""
+        # sample 1 is recognised by its data: the rotation K(g) of its
+        # witness, which the first stacked _cotangent call of a projection
+        # pass (the slice check of to_cotangent(x)) receives for it, in a
+        # batch and alone
+        model = SpecialLinearModel(3)
+        g = model.random_group_element(suites._rng(1, 1, suites.SUITES["projection"][0]), 1.2 / 3)
+        target = iwasawa(g).k_factor
         real = orbit._cotangent
-        calls = []
 
-        def cotangent(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 4:  # the first of the three stacked calls in sample 1
+        def cotangent(chamber, k, *args, **kwargs):
+            if any(np.array_equal(slice_, target) for slice_ in np.reshape(k, (-1, 3, 3))):
                 raise FiberResidual("fiber residual off the nilpotent slice")
-            return real(*args, **kwargs)
+            return real(chamber, k, *args, **kwargs)
 
         def reject(token):
             raise ValueError(f"bare {token} in JSON")
 
         # the suite calls the builder directly and through orbit's stacked
-        # cotangent_rep and to_cotangent paths
+        # _cotangent_reps and _split
         monkeypatch.setattr(suites, "_cotangent", cotangent)
         monkeypatch.setattr(orbit, "_cotangent", cotangent)
         path = tmp_path / "out.json"

@@ -14,7 +14,6 @@ from orbitsym import (
     random_combination,
     split_kan,
 )
-from orbitsym.iwasawa import _iwasawa_stack
 
 
 def unit(n, i, j):
@@ -157,14 +156,14 @@ class TestStackedFactorization:
         rng = np.random.default_rng(61)
         stack = np.stack([model.random_group_element(rng, 0.5) for _ in range(6)])
         stack = stack.reshape(2, 3, n, n)
-        fac = _iwasawa_stack(stack)
+        fac = iwasawa(stack)
         for index in np.ndindex(2, 3):
             single = iwasawa(stack[index])
             for name in ("k_factor", "a_factor", "n_factor", "h_projection"):
                 assert np.array_equal(getattr(fac, name)[index], getattr(single, name)), name
 
     def test_empty_stack_gives_empty_factors(self):
-        fac = _iwasawa_stack(np.zeros((0, 3, 3)))
+        fac = iwasawa(np.zeros((0, 3, 3)))
         for name in ("k_factor", "a_factor", "n_factor", "h_projection"):
             assert getattr(fac, name).shape == (0, 3, 3), name
 
@@ -173,4 +172,4 @@ class TestStackedFactorization:
         with pytest.raises(ValueError, match="group element must have determinant 1"):
             iwasawa(stack[1])
         with pytest.raises(ValueError, match="group element must have determinant 1"):
-            _iwasawa_stack(stack)
+            iwasawa(stack)

@@ -181,6 +181,56 @@ class TestChamberElement:
             assert len(model.k_basis) + len(model.a_basis) + len(model.n_basis) == model.dim
 
 
+def reference_bases(model, chamber):
+    """Every basis tuple as one unit matrix at a time (E_ij = unit(n, i, j)),
+    in the documented order."""
+    n = model.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    block = [chamber.blocks.index(b) for b in chamber.blocks for _ in range(b[1])]
+    same = [(i, j) for i in range(n) for j in range(n) if i != j and block[i] == block[j]]
+    positions = [(i, j) for i, j in upper if block[i] != block[j]]
+    return {
+        "k_basis": [unit(n, i, j) - unit(n, j, i) for i, j in upper],
+        "a_basis": [unit(n, i, i) - unit(n, i + 1, i + 1) for i in range(n - 1)],
+        "n_basis": [unit(n, i, j) for i, j in upper],
+        "chamber.n_basis": [unit(n, i, j) for i, j in positions],
+        "chamber.theta_n_basis": [-unit(n, i, j).T for i, j in positions],
+        "chamber.z_basis": [unit(n, i, i) - unit(n, i + 1, i + 1) for i in range(n - 1)]
+        + [unit(n, i, j) for i, j in same],
+        "chamber.zk_basis": [unit(n, i, j) - unit(n, j, i) for i, j in same if i < j],
+        "chamber.m_basis": [unit(n, i, j) - unit(n, j, i) for i, j in positions],
+    }
+
+
+# regular and wall chambers at n = 2..8
+BASIS_ENTRIES = [
+    [1, -1], [0, 0], [1, 0, -1], [1, 1, -2], [1.5, 0.5, -0.5, -1.5], [1, 1, -1, -1],
+    [2, 1, 0, -1, -2], [1, 1, 1, 1, -4], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5],
+    [1, 1, 1, -1, -1, -1], [3, 2, 1, 0, -1, -2, -3], [1, 1, 1, 1, 1, 1, -6],
+    [3.5, 2.5, 1.5, 0.5, -0.5, -1.5, -2.5, -3.5], [1, 1, 1, 1, -1, -1, -1, -1],
+]
+
+
+@pytest.mark.parametrize("entries", BASIS_ENTRIES, ids=lambda e: ",".join(map(str, e)))
+def test_bases_match_unit_matrices(entries):
+    """The bases, built through index arrays, equal the unit-matrix
+    tuples entry for entry, in order, read-only, with the same memory
+    layout (theta n(H) is a transpose), signed zeros included."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    for name, expected in reference_bases(model, chamber).items():
+        owner = chamber if name.startswith("chamber.") else model
+        got = getattr(owner, name.split(".")[-1])
+        assert isinstance(got, tuple) and len(got) == len(expected), name
+        for e, ref in zip(got, expected):
+            assert e.dtype == ref.dtype and e.shape == ref.shape, name
+            assert np.array_equal(e, ref) and np.array_equal(np.signbit(e), np.signbit(ref)), name
+            assert not e.flags.writeable, name
+            assert e.flags.c_contiguous == ref.flags.c_contiguous, name
+            assert e.flags.f_contiguous == ref.flags.f_contiguous, name
+    assert model.algebra_basis == model.k_basis + model.a_basis + model.n_basis
+
+
 class TestSubspaceOrthogonality:
     def test_centralizer_orthogonal_to_slices(self, wall3):
         model = wall3.model

@@ -10,7 +10,6 @@ from orbitsym.numerics import (
     SingularInput,
     _char_poly_stack,
     _mat_exp_stack,
-    _qr_positive_stack,
     as_matrix,
     central_diff,
     char_poly,
@@ -197,7 +196,7 @@ class TestStackedTwins:
     def test_char_poly_and_qr_match_single_calls(self, n):
         matrices = np.stack([random_invertible(n + i, n) for i in range(6)]).reshape(3, 2, n, n)
         coeffs = _char_poly_stack(matrices)
-        q, r = _qr_positive_stack(matrices)
+        q, r = qr_positive(matrices)
         assert coeffs.shape == (3, 2, n + 1)
         for index in np.ndindex(3, 2):
             assert np.array_equal(coeffs[index], char_poly(matrices[index]))
@@ -211,16 +210,16 @@ class TestStackedTwins:
         with pytest.raises(SingularInput, match="column 1"):
             qr_positive(stack[1])
         with pytest.raises(SingularInput, match="column 1"):
-            _qr_positive_stack(stack)
+            qr_positive(stack)
 
     def test_empty_stack_gives_empty_results(self):
         empty = np.zeros((0, 3, 3))
         assert _mat_exp_stack(empty).shape == (0, 3, 3)
         assert _char_poly_stack(empty).shape == (0, 4)
-        assert [a.shape for a in _qr_positive_stack(empty)] == [(0, 3, 3)] * 2
+        assert [a.shape for a in qr_positive(empty)] == [(0, 3, 3)] * 2
         assert _mat_exp_stack(np.zeros((4, 0, 3, 3))).shape == (4, 0, 3, 3)
 
-    @pytest.mark.parametrize("twin", [_mat_exp_stack, _char_poly_stack, _qr_positive_stack])
+    @pytest.mark.parametrize("twin", [_mat_exp_stack, _char_poly_stack, qr_positive])
     def test_nonfinite_slice_rejected_like_single_calls(self, twin):
         stack = np.stack([np.eye(2), [[1.0, float("nan")], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="finite"):

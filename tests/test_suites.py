@@ -1,6 +1,8 @@
 import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ def test_nan_inside_a_sample_fails_suite(chamber3, monkeypatch):
     def routes(*args):
         a_val, b_val, c_val = real(*args)
         a_val = a_val.copy()
-        a_val[1] = NAN
+        a_val[..., 1] = NAN  # direction 1 of every sample
         return a_val, b_val, c_val
 
     monkeypatch.setattr(suites, "graph_routes", routes)
@@ -136,7 +138,7 @@ def test_nan_derivative_route_fails_only_the_fd_report(chamber3, monkeypatch):
     def routes(*args):
         a_val, b_val, c_val = real(*args)
         c_val = c_val.copy()
-        c_val[1] = NAN
+        c_val[..., 1] = NAN  # direction 1 of every sample
         return a_val, b_val, c_val
 
     monkeypatch.setattr(suites, "graph_routes", routes)
@@ -157,12 +159,16 @@ def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
 
 
 def test_graph_factors_once_per_sample(monkeypatch):
-    """Call-count guard: one stacked ``graph_routes`` call per sample
-    covers all 15 m(H) directions at n = 6, with one orbit point, one
-    cotangent representative and two factorizations (g k, and the
-    representative's own) between them."""
+    """Call-count guard, per suite call: one stacked ``graph_routes`` call
+    covers both samples and all 15 m(H) directions at n = 6.  Each
+    sample's g k is factored once, for its velocities and its cotangent
+    representative alike, and each of the four potential stencil offsets
+    is one factorization over every sample and direction; there is no
+    single-point orbit point, cotangent representative or
+    factorization."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
-    calls = dict.fromkeys(("graph_routes", "orbit_point", "to_cotangent", "iwasawa"), 0)
+    calls = dict.fromkeys(("graph_routes", "orbit_point", "to_cotangent"), 0)
+    shapes = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -170,15 +176,23 @@ def test_graph_factors_once_per_sample(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def factor(g):
+        shapes.append(np.shape(g))
+        return real_iwasawa(g)
+
     # the package re-exports the function iwasawa under its module's name
     iwasawa_module = importlib.import_module("orbitsym.iwasawa")
+    real_iwasawa = iwasawa_module.iwasawa
     for module in (suites, symplectic, orbit_module, iwasawa_module):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        if hasattr(module, "iwasawa"):
+            monkeypatch.setattr(module, "iwasawa", factor)
     reports = run_suite(chamber, "graph", samples=2)
     assert all(r.passed for r in reports)
-    assert calls == {"graph_routes": 2, "orbit_point": 2, "to_cotangent": 2, "iwasawa": 4}
+    assert calls == {"graph_routes": 1, "orbit_point": 0, "to_cotangent": 0}
+    assert shapes == [(2, 1, 6, 6)] + [(2, 15, 6, 6)] * 4
 
 
 @pytest.mark.parametrize("entries", [
@@ -206,17 +220,17 @@ def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
 
 
 def test_projection_factors_once_per_sample(monkeypatch):
-    """Call-count guard: a ``projection`` sample at n = 6 factors g and
-    g z in one stacked pass and the two returning witnesses in another,
-    runs its three round trips through one stacked witness iteration, and
-    makes no single-point bundle call or Killing pairing.  Its slice
-    checks are three stacked ``_cotangent`` calls: x's representative,
-    the three over k0, and the two returns."""
+    """Call-count guard, per suite call: a ``projection`` call of two
+    samples at n = 6 factors every g and g z in one stacked pass and the
+    returning witnesses in another, runs all round trips through one
+    stacked witness iteration, and makes no single-point bundle call or
+    Killing pairing.  Its slice checks are three stacked ``_cotangent``
+    calls: the representatives of x, the three over each k0, and the two
+    returns."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
-    single = ("iwasawa", "to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point",
-              "flag_point")
-    calls = dict.fromkeys((*single, "_iwasawa_stack", "_from_cotangent", "_cotangent", "killing"),
-                          0)
+    single = ("to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point", "flag_point")
+    calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "killing"), 0)
+    shapes = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -224,17 +238,25 @@ def test_projection_factors_once_per_sample(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def factor(g):
+        shapes.append(np.shape(g))
+        return real_iwasawa(g)
+
     iwasawa_module = importlib.import_module("orbitsym.iwasawa")
+    real_iwasawa = iwasawa_module.iwasawa
     for module in (suites, symplectic, orbit_module, iwasawa_module):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        if hasattr(module, "iwasawa"):
+            monkeypatch.setattr(module, "iwasawa", factor)
     monkeypatch.setattr(SpecialLinearModel, "killing",
                         counted("killing", SpecialLinearModel.killing))
     reports = run_suite(chamber, "projection", samples=2)
     assert all(r.passed for r in reports)
-    assert calls == {**dict.fromkeys(single, 0), "_iwasawa_stack": 4, "_from_cotangent": 2,
-                     "_cotangent": 6, "killing": 0}
+    assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 3,
+                     "killing": 0}
+    assert shapes == [(2, 2, 6, 6)] * 2
 
 
 @pytest.mark.parametrize("entries", [[1, -1], [0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1],
@@ -284,31 +306,132 @@ def drop_column(real, g):
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
     ("orbitsym.orbit", "_mat_exp_stack", scale_witness, "ValueError"),
-    ("orbitsym.iwasawa", "_qr_positive_stack", drop_column, "SingularInput"),
+    ("orbitsym.iwasawa", "qr_positive", drop_column, "SingularInput"),
 ])
 def test_breakdown_at_one_stencil_point_fails_only_its_sample(
         chamber3, monkeypatch, module, name, corrupt, exception):
     """A breakdown at one of the 4 dim stencil points of sample 1's
     cotangent form fails that sample, under the exception name a
-    per-point evaluation raises, and leaves samples 0 and 2 passing."""
+    per-point evaluation raises, and leaves samples 0 and 2 passing with
+    their clean values.  Sample 1 is recognised by its data, the witness
+    of the orbit point its chart is built at, so the breakdown follows
+    it into a batch and into a rerun alone."""
+    clean = verify_theorem(chamber3, samples=3, seed=7)
+    real_points = orbit_module._orbit_points
+    witnesses = []  # the witness of each single orbit point, in call order
+
+    def orbit_points(chamber, g):
+        if np.ndim(g) == 2:
+            witnesses.append(np.array(g))
+        return real_points(chamber, g)
+
+    monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
+    verify_theorem(chamber3, samples=3, seed=7)
+    target = witnesses[1]
     owner = importlib.import_module(module)
     real = getattr(owner, name)
-    stencils = []
+    corrupted = []
 
     def kernel(stack):
-        if np.shape(stack)[0] == 4:  # the stencil, not the two invariance offsets
-            stencils.append(1)
-            if len(stencils) == 2:
-                return corrupt(real, stack)
+        # the stencil, not the two invariance offsets, of sample 1's chart
+        if np.shape(stack)[0] == 4 and np.array_equal(witnesses[-1], target):
+            corrupted.append(1)
+            return corrupt(real, stack)
         return real(stack)
 
     monkeypatch.setattr(owner, name, kernel)
     reports = verify_theorem(chamber3, samples=3, seed=7)
-    assert len(stencils) == 3
-    for report in reports:
+    assert corrupted
+    for report, before in zip(reports, clean):
         assert report.exceptions == ((1, exception),)
         assert report.sample_errors[1] == math.inf
-        assert max(report.sample_errors[0], report.sample_errors[2]) <= report.tolerance
+        for i in (0, 2):
+            assert report.sample_errors[i] == before.sample_errors[i] <= report.tolerance
+
+
+@pytest.mark.parametrize("name, breakdown", [
+    ("iwasawa", "SingularInput"),
+    ("infinitesimal", "SingularInput"),
+    ("projection", "SingularInput"),
+    ("graph", "SingularInput"),
+])
+def test_breakdown_in_one_sample_of_a_batch_fails_only_that_sample(
+        chamber3, monkeypatch, name, breakdown):
+    """A factor suite checks all samples of a call in one stacked pass.
+    A breakdown in sample 1's slices of the first stacked factorization
+    fails that sample alone, by name, and samples 0 and 2 keep their
+    clean values bit for bit.  Sample 1's slices are recognised by their
+    data, taken from a clean pass, in which the factorization's leading
+    axis runs over the samples."""
+    clean = run_suite(chamber3, name, samples=3, seed=4)
+    owner = importlib.import_module("orbitsym.iwasawa")
+    real = owner.qr_positive
+    first = []
+
+    def record(m):
+        if not first:
+            first.append(np.array(m))
+        return real(m)
+
+    monkeypatch.setattr(owner, "qr_positive", record)
+    run_suite(chamber3, name, samples=3, seed=4)
+    assert first[0].shape[0] == 3  # one leading slot per sample
+    targets = np.reshape(first[0][1], (-1, 3, 3))
+
+    def kernel(m):
+        m = np.array(m)
+        flat = m.reshape(-1, 3, 3)
+        for i, slice_ in enumerate(flat):
+            if any(np.array_equal(slice_, t) for t in targets):
+                flat[i][:, 1] = 0.0  # a dependent column for the factorization
+        return real(m)
+
+    monkeypatch.setattr(owner, "qr_positive", kernel)
+    reports = run_suite(chamber3, name, samples=3, seed=4)
+    for report, before in zip(reports, clean):
+        if report.suite == "projection-pairing":  # chamber-level, not sampled
+            assert report == before
+            continue
+        assert report.exceptions == ((1, breakdown),)
+        assert report.sample_errors[1] == math.inf
+        assert report.sample_errors[0] == before.sample_errors[0]
+        assert report.sample_errors[2] == before.sample_errors[2]
+
+
+def sweep_chambers():
+    """The chamber entries of the sweep script's ``CONFIGS``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return [entries for _, entries in sweep.CONFIGS]
+
+
+def bits(errors) -> bytes:
+    return np.array(errors, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("entries", sweep_chambers(), ids=lambda e: ",".join(map(str, e)))
+def test_batch_size_changes_no_report(entries, monkeypatch):
+    """A factor suite checks the samples of a call as one stack, yet every
+    sample's errors are its own: three samples equal the first three of
+    six bit for bit, and the reports are identical at chunk sizes 1, 2
+    and 64."""
+    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
+    for name in ("iwasawa", "infinitesimal", "projection", "graph"):
+        six = run_suite(chamber, name, samples=6, seed=13)
+        three = run_suite(chamber, name, samples=3, seed=13)
+        sampled = len(suites.SUITES[name][2])
+        for first, full in zip(three[:sampled], six):
+            assert bits(first.sample_errors) == bits(full.sample_errors[:3]), first.suite
+            assert first.exceptions == tuple(e for e in full.exceptions if e[0] < 3)
+        expected = json.dumps([r.as_dict() for r in six])
+        for chunk in (1, 2, 64):
+            monkeypatch.setattr(suites, "_CHUNK", chunk)
+            reports = run_suite(chamber, name, samples=6, seed=13)
+            assert json.dumps([r.as_dict() for r in reports]) == expected, (name, chunk)
+            assert [r.exceptions for r in reports] == [r.exceptions for r in six]
+        monkeypatch.undo()
 
 
 def test_unknown_suite_rejected(chamber2):

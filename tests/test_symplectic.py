@@ -230,6 +230,45 @@ class TestSectionOneForm:
             assert [np.shape(route) for route in single] == [()] * 3
             assert np.array_equal([route[i] for route in stacked], single)
 
+    @pytest.mark.parametrize("chamber_name", ["chamber2", "chamber3", "wall3", "wall4"])
+    def test_section_one_form_is_the_form_route(self, chamber_name, request, monkeypatch):
+        """``section_one_form`` and the routes' first value evaluate minus
+        <H, A-velocity> through one helper: equal bit for bit."""
+        chamber = request.getfixturevalue(chamber_name)
+        model = chamber.model
+        real = symplectic._section_value
+        calls = []
+
+        def section_value(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(symplectic, "_section_value", section_value)
+        rng = np.random.default_rng(45)
+        for g in (np.eye(model.n), model.random_group_element(rng, 0.4)):
+            k = model.random_orthogonal(rng, 0.6)
+            form_values, _, _ = graph_routes(chamber, g, k, chamber._m_stack)
+            for direction, form_value in zip(chamber.m_basis, form_values):
+                assert section_one_form(chamber, g, k, direction) == form_value
+        assert len(calls) == 2 * (1 + chamber.dim_m)
+
+    @pytest.mark.parametrize("chamber_name", ["chamber2", "chamber3", "wall3", "wall4"])
+    def test_stacked_witnesses_match_single_calls(self, chamber_name, request):
+        """Stacks of g and k (samples, 1, n, n) against a direction stack
+        (m, n, n) give routes (samples, m) whose every entry equals a
+        single call bit for bit."""
+        chamber = request.getfixturevalue(chamber_name)
+        model = chamber.model
+        rng = np.random.default_rng(47)
+        g = np.stack([np.eye(model.n)] + [model.random_group_element(rng, 0.4) for _ in range(2)])
+        k = np.stack([model.random_orthogonal(rng, 0.6) for _ in range(3)])
+        stacked = graph_routes(chamber, g[:, None], k[:, None], chamber._m_stack)
+        assert [np.shape(route) for route in stacked] == [(3, chamber.dim_m)] * 3
+        for s in range(3):
+            for i, direction in enumerate(chamber.m_basis):
+                single = graph_routes(chamber, g[s], k[s], direction)
+                assert np.array_equal([route[s, i] for route in stacked], single)
+
     def test_empty_direction_stack_gives_empty_routes(self, model2):
         chamber = model2.chamber_element([0, 0])
         g = model2.random_group_element(43, 0.4)
@@ -426,7 +465,7 @@ class TestStackedKernels:
         chart = self.chart(request.getfixturevalue(chamber_name))
         offsets = (-0.05, -1e-3, 2e-3, 0.1)
         u, w, x, _ = chart._shifted_points(offsets)
-        dual = symplectic._tautological_dual(chart.at.chamber, x, symplectic._iwasawa_stack(w), u)
+        dual = symplectic._tautological_dual(chart.at.chamber, x, symplectic.iwasawa(w), u)
         coefficient = chart.at.chamber.model.killing_coefficient
         got = coefficient * np.einsum("oiab,jba->oij", dual, chart._stack)
         for o, s in enumerate(offsets):
@@ -468,7 +507,7 @@ class TestStackedKernels:
         """Call-count guard: every stencil point is factored once, all in
         one stacked factorization; no single-point orbit point,
         factorization or tautological call."""
-        calls = {"iwasawa": 0, "orbit_point": 0, "tautological": 0, "_iwasawa_stack": 0}
+        calls = {"orbit_point": 0, "tautological": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -476,22 +515,21 @@ class TestStackedKernels:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the package re-exports the function iwasawa under its module's name
-        iwasawa_module = importlib.import_module("orbitsym.iwasawa")
-        for module in (symplectic, orbit_module, iwasawa_module):
-            monkeypatch.setattr(module, "iwasawa", counted("iwasawa", iwasawa))
-        for module in (symplectic, orbit_module):
-            monkeypatch.setattr(module, "orbit_point", counted("orbit_point", orbit_point))
-        monkeypatch.setattr(symplectic, "tautological", counted("tautological", tautological))
         shapes = []
 
-        def factor_stack(g):
+        def factor(g):
             shapes.append(np.shape(g))
-            return real_stack(g)
+            return iwasawa(g)
 
-        real_stack = symplectic._iwasawa_stack
-        monkeypatch.setattr(symplectic, "_iwasawa_stack", counted("_iwasawa_stack", factor_stack))
+        # iwasawa factors one matrix or a stack; every call's shape is kept,
+        # so a single-point factorization would show up as (3, 3).  The
+        # package re-exports the function under its module's name.
+        iwasawa_module = importlib.import_module("orbitsym.iwasawa")
+        for module in (symplectic, orbit_module, iwasawa_module):
+            monkeypatch.setattr(module, "iwasawa", factor)
+        monkeypatch.setattr(orbit_module, "orbit_point", counted("orbit_point", orbit_point))
+        monkeypatch.setattr(symplectic, "tautological", counted("tautological", tautological))
         chart = self.chart(chamber3)
         omega_std_chart(chart)
-        assert calls == {"iwasawa": 0, "orbit_point": 0, "tautological": 0, "_iwasawa_stack": 1}
+        assert calls == {"orbit_point": 0, "tautological": 0}
         assert shapes == [(4, chart.dim, 3, 3)]
