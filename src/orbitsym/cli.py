@@ -5,7 +5,8 @@ given as a comma-separated list (decimals or simple fractions) and
 prints one summary line per suite; ``--json`` additionally writes the
 full report list.  ``orbitsym info`` prints the block structure and the
 derived dimensions.  Exit codes: 0 all suites pass, 1 any failure,
-2 usage or configuration errors.
+2 usage or configuration errors, including a ``--json`` path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -162,7 +163,10 @@ def _run_verify(args) -> int:
             print(suite_line(name, args.samples, reports))
 
     if args.json_path:
-        write_reports(args.json_path, all_reports)
+        try:
+            write_reports(args.json_path, all_reports)
+        except OSError as exc:
+            return _usage_error(f"cannot write --json {args.json_path}: {exc.strerror}")
     return 0 if ok else 1
 
 

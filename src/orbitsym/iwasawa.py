@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import split_kan
-from .numerics import (
-    STENCIL_OFFSETS,
-    _mat_exp_stack,
-    _stencil_diff,
-    qr_positive,
-)
+from .numerics import STENCIL_OFFSETS, _stencil_diff, mat_exp, qr_positive
 
 # One threshold for every determinant-one check on a group element or
 # orbit witness: |log det g| may not exceed DET_RTOL * max(1, n).
@@ -111,14 +106,9 @@ def fd_iwasawa_velocities(x, g, h: float = 1e-3):
     base = np.asarray(g, dtype=float)
     # t = 0 and the stencil points of every slice, factored in one stacked pass
     ts = np.array([0.0, *(o * h for o in STENCIL_OFFSETS)])
-    fac = iwasawa(base @ _mat_exp_stack(np.multiply.outer(ts, mat)))
+    fac = iwasawa(base @ mat_exp(np.multiply.outer(ts, mat)))
     curves = np.stack([fac.k_factor, fac.a_factor, fac.n_factor], axis=1)
-    stack0 = curves[0]
-    dstack = _stencil_diff(curves[1:], h)
-    k_fd = np.linalg.solve(stack0[0], dstack[0])
-    a_fd = np.linalg.solve(stack0[1], dstack[1])
-    n_fd = np.linalg.solve(stack0[2], dstack[2])
-    return k_fd, a_fd, n_fd
+    return tuple(np.linalg.solve(curves[0], _stencil_diff(curves[1:], h)))
 
 
 __all__ = [

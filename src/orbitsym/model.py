@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import _mat_exp_stack, char_poly, mat_exp
+from .numerics import char_poly, mat_exp
 
 
 class NotInChamber(ValueError):
@@ -107,13 +107,10 @@ class SpecialLinearModel:
         self.n_basis = tuple(_units(n, upper))
         self.algebra_basis = self.k_basis + self.a_basis + self.n_basis
 
-    def killing(self, x, y) -> float:
-        """Killing form 2n tr(XY) on traceless matrices."""
-        return float(self._killing_stack(x, y))
-
-    def _killing_stack(self, x, y) -> np.ndarray:
-        """``killing`` slice by slice over stacks (..., n, n) that
-        broadcast against each other."""
+    def killing(self, x, y) -> float | np.ndarray:
+        """Killing form 2n tr(XY) on traceless matrices.  Two matrices
+        give a float (a numpy float64); stacks (..., n, n) that broadcast
+        together give the array (...) of values, slice by slice."""
         return self.killing_coefficient * np.trace(np.asarray(x) @ np.asarray(y), axis1=-2, axis2=-1)
 
     def cartan_involution(self, x) -> np.ndarray:
@@ -163,6 +160,11 @@ class SpecialLinearModel:
                 blocks.append((float(v), 1))
 
         matrix = _locked(np.diag(np.asarray(floats)))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                char_coeffs = _locked(char_poly(matrix))
+        except FloatingPointError:
+            raise NotInChamber("characteristic polynomial of H overflows") from None
 
         positions = tuple(
             (i, j)
@@ -191,7 +193,7 @@ class SpecialLinearModel:
             z_basis=self.a_basis + tuple(_units(n, same_block)),
             zk_basis=tuple(zk_of_h),
             m_basis=tuple(m_of_h),
-            char_coeffs=_locked(char_poly(matrix)),
+            char_coeffs=char_coeffs,
         )
 
     def random_algebra_element(self, seed, scale: float) -> np.ndarray:
@@ -207,7 +209,7 @@ class SpecialLinearModel:
         matrices; reaches points far from the identity while keeping the
         conditioning under control.  Determinant is 1 up to rounding."""
         logs = self._group_logs(_as_rng(seed), scale, factors)
-        return self._group_products(_mat_exp_stack(logs))
+        return self._group_products(mat_exp(logs))
 
     def _group_logs(self, rng: np.random.Generator, scale: float, factors: int) -> np.ndarray:
         """The draws of ``random_group_element``: its factors' logarithms,

@@ -6,10 +6,9 @@ scaling-and-squaring matrix exponential, characteristic polynomials
 without an eigensolve, and fourth-order central differences used as the
 oracle for all derivative claims.
 
-``qr_positive`` takes one matrix or a stack (..., n, n).  The other
-public kernels take one matrix, and their private ``_*_stack`` twins take
-a stack and give every slice the arithmetic of a single call, so a
-stacked caller gets the single-call values bit for bit.
+Every kernel takes one matrix (n, n) or a stack (..., n, n) and gives
+every slice the arithmetic of a call on that slice alone, so a stacked
+caller gets the single-matrix values bit for bit.
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ def as_matrix(entries) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     m.setflags(write=False)
-    return m
-
-
-def _square(entries) -> np.ndarray:
-    m = as_matrix(entries)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -94,27 +86,6 @@ def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
     return q * signs[..., None, :], signs[..., :, None] * r
 
 
-def mat_exp(x) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
-
-    Halves the argument until its Frobenius norm is at most 1/2, sums the
-    Taylor series to degree 18 (remainder ~ 0.5**19/19!) and squares back.
-    Relative error stays below 1e-12 for ||X|| <= 10.
-    """
-    a = _square(x)
-    n = a.shape[0]
-    nrm = np.linalg.norm(a)
-    squarings = 0 if nrm <= EXP_NORM_CAP else int(math.ceil(math.log2(nrm / EXP_NORM_CAP)))
-    y = a / (2.0 ** squarings)
-    ident = np.eye(n)
-    acc = np.eye(n)
-    for k in range(EXP_TAYLOR_DEGREE, 0, -1):
-        acc = ident + (y / k) @ acc
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
-
-
 def _stencil_diff(values, h: float):
     """Fourth-order central difference from the values at the
     ``STENCIL_OFFSETS`` points, stacked along the first axis."""
@@ -130,31 +101,15 @@ def central_diff(f, t: float = 0.0, h: float = 1e-3):
     return _stencil_diff([f(t + o * h) for o in STENCIL_OFFSETS], h)
 
 
-def char_poly(m) -> np.ndarray:
-    """Characteristic polynomial coefficients ``[1, c1, ..., cn]``.
+def mat_exp(x) -> np.ndarray:
+    """Matrix exponential of a matrix, or of every slice of a stack
+    (..., n, n), by scaling and squaring.
 
-    Faddeev-LeVerrier recursion: n matrix products, no eigensolve, so the
-    result is deterministic and cheap at these sizes.
-    """
-    a = _square(m)
-    n = a.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    ident = np.eye(n)
-    mk = np.zeros((n, n))
-    for k in range(1, n + 1):
-        mk = a @ (mk + coeffs[k - 1] * ident)
-        coeffs[k] = -np.trace(mk) / k
-    return coeffs
-
-
-def _mat_exp_stack(x) -> np.ndarray:
-    """``mat_exp`` of every slice of a stack (..., n, n).
-
-    Each slice gets the squaring count a single call would choose; the
-    Taylor sum runs over the whole stack and each squaring over the
-    slices whose count it is within, so every slice equals a single call
-    bit for bit.
+    Halves each slice until its Frobenius norm is at most 1/2, sums the
+    Taylor series to degree 18 (remainder ~ 0.5**19/19!) and squares back.
+    Relative error stays below 1e-12 for ||X|| <= 10.  The Taylor sum runs
+    over the whole stack and each squaring over the slices that still
+    need it, so every slice gets its own squaring count.
     """
     a = _stack(x)
     n = a.shape[-1]
@@ -174,8 +129,13 @@ def _mat_exp_stack(x) -> np.ndarray:
     return acc.reshape(a.shape)
 
 
-def _char_poly_stack(m) -> np.ndarray:
-    """``char_poly`` of every slice of a stack (..., n, n), as (..., n + 1)."""
+def char_poly(m) -> np.ndarray:
+    """Characteristic polynomial coefficients ``[1, c1, ..., cn]`` of a
+    matrix, or of every slice of a stack (..., n, n) as (..., n + 1).
+
+    Faddeev-LeVerrier recursion: n matrix products, no eigensolve, so the
+    result is deterministic and cheap at these sizes.
+    """
     a = _stack(m)
     n = a.shape[-1]
     coeffs = np.empty((*a.shape[:-2], n + 1))

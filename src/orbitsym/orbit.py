@@ -27,14 +27,7 @@ import numpy as np
 
 from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
 from .model import ChamberElement
-from .numerics import (
-    STENCIL_OFFSETS,
-    _char_poly_stack,
-    _frobenius_stack,
-    _mat_exp_stack,
-    commutator,
-    mat_exp,
-)
+from .numerics import STENCIL_OFFSETS, _frobenius_stack, char_poly, commutator, mat_exp
 
 
 class NotOrthogonal(ValueError):
@@ -121,7 +114,7 @@ def _check_on_orbit_stack(chamber: ChamberElement, points: np.ndarray) -> None:
     raises."""
     nx = np.maximum(1.0, _frobenius_stack(points))
     off_trace = np.abs(np.trace(points, axis1=-2, axis2=-1)) > TRACE_RTOL * nx
-    coeffs = _char_poly_stack(points)
+    coeffs = char_poly(points)
     powers = nx[..., None] ** np.arange(1, points.shape[-1] + 1)
     off_spectrum = np.abs(coeffs[..., 1:] - chamber.char_coeffs[1:]) > CHAR_RTOL * powers
     failed = off_trace | off_spectrum.any(axis=-1)
@@ -207,7 +200,7 @@ def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: 
         first = float(np.asarray(residual)[off][0])
         raise FiberResidual(f"fiber residual {first:.3e} off the nilpotent slice")
     moved = k[..., None, :, :] @ chamber._m_stack @ k_t[..., None, :, :]
-    return chamber.model._killing_stack(fiber[..., None, :, :], moved)
+    return chamber.model.killing(fiber[..., None, :, :], moved)
 
 
 def _rep(chamber: ChamberElement, k, base, fiber, coords) -> CotangentRep:
@@ -290,7 +283,7 @@ def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
             break
         y = np.zeros((active.size, *h.shape))
         y[:, rows, cols] = coeffs[active]
-        exp_y, exp_minus_y = _mat_exp_stack(np.stack([y, -y]))
+        exp_y, exp_minus_y = mat_exp(np.stack([y, -y]))
         current, _ = _fiber_coefficients(chamber, exp_y @ h @ exp_minus_y - h)
         gap = target[active] - current
         done = _frobenius_stack(gap[:, None, :]) <= tol * scale[active]
@@ -400,7 +393,7 @@ class OrbitChart:
         displacements s X_i, the witnesses g exp(s X_i), the points and
         the witness inverses, each stacked (len(offsets), dim, n, n)."""
         u = np.multiply.outer(np.asarray(offsets, dtype=float), self._stack)
-        w = self.at.witness @ _mat_exp_stack(u)
+        w = self.at.witness @ mat_exp(u)
         x, w_inv = _orbit_points(self.at.chamber, w)
         return u, w, x, w_inv
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, random_combination
-from .numerics import _frobenius_stack, _mat_exp_stack
+from .numerics import _frobenius_stack, mat_exp
 from .orbit import (
     _cotangent,
     _cotangent_reps,
@@ -180,7 +180,7 @@ def _check_iwasawa(chamber, rngs, indices, fd_step):
          random_combination(model.a_basis, rng, 0.5), random_combination(model.n_basis, rng, 0.5)]
         for rng in rngs
     ])
-    exps = _mat_exp_stack(logs)
+    exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0, a0, n0 = exps[:, 3], exps[:, 4], exps[:, 5]
 
@@ -216,7 +216,7 @@ def _check_infinitesimal(chamber, rngs, indices, fd_step):
     draws = [(model.random_algebra_element(rng, 1.5 / model.n), _group_logs(model, rng))
              for rng in rngs]
     x = np.array([d[0] for d in draws])
-    g = model._group_products(_mat_exp_stack(np.array([d[1] for d in draws])))
+    g = model._group_products(mat_exp(np.array([d[1] for d in draws])))
     fac = iwasawa(g)
     inf = infinitesimal_iwasawa(x, g, factors=fac)
     an = fac.an_factor()
@@ -265,7 +265,7 @@ def _check_projection(chamber, rngs, indices, fd_step):
             model._rotation_log(rng, 1.5 / model.n),
         ])
         fibers.append([chamber.random_fiber(rng, 0.8), chamber.random_fiber(rng, 0.8)])
-    exps = _mat_exp_stack(np.array(logs))
+    exps = mat_exp(np.array(logs))
     g = model._group_products(exps[:, :3])
     k0 = exps[:, 5, None]  # (samples, 1, n, n), against stacks of fibers
 
@@ -318,7 +318,7 @@ def _pairing_ratio(chamber) -> float:
         return 0.0
     n = chamber.model.n
     u = np.reshape(chamber.n_basis, (chamber.dim_n, 1, n, n))
-    pairing = chamber.model._killing_stack(u, chamber._m_stack)
+    pairing = chamber.model.killing(u, chamber._m_stack)
     smin = float(np.linalg.svd(pairing, compute_uv=False)[-1])
     return SMIN_THRESHOLD / smin
 
@@ -378,7 +378,7 @@ def _check_graph(chamber, rngs, indices, fd_step):
             g_logs.append(_group_logs(model, rng))
         k_logs.append(model._rotation_log(rng, 1.5 / n))
     counts = [len(logs) for logs in g_logs]
-    exps = _mat_exp_stack(np.concatenate([*g_logs, k_logs]))
+    exps = mat_exp(np.concatenate([*g_logs, k_logs]))
     k = exps[sum(counts):]
     g_exps = np.split(exps[:sum(counts)], np.cumsum(counts)[:-1])
     g = np.array([e[0] if len(e) == 1 else np.eye(n) for e in g_exps])

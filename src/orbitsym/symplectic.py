@@ -32,7 +32,7 @@ import numpy as np
 
 from .iwasawa import IwasawaFactors, InfinitesimalIwasawa, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, split_kan
-from .numerics import STENCIL_OFFSETS, _mat_exp_stack, _stencil_diff
+from .numerics import STENCIL_OFFSETS, _stencil_diff, mat_exp
 from .orbit import (
     OrbitChart,
     OrbitPoint,
@@ -203,13 +203,13 @@ def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:
     Ad(g) of the flag.
     """
     fac = iwasawa(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
-    return chamber.model._killing_stack(chamber.matrix, fac.h_projection)
+    return chamber.model.killing(chamber.matrix, fac.h_projection)
 
 
 def _section_value(chamber: ChamberElement, inf: InfinitesimalIwasawa):
     """The section one-form from the factor velocities along its
     directions: minus <H, A-velocity>, slice by slice."""
-    return -chamber.model._killing_stack(chamber.matrix, inf.a_deriv)
+    return -chamber.model.killing(chamber.matrix, inf.a_deriv)
 
 
 def section_one_form(chamber: ChamberElement, g, k, direction) -> float:
@@ -241,7 +241,6 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     k = np.asarray(k, dtype=float)
     x_dir = np.asarray(direction, dtype=float)
     gk = g @ k
-    killing = chamber.model._killing_stack
 
     fac = iwasawa(gk)
     inf = infinitesimal_iwasawa(x_dir, gk, factors=fac)
@@ -250,11 +249,11 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     kf = fac.k_factor
     points, _ = _orbit_points(chamber, gk)
     _, fiber, _ = _split(chamber, kf, points)
-    pairing_value = killing(fiber, kf @ inf.k_deriv @ np.swapaxes(kf, -1, -2))
+    pairing_value = chamber.model.killing(fiber, kf @ inf.k_deriv @ np.swapaxes(kf, -1, -2))
 
     # the potentials one stencil offset at a time, each over the whole
     # stack, which bounds the arrays alive at once to one offset's
-    exps = _mat_exp_stack(np.multiply.outer(np.multiply(STENCIL_OFFSETS, fd_step), x_dir))
+    exps = mat_exp(np.multiply.outer(np.multiply(STENCIL_OFFSETS, fd_step), x_dir))
     potentials = [iwasawa_potential(chamber, g, k @ e) for e in exps]
     derivative_value = -_stencil_diff(potentials, fd_step)
     return form_value, pairing_value, derivative_value

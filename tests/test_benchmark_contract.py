@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from orbitsym import SUITE_NAMES, run_suite
+from orbitsym.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +46,25 @@ def test_report_names_match_the_benchmark(perfbench, chamber3, name):
     _, verdict = perfbench
     reports = run_suite(chamber3, name, samples=1)
     assert tuple(r.suite for r in reports) == verdict.REPORT_NAMES[name]
+
+
+@pytest.mark.parametrize("suite, names", [
+    ("theorem", ("numerics.mat_exp", "numerics.char_poly")),
+    ("graph", ("numerics.mat_exp", "numerics.char_poly")),
+    ("projection", ("model.killing",)),
+])
+def test_timed_names_run_in_a_verify_call(perfbench, suite, names):
+    """Names whose times the benchmark's result line reports must be the
+    code path a ``verify`` call takes, not a wrapper that a private twin
+    bypasses: one traced ``cli.main`` call makes at least one call of
+    each."""
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", suite, "--H", "1,0,-1", "--samples", "1", "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    assert set(names) <= set(tracing.TIMED_EVERYWHERE)
+    for name in names:
+        assert tracer.stats.get(name, [0])[0] >= 1, name

@@ -369,3 +369,39 @@ def test_full_sweep_script_rejects_empty_sample_count(samples):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: --samples must be positive"]
+
+
+def unwritable_json_path(tmp_path, where):
+    """A --json path in a directory that does not exist, or a directory."""
+    return tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_json_path_is_usage_error(capsys, tmp_path, where):
+    path = unwritable_json_path(tmp_path, where)
+    code, out, err = run_cli(capsys, "verify", "iwasawa", "--H", "1,-1", "--samples", "1",
+                             "--json", str(path))
+    assert code == 2
+    assert out.startswith("iwasawa ")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot write --json {path}: ")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_full_sweep_script_rejects_unwritable_json_path(tmp_path, where):
+    path = unwritable_json_path(tmp_path, where)
+    result = run_sweep("--samples", "1", "--json", str(path))
+    assert result.returncode == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: cannot write --json {path}: ")
+
+
+@pytest.mark.parametrize("command", [["verify", "all", "--samples", "2"], ["info"]])
+@pytest.mark.parametrize("scale", ["1e100", "1e150"])
+def test_overflowing_characteristic_polynomial_is_usage_error(capsys, command, scale):
+    """Finite entries whose characteristic polynomial overflows are
+    rejected before any sample runs, with one line and no numpy warning
+    (which the RuntimeWarning filter would turn into an error)."""
+    code, out, err = run_cli(capsys, *command, "--H", f"{scale},{scale},-{scale},-{scale}")
+    assert (code, out) == (2, "")
+    assert err == "error: characteristic polynomial of H overflows\n"

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from orbitsym.model import SpecialLinearModel
 from orbitsym.numerics import (
     EXP_NORM_CAP,
     SingularInput,
-    _char_poly_stack,
-    _mat_exp_stack,
     as_matrix,
     central_diff,
     char_poly,
@@ -176,8 +175,8 @@ def mixed_norm_stack(seed, n):
 
 
 class TestStackedTwins:
-    """The private stacked kernels give every slice a single call's
-    result bit for bit."""
+    """Stacking invariance: every slice of a stacked kernel call equals
+    the call on that slice alone, bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_mat_exp_mixed_norms_match_single_calls(self, n):
@@ -187,7 +186,7 @@ class TestStackedTwins:
             for nrm in np.linalg.norm(stack, axis=(-2, -1)).ravel()
         }
         assert {0, 1} <= squarings and max(squarings) >= 4
-        got = _mat_exp_stack(stack)
+        got = mat_exp(stack)
         assert got.shape == stack.shape
         for index in np.ndindex(stack.shape[:2]):
             assert np.array_equal(got[index], mat_exp(stack[index]))
@@ -195,7 +194,7 @@ class TestStackedTwins:
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_char_poly_and_qr_match_single_calls(self, n):
         matrices = np.stack([random_invertible(n + i, n) for i in range(6)]).reshape(3, 2, n, n)
-        coeffs = _char_poly_stack(matrices)
+        coeffs = char_poly(matrices)
         q, r = qr_positive(matrices)
         assert coeffs.shape == (3, 2, n + 1)
         for index in np.ndindex(3, 2):
@@ -203,6 +202,21 @@ class TestStackedTwins:
             q1, r1 = qr_positive(matrices[index])
             assert np.array_equal(q[index], q1)
             assert np.array_equal(r[index], r1)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_killing_matches_single_calls(self, n):
+        """Stacks (3, 1, n, n) and (2, n, n) broadcast to (3, 2) values;
+        two matrices give a numpy float64."""
+        model = SpecialLinearModel(n)
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-1, 1, (3, 1, n, n))
+        y = rng.uniform(-1, 1, (2, n, n))
+        values = model.killing(x, y)
+        assert values.shape == (3, 2)
+        for i, j in np.ndindex(3, 2):
+            single = model.killing(x[i, 0], y[j])
+            assert isinstance(single, np.float64)
+            assert values[i, j] == single
 
     def test_singular_slice_raises_with_its_column(self):
         dependent = [[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [-1.0, -2.0, 3.0]]
@@ -214,15 +228,16 @@ class TestStackedTwins:
 
     def test_empty_stack_gives_empty_results(self):
         empty = np.zeros((0, 3, 3))
-        assert _mat_exp_stack(empty).shape == (0, 3, 3)
-        assert _char_poly_stack(empty).shape == (0, 4)
+        assert mat_exp(empty).shape == (0, 3, 3)
+        assert char_poly(empty).shape == (0, 4)
         assert [a.shape for a in qr_positive(empty)] == [(0, 3, 3)] * 2
-        assert _mat_exp_stack(np.zeros((4, 0, 3, 3))).shape == (4, 0, 3, 3)
+        assert mat_exp(np.zeros((4, 0, 3, 3))).shape == (4, 0, 3, 3)
+        assert SpecialLinearModel(3).killing(empty, np.eye(3)).shape == (0,)
 
-    @pytest.mark.parametrize("twin", [_mat_exp_stack, _char_poly_stack, qr_positive])
-    def test_nonfinite_slice_rejected_like_single_calls(self, twin):
+    @pytest.mark.parametrize("kernel", [mat_exp, char_poly, qr_positive])
+    def test_nonfinite_slice_rejected_like_single_calls(self, kernel):
         stack = np.stack([np.eye(2), [[1.0, float("nan")], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="finite"):
-            mat_exp(stack[1])
+            kernel(stack[1])
         with pytest.raises(ValueError, match="finite"):
-            twin(stack)
+            kernel(stack)

@@ -223,10 +223,11 @@ def test_projection_factors_once_per_sample(monkeypatch):
     """Call-count guard, per suite call: a ``projection`` call of two
     samples at n = 6 factors every g and g z in one stacked pass and the
     returning witnesses in another, runs all round trips through one
-    stacked witness iteration, and makes no single-point bundle call or
-    Killing pairing.  Its slice checks are three stacked ``_cotangent``
-    calls: the representatives of x, the three over each k0, and the two
-    returns."""
+    stacked witness iteration, and makes no single-point bundle call.
+    Its slice checks are three stacked ``_cotangent`` calls: the
+    representatives of x, the three over each k0, and the two returns.
+    No Killing pairing runs once per sample: a call of five samples
+    makes as many ``killing`` calls as a call of two."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     single = ("to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point", "flag_point")
     calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "killing"), 0)
@@ -254,9 +255,12 @@ def test_projection_factors_once_per_sample(monkeypatch):
                         counted("killing", SpecialLinearModel.killing))
     reports = run_suite(chamber, "projection", samples=2)
     assert all(r.passed for r in reports)
-    assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 3,
-                     "killing": 0}
+    killings = calls.pop("killing")
+    assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 3}
     assert shapes == [(2, 2, 6, 6)] * 2
+    calls["killing"] = 0
+    assert all(r.passed for r in run_suite(chamber, "projection", samples=5))
+    assert killings > 0 and calls["killing"] == killings
 
 
 @pytest.mark.parametrize("entries", [[1, -1], [0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1],
@@ -305,7 +309,7 @@ def drop_column(real, g):
 
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
-    ("orbitsym.orbit", "_mat_exp_stack", scale_witness, "ValueError"),
+    ("orbitsym.orbit", "mat_exp", scale_witness, "ValueError"),
     ("orbitsym.iwasawa", "qr_positive", drop_column, "SingularInput"),
 ])
 def test_breakdown_at_one_stencil_point_fails_only_its_sample(
