@@ -5,7 +5,7 @@ Covers regular and wall chambers for n = 2..5, 7 and 8 and the regular
 chamber at n = 6, runs every suite at each with the same sample count, prints
 one line per suite and configuration, and optionally writes the full
 report list as JSON.  ``--samples`` must be at least 1, and a ``--json``
-path that cannot be written ends the run with exit 2 after the sweep.
+path that cannot be written ends the run with exit 2 before the sweep.
 
     python3 scripts/run_full_verification.py --samples 25 --json sweep.json
 """
@@ -43,6 +43,11 @@ def main() -> int:
     if args.samples < 1:
         print("error: --samples must be positive", file=sys.stderr)
         return 2
+    try:
+        out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
+    except OSError as exc:
+        print(f"error: cannot write --json {args.json_path}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     all_reports = []
     failures = 0
@@ -60,12 +65,9 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     print(f"done in {elapsed:.1f}s, {failures} failing suite runs")
 
-    if args.json_path:
-        try:
-            write_reports(args.json_path, all_reports)
-        except OSError as exc:
-            print(f"error: cannot write --json {args.json_path}: {exc.strerror}", file=sys.stderr)
-            return 2
+    if out:
+        with out:
+            write_reports(out, all_reports)
         print(f"wrote {len(all_reports)} reports to {args.json_path}")
     return 1 if failures else 0
 

@@ -120,11 +120,10 @@ def suite_line(name: str, samples: int, reports: list[VerificationReport]) -> st
     return line if raised is None else f"{line} ({raised[1]} at sample {raised[0]})"
 
 
-def write_reports(path, reports: list[VerificationReport]) -> None:
-    """Write the reports as one strict JSON array with a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=2, allow_nan=False)
-        fh.write("\n")
+def write_reports(fh, reports: list[VerificationReport]) -> None:
+    """Write the reports to an open file as one strict JSON array."""
+    json.dump([r.as_dict() for r in reports], fh, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 def _run_verify(args) -> int:
@@ -143,30 +142,25 @@ def _run_verify(args) -> int:
         _, chamber = _resolve_chamber(args.n, args.H)
     except (ValueError, NotInChamber) as exc:
         return _usage_error(str(exc))
+    try:  # opened before the first suite, so that an unwritable path costs no run
+        out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
+    except OSError as exc:
+        return _usage_error(f"cannot write --json {args.json_path}: {exc.strerror}")
 
     names = SUITE_NAMES if suite == "all" else (suite,)
     all_reports: list[VerificationReport] = []
     ok = True
     for name in names:
-        reports = run_suite(
-            chamber,
-            name,
-            samples=args.samples,
-            seed=args.seed,
-            fd_step=args.fd_step,
-            tol_exact=args.tol_exact,
-            tol_fd=args.tol_fd,
-        )
+        reports = run_suite(chamber, name, samples=args.samples, seed=args.seed,
+                            fd_step=args.fd_step, tol_exact=args.tol_exact, tol_fd=args.tol_fd)
         all_reports.extend(reports)
         ok = ok and all(r.passed for r in reports)
         if not args.quiet:
             print(suite_line(name, args.samples, reports))
 
-    if args.json_path:
-        try:
-            write_reports(args.json_path, all_reports)
-        except OSError as exc:
-            return _usage_error(f"cannot write --json {args.json_path}: {exc.strerror}")
+    if out:
+        with out:
+            write_reports(out, all_reports)
     return 0 if ok else 1
 
 

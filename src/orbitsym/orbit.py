@@ -15,7 +15,8 @@ The builders behind the public functions take one matrix or a stack
 the factorization), ``_cotangent_reps`` and ``_from_cotangent``.  Each
 raises the single call's error for the first failing slice.
 ``_cotangent`` computes the coordinates of every representative and
-``_fiber_coefficients`` alone reads the slice.
+``_fiber_coefficients`` alone reads the slice.  A chart may sit at one
+base point or at a stack of them (``OrbitChart``).
 """
 
 from __future__ import annotations
@@ -334,17 +335,26 @@ def solve_generator(x: OrbitPoint, value, rtol: float = 1e-9) -> np.ndarray:
 def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
     """Left-trivialized directional derivative of the exponential:
     returns D with d/ds exp(u + s x)|_0 = exp(u) D.  Series in nested
-    brackets, summed to machine precision.  ``x`` may be a stack of
-    directions (..., n, n); the series then runs until every slice has
-    converged."""
+    brackets, summed to machine precision.  ``x`` may be a stack (..., n,
+    n) and ``u`` a stack that broadcasts against it.  Each index of the
+    axes that ``x`` has in front of ``u``'s gets the terms of a call on it
+    alone: it stops once all of its slices have converged."""
     term = np.asarray(x, dtype=float)
     total = np.array(term)
+    within = tuple(range(max(term.ndim - np.ndim(u), 0), term.ndim - 2))  # axes of one series
+    stopped = np.zeros((), dtype=bool)
     for m in range(1, max_terms):
         term = commutator(u, term) * (-1.0 / (m + 1))
-        total += term
+        if stopped.any():  # the masked add only once a series has stopped
+            np.add(total, term, out=total, where=~stopped[..., None, None])
+        else:
+            total += term
         sizes = np.linalg.norm(term, axis=(-2, -1))
-        if np.all(sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))):
+        small = sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))
+        if small.all():
             break
+        if small.any():
+            stopped = stopped | small.all(axis=within, keepdims=True)
     return total
 
 
@@ -357,7 +367,9 @@ class OrbitChart:
     t = 0 these pick up the exponential-derivative correction to the raw
     conjugated directions.  ``frame_generators`` returns the generators
     Ad(g(t)) X_i of the moving frame [Ad(g(t)) X_i, x(t)] instead; the two
-    agree at t = 0.
+    agree at t = 0.  The base point ``at`` may be a stack (..., n, n):
+    ``point``, ``frame_generators`` and the stencil then stack over the
+    base points, each equal to its own chart's bit for bit.
     """
 
     at: OrbitPoint
@@ -370,7 +382,7 @@ class OrbitChart:
     @cached_property
     def _stack(self) -> np.ndarray:
         """The directions as one (dim, n, n) array."""
-        n = self.at.point.shape[0]
+        n = self.at.point.shape[-1]
         return _locked(np.reshape(self.directions, (self.dim, n, n)))
 
     def _displacement(self, t) -> np.ndarray:
@@ -390,10 +402,11 @@ class OrbitChart:
     def _shifted_points(self, offsets) -> tuple[np.ndarray, ...]:
         """The chart points at every axis shift s e_i, for each s in
         ``offsets`` and each axis i, in one stacked pass.  Returns the
-        displacements s X_i, the witnesses g exp(s X_i), the points and
-        the witness inverses, each stacked (len(offsets), dim, n, n)."""
+        displacements s X_i, stacked (len(offsets), dim, n, n), and the
+        witnesses g exp(s X_i), the points and the witness inverses, each
+        stacked (..., len(offsets), dim, n, n) over the base points."""
         u = np.multiply.outer(np.asarray(offsets, dtype=float), self._stack)
-        w = self.at.witness @ mat_exp(u)
+        w = self.at.witness[..., None, None, :, :] @ mat_exp(u)
         x, w_inv = _orbit_points(self.at.chamber, w)
         return u, w, x, w_inv
 
@@ -422,9 +435,9 @@ class OrbitChart:
 
     def frame_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point and all moving-frame generators at t, stacked
-        (dim, n, n), sharing one witness inversion."""
+        (..., dim, n, n), sharing one witness inversion."""
         p = self.point(t)
-        w = p.witness
+        w = p.witness[..., None, :, :]
         return p, w @ self._stack @ np.linalg.inv(w)
 
     def coordinate_frame(self, t) -> tuple[OrbitPoint, list[TangentVector]]:

@@ -9,15 +9,15 @@ columns (numerical derivatives) at a looser one; ``tol_exact`` and
 ``tol_fd`` override every column of their class, and "fixed" columns
 never change.
 
-The factor suites (``iwasawa``, ``infinitesimal``, ``projection``,
-``graph``) draw every sample from its own generator, then run each stage
-once over the stack of samples: the sampler's exponentials, the
+Every suite draws each sample from its own generator, then runs each
+stage once over the stack of samples: the sampler's exponentials, the
 factorizations, the orbit and flag points, the cotangent
-representatives, the witness iteration, the graph routes and the error
+representatives, the witness iteration, the graph routes, the charts
+of ``theorem`` and ``lagrangian-*`` with their stencils, and the error
 reductions.  Every stage gives each slice the arithmetic of a single
 sample and checks every slice, so a sample's errors do not depend on the
-samples it is stacked with.  The chart suites (``theorem``,
-``lagrangian-*``) build one chart per sample behind the same interface.
+samples it is stacked with.  ``theorem`` reduces its invariance defect,
+dim**3 entries per sample, one sample at a time.
 
 ``run_suite`` is the one sample loop.  It passes the samples to the
 check in chunks of a fixed size; a chunk that raises ``ValueError`` or
@@ -145,14 +145,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**63, *key])
 
 
-def _sample_group(model, rng, strength: float = 1.2) -> np.ndarray:
-    """A sampled witness: a random group element at strength / n."""
-    return model.random_group_element(rng, strength / model.n)
-
-
 def _group_logs(model, rng, strength: float = 1.2) -> np.ndarray:
-    """The draws of ``_sample_group``: the logarithms (3, n, n) of the
-    witness's factors, which ``model._group_products`` multiplies after
+    """A sampled witness's draws: the logarithms (3, n, n) of its factors
+    at strength / n, which ``model._group_products`` multiplies after
     their exponentials."""
     return model._group_logs(rng, strength / model.n, 3)
 
@@ -323,35 +318,40 @@ def _pairing_ratio(chamber) -> float:
     return SMIN_THRESHOLD / smin
 
 
-def _per_sample(check):
-    """The stacked interface over a check of one sample at a time,
-    ``check(chamber, rng, index, fd_step) -> tuple of errors``."""
-
-    def stacked(chamber, rngs, indices, fd_step):
-        return [check(chamber, rng, index, fd_step) for rng, index in zip(rngs, indices)]
-
-    return stacked
+def _witnesses(model, rngs, indices, sample1) -> np.ndarray:
+    """The witnesses (samples, n, n) of ``theorem`` and ``graph`` from one
+    zero-filled stack of factor logs: the identity at sample 0, the logs
+    ``sample1(rng)`` in sample 1's leading rows, generic ones after."""
+    logs = np.zeros((len(rngs), 3, model.n, model.n))
+    for row, rng, index in zip(logs, rngs, indices):
+        if index:
+            draws = sample1(rng) if index == 1 else _group_logs(model, rng)
+            row[:len(draws)] = draws
+    return model._group_products(mat_exp(logs))
 
 
 def _check_lagrangian(basis: str):
     """Isotropy, for both symplectic forms, of the chart spanned by
     ``chamber.<basis>``: the ruling fibers (``n_basis``) or displaced
-    flag tangents (``m_basis``); one chart per sample."""
+    flag tangents (``m_basis``), at the points of all samples at once."""
 
-    def check(chamber, rng, index, fd_step):
+    def check(chamber, rngs, indices, fd_step):
         model = chamber.model
-        g = _sample_group(model, rng)
+        g = model._group_products(mat_exp(np.array([_group_logs(model, rng) for rng in rngs])))
         chart = orbit_chart(orbit_point(chamber, g), directions=getattr(chamber, basis))
         x, gens = chart.frame_generators(np.zeros(chart.dim))
-        zmax = max((float(np.linalg.norm(z)) for z in gens), default=0.0)
-        scale = max(1.0, model.killing_coefficient * float(np.linalg.norm(x.point)) * zmax**2)
-        e_kks = _rel(np.max(np.abs(_bracket_pairing(chamber, x.point, gens)), initial=0.0), scale)
-        e_std = 0.0
-        if chart.dim >= 2:
-            e_std = _rel(np.max(np.abs(omega_std_chart(chart, fd_step).entries)), scale)
-        return e_kks, e_std
+        # Python's float power, which is libm's pow(z, 2) and can differ
+        # from z * z in the last bit
+        zmax = np.max(_frobenius_stack(gens), axis=-1, initial=0.0)
+        zmax2 = (zmax.astype(object) ** 2).astype(float)
+        scale = np.fmax(1.0, model.killing_coefficient * _frobenius_stack(x.point) * zmax2)
+        pairing = _bracket_pairing(chamber, x.point, gens)
+        e_kks = _rel(np.max(np.abs(pairing), axis=(-2, -1), initial=0.0), scale)
+        std = omega_std_chart(chart, fd_step).entries  # zero below dimension 2
+        e_std = _rel(np.max(np.abs(std), axis=(-2, -1), initial=0.0), scale)
+        return list(zip(e_kks, e_std))
 
-    return _per_sample(check)
+    return check
 
 
 def _check_graph(chamber, rngs, indices, fd_step):
@@ -359,33 +359,11 @@ def _check_graph(chamber, rngs, indices, fd_step):
     differential: section one-form, cotangent covector, and central
     difference of the potential agree pairwise, along every m(H)
     direction of every sample at once through one stacked
-    ``graph_routes`` call.
-
-    Sample 0 uses the identity and sample 1 a diagonal group element;
-    later samples draw generic witnesses.
+    ``graph_routes`` call.  Sample 1 uses a diagonal group element.
     """
     model = chamber.model
-    n = model.n
-    # per sample: the witness's logs (none, one diagonal log, or three
-    # factor logs), then the rotation's log
-    g_logs, k_logs = [], []
-    for rng, index in zip(rngs, indices):
-        if index == 0:
-            g_logs.append(np.zeros((0, n, n)))
-        elif index == 1:
-            g_logs.append(random_combination(model.a_basis, rng, 0.6)[None])
-        else:
-            g_logs.append(_group_logs(model, rng))
-        k_logs.append(model._rotation_log(rng, 1.5 / n))
-    counts = [len(logs) for logs in g_logs]
-    exps = mat_exp(np.concatenate([*g_logs, k_logs]))
-    k = exps[sum(counts):]
-    g_exps = np.split(exps[:sum(counts)], np.cumsum(counts)[:-1])
-    g = np.array([e[0] if len(e) == 1 else np.eye(n) for e in g_exps])
-    generic = [i for i, count in enumerate(counts) if count == 3]
-    if generic:
-        g[generic] = model._group_products(np.stack([g_exps[i] for i in generic]))
-
+    g = _witnesses(model, rngs, indices, lambda rng: [random_combination(model.a_basis, rng, 0.6)])
+    k = mat_exp(np.array([model._rotation_log(rng, 1.5 / model.n) for rng in rngs]))
     a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber._m_stack, fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
@@ -394,36 +372,29 @@ def _check_graph(chamber, rngs, indices, fd_step):
     return [(_worst(e[0]), _worst(e[1:].ravel())) for e in np.moveaxis(errors, 1, 0)]
 
 
-def _check_theorem(chamber, rng, index, fd_step):
+def _check_theorem(chamber, rngs, indices, fd_step):
     """Entrywise equality of the two forms in the default chart, plus
-    invariance and nondegeneracy of the orbit form; one chart per sample.
+    invariance and nondegeneracy of the orbit form, at the points of all
+    samples at once.  The invariance defect is reduced one point at a
+    time, which bounds the shifted forms alive at once to one point's.
 
     Sample 0 sits at the identity witness and sample 1 far from it.
     """
     model = chamber.model
-    if index == 0:
-        g = np.eye(model.n)
-    elif index == 1:
-        g = _sample_group(model, rng, strength=2.0)
-    else:
-        g = _sample_group(model, rng)
-    x = orbit_point(chamber, g)
-    chart = orbit_chart(x)
+    g = _witnesses(model, rngs, indices, lambda rng: _group_logs(model, rng, strength=2.0))
+    chart = orbit_chart(orbit_point(chamber, g))
     if chart.dim == 0:
-        return 0.0, 0.0, 0.0
+        return [(0.0, 0.0, 0.0)] * len(rngs)
     kks_form = omega_kks_chart(chart)
-    std_form = omega_std_chart(chart, fd_step)
-    scale = max(
-        1.0,
-        float(np.max(np.abs(kks_form.entries))),
-        float(np.max(np.abs(std_form.entries))),
-    )
-    e_match = _rel(np.max(np.abs(std_form.entries - kks_form.entries)), scale)
-    shifted = _omega_kks_shifts(chart, fd_step)
-    e_inv = np.max(np.abs(shifted - kks_form.entries), axis=(-2, -1)).ravel() / max(1.0, scale)
-    smin = kks_form.smallest_singular_value()
-    ratio = 0.0 if np.isinf(smin) else SMIN_THRESHOLD / smin
-    return e_match, _worst(e_inv), ratio
+    kks, std = kks_form.entries, omega_std_chart(chart, fd_step).entries
+    # fmax skips NaN as the builtin max does
+    scale = np.fmax(np.fmax(1.0, np.max(np.abs(kks), axis=(-2, -1))),
+                    np.max(np.abs(std), axis=(-2, -1)))
+    e_match = _rel(np.max(np.abs(std - kks), axis=(-2, -1)), scale)
+    shifts = zip(_omega_kks_shifts(chart, fd_step), kks, scale)
+    e_inv = [_worst(np.max(np.abs(a - b), axis=(-2, -1)).ravel() / s) for a, b, s in shifts]
+    ratio = SMIN_THRESHOLD / kks_form.smallest_singular_value()
+    return list(zip(e_match, e_inv, ratio))
 
 
 # name -> (rng key, stacked check, sampled columns (report, tolerance
@@ -453,7 +424,7 @@ SUITES = {
         ("graph-exact", "exact", TOL_EXACT),
         ("graph-fd", "fd", TOL_FD_FORM),
     ), ()),
-    "theorem": (6, _per_sample(_check_theorem), (
+    "theorem": (6, _check_theorem, (
         ("theorem-match", "fd", TOL_FD_FORM),
         ("theorem-invariance", "exact", TOL_INVARIANCE),
         ("theorem-nondegenerate", "fixed", 1.0),

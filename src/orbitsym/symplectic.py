@@ -10,15 +10,15 @@ expression
 
 where the K-velocity is the antisymmetric part of the Iwasawa factor
 derivative along V's generator.  On all coordinate fields of a chart
-at once this pairing is one matrix per point (``_tautological_dual``),
-so the stencil of the chart matrix factors all its points in one
-stacked pass.  A chart builds and checks its stencil points once per
-step (``OrbitChart._stencil``): the standard form reads all four
-offsets and the invariance shifts of the orbit form read the +h and -h
-slices of the same points.  Chart matrices of both forms, the scalar
-potential of the abelian Iwasawa projection, and the one-form cutting
-out a displaced flag section live here.  ``graph_routes`` compares that
-one-form with the cotangent covector and the potential's differential
+at once this pairing is one matrix per point (``_tautological_dual``).
+The chart forms take a chart at one base point or at a stack of them
+and give each base point the single chart's matrix bit for bit.  A
+chart builds and checks its stencil points once per step, for all its
+base points in one stacked pass (``OrbitChart._stencil``): the standard
+form factors all four offsets at once, and the invariance shifts of the
+orbit form read the +h and -h slices one base point at a time.
+``graph_routes`` compares the one-form cutting out a displaced flag
+section with the cotangent covector and the potential's differential
 over stacks of witnesses and flag directions at once; each witness's
 factorization serves both its velocities and its cotangent
 representative.  The seeded verification suites are in ``suites``.
@@ -51,10 +51,11 @@ class FormMatrix:
     chart: OrbitChart
     entries: np.ndarray
 
-    def smallest_singular_value(self) -> float:
-        if self.entries.size == 0:
-            return float("inf")
-        return float(np.linalg.svd(self.entries, compute_uv=False)[-1])
+    def smallest_singular_value(self) -> float | np.ndarray:
+        """Smallest singular value, one per base point of a stacked chart."""
+        if not self.chart.dim:
+            return np.full(self.entries.shape[:-2], np.inf)[()]
+        return np.linalg.svd(self.entries, compute_uv=False)[..., -1]
 
 
 def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
@@ -142,23 +143,23 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0), all axes at once
     by one fourth-order stencil; lambda_j is evaluated on the honest
     coordinate field, so the mixed partials cancel exactly and only the
-    finite-difference error survives.  The 4 dim stencil points come
-    from the chart's stencil at ``fd_step``, built in one stacked pass and
-    shared with ``_omega_kks_shifts``; their factorizations are one more
-    stacked pass, and each point's dual matrix gives lambda on every
-    coordinate field at once.
+    finite-difference error survives.  The 4 dim stencil points of each
+    base point come from the chart's stencil at ``fd_step``; their
+    factorizations are one more stacked pass, and each point's dual
+    matrix gives lambda on every coordinate field at once.  A stacked
+    chart gives one matrix per base point, (..., dim, dim).
     """
     m = chart.dim
-    entries = np.zeros((m, m))
+    entries = np.zeros((*chart.at.witness.shape[:-2], m, m))
     if m >= 2:
         u, w, x, _ = chart._stencil(fd_step)
         dual = _tautological_dual(chart.at.chamber, x, iwasawa(w), u)
-        # lam[o, i, j]: lambda_j at stencil offset o along axis i
+        # lam[..., o, i, j]: lambda_j at stencil offset o along axis i
         coefficient = chart.at.chamber.model.killing_coefficient
-        lam = coefficient * np.einsum("oiab,jba->oij", dual, chart._stack)
-        # d[i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
-        d = _stencil_diff(lam, fd_step)
-        entries = d.T - d
+        lam = coefficient * np.einsum("...oiab,jba->...oij", dual, chart._stack)
+        # d[..., i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
+        d = _stencil_diff(np.moveaxis(lam, -3, 0), fd_step)
+        entries = np.swapaxes(d, -1, -2) - d
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)
 
@@ -179,18 +180,16 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
     return FormMatrix(chart=chart, entries=entries)
 
 
-def _omega_kks_shifts(chart: OrbitChart, fd_step: float) -> np.ndarray:
+def _omega_kks_shifts(chart: OrbitChart, fd_step: float):
     """Entries of ``omega_kks_chart`` at every axis shift s e_i, for s =
     +fd_step and -fd_step (in that order) and each axis i, stacked (2,
-    dim, dim, dim).  The shifted points are the +h and -h slices of the
-    chart's stencil, shared with ``omega_std_chart`` at the same step, so
-    the two forms build and check them once; their frame generators, dim
-    per point, are built one offset at a time."""
+    dim, dim, dim), one base point at a time, so that only one point's
+    dim**3 entries are alive: the +h and -h slices of the stencil, whose
+    frame generators are built one offset at a time."""
     _, w, x, w_inv = chart._stencil(fd_step)
-    return np.stack([
-        _bracket_pairing(chart.at.chamber, x[o], w[o][:, None] @ chart._stack @ w_inv[o][:, None])
-        for o in (2, 1)
-    ])
+    for wp, xp, wp_inv in zip(*(a.reshape(-1, *a.shape[-4:]) for a in (w, x, w_inv))):
+        yield np.stack([_bracket_pairing(chart.at.chamber, xp[o], wp[o][:, None] @ chart._stack
+                                         @ wp_inv[o][:, None]) for o in (2, 1)])
 
 
 def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:

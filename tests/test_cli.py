@@ -378,11 +378,13 @@ def unwritable_json_path(tmp_path, where):
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_json_path_is_usage_error(capsys, tmp_path, where):
+    """The --json path is opened before the first suite runs, so no
+    suite line is printed."""
     path = unwritable_json_path(tmp_path, where)
     code, out, err = run_cli(capsys, "verify", "iwasawa", "--H", "1,-1", "--samples", "1",
                              "--json", str(path))
     assert code == 2
-    assert out.startswith("iwasawa ")
+    assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"error: cannot write --json {path}: ")
 
@@ -392,6 +394,7 @@ def test_full_sweep_script_rejects_unwritable_json_path(tmp_path, where):
     path = unwritable_json_path(tmp_path, where)
     result = run_sweep("--samples", "1", "--json", str(path))
     assert result.returncode == 2
+    assert result.stdout == ""  # rejected before the first chamber label
     [line] = result.stderr.splitlines()
     assert line.startswith(f"error: cannot write --json {path}: ")
 

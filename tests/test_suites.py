@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +201,11 @@ def test_graph_factors_once_per_sample(monkeypatch):
     [2.5, 1.5, 0.5, -0.5, -1.5, -2.5],
 ], ids=["chamber3", "n6-regular"])
 def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
-    """Call-count guard: a ``theorem`` sample builds and checks its chart
-    points in one stacked pass of shape (4, dim, n, n), which the standard
-    form's stencil and the invariance shifts share; the sample's own
-    orbit point is the only other pass."""
+    """Call-count guard: a ``theorem`` call builds and checks the chart
+    points of all its samples in one stacked pass of shape (samples, 4,
+    dim, n, n), which the standard form's stencil and the invariance
+    shifts share; the samples' own orbit points, one (samples, n, n)
+    pass, are the only other pass."""
     n = len(entries)
     chamber = SpecialLinearModel(n).chamber_element(entries)
     real = orbit_module._orbit_points
@@ -214,9 +216,9 @@ def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
         return real(chamber, witnesses)
 
     monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
-    reports = run_suite(chamber, "theorem", samples=2)
+    reports = run_suite(chamber, "theorem", samples=3)
     assert all(r.passed for r in reports)
-    assert shapes == [(n, n), (4, 2 * chamber.dim_n, n, n)] * 2
+    assert shapes == [(3, n, n), (3, 4, 2 * chamber.dim_n, n, n)]
 
 
 def test_projection_factors_once_per_sample(monkeypatch):
@@ -280,36 +282,35 @@ def test_pairing_ratio_matches_the_pairing_loop(entries):
 
 @pytest.mark.parametrize("mode", ["vertical", "horizontal"])
 def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
+    """Call-count guard: one ``frame_generators`` call per suite call
+    builds the frames of all samples, stacked (samples, dim, n, n)."""
     real = OrbitChart.frame_generators
-    calls = []
+    shapes = []
 
     def frame_generators(self, t):
-        calls.append(1)
-        return real(self, t)
+        p, gens = real(self, t)
+        shapes.append(gens.shape)
+        return p, gens
 
     monkeypatch.setattr(OrbitChart, "frame_generators", frame_generators)
     reports = verify_lagrangian(chamber3, mode, samples=3, seed=2)
     assert all(r.passed for r in reports)
-    assert len(calls) == 3
+    assert shapes == [(3, chamber3.dim_n, 3, 3)]
 
 
 AT = (3, 1)  # stencil offset +2h along axis 1
 
 
-def scale_witness(real, u):
-    out = real(u)
-    out[AT] *= 2.0  # determinant 2^n, which orbit_point rejects
-    return out
+def scale_witness(stack, s):
+    stack[s][AT] *= 2.0  # determinant 2^n, which the stencil's orbit points reject
 
 
-def drop_column(real, g):
-    g = np.array(g)
-    g[AT][:, 1] = 0.0  # a dependent column for the factorization
-    return real(g)
+def drop_column(stack, s):
+    stack[s][AT][:, 1] = 0.0  # a dependent column for the factorization
 
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
-    ("orbitsym.orbit", "mat_exp", scale_witness, "ValueError"),
+    ("orbitsym.orbit", "_orbit_points", scale_witness, "ValueError"),
     ("orbitsym.iwasawa", "qr_positive", drop_column, "SingularInput"),
 ])
 def test_breakdown_at_one_stencil_point_fails_only_its_sample(
@@ -318,34 +319,37 @@ def test_breakdown_at_one_stencil_point_fails_only_its_sample(
     cotangent form fails that sample, under the exception name a
     per-point evaluation raises, and leaves samples 0 and 2 passing with
     their clean values.  Sample 1 is recognised by its data, the witness
-    of the orbit point its chart is built at, so the breakdown follows
-    it into a batch and into a rerun alone."""
+    of its chart's base point, at its slot of the stacked chunk and then
+    in its rerun alone."""
     clean = verify_theorem(chamber3, samples=3, seed=7)
     real_points = orbit_module._orbit_points
-    witnesses = []  # the witness of each single orbit point, in call order
+    bases = []  # the chart base witnesses (samples, n, n) of each check, in call order
 
     def orbit_points(chamber, g):
-        if np.ndim(g) == 2:
-            witnesses.append(np.array(g))
+        if np.ndim(g) == 3:
+            bases.append(np.array(g))
         return real_points(chamber, g)
 
     monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
     verify_theorem(chamber3, samples=3, seed=7)
-    target = witnesses[1]
+    target = bases[0][1]
     owner = importlib.import_module(module)
     real = getattr(owner, name)
-    corrupted = []
+    corrupted = []  # the slot of sample 1 in each stack it was corrupted in
 
-    def kernel(stack):
-        # the stencil, not the two invariance offsets, of sample 1's chart
-        if np.shape(stack)[0] == 4 and np.array_equal(witnesses[-1], target):
-            corrupted.append(1)
-            return corrupt(real, stack)
-        return real(stack)
+    def kernel(*args):
+        *head, stack = args
+        stack = np.array(stack)
+        if stack.ndim == 5:  # the stencil (samples, 4, dim, n, n)
+            for s, base in enumerate(bases[-1]):
+                if np.array_equal(base, target):
+                    corrupted.append(s)
+                    corrupt(stack, s)
+        return real(*head, stack)
 
     monkeypatch.setattr(owner, name, kernel)
     reports = verify_theorem(chamber3, samples=3, seed=7)
-    assert corrupted
+    assert corrupted == [1, 0]  # in the chunk of three, then alone
     for report, before in zip(reports, clean):
         assert report.exceptions == ((1, exception),)
         assert report.sample_errors[1] == math.inf
@@ -417,12 +421,12 @@ def bits(errors) -> bytes:
 
 @pytest.mark.parametrize("entries", sweep_chambers(), ids=lambda e: ",".join(map(str, e)))
 def test_batch_size_changes_no_report(entries, monkeypatch):
-    """A factor suite checks the samples of a call as one stack, yet every
+    """Every suite checks the samples of a call as one stack, yet every
     sample's errors are its own: three samples equal the first three of
     six bit for bit, and the reports are identical at chunk sizes 1, 2
     and 64."""
     chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
-    for name in ("iwasawa", "infinitesimal", "projection", "graph"):
+    for name in SUITE_NAMES:
         six = run_suite(chamber, name, samples=6, seed=13)
         three = run_suite(chamber, name, samples=3, seed=13)
         sampled = len(suites.SUITES[name][2])
@@ -436,6 +440,23 @@ def test_batch_size_changes_no_report(entries, monkeypatch):
             assert json.dumps([r.as_dict() for r in reports]) == expected, (name, chunk)
             assert [r.exceptions for r in reports] == [r.exceptions for r in six]
         monkeypatch.undo()
+
+
+def test_theorem_memory_is_bounded():
+    """Memory guard: a chunk's arrays grow with its samples, but the
+    invariance shifts, dim**3 entries per sample, are reduced one sample
+    at a time.  16 samples at the n = 6 regular chamber peak at about
+    9.4 MB under tracemalloc; shifts stacked over the samples take about
+    27 MB."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    tracemalloc.start()
+    try:
+        reports = run_suite(chamber, "theorem", samples=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 12e6
 
 
 def test_unknown_suite_rejected(chamber2):

@@ -404,6 +404,14 @@ def reference_std_chart(chart, h=1e-3):
 STACK_CHAMBERS = ["chamber3", "wall3", "chamber4"]
 
 
+def stacked_witnesses(chamber):
+    """Witnesses (3, n, n) for a stacked chart: the identity, a generic
+    witness and a far one."""
+    model = chamber.model
+    return np.stack([np.eye(model.n), model.random_group_element(55, 0.4),
+                     model.random_group_element(56, 2.0 / model.n)])
+
+
 class TestStackedKernels:
     """The stacked chart-form kernels against one-direction-at-a-time
     evaluations through public calls."""
@@ -493,15 +501,61 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_kks_shifts_match_single_charts(self, chamber_name, request):
-        chart = self.chart(request.getfixturevalue(chamber_name))
+        """Each base point of a stacked chart gets, in turn, the shifted
+        orbit forms of its own chart bit for bit."""
+        chamber = request.getfixturevalue(chamber_name)
+        witnesses = stacked_witnesses(chamber)
         fd_step = 1e-3
-        shifted = symplectic._omega_kks_shifts(chart, fd_step)
-        assert shifted.shape == (2, chart.dim, chart.dim, chart.dim)
-        for o, s in enumerate((fd_step, -fd_step)):
-            for i in range(chart.dim):
-                t = np.zeros(chart.dim)
-                t[i] = s
-                assert np.array_equal(shifted[o, i], omega_kks_chart(chart, t).entries)
+        shifts = list(symplectic._omega_kks_shifts(orbit_chart(orbit_point(chamber, witnesses)),
+                                                   fd_step))
+        assert len(shifts) == len(witnesses)
+        for g, shifted in zip(witnesses, shifts):
+            chart = orbit_chart(orbit_point(chamber, g))
+            assert shifted.shape == (2, chart.dim, chart.dim, chart.dim)
+            for o, s in enumerate((fd_step, -fd_step)):
+                for i in range(chart.dim):
+                    t = np.zeros(chart.dim)
+                    t[i] = s
+                    assert np.array_equal(shifted[o, i], omega_kks_chart(chart, t).entries)
+
+    @pytest.mark.parametrize("basis", [None, "m_basis", "n_basis"])
+    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
+    def test_stacked_chart_matches_single_charts(self, chamber_name, basis, request):
+        """A chart at a stack of base points gives every base point the
+        frame, both form matrices and the smallest singular value of its
+        own chart, bit for bit.  The m(H) directions give dexp series that
+        do not terminate, so the base points' series stop on their own."""
+        chamber = request.getfixturevalue(chamber_name)
+        directions = None if basis is None else getattr(chamber, basis)
+        witnesses = stacked_witnesses(chamber)
+        stacked = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
+        t0 = np.zeros(stacked.dim)
+        _, gens = stacked.frame_generators(t0)
+        kks_form = omega_kks_chart(stacked)
+        std_form = omega_std_chart(stacked)
+        smin = kks_form.smallest_singular_value()
+        assert gens.shape == (len(witnesses), stacked.dim, *witnesses.shape[1:])
+        assert smin.shape == (len(witnesses),)
+        for i, g in enumerate(witnesses):
+            chart = orbit_chart(orbit_point(chamber, g), directions=directions)
+            single = omega_kks_chart(chart)
+            assert np.array_equal(gens[i], chart.frame_generators(t0)[1])
+            assert np.array_equal(kks_form.entries[i], single.entries)
+            assert np.array_equal(std_form.entries[i], omega_std_chart(chart).entries)
+            assert smin[i] == single.smallest_singular_value()
+
+    def test_dexp_series_of_a_stack_stop_on_their_own(self, chamber4):
+        """Each index of the axes that x has in front of u's gets the terms
+        of its own call bit for bit, though the three problems here need
+        different numbers of terms."""
+        rng = np.random.default_rng(67)
+        model = chamber4.model
+        u = np.stack([model.random_algebra_element(rng, 0.05) for _ in range(3)])
+        x = np.stack([[model.random_algebra_element(rng, scale) for _ in range(3)]
+                      for scale in (1e3, 1.0, 1e-6)])
+        d = _dexp(u, x)
+        for xi, di in zip(x, d):
+            assert np.array_equal(di, _dexp(u, xi))
 
     def test_std_chart_factors_once_per_stencil_point(self, chamber3, monkeypatch):
         """Call-count guard: every stencil point is factored once, all in
