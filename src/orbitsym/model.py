@@ -199,9 +199,11 @@ class SpecialLinearModel:
     def random_algebra_element(self, seed, scale: float) -> np.ndarray:
         """Traceless matrix with entries uniform in [-scale, scale],
         deterministic in the seed."""
-        rng = _as_rng(seed)
-        m = rng.uniform(-scale, scale, (self.n, self.n))
-        m -= np.trace(m) / self.n * np.eye(self.n)
+        return self._traceless(_as_rng(seed).uniform(-scale, scale, (self.n, self.n)))
+
+    def _traceless(self, m: np.ndarray) -> np.ndarray:
+        """``m`` with each slice's trace removed from its diagonal, in place."""
+        m -= (np.trace(m, axis1=-2, axis2=-1) / self.n)[..., None, None] * np.eye(self.n)
         return m
 
     def random_group_element(self, seed, scale: float, factors: int = 3) -> np.ndarray:
@@ -213,9 +215,9 @@ class SpecialLinearModel:
 
     def _group_logs(self, rng: np.random.Generator, scale: float, factors: int) -> np.ndarray:
         """The draws of ``random_group_element``: its factors' logarithms,
-        stacked (factors, n, n)."""
-        logs = [self.random_algebra_element(rng, scale) for _ in range(factors)]
-        return np.reshape(logs, (factors, self.n, self.n))
+        stacked (factors, n, n), from one draw that consumes the generator
+        as ``factors`` calls of ``random_algebra_element`` would."""
+        return self._traceless(rng.uniform(-scale, scale, (factors, self.n, self.n)))
 
     def _group_products(self, exps: np.ndarray) -> np.ndarray:
         """``random_group_element`` from its factors' exponentials: a stack

@@ -109,10 +109,14 @@ def mat_exp(x) -> np.ndarray:
     Taylor series to degree 18 (remainder ~ 0.5**19/19!) and squares back.
     Relative error stays below 1e-12 for ||X|| <= 10.  The Taylor sum runs
     over the whole stack and each squaring over the slices that still
-    need it, so every slice gets its own squaring count.
+    need it, so every slice gets its own squaring count.  A stack with no
+    nonzero entry gives a fresh identity stack, which is the Taylor sum's
+    value bit for bit.
     """
     a = _stack(x)
     n = a.shape[-1]
+    if not a.any():
+        return np.broadcast_to(np.eye(n), a.shape).copy()
     flat = a.reshape(-1, n, n)
     counts = np.array([
         0 if nrm <= EXP_NORM_CAP else int(math.ceil(math.log2(nrm / EXP_NORM_CAP)))

@@ -285,6 +285,24 @@ class TestRandomness:
         g = model.random_group_element(np.random.default_rng(19), 0.5, factors=factors)
         assert np.array_equal(g, expected)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    def test_group_logs_are_single_draws_bit_for_bit(self, n):
+        """One stacked draw with one trace removal gives the logs, and
+        leaves the generator, of one ``random_algebra_element`` per factor;
+        each of those is a uniform draw minus tr/n times the identity."""
+        model = SpecialLinearModel(n)
+        for seed in range(50):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            logs = model._group_logs(rngs[0], 1.2 / n, 3)
+            single = np.stack([model.random_algebra_element(rngs[1], 1.2 / n) for _ in range(3)])
+            by_hand = rngs[2].uniform(-1.2 / n, 1.2 / n, (3, n, n))
+            for m in by_hand:
+                m -= np.trace(m) / n * np.eye(n)
+            for other in (single, by_hand):
+                assert np.array_equal(logs, other)
+                assert np.array_equal(np.signbit(logs), np.signbit(other))
+            assert len({rng.random() for rng in rngs}) == 1
+
     def test_algebra_element_is_traceless(self, model4):
         x = model4.random_algebra_element(3, 1.0)
         assert abs(np.trace(x)) <= 1e-13

@@ -91,6 +91,25 @@ class TestMatExp:
     def test_zero(self):
         assert_allclose(mat_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 3, 4, 4)])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_stack_is_a_fresh_identity(self, shape, zero):
+        """An all-zero input skips the Taylor loop and gives what the loop
+        gives: exactly I, with +0.0 off the diagonal even for -0.0 input."""
+        e = mat_exp(np.full(shape, zero))
+        expected = np.broadcast_to(np.eye(4), shape)
+        assert np.array_equal(e, expected)
+        assert np.array_equal(np.signbit(e), np.signbit(expected))
+        e[...] = 2.0  # a writable array of its own, not a view of a shared identity
+        assert np.array_equal(mat_exp(np.full(shape, zero)), expected)
+
+    def test_zero_slice_beside_a_nonzero_one_takes_the_same_bits(self):
+        x = np.zeros((2, 4, 4))
+        x[1, 0, 1] = 0.3
+        e = mat_exp(x)
+        assert np.array_equal(e[0], np.eye(4))
+        assert np.array_equal(np.signbit(e[0]), np.signbit(np.eye(4)))
+
     def test_diagonal(self):
         a = 1.3
         assert_allclose(
