@@ -215,8 +215,7 @@ class SpecialLinearModel:
 
     def _group_logs(self, rng: np.random.Generator, scale: float, factors: int) -> np.ndarray:
         """The draws of ``random_group_element``: its factors' logarithms,
-        stacked (factors, n, n), from one draw that consumes the generator
-        as ``factors`` calls of ``random_algebra_element`` would."""
+        stacked (factors, n, n), in one draw of ``random_algebra_element``'s."""
         return self._traceless(rng.uniform(-scale, scale, (factors, self.n, self.n)))
 
     def _group_products(self, exps: np.ndarray) -> np.ndarray:

@@ -109,9 +109,8 @@ def mat_exp(x) -> np.ndarray:
     Taylor series to degree 18 (remainder ~ 0.5**19/19!) and squares back.
     Relative error stays below 1e-12 for ||X|| <= 10.  The Taylor sum runs
     over the whole stack and each squaring over the slices that still
-    need it, so every slice gets its own squaring count.  A stack with no
-    nonzero entry gives a fresh identity stack, which is the Taylor sum's
-    value bit for bit.
+    need it, so every slice gets its own squaring count.  An all-zero
+    input skips the sum, which would give exactly I.
     """
     a = _stack(x)
     n = a.shape[-1]

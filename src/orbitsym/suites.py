@@ -340,11 +340,8 @@ def _check_lagrangian(basis: str):
         g = model._group_products(mat_exp(np.array([_group_logs(model, rng) for rng in rngs])))
         chart = orbit_chart(orbit_point(chamber, g), directions=getattr(chamber, basis))
         x, gens = chart.frame_generators(np.zeros(chart.dim))
-        # Python's float power, which is libm's pow(z, 2) and can differ
-        # from z * z in the last bit
         zmax = np.max(_frobenius_stack(gens), axis=-1, initial=0.0)
-        zmax2 = (zmax.astype(object) ** 2).astype(float)
-        scale = np.fmax(1.0, model.killing_coefficient * _frobenius_stack(x.point) * zmax2)
+        scale = np.fmax(1.0, model.killing_coefficient * _frobenius_stack(x.point) * (zmax * zmax))
         pairing = _bracket_pairing(chamber, x.point, gens)
         e_kks = _rel(np.max(np.abs(pairing), axis=(-2, -1), initial=0.0), scale)
         std = omega_std_chart(chart, fd_step).entries  # zero below dimension 2

@@ -10,18 +10,18 @@ expression
 
 where the K-velocity is the antisymmetric part of the Iwasawa factor
 derivative along V's generator.  On all coordinate fields of a chart
-at once this pairing is one matrix per point (``_tautological_dual``).
-The chart forms take a chart at one base point or at a stack of them
-and give each base point the single chart's matrix bit for bit.  A
-chart builds and checks its stencil points once per step, for all its
-base points in one stacked pass (``OrbitChart._stencil``): the standard
-form factors all four offsets at once, and the invariance shifts of the
-orbit form read the +h and -h slices one base point at a time.
+this pairing is one matrix per point (``_tautological_dual``).  Both
+Killing pairings of a chart (the orbit form on all frame pairs, lambda
+on all coordinate fields) are BLAS products of flattened (n*n) stacks,
+one per base point, so a chart at a stack of base points gives each
+the single chart's matrix bit for bit.  A chart builds and checks its
+stencil points once per step for all its base points: the standard
+form factors all four offsets at once, and the orbit form's invariance
+shifts read the +h and -h slices one base point at a time.
 ``graph_routes`` compares the one-form cutting out a displaced flag
 section with the cotangent covector and the potential's differential
-over stacks of witnesses and flag directions at once; each witness's
-factorization serves both its velocities and its cotangent
-representative.  The seeded verification suites are in ``suites``.
+over stacks of witnesses and flag directions, factoring each witness
+once.  The seeded verification suites are in ``suites``.
 """
 
 from __future__ import annotations
@@ -66,11 +66,13 @@ def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
 
 def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Matrix of <x, [Z_i, Z_j]> over a stack of generators (..., m, n, n)
-    at the orbit point x (..., n, n).
-
-    With M_ij = tr(x Z_i Z_j) the entries are 2n (M - M^T), exactly
-    antisymmetric with a zero diagonal."""
-    m = np.einsum("...iab,...jba->...ij", x[..., None, :, :] @ gens, gens)
+    at the orbit point x (..., n, n): 2n (M - M^T), exactly antisymmetric
+    with a zero diagonal, for M_ij = tr(x Z_i Z_j).  M pairs the entries of
+    Z_i^T x^T with those of Z_j, one BLAS product per base point of the
+    flattened stacks (..., m, n*n), whose base-point axes stay batch axes."""
+    n2 = gens.shape[-1] ** 2
+    left = np.swapaxes(gens, -1, -2) @ np.swapaxes(x, -1, -2)[..., None, :, :]
+    m = left.reshape(*left.shape[:-2], n2) @ np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2)
     return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
 
 
@@ -154,9 +156,11 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     if m >= 2:
         u, w, x, _ = chart._stencil(fd_step)
         dual = _tautological_dual(chart.at.chamber, x, iwasawa(w), u)
-        # lam[..., o, i, j]: lambda_j at stencil offset o along axis i
+        # lam[..., o, i, j]: lambda_j at stencil offset o along axis i, each
+        # dual matrix's entries paired with those of X_j^T in one BLAS product
+        flat_dirs = np.swapaxes(chart._stack, -1, -2).reshape(m, -1)
         coefficient = chart.at.chamber.model.killing_coefficient
-        lam = coefficient * np.einsum("...oiab,jba->...oij", dual, chart._stack)
+        lam = coefficient * (dual.reshape(*dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
         # d[..., i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
         d = _stencil_diff(np.moveaxis(lam, -3, 0), fd_step)
         entries = np.swapaxes(d, -1, -2) - d

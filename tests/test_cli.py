@@ -338,6 +338,26 @@ def test_reused_parser_matches_fresh_processes(capsys, tmp_path):
     assert outputs[1][1] != outputs[2][1]  # the --tol-exact override did not persist
 
 
+def test_json_is_identical_at_one_and_two_blas_threads(tmp_path):
+    """The chart forms' batched matrix products give the same report bytes
+    whatever the BLAS thread count, at the largest sweep chamber."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / f"threads-{threads}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitsym", "verify", "theorem",
+             "--H", "3.5,2.5,1.5,0.5,-0.5,-1.5,-2.5,-3.5", "--samples", "10",
+             "--json", str(path), "--quiet"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
 
 

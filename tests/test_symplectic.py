@@ -448,6 +448,24 @@ class TestStackedKernels:
         assert np.array_equal(entries, -entries.T)
         assert np.all(np.diag(entries) == 0.0)
 
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 12)])
+    def test_bracket_pairing_matches_trace_loop(self, batch, chamber4):
+        """The batched matrix product gives 2n (tr(x Z_i Z_j) - tr(x Z_j Z_i))
+        for one point, a stack of points and the (2, dim) batch of the
+        invariance shifts, exactly antisymmetric with a zero diagonal."""
+        rng = np.random.default_rng(61)
+        m = 12  # the dimension of the default chart at this chamber
+        x = rng.standard_normal((*batch, 4, 4))
+        gens = rng.standard_normal((*batch, m, 4, 4))
+        got = symplectic._bracket_pairing(chamber4, x, gens)
+        assert got.shape == (*batch, m, m)
+        for idx in np.ndindex(*batch):
+            ref = np.array([[8.0 * (np.trace(x[idx] @ a @ b) - np.trace(x[idx] @ b @ a))
+                             for b in gens[idx]] for a in gens[idx]])
+            assert np.max(np.abs(got[idx] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(got[idx], -got[idx].T)
+            assert np.all(np.diag(got[idx]) == 0.0)
+
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_std_chart_matches_reference_loop(self, chamber_name, request):
         chart = self.chart(request.getfixturevalue(chamber_name))
