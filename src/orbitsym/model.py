@@ -215,7 +215,7 @@ class SpecialLinearModel:
 
     def _group_logs(self, rng: np.random.Generator, scale: float, factors: int) -> np.ndarray:
         """The draws of ``random_group_element``: its factors' logarithms,
-        stacked (factors, n, n), in one draw of ``random_algebra_element``'s."""
+        stacked (factors, n, n): ``factors`` ``random_algebra_element`` draws in one call."""
         return self._traceless(rng.uniform(-scale, scale, (factors, self.n, self.n)))
 
     def _group_products(self, exps: np.ndarray) -> np.ndarray:
