@@ -64,6 +64,13 @@ def _require_det_one(g: np.ndarray) -> None:
         raise ValueError("group element must have determinant 1")
 
 
+def _diagonals(d: np.ndarray) -> np.ndarray:
+    """The diagonal matrices (..., n, n) with the rows (..., n) of ``d``."""
+    m = np.zeros((*d.shape, d.shape[-1]))
+    np.einsum("...ii->...i", m)[...] = d
+    return m
+
+
 def iwasawa(g) -> IwasawaFactors:
     """Unique factorization of a determinant-one matrix as k a n.  A
     stack (..., n, n) is factored slice by slice, with the arithmetic of
@@ -72,13 +79,9 @@ def iwasawa(g) -> IwasawaFactors:
     _require_det_one(mat)
     q, r = qr_positive(mat)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    a = np.zeros_like(r)
-    h = np.zeros_like(r)
-    index = np.arange(r.shape[-1])
-    a[..., index, index] = diag
-    h[..., index, index] = np.log(diag)
     n = (1.0 / diag)[..., :, None] * r
-    return IwasawaFactors(k_factor=q, a_factor=a, n_factor=n, h_projection=h)
+    return IwasawaFactors(k_factor=q, a_factor=_diagonals(diag), n_factor=n,
+                          h_projection=_diagonals(np.log(diag)))
 
 
 def infinitesimal_iwasawa(x, g, factors: IwasawaFactors | None = None) -> InfinitesimalIwasawa:

@@ -2,9 +2,10 @@
 
 Everything here targets small fixed-size problems (n <= 8): Householder
 QR (LAPACK) with a sign fix for strictly positive pivots, a
-scaling-and-squaring matrix exponential, characteristic polynomials
-without an eigensolve, and fourth-order central differences used as the
-oracle for all derivative claims.
+scaling-and-squaring matrix exponential whose Taylor sum is finite on
+strictly triangular stacks (with the full sum's bits), characteristic
+polynomials without an eigensolve, and fourth-order central differences
+used as the oracle for all derivative claims.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and gives
 every slice the arithmetic of a call on that slice alone, so a stacked
@@ -13,6 +14,7 @@ caller gets the single-matrix values bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,6 +67,17 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _pivots(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The diagonal of the R factor ``r`` of ``a``; raises ``SingularInput``
+    for the first slice with a pivot below ``SINGULAR_RTOL * ||M||``."""
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    dependent = np.abs(pivots) <= SINGULAR_RTOL * _frobenius_stack(a)[..., None]
+    if dependent.any():
+        column = np.argwhere(dependent)[0, -1]
+        raise SingularInput(f"column {column} is linearly dependent at working precision")
+    return pivots
+
+
 def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
     """Factor an invertible square matrix, or every slice of a stack
     (..., n, n), as Q R with orthonormal Q and upper-triangular R whose
@@ -72,17 +85,11 @@ def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
 
     Householder QR (LAPACK) followed by a sign fix: each column of Q and
     row of R whose pivot is negative is flipped, which makes the
-    factorization unique.  Raises ``SingularInput`` for the first slice
-    with a pivot below ``SINGULAR_RTOL * ||M||``.
+    factorization unique.  ``_pivots`` checks the pivots.
     """
     a = _stack(m)
     q, r = np.linalg.qr(a)
-    pivots = np.diagonal(r, axis1=-2, axis2=-1)
-    dependent = np.abs(pivots) <= SINGULAR_RTOL * _frobenius_stack(a)[..., None]
-    if dependent.any():
-        column = np.argwhere(dependent)[0, -1]
-        raise SingularInput(f"column {column} is linearly dependent at working precision")
-    signs = np.where(pivots < 0, -1.0, 1.0)
+    signs = np.where(_pivots(a, r) < 0, -1.0, 1.0)
     return q * signs[..., None, :], signs[..., :, None] * r
 
 
@@ -101,6 +108,12 @@ def central_diff(f, t: float = 0.0, h: float = 1e-3):
     return _stencil_diff([f(t + o * h) for o in STENCIL_OFFSETS], h)
 
 
+@functools.cache
+def _side_masks(n: int) -> np.ndarray:
+    """Indicator rows (2, n * n): on and below, on and above the diagonal."""
+    return np.stack([np.tri(n).ravel(), np.tri(n).T.ravel()])
+
+
 def mat_exp(x) -> np.ndarray:
     """Matrix exponential of a matrix, or of every slice of a stack
     (..., n, n), by scaling and squaring.
@@ -110,7 +123,8 @@ def mat_exp(x) -> np.ndarray:
     Relative error stays below 1e-12 for ||X|| <= 10.  The Taylor sum runs
     over the whole stack and each squaring over the slices that still
     need it, so every slice gets its own squaring count.  An all-zero
-    input skips the sum, which would give exactly I.
+    input skips the sum, which would give exactly I.  On strictly triangular
+    slices Y**n = 0: the sum starts at degree n - 1, with the same bits.
     """
     a = _stack(x)
     n = a.shape[-1]
@@ -122,10 +136,23 @@ def mat_exp(x) -> np.ndarray:
         for nrm in _frobenius_stack(flat).tolist()
     ], dtype=int)
     y = flat / (2.0 ** counts)[:, None, None]
+    # Strictly triangular: a zero diagonal, and |y| sums to zero on and below
+    # or on and above it.  Horner's levels of degree n and up then reach only
+    # entries beyond the last superdiagonal (subdiagonal), which structural
+    # zeros of y multiply; every other entry gets the same products in the
+    # same order, exact zeros enter each sum as +-0, and the I + step makes
+    # every zero +0.  So the bits are the degree-18 loop's, slice by slice.
+    degree = EXP_TAYLOR_DEGREE
+    if not np.diagonal(y, axis1=-2, axis2=-1).any():
+        lower, upper = _side_masks(n) @ np.abs(y.reshape(len(y), -1)).T
+        degree = EXP_TAYLOR_DEGREE if np.minimum(lower, upper).any() else n - 1
     ident = np.eye(n)
-    acc = np.broadcast_to(ident, flat.shape)
-    for k in range(EXP_TAYLOR_DEGREE, 0, -1):
-        acc = ident + (y / k) @ acc
+    # Horner's loop in place; its first step's product with I is exact
+    acc = ident + y / degree
+    scaled, product = np.empty_like(y), np.empty_like(y)
+    for k in range(degree - 1, 0, -1):
+        np.matmul(np.divide(y, k, out=scaled), acc, out=product)
+        np.add(ident, product, out=acc)
     for step in range(counts.max(initial=0)):
         due = counts > step
         acc[due] = acc[due] @ acc[due]

@@ -14,9 +14,10 @@ The builders behind the public functions take one matrix or a stack
 ``_orbit_points``, ``_flag_points``, ``_split`` (``to_cotangent`` after
 the factorization), ``_cotangent_reps`` and ``_from_cotangent``.  Each
 raises the single call's error for the first failing slice.
-``_cotangent`` computes the coordinates of every representative and
-``_fiber_coefficients`` alone reads the slice.  A chart may sit at one
-base point or at a stack of them (``OrbitChart``).
+``_cotangent`` computes the coordinates of every representative after
+its slice check (``_check_fiber``), and the n(H) slice is read through
+``ChamberElement._n_index``.  A chart may sit at one base point or at a
+stack of them (``OrbitChart``).
 """
 
 from __future__ import annotations
@@ -187,20 +188,25 @@ def _fiber_coefficients(chamber: ChamberElement, w: np.ndarray) -> tuple[np.ndar
     return coeffs, _frobenius_stack(w - recon)
 
 
-def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
-               rtol: float = FIBER_RTOL) -> np.ndarray:
-    """Cotangent coordinates (..., dim_m) of the representatives over the
-    flag points ``base`` = k H k^T with the given fibers, all stacks
-    (..., n, n) that broadcast together.  Raises ``FiberResidual`` for the
-    first slice whose k^T fiber k leaves n(H) by more than ``rtol``
-    |base + fiber|, the orbit point whose rounding the residual carries."""
-    k_t = np.swapaxes(k, -1, -2)
-    _, residual = _fiber_coefficients(chamber, k_t @ fiber @ k)
+def _check_fiber(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
+                 rtol: float = FIBER_RTOL) -> None:
+    """Raise ``FiberResidual`` for the first slice whose k^T fiber k leaves
+    n(H) by more than ``rtol`` |base + fiber|, the orbit point whose
+    rounding the residual carries; see ``_cotangent``."""
+    _, residual = _fiber_coefficients(chamber, np.swapaxes(k, -1, -2) @ fiber @ k)
     off = residual > rtol * np.maximum(1.0, _frobenius_stack(base + fiber))
     if off.any():
         first = float(np.asarray(residual)[off][0])
         raise FiberResidual(f"fiber residual {first:.3e} off the nilpotent slice")
-    moved = k[..., None, :, :] @ chamber._m_stack @ k_t[..., None, :, :]
+
+
+def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
+               rtol: float = FIBER_RTOL) -> np.ndarray:
+    """Cotangent coordinates (..., dim_m) of the representatives over the
+    flag points ``base`` = k H k^T with the given fibers, all stacks
+    (..., n, n) that broadcast together, after their ``_check_fiber``."""
+    _check_fiber(chamber, k, base, fiber, rtol)
+    moved = k[..., None, :, :] @ chamber._m_stack @ np.swapaxes(k, -1, -2)[..., None, :, :]
     return chamber.model.killing(fiber[..., None, :, :], moved)
 
 
@@ -272,9 +278,9 @@ def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
     if not chamber.dim_n:  # n(H) = 0: the fiber is zero and k itself the witness
         return np.array(k), _orbit_points(chamber, k)[0]
     k = k.reshape(-1, *h.shape)
-    target = _fiber_coefficients(chamber, w)[0].reshape(len(k), chamber.dim_n)
-    unipotent = np.empty_like(k)
     rows, cols = chamber._n_index
+    target = w[..., rows, cols].reshape(len(k), chamber.dim_n)
+    unipotent = np.empty_like(k)
     denom = -np.asarray(chamber.n_gaps)  # coords([Y, H]) = -gap * coords(Y)
     coeffs = target / denom
     scale = np.maximum(1.0, _frobenius_stack(target[:, None, :]))
@@ -285,8 +291,7 @@ def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
         y = np.zeros((active.size, *h.shape))
         y[:, rows, cols] = coeffs[active]
         exp_y, exp_minus_y = mat_exp(np.stack([y, -y]))
-        current, _ = _fiber_coefficients(chamber, exp_y @ h @ exp_minus_y - h)
-        gap = target[active] - current
+        gap = target[active] - (exp_y @ h @ exp_minus_y - h)[:, rows, cols]
         done = _frobenius_stack(gap[:, None, :]) <= tol * scale[active]
         unipotent[active[done]] = exp_y[done]
         coeffs[active[~done]] += gap[~done] / denom

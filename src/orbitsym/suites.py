@@ -42,7 +42,7 @@ from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, random_combination
 from .numerics import _frobenius_stack, mat_exp
 from .orbit import (
-    _cotangent,
+    _check_fiber,
     _cotangent_reps,
     _fiber_coefficients,
     _flag_points,
@@ -275,7 +275,7 @@ def _check_projection(chamber, rngs, indices, fd_step):
 
     w = np.swapaxes(k_x, -1, -2) @ fiber @ k_x
     e_disp = _rel(_fiber_coefficients(chamber, w)[1], _frobenius_stack(w))
-    _cotangent(chamber, k_x, base, fiber)  # the slice check of to_cotangent(x)
+    _check_fiber(chamber, k_x, base, fiber)  # the slice check of to_cotangent(x)
 
     v = k0 @ np.array(fibers) @ np.swapaxes(k0, -1, -2)
     v1, v2 = v[:, 0], v[:, 1]

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, InfinitesimalIwasawa, infinitesimal_iwasawa, iwasawa
+from .iwasawa import (IwasawaFactors, InfinitesimalIwasawa, _diagonals, _require_det_one,
+                      infinitesimal_iwasawa, iwasawa)
 from .model import ChamberElement, split_kan
-from .numerics import STENCIL_OFFSETS, _stencil_diff, mat_exp
+from .numerics import STENCIL_OFFSETS, _pivots, _stack, _stencil_diff, mat_exp
 from .orbit import (
     OrbitChart,
     OrbitPoint,
@@ -203,10 +204,14 @@ def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:
 
     Constant along the compact centralizer, so it descends to the flag;
     its negative differential cuts out the displaced section through
-    Ad(g) of the flag.
+    Ad(g) of the flag.  Only R of g k is formed, by ``iwasawa``'s geqrf and
+    checks; log |pivots| is then its ``h_projection`` bit for bit.
     """
-    fac = iwasawa(np.asarray(g, dtype=float) @ np.asarray(k, dtype=float))
-    return chamber.model.killing(chamber.matrix, fac.h_projection)
+    gk = np.asarray(g, dtype=float) @ np.asarray(k, dtype=float)
+    _require_det_one(gk)
+    a = _stack(gk)
+    h = _diagonals(np.log(np.abs(_pivots(a, np.linalg.qr(a, mode="r")))))
+    return chamber.model.killing(chamber.matrix, h)
 
 
 def _section_value(chamber: ChamberElement, inf: InfinitesimalIwasawa):

@@ -153,15 +153,15 @@ class TestVerifyCommand:
         """A named error raised in one sample becomes an infinite error in
         every sampled column, carrying its class name; the run exits 1."""
         # sample 1 is recognised by its data: the rotation K(g) of its
-        # witness, which the first stacked _cotangent call of a projection
+        # witness, which the first stacked _check_fiber call of a projection
         # pass (the slice check of to_cotangent(x)) receives for it, in a
         # batch and alone
         model = SpecialLinearModel(3)
         g = model.random_group_element(suites._rng(1, 1, suites.SUITES["projection"][0]), 1.2 / 3)
         target = iwasawa(g).k_factor
-        real = orbit._cotangent
+        real = orbit._check_fiber
 
-        def cotangent(chamber, k, *args, **kwargs):
+        def check_fiber(chamber, k, *args, **kwargs):
             if any(np.array_equal(slice_, target) for slice_ in np.reshape(k, (-1, 3, 3))):
                 raise FiberResidual("fiber residual off the nilpotent slice")
             return real(chamber, k, *args, **kwargs)
@@ -169,10 +169,10 @@ class TestVerifyCommand:
         def reject(token):
             raise ValueError(f"bare {token} in JSON")
 
-        # the suite calls the builder directly and through orbit's stacked
-        # _cotangent_reps and _split
-        monkeypatch.setattr(suites, "_cotangent", cotangent)
-        monkeypatch.setattr(orbit, "_cotangent", cotangent)
+        # the suite calls the check directly and through orbit's _cotangent,
+        # behind the stacked _cotangent_reps and _split
+        monkeypatch.setattr(suites, "_check_fiber", check_fiber)
+        monkeypatch.setattr(orbit, "_check_fiber", check_fiber)
         path = tmp_path / "out.json"
         code, out, err = run_cli(
             capsys, "verify", "projection", "--H", "1,0,-1", "--samples", "3", "--seed", "1",

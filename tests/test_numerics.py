@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from orbitsym import numerics
 from orbitsym.model import SpecialLinearModel
 from orbitsym.numerics import (
     EXP_NORM_CAP,
+    EXP_TAYLOR_DEGREE,
     SingularInput,
     as_matrix,
     central_diff,
@@ -260,3 +262,87 @@ class TestStackedTwins:
             kernel(stack[1])
         with pytest.raises(ValueError, match="finite"):
             kernel(stack)
+
+
+def taylor_reference(x):
+    """The full scaling-and-squaring exponential, written out one slice at
+    a time: halve to norm EXP_NORM_CAP, Horner's rule from degree
+    EXP_TAYLOR_DEGREE down to 1, square back."""
+    out = np.empty_like(x)
+    n = x.shape[-1]
+    for index in np.ndindex(x.shape[:-2]):
+        nrm = float(np.linalg.norm(x[index]))
+        count = 0 if nrm <= EXP_NORM_CAP else math.ceil(math.log2(nrm / EXP_NORM_CAP))
+        y = x[index] / 2.0 ** count
+        acc = np.eye(n)
+        for k in range(EXP_TAYLOR_DEGREE, 0, -1):
+            acc = np.eye(n) + (y / k) @ acc
+        for _ in range(count):
+            acc = acc @ acc
+        out[index] = acc
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def strictly_upper(rng, count, n, norm):
+    """Strictly upper-triangular slices of the given Frobenius norm, with
+    exact zeros and -0.0 among their entries, on and below the diagonal
+    too."""
+    raw = np.triu(rng.uniform(-1, 1, (count, n, n)), 1)
+    raw[rng.random(raw.shape) < 0.3] = 0.0
+    raw[:, 0, -1] = 1.0  # no slice is all zero
+    y = raw * (norm / np.linalg.norm(raw, axis=(-2, -1)))[:, None, None]
+    return np.where(rng.random(y.shape) < 0.2, -0.0 * np.sign(y + 0.5), y)
+
+
+class TestFiniteTaylorSeries:
+    """On strictly triangular stacks the Taylor sum is finite and starts at
+    degree n - 1, with every bit, signs of zero included, of the full
+    sum."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("norm", [1e-8, 0.3, 3.0, 30.0])
+    def test_triangular_stacks_match_the_full_sum(self, n, norm):
+        rng = np.random.default_rng([n, int(norm * 1e8)])
+        up = strictly_upper(rng, 4, n, norm)
+        low = np.swapaxes(strictly_upper(rng, 4, n, norm), -1, -2)
+        mixed = np.concatenate([up[:2], low[:2]])
+        for stack in (up, low, mixed, np.stack([up, -up]), np.stack([mixed, -mixed])):
+            assert_same_bits(mat_exp(stack), taylor_reference(stack))
+            assert_same_bits(mat_exp(stack[0]), taylor_reference(stack[0]))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_a_triangular_slice_takes_the_same_bits_in_any_stack(self, n):
+        """Alone, beside a full slice (which runs the full sum over the
+        whole stack) and beside triangular slices, a slice's bits agree."""
+        rng = np.random.default_rng(n)
+        tri = np.concatenate([strictly_upper(rng, 2, n, 2.0),
+                              np.swapaxes(strictly_upper(rng, 2, n, 0.4), -1, -2)])
+        full = rng.uniform(-1, 1, (n, n))
+        with_full = mat_exp(np.concatenate([tri, full[None]]))
+        stacked = mat_exp(tri)
+        for i, slice_ in enumerate(tri):
+            alone = mat_exp(slice_)
+            assert_same_bits(with_full[i], alone)
+            assert_same_bits(stacked[i], alone)
+        assert_same_bits(with_full[-1], mat_exp(full))
+
+    def test_the_triangular_path_fires(self, monkeypatch):
+        """With the full sum cut to degree 1 (I + Y), strictly triangular
+        stacks still get exp: their sum starts at degree n - 1, apart from
+        the full one.  A full stack, the control, does change."""
+        rng = np.random.default_rng(7)
+        y = strictly_upper(rng, 3, 6, 2.0)
+        theorem_like = np.concatenate([y, np.swapaxes(y, -1, -2)])
+        stacks = (np.stack([y, -y]), theorem_like)
+        full = rng.uniform(-1, 1, (3, 6, 6))
+        expected = [mat_exp(s) for s in (*stacks, full)]
+        monkeypatch.setattr(numerics, "EXP_TAYLOR_DEGREE", 1)
+        for stack, before in zip(stacks, expected):
+            assert_same_bits(mat_exp(stack), before)
+        assert not np.array_equal(mat_exp(full), expected[-1])

@@ -164,12 +164,12 @@ def test_graph_factors_once_per_sample(monkeypatch):
     covers both samples and all 15 m(H) directions at n = 6.  Each
     sample's g k is factored once, for its velocities and its cotangent
     representative alike, and each of the four potential stencil offsets
-    is one factorization over every sample and direction; there is no
-    single-point orbit point, cotangent representative or
+    is one R-only factorization over every sample and direction; there is
+    no single-point orbit point, cotangent representative or
     factorization."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     calls = dict.fromkeys(("graph_routes", "orbit_point", "to_cotangent"), 0)
-    shapes = []
+    shapes, qr_calls = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -181,19 +181,26 @@ def test_graph_factors_once_per_sample(monkeypatch):
         shapes.append(np.shape(g))
         return real_iwasawa(g)
 
+    def qr(a, mode="reduced"):
+        qr_calls.append((np.shape(a), mode))
+        return real_qr(a, mode)
+
     # the package re-exports the function iwasawa under its module's name
     iwasawa_module = importlib.import_module("orbitsym.iwasawa")
     real_iwasawa = iwasawa_module.iwasawa
+    real_qr = np.linalg.qr
     for module in (suites, symplectic, orbit_module, iwasawa_module):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         if hasattr(module, "iwasawa"):
             monkeypatch.setattr(module, "iwasawa", factor)
+    monkeypatch.setattr(np.linalg, "qr", qr)
     reports = run_suite(chamber, "graph", samples=2)
     assert all(r.passed for r in reports)
     assert calls == {"graph_routes": 1, "orbit_point": 0, "to_cotangent": 0}
-    assert shapes == [(2, 1, 6, 6)] + [(2, 15, 6, 6)] * 4
+    assert shapes == [(2, 1, 6, 6)]
+    assert qr_calls == [((2, 1, 6, 6), "reduced")] + [((2, 15, 6, 6), "r")] * 4
 
 
 @pytest.mark.parametrize("entries", [
@@ -226,13 +233,15 @@ def test_projection_factors_once_per_sample(monkeypatch):
     samples at n = 6 factors every g and g z in one stacked pass and the
     returning witnesses in another, runs all round trips through one
     stacked witness iteration, and makes no single-point bundle call.
-    Its slice checks are three stacked ``_cotangent`` calls: the
-    representatives of x, the three over each k0, and the two returns.
+    Its slice checks are three stacked ``_check_fiber`` calls: the
+    representatives of x (alone, without their coordinates), the three
+    over each k0 and the two returns, the last two inside the two
+    ``_cotangent`` calls.
     No Killing pairing runs once per sample: a call of five samples
     makes as many ``killing`` calls as a call of two."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     single = ("to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point", "flag_point")
-    calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "killing"), 0)
+    calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "_check_fiber", "killing"), 0)
     shapes = []
 
     def counted(name, fn):
@@ -258,7 +267,8 @@ def test_projection_factors_once_per_sample(monkeypatch):
     reports = run_suite(chamber, "projection", samples=2)
     assert all(r.passed for r in reports)
     killings = calls.pop("killing")
-    assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 3}
+    assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 2,
+                     "_check_fiber": 3}
     assert shapes == [(2, 2, 6, 6)] * 2
     calls["killing"] = 0
     assert all(r.passed for r in run_suite(chamber, "projection", samples=5))

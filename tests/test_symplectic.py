@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from orbitsym import (
 from orbitsym import orbit as orbit_module
 from orbitsym import symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
-from orbitsym.model import random_combination
-from orbitsym.numerics import commutator
+from orbitsym.model import SpecialLinearModel, random_combination
+from orbitsym.numerics import SingularInput, commutator
 from orbitsym.orbit import _dexp
 
 
@@ -183,6 +185,50 @@ class TestPotential:
             f1 = iwasawa_potential(chamber, g, k)
             f2 = iwasawa_potential(chamber, g, k @ z)
             assert abs(f1 - f2) <= 1e-10 * max(1.0, abs(f1))
+
+
+def sweep_chambers():
+    """The chamber entries of the sweep script's ``CONFIGS``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return [entries for _, entries in sweep.CONFIGS]
+
+
+class TestPotentialFromR:
+    """``iwasawa_potential`` forms only R of g k, yet gives the bits of the
+    full factorization's <H, log A(g k)> and raises its errors."""
+
+    @pytest.mark.parametrize("entries", sweep_chambers(), ids=lambda e: ",".join(map(str, e)))
+    def test_equals_the_full_factorization(self, entries):
+        model = SpecialLinearModel(len(entries))
+        chamber = model.chamber_element(entries)
+        rng = np.random.default_rng(len(entries))
+        g = np.stack([model.random_group_element(rng, 1.2 / model.n) for _ in range(3)])
+        k = np.stack([model.random_orthogonal(rng, 1.5) for _ in range(12)])
+        k = k.reshape(3, 4, model.n, model.n)
+        values = iwasawa_potential(chamber, g[:, None], k)
+        expected = model.killing(chamber.matrix, iwasawa(g[:, None] @ k).h_projection)
+        assert values.shape == (3, 4)
+        assert np.array_equal(values, expected)
+        single = iwasawa_potential(chamber, g[1], k[1, 2])
+        assert isinstance(single, np.float64)
+        assert single == model.killing(chamber.matrix, iwasawa(g[1] @ k[1, 2]).h_projection)
+        assert single == values[1, 2]
+
+    def test_errors_match_the_full_factorization(self, chamber3):
+        """A determinant other than 1 and a g k of determinant 1 but rank
+        deficient at working precision raise what ``iwasawa`` raises, for
+        a matrix and for a stack."""
+        cases = [(2.0 * np.eye(3), ValueError, "determinant 1"),
+                 (np.diag([1e12, 1e-6, 1e-6]), SingularInput, "column 1")]
+        for g, error, message in cases:
+            for arg in (g, np.stack([np.eye(3), g])):
+                with pytest.raises(error, match=message):
+                    iwasawa(arg)
+                with pytest.raises(error, match=message):
+                    iwasawa_potential(chamber3, arg, np.eye(3))
 
 
 class TestSectionOneForm:
