@@ -8,7 +8,9 @@ seed 1, and writes to the root of this repository:
 
 - the median of each end-to-end metric over the seeds, with every run;
 - the call counts per pass from the traced run;
-- the provenance that the benchmark records, per workload.
+- the provenance that the benchmark records, per workload;
+- the host: its CPU model, and the fastest of seven timings of fixed
+  references that import nothing of orbitsym, before and after the runs.
 
     python3 scripts/record_bench.py --label 44823e4 --checkout /path/to/parent
     python3 scripts/record_bench.py --label 46ea2cf
@@ -26,7 +28,10 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # Every point of the trajectory uses the same seeds and run length, so
@@ -34,10 +39,34 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SECONDS = 60.0
 TRACE_SECONDS = 20.0  # the traced run only needs its counts, which repeat every pass
+CPUINFO = Path("/proc/cpuinfo")
+CALIBRATION_REPEATS = 7
+_QR_STACK = np.random.default_rng(0).uniform(-1.0, 1.0, (120, 6, 6))
+# Host calibration references, 5 to 10 ms each on a 2-vCPU shared host.
+REFERENCES = {
+    "numpy_qr_120x6x6_x100_s": lambda: [np.linalg.qr(_QR_STACK) for _ in range(100)],
+    "python_loop_200k_s": lambda: sum(i % 7 for i in range(200_000)),
+}
 
 
 class RunFailed(RuntimeError):
     pass
+
+
+def cpu_model() -> str:
+    """The first ``model name`` of the CPU information, or "unknown"."""
+    try:
+        lines = CPUINFO.read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return "unknown"
+    names = (line.split(":", 1)[1].strip() for line in lines if line.startswith("model name"))
+    return next(names, "unknown")
+
+
+def calibrate() -> dict:
+    """The fastest of ``CALIBRATION_REPEATS`` timings of each reference, in s."""
+    return {name: min(timeit.repeat(reference, number=1, repeat=CALIBRATION_REPEATS))
+            for name, reference in REFERENCES.items()}
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -88,11 +117,14 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in declared["workloads"]]
 
     started = time.time()
+    before = calibrate()
     try:
         recorded = {w: record_workload(checkout, w) for w in workloads}
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    host = {"cpu_model": cpu_model(), "calibration_repeats": CALIBRATION_REPEATS,
+            "calibration_before": before, "calibration_after": calibrate()}
     payload = {
         "label": args.label,
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
@@ -100,6 +132,7 @@ def main(argv=None) -> int:
         "seconds": SECONDS,
         "trace_seed": SEEDS[0],
         "trace_seconds": TRACE_SECONDS,
+        "host": host,
         "workloads": recorded,
     }
     path = ROOT / f"BENCH_{args.label}.json"
@@ -108,6 +141,7 @@ def main(argv=None) -> int:
         median = entry["median"]
         print(f"{name}: samples_per_s {median['samples_per_s']:.6g}, "
               f"peak_rss_mb {median['peak_rss_mb']:.6g}")
+    print(f"host: {host['cpu_model']}, calibration {before} -> {host['calibration_after']}")
     print(f"wrote {path.relative_to(ROOT)}")
     return 0
 
