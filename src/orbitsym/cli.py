@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .model import NotInChamber, SpecialLinearModel
 from .suites import (
@@ -120,10 +120,44 @@ def suite_line(name: str, samples: int, reports: list[VerificationReport]) -> st
     return line if raised is None else f"{line} ({raised[1]} at sample {raised[0]})"
 
 
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dump(..., allow_nan=False)`` writes it, by type."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)  # any type that as_dict never gives raises TypeError
+
+
+# ``json.dump(reports, indent=2)`` lays a report out with its fields at depth
+# two, in the order of ``VerificationReport.as_dict``, the items of its lists
+# at depth three and the fields of a detail row at depth four.
+_REPORT = ('  {{\n    "suite": {suite},\n    "n": {n},\n    "H": {H},\n'
+           '    "samples": {samples},\n    "seed": {seed},\n    "fd_step": {fd_step},\n'
+           '    "max_error": {max_error},\n    "tolerance": {tolerance},\n    "pass": {pass},\n'
+           '    "samples_detail": {samples_detail}\n  }}')
+_DETAIL = '      {{\n        "index": {},\n        "error": {}{}\n      }}'
+
+
+def _json_report(fields: dict) -> str:
+    values = {k: _json_scalar(v) for k, v in fields.items() if not isinstance(v, list)}
+    h = ["      " + _json_scalar(entry) for entry in fields["H"]]
+    detail = [_DETAIL.format(_json_scalar(row["index"]), _json_scalar(row["error"]),
+                             f',\n        "exception": {_json_scalar(row["exception"])}'
+                             if "exception" in row else "") for row in fields["samples_detail"]]
+    for key, items in (("H", h), ("samples_detail", detail)):
+        values[key] = "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
+    return _REPORT.format_map(values)
+
+
 def write_reports(fh, reports: list[VerificationReport]) -> None:
-    """Write the reports to an open file as one strict JSON array."""
-    json.dump([r.as_dict() for r in reports], fh, indent=2, allow_nan=False)
-    fh.write("\n")
+    """Write the bytes of ``json.dump(..., indent=2, allow_nan=False)`` and a newline."""
+    body = ",\n".join(_json_report(r.as_dict()) for r in reports)
+    fh.write(f"[\n{body}\n]\n" if reports else "[]\n")
 
 
 def _run_verify(args) -> int:

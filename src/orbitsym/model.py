@@ -12,9 +12,9 @@ the subspaces the orbit geometry needs:
   z_K(H)  its antisymmetric part,
   m(H)    the Killing complement of z_K(H) in the antisymmetric matrices.
 
-Downstream modules touch the algebra only through the methods here and
-the basis tuples on ``ChamberElement``, so further matrix models can be
-added behind the same surface.
+Downstream modules touch the algebra only through the methods and the
+bases here (tuples, and flat stacks for the stacked samplers), so
+further matrix models can be added behind the same surface.
 """
 
 from __future__ import annotations
@@ -78,11 +78,22 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _combinations(flat: np.ndarray, rngs, scale: float, count: int = 1) -> np.ndarray:
+    """``count`` combinations (len(rngs), count, n, n) per generator of a flat basis
+    stack's rows, uniform in [-scale, scale]; an empty basis draws nothing."""
+    # Every basis has entries 0 and +-1, at most two of them nonzero at any
+    # position, so each entry is one rounding of at most two exact products
+    # (+0 where all vanish) in any summation order: a generator's draws do
+    # not depend on the stack.
+    coeffs = np.array([rng.uniform(-scale, scale, (count, len(flat))) for rng in rngs])
+    n = math.isqrt(flat.shape[1])
+    return (coeffs.reshape(len(rngs) * count, len(flat)) @ flat).reshape(len(rngs), count, n, n)
+
+
 def random_combination(basis, rng: np.random.Generator, scale: float) -> np.ndarray:
     """Linear combination of ``basis`` with coefficients uniform in
     [-scale, scale]; ``basis`` must be non-empty."""
-    coeffs = rng.uniform(-scale, scale, len(basis))
-    return np.einsum("i,ijk->jk", coeffs, np.asarray(basis))
+    return _combinations(np.reshape(basis, (len(basis), -1)), [rng], scale)[0, 0]
 
 
 class SpecialLinearModel:
@@ -102,10 +113,13 @@ class SpecialLinearModel:
         self.killing_coefficient = float(2 * n)
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.k_basis = tuple(_units(n, upper, [(j, i) for i, j in upper]))
-        self.a_basis = tuple(_units(n, [(i, i) for i in range(n - 1)],
-                                    [(i + 1, i + 1) for i in range(n - 1)]))
-        self.n_basis = tuple(_units(n, upper))
+        a_stack = _units(n, [(i, i) for i in range(n - 1)], [(i + 1, i + 1) for i in range(n - 1)])
+        n_stack = _units(n, upper)
+        self.a_basis, self.n_basis = tuple(a_stack), tuple(n_stack)
         self.algebra_basis = self.k_basis + self.a_basis + self.n_basis
+        # read-only flat views (dim, n * n) of the bases that suites combine
+        self._flat_bases = {"a_basis": a_stack.reshape(n - 1, n * n),
+                            "n_basis": n_stack.reshape(len(upper), n * n)}
 
     def killing(self, x, y) -> float | np.ndarray:
         """Killing form 2n tr(XY) on traceless matrices.  Two matrices
@@ -199,7 +213,12 @@ class SpecialLinearModel:
     def random_algebra_element(self, seed, scale: float) -> np.ndarray:
         """Traceless matrix with entries uniform in [-scale, scale],
         deterministic in the seed."""
-        return self._traceless(_as_rng(seed).uniform(-scale, scale, (self.n, self.n)))
+        return self._algebra_elements([_as_rng(seed)], scale)[0, 0]
+
+    def _algebra_elements(self, rngs, scale: float, count: int = 1) -> np.ndarray:
+        """``count`` ``random_algebra_element`` draws per generator: (len(rngs), count, n, n)."""
+        dims = (len(rngs), count, self.n, self.n)
+        return self._traceless(np.reshape([r.uniform(-scale, scale, dims[1:]) for r in rngs], dims))
 
     def _traceless(self, m: np.ndarray) -> np.ndarray:
         """``m`` with each slice's trace removed from its diagonal, in place."""
@@ -210,13 +229,8 @@ class SpecialLinearModel:
         """Product of up to ``factors`` exponentials of random traceless
         matrices; reaches points far from the identity while keeping the
         conditioning under control.  Determinant is 1 up to rounding."""
-        logs = self._group_logs(_as_rng(seed), scale, factors)
+        logs = self._algebra_elements([_as_rng(seed)], scale, factors)[0]
         return self._group_products(mat_exp(logs))
-
-    def _group_logs(self, rng: np.random.Generator, scale: float, factors: int) -> np.ndarray:
-        """The draws of ``random_group_element``: its factors' logarithms,
-        stacked (factors, n, n): ``factors`` ``random_algebra_element`` draws in one call."""
-        return self._traceless(rng.uniform(-scale, scale, (factors, self.n, self.n)))
 
     def _group_products(self, exps: np.ndarray) -> np.ndarray:
         """``random_group_element`` from its factors' exponentials: a stack
@@ -228,12 +242,12 @@ class SpecialLinearModel:
 
     def random_orthogonal(self, seed, scale: float) -> np.ndarray:
         """Exponential of a random antisymmetric matrix: a rotation."""
-        return mat_exp(self._rotation_log(_as_rng(seed), scale))
+        return mat_exp(self._rotation_logs([_as_rng(seed)], scale)[0, 0])
 
-    def _rotation_log(self, rng: np.random.Generator, scale: float) -> np.ndarray:
-        """The draw of ``random_orthogonal``: the antisymmetric logarithm."""
-        m = self.random_algebra_element(rng, scale)
-        return (m - m.T) / 2.0
+    def _rotation_logs(self, rngs, scale: float) -> np.ndarray:
+        """The logs (len(rngs), 1, n, n) of ``random_orthogonal``, one per generator."""
+        m = self._algebra_elements(rngs, scale)
+        return (m - np.swapaxes(m, -1, -2)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +276,12 @@ class ChamberElement:
     @cached_property
     def _n_index(self) -> tuple[np.ndarray, ...]:
         return tuple(_locked(np.array(self.n_positions, dtype=np.intp).reshape(-1, 2).T))
+
+    @cached_property
+    def _flat_bases(self) -> dict[str, np.ndarray]:
+        """The bases that samples combine, by name, as read-only (dim, n * n) stacks."""
+        return {name: _locked(np.reshape(getattr(self, name), (-1, self.model.n ** 2)))
+                for name in ("n_basis", "z_basis", "zk_basis")}
 
     @cached_property
     def _m_stack(self) -> np.ndarray:
@@ -298,20 +318,16 @@ class ChamberElement:
         return all(mult == 1 for _, mult in self.blocks)
 
     def random_fiber(self, rng: np.random.Generator, scale: float) -> np.ndarray:
-        """Random element of n(H)."""
-        if not self.n_basis:
-            return np.zeros((self.model.n, self.model.n))
-        return random_combination(self.n_basis, rng, scale)
+        """Random element of n(H); zero, drawing nothing, when n(H) = 0."""
+        return _combinations(self._flat_bases["n_basis"], [rng], scale)[0, 0]
 
     def random_centralizer(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of z(H)."""
-        return random_combination(self.z_basis, rng, scale)
+        return _combinations(self._flat_bases["z_basis"], [rng], scale)[0, 0]
 
     def random_compact_centralizer(self, rng: np.random.Generator, scale: float) -> np.ndarray:
-        """Random element of z_K(H)."""
-        if not self.zk_basis:
-            return np.zeros((self.model.n, self.model.n))
-        return random_combination(self.zk_basis, rng, scale)
+        """Random element of z_K(H); zero, drawing nothing, when z_K(H) = 0."""
+        return _combinations(self._flat_bases["zk_basis"], [rng], scale)[0, 0]
 
 
 __all__ = [

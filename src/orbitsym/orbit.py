@@ -189,15 +189,17 @@ def _fiber_coefficients(chamber: ChamberElement, w: np.ndarray) -> tuple[np.ndar
 
 
 def _check_fiber(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
-                 rtol: float = FIBER_RTOL) -> None:
-    """Raise ``FiberResidual`` for the first slice whose k^T fiber k leaves
-    n(H) by more than ``rtol`` |base + fiber|, the orbit point whose
-    rounding the residual carries; see ``_cotangent``."""
-    _, residual = _fiber_coefficients(chamber, np.swapaxes(k, -1, -2) @ fiber @ k)
+                 rtol: float = FIBER_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """w = k^T fiber k and its off-slice residuals.  Raise ``FiberResidual`` for
+    the first slice that leaves n(H) by more than ``rtol`` |base + fiber|, the
+    orbit point whose rounding the residual carries; see ``_cotangent``."""
+    w = np.swapaxes(k, -1, -2) @ fiber @ k
+    _, residual = _fiber_coefficients(chamber, w)
     off = residual > rtol * np.maximum(1.0, _frobenius_stack(base + fiber))
     if off.any():
         first = float(np.asarray(residual)[off][0])
         raise FiberResidual(f"fiber residual {first:.3e} off the nilpotent slice")
+    return w, residual
 
 
 def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,

@@ -10,14 +10,14 @@ columns (numerical derivatives) at a looser one; ``tol_exact`` and
 never change.
 
 Every suite draws each sample from its own generator, then runs each
-stage once over the stack of samples: the sampler's exponentials, the
-factorizations, the orbit and flag points, the cotangent
-representatives, the witness iteration, the graph routes, the charts
-of ``theorem`` and ``lagrangian-*`` with their stencils, and the error
-reductions.  Every stage gives each slice the arithmetic of a single
-sample and checks every slice, so a sample's errors do not depend on the
-samples it is stacked with.  ``theorem`` reduces its invariance defect,
-dim**3 entries per sample, one sample at a time.
+stage once over the stack of samples: the draws' trace removals and
+basis combinations, exponentials, factorizations, orbit and flag
+points, cotangent representatives, the witness iteration, graph routes,
+the charts of ``theorem`` and ``lagrangian-*`` with their stencils, and
+the error reductions.  Every stage gives each slice the arithmetic of a
+single sample and checks every slice, so a sample's errors do not depend
+on the samples it is stacked with.  ``theorem`` reduces its invariance
+defect, dim**3 entries per sample, one sample at a time.
 
 ``run_suite`` is the one sample loop.  It passes the samples to the
 check in chunks of a fixed size; a chunk that raises ``ValueError`` or
@@ -39,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
-from .model import ChamberElement, random_combination
+from .model import ChamberElement, _combinations
 from .numerics import _frobenius_stack, mat_exp
 from .orbit import (
     _check_fiber,
     _cotangent_reps,
-    _fiber_coefficients,
     _flag_points,
     _from_cotangent,
     _orbit_points,
@@ -145,11 +144,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**63, *key])
 
 
-def _group_logs(model, rng, strength: float = 1.2) -> np.ndarray:
-    """A sampled witness's draws: the logarithms (3, n, n) of its factors
-    at strength / n, which ``model._group_products`` multiplies after
-    their exponentials."""
-    return model._group_logs(rng, strength / model.n, 3)
+def _group_logs(model, rngs, strength: float = 1.2) -> np.ndarray:
+    """Each generator's witness draws: its factors' logs at strength / n, (len(rngs), 3, n, n)."""
+    return model._algebra_elements(rngs, strength / model.n, 3)
 
 
 def _rel(err, scale):
@@ -170,11 +167,10 @@ def _check_iwasawa(chamber, rngs, indices, fd_step):
     model = chamber.model
     n = model.n
     # per sample: the witness's factor logs, then the logs of k0, a0, n0
-    logs = np.array([
-        [*_group_logs(model, rng), model._rotation_log(rng, 1.5 / n),
-         random_combination(model.a_basis, rng, 0.5), random_combination(model.n_basis, rng, 0.5)]
-        for rng in rngs
-    ])
+    flat = model._flat_bases
+    logs = np.concatenate([_group_logs(model, rngs), model._rotation_logs(rngs, 1.5 / n),
+                           _combinations(flat["a_basis"], rngs, 0.5),
+                           _combinations(flat["n_basis"], rngs, 0.5)], axis=1)
     exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0, a0, n0 = exps[:, 3], exps[:, 4], exps[:, 5]
@@ -208,10 +204,8 @@ def _check_infinitesimal(chamber, rngs, indices, fd_step):
     """Closed-form factor velocities: reconstruction identity and
     witness independence exactly, central-difference match loosely."""
     model = chamber.model
-    draws = [(model.random_algebra_element(rng, 1.5 / model.n), _group_logs(model, rng))
-             for rng in rngs]
-    x = np.array([d[0] for d in draws])
-    g = model._group_products(mat_exp(np.array([d[1] for d in draws])))
+    x = model._algebra_elements(rngs, 1.5 / model.n)[:, 0]
+    g = model._group_products(mat_exp(_group_logs(model, rngs)))
     fac = iwasawa(g)
     inf = infinitesimal_iwasawa(x, g, factors=fac)
     an = fac.an_factor()
@@ -251,16 +245,12 @@ def _check_projection(chamber, rngs, indices, fd_step):
     model = chamber.model
     # per sample: the witness's factor logs, the logs of z, the log of k0,
     # and two fibers
-    logs, fibers = [], []
-    for rng in rngs:
-        logs.append([
-            *_group_logs(model, rng),
-            chamber.random_centralizer(rng, 0.4),
-            chamber.random_compact_centralizer(rng, 0.6),
-            model._rotation_log(rng, 1.5 / model.n),
-        ])
-        fibers.append([chamber.random_fiber(rng, 0.8), chamber.random_fiber(rng, 0.8)])
-    exps = mat_exp(np.array(logs))
+    flat = chamber._flat_bases
+    logs = np.concatenate([_group_logs(model, rngs), _combinations(flat["z_basis"], rngs, 0.4),
+                           _combinations(flat["zk_basis"], rngs, 0.6),
+                           model._rotation_logs(rngs, 1.5 / model.n)], axis=1)
+    fibers = _combinations(flat["n_basis"], rngs, 0.8, count=2)
+    exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0 = exps[:, 5, None]  # (samples, 1, n, n), against stacks of fibers
 
@@ -273,11 +263,10 @@ def _check_projection(chamber, rngs, indices, fd_step):
     scale = _frobenius_stack(x)
     e_welldef = _rel(_frobenius_stack(bases[:, 1] - base), scale)
 
-    w = np.swapaxes(k_x, -1, -2) @ fiber @ k_x
-    e_disp = _rel(_fiber_coefficients(chamber, w)[1], _frobenius_stack(w))
-    _check_fiber(chamber, k_x, base, fiber)  # the slice check of to_cotangent(x)
+    w, residual = _check_fiber(chamber, k_x, base, fiber)  # the slice check of to_cotangent(x)
+    e_disp = _rel(residual, _frobenius_stack(w))
 
-    v = k0 @ np.array(fibers) @ np.swapaxes(k0, -1, -2)
+    v = k0 @ fibers @ np.swapaxes(k0, -1, -2)
     v1, v2 = v[:, 0], v[:, 1]
     base0, coords = _cotangent_reps(chamber, k0, np.stack([v1, v2, v1 + v2], axis=1))
     base0 = base0[:, 0]
@@ -321,12 +310,14 @@ def _pairing_ratio(chamber) -> float:
 def _witnesses(model, rngs, indices, sample1) -> np.ndarray:
     """The witnesses (samples, n, n) of ``theorem`` and ``graph`` from one
     zero-filled stack of factor logs: the identity at sample 0, the logs
-    ``sample1(rng)`` in sample 1's leading rows, generic ones after."""
+    ``sample1([rng])[0]`` in sample 1's leading rows, generic ones after."""
     logs = np.zeros((len(rngs), 3, model.n, model.n))
-    for row, rng, index in zip(logs, rngs, indices):
-        if index:
-            draws = sample1(rng) if index == 1 else _group_logs(model, rng)
-            row[:len(draws)] = draws
+    generic = [row for row, index in enumerate(indices) if index > 1]
+    if generic:
+        logs[generic] = _group_logs(model, [rngs[row] for row in generic])
+    if 1 in indices:
+        draws = sample1([rngs[indices.index(1)]])
+        logs[indices.index(1), :draws.shape[1]] = draws[0]
     return model._group_products(mat_exp(logs))
 
 
@@ -337,7 +328,7 @@ def _check_lagrangian(basis: str):
 
     def check(chamber, rngs, indices, fd_step):
         model = chamber.model
-        g = model._group_products(mat_exp(np.array([_group_logs(model, rng) for rng in rngs])))
+        g = model._group_products(mat_exp(_group_logs(model, rngs)))
         chart = orbit_chart(orbit_point(chamber, g), directions=getattr(chamber, basis))
         x, gens = chart.frame_generators(np.zeros(chart.dim))
         zmax = np.max(_frobenius_stack(gens), axis=-1, initial=0.0)
@@ -359,8 +350,9 @@ def _check_graph(chamber, rngs, indices, fd_step):
     ``graph_routes`` call.  Sample 1 uses a diagonal group element.
     """
     model = chamber.model
-    g = _witnesses(model, rngs, indices, lambda rng: [random_combination(model.a_basis, rng, 0.6)])
-    k = mat_exp(np.array([model._rotation_log(rng, 1.5 / model.n) for rng in rngs]))
+    g = _witnesses(model, rngs, indices,
+                   lambda one: _combinations(model._flat_bases["a_basis"], one, 0.6))
+    k = mat_exp(model._rotation_logs(rngs, 1.5 / model.n)[:, 0])
     a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber._m_stack, fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
@@ -378,7 +370,7 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     Sample 0 sits at the identity witness and sample 1 far from it.
     """
     model = chamber.model
-    g = _witnesses(model, rngs, indices, lambda rng: _group_logs(model, rng, strength=2.0))
+    g = _witnesses(model, rngs, indices, lambda one: _group_logs(model, one, strength=2.0))
     chart = orbit_chart(orbit_point(chamber, g))
     if chart.dim == 0:
         return [(0.0, 0.0, 0.0)] * len(rngs)

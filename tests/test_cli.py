@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import math
 import os
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from orbitsym import SUITE_NAMES, SpecialLinearModel, iwasawa, orbit, suites
-from orbitsym.cli import build_parser, main, parse_entries
+from orbitsym.cli import build_parser, main, parse_entries, write_reports
 from orbitsym.orbit import FiberResidual
+from orbitsym.suites import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -428,3 +431,81 @@ def test_overflowing_characteristic_polynomial_is_usage_error(capsys, command, s
     code, out, err = run_cli(capsys, *command, "--H", f"{scale},{scale},-{scale},-{scale}")
     assert (code, out) == (2, "")
     assert err == "error: characteristic polynomial of H overflows\n"
+
+
+def json_text(reports) -> str:
+    """The report list as ``json`` writes it: the reference for the writer."""
+    return json.dumps([r.as_dict() for r in reports], indent=2, allow_nan=False) + "\n"
+
+
+def written(reports) -> str:
+    out = io.StringIO()
+    write_reports(out, reports)
+    return out.getvalue()
+
+
+def handmade_report(errors, tolerance=1e-9, **fields) -> VerificationReport:
+    return VerificationReport(**{
+        "suite": "graph-exact", "n": 3, "chamber_entries": (1.0, 0.0, -1.0),
+        "samples": len(errors), "seed": 42, "fd_step": 1e-3,
+        "sample_errors": tuple(errors), "max_error": suites._worst(errors),
+        "tolerance": tolerance, "passed": False, **fields})
+
+
+@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]])
+def test_report_writer_matches_json(entries):
+    """The direct writer gives ``json.dump(..., indent=2)``'s bytes for the
+    reports of every suite, chamber-level columns included."""
+    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
+    reports = [r for name in SUITE_NAMES for r in suites.run_suite(chamber, name, samples=2)]
+    assert written(reports) == json_text(reports)
+    assert written([]) == json_text([]) == "[]\n"
+
+
+def test_report_writer_matches_json_on_failures():
+    """Non-finite errors (written as strings), exception rows, a negative
+    seed and an integer step are written as ``json`` writes them."""
+    report = handmade_report(
+        [float("nan"), float("inf"), -float("inf"), 0.5], seed=-7, fd_step=1,
+        exceptions=((1, "FiberResidual"), (2, "SingularInput")))
+    text = written([report, handmade_report([0.0, -0.0])])
+    assert text == json_text([report, handmade_report([0.0, -0.0])])
+    assert '"exception": "FiberResidual"' in text and '"error": "-Infinity"' in text
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(finite, min_size=1, max_size=4), finite, st.tuples(finite, finite))
+@example([-0.0, 5e-324, 1e308, -1e308], 2.2250738585072014e-308, (-0.0, 1e-320))
+def test_report_writer_matches_json_on_finite_floats(errors, tolerance, entries):
+    report = handmade_report(errors, tolerance, chamber_entries=entries, fd_step=tolerance)
+    assert written([report]) == json_text([report])
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+def test_report_writer_rejects_a_nonfinite_tolerance(tolerance):
+    report = handmade_report([0.0], tolerance)
+    with pytest.raises(ValueError):
+        json_text([report])
+    with pytest.raises(ValueError):
+        written([report])
+
+
+def test_verify_json_does_not_use_the_json_encoder(tmp_path, monkeypatch):
+    """Structural guard: ``--json`` output is rendered without ``json``'s
+    encoder, and is still what the encoder would write."""
+    chamber = SpecialLinearModel(3).chamber_element([1, 0, -1])
+    expected = json_text(suites.run_suite(chamber, "projection", samples=3, seed=4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json encoder called")
+
+    monkeypatch.setattr(json, "dump", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    path = tmp_path / "out.json"
+    code = main(["verify", "projection", "--H", "1,0,-1", "--samples", "3", "--seed", "4",
+                 "--json", str(path), "--quiet"])
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == expected

@@ -287,13 +287,14 @@ class TestRandomness:
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8])
     def test_group_logs_are_single_draws_bit_for_bit(self, n):
-        """One stacked draw with one trace removal gives the logs, and
-        leaves the generator, of one ``random_algebra_element`` per factor;
-        each of those is a uniform draw minus tr/n times the identity."""
+        """One stacked draw with one trace removal gives the factor logs of
+        ``random_group_element``, and leaves the generator, as one
+        ``random_algebra_element`` per factor; each of those is a uniform
+        draw minus tr/n times the identity."""
         model = SpecialLinearModel(n)
         for seed in range(50):
             rngs = [np.random.default_rng(seed) for _ in range(3)]
-            logs = model._group_logs(rngs[0], 1.2 / n, 3)
+            logs = model._algebra_elements([rngs[0]], 1.2 / n, 3)[0]
             single = np.stack([model.random_algebra_element(rngs[1], 1.2 / n) for _ in range(3)])
             by_hand = rngs[2].uniform(-1.2 / n, 1.2 / n, (3, n, n))
             for m in by_hand:

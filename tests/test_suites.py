@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitsym import SUITE_NAMES, SpecialLinearModel, run_suite
+from orbitsym import SUITE_NAMES, SpecialLinearModel, mat_exp, random_combination, run_suite
 from orbitsym import orbit as orbit_module
 from orbitsym import suites, symplectic
+from orbitsym.model import _combinations
 from orbitsym.orbit import OrbitChart
 from orbitsym.suites import (
     _report,
@@ -236,12 +237,14 @@ def test_projection_factors_once_per_sample(monkeypatch):
     Its slice checks are three stacked ``_check_fiber`` calls: the
     representatives of x (alone, without their coordinates), the three
     over each k0 and the two returns, the last two inside the two
-    ``_cotangent`` calls.
+    ``_cotangent`` calls.  Each reads its n(H) residuals once, and the
+    displacement error reuses those of x.
     No Killing pairing runs once per sample: a call of five samples
     makes as many ``killing`` calls as a call of two."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     single = ("to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point", "flag_point")
-    calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "_check_fiber", "killing"), 0)
+    calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "_check_fiber",
+                           "_fiber_coefficients", "killing"), 0)
     shapes = []
 
     def counted(name, fn):
@@ -268,7 +271,7 @@ def test_projection_factors_once_per_sample(monkeypatch):
     assert all(r.passed for r in reports)
     killings = calls.pop("killing")
     assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 2,
-                     "_check_fiber": 3}
+                     "_check_fiber": 3, "_fiber_coefficients": 3}
     assert shapes == [(2, 2, 6, 6)] * 2
     calls["killing"] = 0
     assert all(r.passed for r in run_suite(chamber, "projection", samples=5))
@@ -483,3 +486,114 @@ def test_projection_reports_cover_every_check(chamber3):
         "projection-linearity",
         "projection-pairing",
     ]
+
+
+# The per-sample draws as written before the samplers were stacked: one
+# uniform call, trace removal and einsum per draw.
+def reference_algebra(rng, n, scale):
+    m = rng.uniform(-scale, scale, (n, n))
+    m -= np.trace(m) / n * np.eye(n)
+    return m
+
+
+def reference_rotation_log(rng, n, scale):
+    m = reference_algebra(rng, n, scale)
+    return (m - m.T) / 2.0
+
+
+def reference_combination(basis, rng, scale, n):
+    if not basis:
+        return np.zeros((n, n))
+    coeffs = rng.uniform(-scale, scale, len(basis))
+    return np.einsum("i,ijk->jk", coeffs, np.asarray(basis))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.mark.parametrize("entries", sweep_chambers(), ids=lambda e: ",".join(map(str, e)))
+@pytest.mark.parametrize("chunk", [1, 6])
+def test_stacked_samplers_are_per_sample_draws_bit_for_bit(entries, chunk):
+    """Each stacked draw equals, for every generator of a chunk, the
+    per-sample reference from the same generator, signed zeros included,
+    and leaves every generator where the reference leaves it.  The sweep
+    chambers include n(H) = 0 (H = 0,0), whose fibers draw nothing, and
+    regular chambers, where z_K(H) = 0."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    n = model.n
+    flat = {**model._flat_bases, **{f"chamber.{k}": v for k, v in chamber._flat_bases.items()}}
+    bases = {"a_basis": model.a_basis, "n_basis": model.n_basis,
+             **{f"chamber.{k}": getattr(chamber, k) for k in chamber._flat_bases}}
+    draws = [
+        (lambda rngs: model._algebra_elements(rngs, 0.7, 3),
+         lambda rng: [reference_algebra(rng, n, 0.7) for _ in range(3)]),
+        (lambda rngs: model._rotation_logs(rngs, 1.5 / n),
+         lambda rng: [reference_rotation_log(rng, n, 1.5 / n)]),
+        *[(lambda rngs, name=name: _combinations(flat[name], rngs, 0.8, count=2),
+           lambda rng, name=name: [reference_combination(bases[name], rng, 0.8, n)
+                                   for _ in range(2)])
+          for name in bases],
+    ]
+    for seed in range(5):
+        for stacked, single in draws:
+            rngs = [np.random.default_rng([seed, i]) for i in range(chunk)]
+            refs = [np.random.default_rng([seed, i]) for i in range(chunk)]
+            assert_same_bits(stacked(rngs), np.array([single(rng) for rng in refs]))
+            assert [rng.random() for rng in rngs] == [rng.random() for rng in refs]
+
+
+@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1],
+                                     [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]])
+def test_public_samplers_keep_their_draws(entries):
+    """The single-sample samplers, each one call of a stacked draw, return
+    the per-sample reference's draws for fixed seeds."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    n = model.n
+    for seed in (0, 7, 123):
+        assert_same_bits(model.random_algebra_element(seed, 0.7),
+                         reference_algebra(np.random.default_rng(seed), n, 0.7))
+        assert_same_bits(model.random_orthogonal(seed, 0.5),
+                         mat_exp(reference_rotation_log(np.random.default_rng(seed), n, 0.5)))
+        rng = np.random.default_rng(seed)
+        expected = np.eye(n)
+        for log in [reference_algebra(rng, n, 0.4) for _ in range(3)]:
+            expected = expected @ mat_exp(log)
+        assert_same_bits(model.random_group_element(seed, 0.4), expected)
+        samplers = [
+            (lambda rng: random_combination(model.a_basis, rng, 0.5), model.a_basis, 0.5),
+            (lambda rng: random_combination(chamber.z_basis, rng, 1.0), chamber.z_basis, 1.0),
+            (lambda rng: chamber.random_fiber(rng, 0.8), chamber.n_basis, 0.8),
+            (lambda rng: chamber.random_centralizer(rng, 0.4), chamber.z_basis, 0.4),
+            (lambda rng: chamber.random_compact_centralizer(rng, 0.6), chamber.zk_basis, 0.6),
+        ]
+        for sample, basis, scale in samplers:
+            assert_same_bits(sample(np.random.default_rng(seed)),
+                             reference_combination(basis, np.random.default_rng(seed), scale, n))
+
+
+def test_trace_removals_per_call_do_not_grow_with_samples(monkeypatch):
+    """Structural guard: a factor-suite call removes traces once per
+    stacked draw of traceless matrices (the witnesses' logs and the
+    rotation logs, or x), not once per sample, so calls of 3 and 7
+    samples make the same number of ``_traceless`` calls."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    calls = []
+    real = SpecialLinearModel._traceless
+
+    def traceless(self, m):
+        calls.append(m.shape[0])
+        return real(self, m)
+
+    monkeypatch.setattr(SpecialLinearModel, "_traceless", traceless)
+    for name in ("iwasawa", "infinitesimal", "projection", "graph"):
+        counts = []
+        for samples in (3, 7):
+            calls.clear()
+            assert all(r.passed for r in run_suite(chamber, name, samples=samples))
+            counts.append(len(calls))
+        assert counts == [2, 2], name
