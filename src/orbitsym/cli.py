@@ -100,8 +100,7 @@ def _resolve_chamber(n_arg, h_text: str):
         raise ValueError(f"matrix size must be between 2 and 8, got {n}")
     if len(entries) != n:
         raise ValueError(f"expected {n} entries in H, got {len(entries)}")
-    model = SpecialLinearModel(n)
-    return model, model.chamber_element(entries)
+    return SpecialLinearModel(n).chamber_element(entries)
 
 
 def suite_line(name: str, samples: int, reports: list[VerificationReport]) -> str:
@@ -173,7 +172,7 @@ def _run_verify(args) -> int:
         if value is not None and not (math.isfinite(value) and value > 0):
             return _usage_error(f"{flag} must be finite and positive")
     try:
-        _, chamber = _resolve_chamber(args.n, args.H)
+        chamber = _resolve_chamber(args.n, args.H)
     except (ValueError, NotInChamber) as exc:
         return _usage_error(str(exc))
     try:  # opened before the first suite, so that an unwritable path costs no run
@@ -200,7 +199,7 @@ def _run_verify(args) -> int:
 
 def _run_info(args) -> int:
     try:
-        _, chamber = _resolve_chamber(args.n, args.H)
+        chamber = _resolve_chamber(args.n, args.H)
     except (ValueError, NotInChamber) as exc:
         return _usage_error(str(exc))
     blocks = ", ".join(f"{value:g} (x{mult})" for value, mult in chamber.blocks)

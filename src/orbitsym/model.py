@@ -13,14 +13,15 @@ the subspaces the orbit geometry needs:
   m(H)    the Killing complement of z_K(H) in the antisymmetric matrices.
 
 Downstream modules touch the algebra only through the methods and the
-bases here (tuples, and flat stacks for the stacked samplers), so
+bases here (tuples, and for stacked code the read-only (dim, n, n)
+stacks in ``_stacks`` whose slices the tuples hold), so
 further matrix models can be added behind the same surface.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -78,22 +79,23 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _combinations(flat: np.ndarray, rngs, scale: float, count: int = 1) -> np.ndarray:
-    """``count`` combinations (len(rngs), count, n, n) per generator of a flat basis
-    stack's rows, uniform in [-scale, scale]; an empty basis draws nothing."""
+def _combinations(stack: np.ndarray, rngs, scale: float, count: int = 1) -> np.ndarray:
+    """``count`` combinations (len(rngs), count, n, n) per generator of a basis
+    stack (dim, n, n), uniform in [-scale, scale]; an empty basis draws nothing."""
     # Every basis has entries 0 and +-1, at most two of them nonzero at any
     # position, so each entry is one rounding of at most two exact products
     # (+0 where all vanish) in any summation order: a generator's draws do
     # not depend on the stack.
-    coeffs = np.array([rng.uniform(-scale, scale, (count, len(flat))) for rng in rngs])
-    n = math.isqrt(flat.shape[1])
-    return (coeffs.reshape(len(rngs) * count, len(flat)) @ flat).reshape(len(rngs), count, n, n)
+    dim, n = len(stack), stack.shape[-1]
+    coeffs = np.array([rng.uniform(-scale, scale, (count, dim)) for rng in rngs])
+    flat = stack.reshape(dim, n * n)
+    return (coeffs.reshape(len(rngs) * count, dim) @ flat).reshape(len(rngs), count, n, n)
 
 
 def random_combination(basis, rng: np.random.Generator, scale: float) -> np.ndarray:
     """Linear combination of ``basis`` with coefficients uniform in
     [-scale, scale]; ``basis`` must be non-empty."""
-    return _combinations(np.reshape(basis, (len(basis), -1)), [rng], scale)[0, 0]
+    return _combinations(np.asarray(basis), [rng], scale)[0, 0]
 
 
 class SpecialLinearModel:
@@ -112,14 +114,15 @@ class SpecialLinearModel:
         self.dim = n * n - 1
         self.killing_coefficient = float(2 * n)
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.k_basis = tuple(_units(n, upper, [(j, i) for i, j in upper]))
-        a_stack = _units(n, [(i, i) for i in range(n - 1)], [(i + 1, i + 1) for i in range(n - 1)])
-        n_stack = _units(n, upper)
-        self.a_basis, self.n_basis = tuple(a_stack), tuple(n_stack)
+        # each basis, by name, as a read-only stack (dim, n, n)
+        self._stacks = {
+            "k_basis": _units(n, upper, [(j, i) for i, j in upper]),
+            "a_basis": _units(n, [(i, i) for i in range(n - 1)],
+                              [(i + 1, i + 1) for i in range(n - 1)]),
+            "n_basis": _units(n, upper),
+        }
+        self.k_basis, self.a_basis, self.n_basis = map(tuple, self._stacks.values())
         self.algebra_basis = self.k_basis + self.a_basis + self.n_basis
-        # read-only flat views (dim, n * n) of the bases that suites combine
-        self._flat_bases = {"a_basis": a_stack.reshape(n - 1, n * n),
-                            "n_basis": n_stack.reshape(len(upper), n * n)}
 
     def killing(self, x, y) -> float | np.ndarray:
         """Killing form 2n tr(XY) on traceless matrices.  Two matrices
@@ -187,12 +190,16 @@ class SpecialLinearModel:
             if block_index[i] != block_index[j]
         )
         n_of_h = _units(n, positions)
-        theta_n_of_h = _locked(self.cartan_involution(n_of_h))
         same_block = [(i, j) for i in range(n) for j in range(n)
                       if i != j and block_index[i] == block_index[j]]
         zk_pairs = [(i, j) for i, j in same_block if i < j]
-        zk_of_h = _units(n, zk_pairs, [(j, i) for i, j in zk_pairs])
-        m_of_h = _units(n, positions, [(j, i) for i, j in positions])
+        stacks = {
+            "n_basis": n_of_h,
+            "theta_n_basis": _locked(self.cartan_involution(n_of_h)),
+            "z_basis": _locked(np.concatenate([self._stacks["a_basis"], _units(n, same_block)])),
+            "zk_basis": _units(n, zk_pairs, [(j, i) for i, j in zk_pairs]),
+            "m_basis": _units(n, positions, [(j, i) for i, j in positions]),
+        }
         gaps = tuple(floats[i] - floats[j] for i, j in positions)
 
         return ChamberElement(
@@ -202,12 +209,9 @@ class SpecialLinearModel:
             matrix=matrix,
             n_positions=positions,
             n_gaps=gaps,
-            n_basis=tuple(n_of_h),
-            theta_n_basis=tuple(theta_n_of_h),
-            z_basis=self.a_basis + tuple(_units(n, same_block)),
-            zk_basis=tuple(zk_of_h),
-            m_basis=tuple(m_of_h),
+            **{name: tuple(stack) for name, stack in stacks.items()},
             char_coeffs=char_coeffs,
+            _stacks=stacks,
         )
 
     def random_algebra_element(self, seed, scale: float) -> np.ndarray:
@@ -258,6 +262,8 @@ class ChamberElement:
     and ``n_gaps`` the corresponding positive differences H_ii - H_jj.
     ``_n_index`` caches the positions as (rows, columns) index arrays, so
     ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
+    ``_stacks`` holds each basis, by name, as the read-only (dim, n, n)
+    stack whose slices its tuple holds.
     """
 
     model: SpecialLinearModel
@@ -272,22 +278,11 @@ class ChamberElement:
     zk_basis: tuple[np.ndarray, ...]
     m_basis: tuple[np.ndarray, ...]
     char_coeffs: np.ndarray
+    _stacks: dict[str, np.ndarray] = field(repr=False)
 
     @cached_property
     def _n_index(self) -> tuple[np.ndarray, ...]:
         return tuple(_locked(np.array(self.n_positions, dtype=np.intp).reshape(-1, 2).T))
-
-    @cached_property
-    def _flat_bases(self) -> dict[str, np.ndarray]:
-        """The bases that samples combine, by name, as read-only (dim, n * n) stacks."""
-        return {name: _locked(np.reshape(getattr(self, name), (-1, self.model.n ** 2)))
-                for name in ("n_basis", "z_basis", "zk_basis")}
-
-    @cached_property
-    def _m_stack(self) -> np.ndarray:
-        """The m(H) basis as one (dim_m, n, n) array."""
-        n = self.model.n
-        return _locked(np.reshape(self.m_basis, (self.dim_m, n, n)))
 
     @property
     def dim_n(self) -> int:
@@ -319,15 +314,15 @@ class ChamberElement:
 
     def random_fiber(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of n(H); zero, drawing nothing, when n(H) = 0."""
-        return _combinations(self._flat_bases["n_basis"], [rng], scale)[0, 0]
+        return _combinations(self._stacks["n_basis"], [rng], scale)[0, 0]
 
     def random_centralizer(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of z(H)."""
-        return _combinations(self._flat_bases["z_basis"], [rng], scale)[0, 0]
+        return _combinations(self._stacks["z_basis"], [rng], scale)[0, 0]
 
     def random_compact_centralizer(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of z_K(H); zero, drawing nothing, when z_K(H) = 0."""
-        return _combinations(self._flat_bases["zk_basis"], [rng], scale)[0, 0]
+        return _combinations(self._stacks["zk_basis"], [rng], scale)[0, 0]
 
 
 __all__ = [

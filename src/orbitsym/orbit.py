@@ -208,7 +208,8 @@ def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: 
     flag points ``base`` = k H k^T with the given fibers, all stacks
     (..., n, n) that broadcast together, after their ``_check_fiber``."""
     _check_fiber(chamber, k, base, fiber, rtol)
-    moved = k[..., None, :, :] @ chamber._m_stack @ np.swapaxes(k, -1, -2)[..., None, :, :]
+    moved = (k[..., None, :, :] @ chamber._stacks["m_basis"]
+             @ np.swapaxes(k, -1, -2)[..., None, :, :])
     return chamber.model.killing(fiber[..., None, :, :], moved)
 
 

@@ -1,34 +1,38 @@
 """Seeded verification suites over sampled orbit data.
 
-A suite is a stacked check ``(chamber, rngs, indices, fd_step) -> one
-tuple of errors per sample`` and a row of the ``SUITES`` table: the key
-that seeds each sample's generator along with the run's seed and the
-sample index, and one ``(report name, tolerance class, default)`` column
-per error.  "exact" columns run at rounding-level tolerances and "fd"
-columns (numerical derivatives) at a looser one; ``tol_exact`` and
-``tol_fd`` override every column of their class, and "fixed" columns
-never change.
+A suite is a stacked check ``(chamber, rngs, indices, fd_step) -> error
+table``, a float array with one row per sample and one column per
+sampled report, and a row of the ``SUITES`` table: the key that seeds
+each sample's generator along with the run's seed and the sample index,
+and one ``(report name, tolerance class, default)`` entry per column.
+"exact" columns run at rounding-level tolerances and "fd" columns
+(numerical derivatives) at a looser one; ``tol_exact`` and ``tol_fd``
+override every column of their class, and "fixed" columns never change.
 
 Every suite draws each sample from its own generator, then runs each
 stage once over the stack of samples: the draws' trace removals and
 basis combinations, exponentials, factorizations, orbit and flag
 points, cotangent representatives, the witness iteration, graph routes,
-the charts of ``theorem`` and ``lagrangian-*`` with their stencils, and
-the error reductions.  Every stage gives each slice the arithmetic of a
-single sample and checks every slice, so a sample's errors do not depend
-on the samples it is stacked with.  ``theorem`` reduces its invariance
-defect, dim**3 entries per sample, one sample at a time.
+and the charts of ``theorem`` and ``lagrangian-*`` with their stencils.
+Every stage gives each slice the arithmetic of a single sample and checks
+every slice, so a sample's errors do not depend on the samples it is
+stacked with.  A column that merges several sub-checks takes their
+largest error through one stacked ``_worst`` call over all samples; a
+single-source column passes its errors through as they are.  ``theorem``
+forms its invariance defect, dim**3 entries per sample, one sample at a
+time and reduces the per-sample maxima in one call.
 
 ``run_suite`` is the one sample loop.  It passes the samples to the
 check in chunks of a fixed size; a chunk that raises ``ValueError`` or
 ``ArithmeticError`` (the named orbitsym errors, ``LinAlgError``,
 ``OverflowError``, ``FloatingPointError``) runs again one sample at a
 time, and each sample that raises on its own gets an infinite error in
-every column and records the exception's class name; other exceptions
-propagate.  Each check runs with numpy's overflow, division by zero and
-invalid operations raised as ``FloatingPointError`` rather than warned
-about.  Reports satisfy ``passed == (max_error <= tolerance)``, and a
-non-finite error counts as infinite, so NaN never passes.
+every column of its row and records the exception's class name; other
+exceptions propagate.  Each check runs with numpy's overflow, division
+by zero and invalid operations raised as ``FloatingPointError`` rather
+than warned about.  Reports satisfy ``passed == (max_error <=
+tolerance)``, and a non-finite error counts as infinite, so NaN never
+passes.
 """
 
 from __future__ import annotations
@@ -116,15 +120,17 @@ class VerificationReport:
         }
 
 
-def _worst(errors) -> float:
-    """Largest error, counting any non-finite value as infinite so that
-    NaN can never pass a tolerance check."""
-    return max((e if math.isfinite(e) else math.inf for e in map(float, errors)), default=0.0)
+def _worst(errors, axis=None):
+    """Largest error along ``axis`` (over all of them by default), 0 on an
+    empty axis, counting any non-finite value as infinite so that NaN can
+    never pass a tolerance check."""
+    e = np.asarray(errors, dtype=float)
+    return np.max(np.where(np.isfinite(e), e, math.inf), axis=axis, initial=0.0)
 
 
 def _report(suite, chamber, seed, fd_step, errors, tolerance, exceptions=()) -> VerificationReport:
-    errs = tuple(float(e) for e in errors)
-    worst = _worst(errs)
+    errs = np.asarray(errors, dtype=float)
+    worst = float(_worst(errs))
     return VerificationReport(
         suite=suite,
         n=chamber.model.n,
@@ -132,7 +138,7 @@ def _report(suite, chamber, seed, fd_step, errors, tolerance, exceptions=()) -> 
         samples=len(errs),
         seed=seed,
         fd_step=fd_step,
-        sample_errors=errs,
+        sample_errors=tuple(errs.tolist()),
         max_error=worst,
         tolerance=float(tolerance),
         passed=worst <= tolerance,
@@ -167,10 +173,9 @@ def _check_iwasawa(chamber, rngs, indices, fd_step):
     model = chamber.model
     n = model.n
     # per sample: the witness's factor logs, then the logs of k0, a0, n0
-    flat = model._flat_bases
     logs = np.concatenate([_group_logs(model, rngs), model._rotation_logs(rngs, 1.5 / n),
-                           _combinations(flat["a_basis"], rngs, 0.5),
-                           _combinations(flat["n_basis"], rngs, 0.5)], axis=1)
+                           _combinations(model._stacks["a_basis"], rngs, 0.5),
+                           _combinations(model._stacks["n_basis"], rngs, 0.5)], axis=1)
     exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0, a0, n0 = exps[:, 3], exps[:, 4], exps[:, 5]
@@ -194,10 +199,7 @@ def _check_iwasawa(chamber, rngs, indices, fd_step):
     errs.append(_rel(_frobenius_stack(fac2.k_factor - k0), scale))
     errs.append(_rel(_frobenius_stack(fac2.a_factor - a0), scale))
     errs.append(_rel(_frobenius_stack(fac2.n_factor - n0), scale))
-    return [
-        (math.inf if bad else _worst(row),)
-        for row, bad in zip(np.transpose(errs), nonpositive)
-    ]
+    return np.where(nonpositive, math.inf, _worst(np.transpose(errs), axis=-1))[:, None]
 
 
 def _check_infinitesimal(chamber, rngs, indices, fd_step):
@@ -227,10 +229,8 @@ def _check_infinitesimal(chamber, rngs, indices, fd_step):
         _rel(_frobenius_stack(inf.a_deriv - a_fd), scale_fd),
         _rel(_frobenius_stack(inf.n_deriv - n_fd), scale_fd),
     ]
-    return [
-        (_worst([r, *w]), _worst(f))
-        for r, w, f in zip(e_recon, np.transpose(e_witness), np.transpose(e_fd))
-    ]
+    return np.transpose([_worst(np.transpose([e_recon, *e_witness]), axis=-1),
+                         _worst(np.transpose(e_fd), axis=-1)])
 
 
 def _check_projection(chamber, rngs, indices, fd_step):
@@ -245,11 +245,11 @@ def _check_projection(chamber, rngs, indices, fd_step):
     model = chamber.model
     # per sample: the witness's factor logs, the logs of z, the log of k0,
     # and two fibers
-    flat = chamber._flat_bases
-    logs = np.concatenate([_group_logs(model, rngs), _combinations(flat["z_basis"], rngs, 0.4),
-                           _combinations(flat["zk_basis"], rngs, 0.6),
+    stacks = chamber._stacks
+    logs = np.concatenate([_group_logs(model, rngs), _combinations(stacks["z_basis"], rngs, 0.4),
+                           _combinations(stacks["zk_basis"], rngs, 0.6),
                            model._rotation_logs(rngs, 1.5 / model.n)], axis=1)
-    fibers = _combinations(flat["n_basis"], rngs, 0.8, count=2)
+    fibers = _combinations(stacks["n_basis"], rngs, 0.8, count=2)
     exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0 = exps[:, 5, None]  # (samples, 1, n, n), against stacks of fibers
@@ -288,11 +288,8 @@ def _check_projection(chamber, rngs, indices, fd_step):
         _rel(_frobenius_stack(base_b[:, 1] - base0), scale_f),
         _rel(_max_abs(coords_b[:, 1] - summed), _max_abs(summed)),
     ]
-    return [
-        (float(wd), float(disp), _worst(rnd), _worst(lin))
-        for wd, disp, rnd, lin in zip(e_welldef, e_disp, np.transpose(e_round),
-                                      np.transpose(e_linear))
-    ]
+    return np.transpose([e_welldef, e_disp, _worst(np.transpose(e_round), axis=-1),
+                         _worst(np.transpose(e_linear), axis=-1)])
 
 
 def _pairing_ratio(chamber) -> float:
@@ -300,9 +297,8 @@ def _pairing_ratio(chamber) -> float:
     over its smallest singular value (0 when n(H) = 0)."""
     if not chamber.dim_n:
         return 0.0
-    n = chamber.model.n
-    u = np.reshape(chamber.n_basis, (chamber.dim_n, 1, n, n))
-    pairing = chamber.model.killing(u, chamber._m_stack)
+    stacks = chamber._stacks
+    pairing = chamber.model.killing(stacks["n_basis"][:, None], stacks["m_basis"])
     smin = float(np.linalg.svd(pairing, compute_uv=False)[-1])
     return SMIN_THRESHOLD / smin
 
@@ -337,7 +333,7 @@ def _check_lagrangian(basis: str):
         e_kks = _rel(np.max(np.abs(pairing), axis=(-2, -1), initial=0.0), scale)
         std = omega_std_chart(chart, fd_step).entries  # zero below dimension 2
         e_std = _rel(np.max(np.abs(std), axis=(-2, -1), initial=0.0), scale)
-        return list(zip(e_kks, e_std))
+        return np.transpose([e_kks, e_std])
 
     return check
 
@@ -351,14 +347,15 @@ def _check_graph(chamber, rngs, indices, fd_step):
     """
     model = chamber.model
     g = _witnesses(model, rngs, indices,
-                   lambda one: _combinations(model._flat_bases["a_basis"], one, 0.6))
+                   lambda one: _combinations(model._stacks["a_basis"], one, 0.6))
     k = mat_exp(model._rotation_logs(rngs, 1.5 / model.n)[:, 0])
-    a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber._m_stack, fd_step)
+    a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber._stacks["m_basis"],
+                                       fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
     scale = np.fmax(np.fmax(1.0, np.abs(a_val)), np.fmax(np.abs(b_val), np.abs(c_val)))
     errors = np.abs([a_val - b_val, a_val - c_val, b_val - c_val]) / scale
-    return [(_worst(e[0]), _worst(e[1:].ravel())) for e in np.moveaxis(errors, 1, 0)]
+    return np.transpose([_worst(errors[0], axis=-1), _worst(errors[1:], axis=(0, 2))])
 
 
 def _check_theorem(chamber, rngs, indices, fd_step):
@@ -373,7 +370,7 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     g = _witnesses(model, rngs, indices, lambda one: _group_logs(model, one, strength=2.0))
     chart = orbit_chart(orbit_point(chamber, g))
     if chart.dim == 0:
-        return [(0.0, 0.0, 0.0)] * len(rngs)
+        return np.zeros((len(rngs), 3))
     kks_form = omega_kks_chart(chart)
     kks, std = kks_form.entries, omega_std_chart(chart, fd_step).entries
     # fmax skips NaN as the builtin max does
@@ -381,9 +378,9 @@ def _check_theorem(chamber, rngs, indices, fd_step):
                     np.max(np.abs(std), axis=(-2, -1)))
     e_match = _rel(np.max(np.abs(std - kks), axis=(-2, -1)), scale)
     shifts = zip(_omega_kks_shifts(chart, fd_step), kks, scale)
-    e_inv = [_worst(np.max(np.abs(a - b), axis=(-2, -1)).ravel() / s) for a, b, s in shifts]
+    e_inv = [np.max(np.abs(a - b), axis=(-2, -1)) / s for a, b, s in shifts]
     ratio = SMIN_THRESHOLD / kks_form.smallest_singular_value()
-    return list(zip(e_match, e_inv, ratio))
+    return np.transpose([e_match, _worst(e_inv, axis=(-2, -1)), ratio])
 
 
 # name -> (rng key, stacked check, sampled columns (report, tolerance
@@ -426,8 +423,8 @@ SUITE_NAMES = tuple(SUITES)
 _CHUNK = 64
 
 
-def _sample_rows(check, chamber, seed, key, indices, fd_step) -> list:
-    """The check's error rows for the samples ``indices``, each drawn from
+def _sample_rows(check, chamber, seed, key, indices, fd_step) -> np.ndarray:
+    """The check's error table for the samples ``indices``, each drawn from
     its own generator, with numpy's floating-point faults raised."""
     rngs = [_rng(seed, index, key) for index in indices]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -446,24 +443,27 @@ def run_suite(chamber: ChamberElement, name: str, *, samples=DEFAULT_SAMPLES,
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     key, check, columns, chamber_columns = SUITES[name]
-    rows, raised = [], []
+    tables, raised = [], []
     for start in range(0, samples, _CHUNK):
         chunk = range(start, min(start + _CHUNK, samples))
         try:
-            rows += _sample_rows(check, chamber, seed, key, chunk, fd_step)
+            tables.append(_sample_rows(check, chamber, seed, key, chunk, fd_step))
             continue
         except (ValueError, ArithmeticError):
             pass
         for index in chunk:
             try:
-                rows += _sample_rows(check, chamber, seed, key, [index], fd_step)
+                tables.append(_sample_rows(check, chamber, seed, key, [index], fd_step))
             except (ValueError, ArithmeticError) as exc:
-                rows.append((math.inf,) * len(columns))
+                tables.append(np.full((1, len(columns)), math.inf))
                 raised.append((index, type(exc).__name__))
+    table = np.concatenate(tables)
     override = {"exact": tol_exact, "fd": tol_fd, "fixed": None}
     reports = [
-        _report(report, chamber, seed, fd_step, [r[i] for r in rows],
+        _report(report, chamber, seed, fd_step, table[:, i],
                 default if override[tol_class] is None else override[tol_class], raised)
         for i, (report, tol_class, default) in enumerate(columns)
     ]

@@ -231,6 +231,21 @@ def test_bases_match_unit_matrices(entries):
     assert model.algebra_basis == model.k_basis + model.a_basis + model.n_basis
 
 
+@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1]])
+def test_basis_tuples_are_views_of_their_stacks(entries):
+    """Each basis is built once, as a read-only (dim, n, n) stack, and its
+    public tuple holds that stack's slices."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    for owner in (model, chamber):
+        for name, stack in owner._stacks.items():
+            basis = getattr(owner, name)
+            assert stack.shape == (len(basis), model.n, model.n), name
+            assert not stack.flags.writeable, name
+            assert all(e.base is stack for e in basis), name
+            assert np.array_equal(stack, np.reshape(basis, stack.shape)), name
+
+
 class TestSubspaceOrthogonality:
     def test_centralizer_orthogonal_to_slices(self, wall3):
         model = wall3.model

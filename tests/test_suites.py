@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -147,6 +148,71 @@ def test_nan_derivative_route_fails_only_the_fd_report(chamber3, monkeypatch):
     exact, fd = verify_graph(chamber3, samples=2, seed=1)
     assert exact == clean_exact
     assert fd.sample_errors == (math.inf, math.inf) and not fd.passed
+
+
+def nan_at_sample_1(a, *slot):
+    """A copy of the stack ``a`` with NaN at sample 1 (and ``slot`` within it)."""
+    a = np.array(a)
+    a[(1, *slot)] = NAN
+    return a
+
+
+def nan_field(result, name):
+    return dataclasses.replace(result, **{name: nan_at_sample_1(getattr(result, name))})
+
+
+def nan_in_witness_velocity(result, *args, **kwargs):
+    # only the second call, against a n, feeds nothing but witness independence
+    return result if "factors" in kwargs else nan_field(result, "n_deriv")
+
+
+# (suite, patched name in suites, corruption of its result, the report that
+# fails): each NaN enters one sub-check of the failing report's column
+MERGED_NAN = [
+    ("iwasawa", "iwasawa", lambda r, *a: nan_field(r, "h_projection"), "iwasawa"),
+    ("infinitesimal", "infinitesimal_iwasawa", nan_in_witness_velocity, "infinitesimal-exact"),
+    ("infinitesimal", "fd_iwasawa_velocities",
+     lambda r, *a: (r[0], r[1], nan_at_sample_1(r[2])), "infinitesimal-fd"),
+    ("projection", "_split", lambda r, *a: (r[0], nan_at_sample_1(r[1], 0), r[2]),
+     "projection-roundtrip"),
+    ("projection", "_split", lambda r, *a: (r[0], r[1], nan_at_sample_1(r[2], 1)),
+     "projection-linearity"),
+]
+# the same for single-source columns, whose errors pass through unreduced
+SINGLE_NAN = [
+    ("projection", "_flag_points", lambda r, *a: nan_at_sample_1(r, 1), "projection-welldef"),
+    ("theorem", "omega_std_chart", lambda r, *a: nan_field(r, "entries"), "theorem-match"),
+]
+
+
+@pytest.mark.parametrize("name, patched, corrupt, failing", MERGED_NAN + SINGLE_NAN,
+                         ids=[case[3] for case in MERGED_NAN + SINGLE_NAN])
+def test_nan_in_one_sub_check_fails_only_its_report(
+        chamber3, monkeypatch, name, patched, corrupt, failing):
+    """A NaN in one sub-check of sample 1 fails the report of its column
+    and no other.  A merged column counts it as infinite in the sample's
+    error; a single-source column keeps the NaN there.  Either way the
+    report's max_error is infinite, and samples 0 and 2 keep their values."""
+    clean = run_suite(chamber3, name, samples=3, seed=6)
+    real = getattr(suites, patched)
+
+    def kernel(*args, **kwargs):
+        return corrupt(real(*args, **kwargs), *args, **kwargs)
+
+    monkeypatch.setattr(suites, patched, kernel)
+    reports = run_suite(chamber3, name, samples=3, seed=6)
+    assert [r.suite for r in reports] == [r.suite for r in clean]
+    for report, before in zip(reports, clean):
+        if report.suite != failing:
+            assert report == before, report.suite
+            continue
+        payload = report.as_dict()
+        merged = (name, patched, corrupt, failing) in MERGED_NAN
+        assert payload["samples_detail"][1]["error"] == ("Infinity" if merged else "NaN")
+        assert payload["max_error"] == "Infinity" and not report.passed
+        assert not report.exceptions
+        for i in (0, 2):
+            assert report.sample_errors[i] == before.sample_errors[i]
 
 
 def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
@@ -477,6 +543,36 @@ def test_unknown_suite_rejected(chamber2):
         run_suite(chamber2, "spectral", samples=2, seed=1)
 
 
+ENTRY_POINTS = [
+    *[lambda chamber, name=name, **o: run_suite(chamber, name, **o) for name in SUITE_NAMES],
+    verify_iwasawa, verify_infinitesimal, verify_projection, verify_graph, verify_theorem,
+    lambda chamber, **o: verify_lagrangian(chamber, "vertical", **o),
+    lambda chamber, **o: verify_lagrangian(chamber, "horizontal", **o),
+]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("samples", [0, -4])
+def test_nonpositive_samples_rejected(chamber2, entry, samples):
+    """A report of no samples would pass without checking anything."""
+    with pytest.raises(ValueError, match="samples must be positive"):
+        entry(chamber2, samples=samples, seed=1)
+
+
+@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [1, 1, -2]])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_checks_return_one_error_table(entries, name):
+    """Every check returns a float table with one row per sample and one
+    column per sampled report, so that a missing or extra column cannot
+    pass unnoticed; samples 0 and 1 are special cases in some checks."""
+    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
+    key, check, columns, _ = suites.SUITES[name]
+    for indices in ([0, 1, 2, 3], [2]):
+        table = suites._sample_rows(check, chamber, 5, key, indices, suites.DEFAULT_FD_STEP)
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64, name
+        assert table.shape == (len(indices), len(columns)), name
+
+
 def test_projection_reports_cover_every_check(chamber3):
     suites = [r.suite for r in verify_projection(chamber3, samples=3, seed=4)]
     assert suites == [
@@ -525,15 +621,15 @@ def test_stacked_samplers_are_per_sample_draws_bit_for_bit(entries, chunk):
     model = SpecialLinearModel(len(entries))
     chamber = model.chamber_element(entries)
     n = model.n
-    flat = {**model._flat_bases, **{f"chamber.{k}": v for k, v in chamber._flat_bases.items()}}
-    bases = {"a_basis": model.a_basis, "n_basis": model.n_basis,
-             **{f"chamber.{k}": getattr(chamber, k) for k in chamber._flat_bases}}
+    stacks = {**model._stacks, **{f"chamber.{k}": v for k, v in chamber._stacks.items()}}
+    bases = {**{k: getattr(model, k) for k in model._stacks},
+             **{f"chamber.{k}": getattr(chamber, k) for k in chamber._stacks}}
     draws = [
         (lambda rngs: model._algebra_elements(rngs, 0.7, 3),
          lambda rng: [reference_algebra(rng, n, 0.7) for _ in range(3)]),
         (lambda rngs: model._rotation_logs(rngs, 1.5 / n),
          lambda rng: [reference_rotation_log(rng, n, 1.5 / n)]),
-        *[(lambda rngs, name=name: _combinations(flat[name], rngs, 0.8, count=2),
+        *[(lambda rngs, name=name: _combinations(stacks[name], rngs, 0.8, count=2),
            lambda rng, name=name: [reference_combination(bases[name], rng, 0.8, n)
                                    for _ in range(2)])
           for name in bases],
@@ -597,3 +693,27 @@ def test_trace_removals_per_call_do_not_grow_with_samples(monkeypatch):
             assert all(r.passed for r in run_suite(chamber, name, samples=samples))
             counts.append(len(calls))
         assert counts == [2, 2], name
+
+
+def test_error_reductions_per_call_do_not_grow_with_samples(monkeypatch):
+    """Structural guard: each check reduces its merged columns in stacked
+    ``_worst`` calls over all samples of a chunk, and ``_report`` makes one
+    per report, so calls of 3 and 30 samples make the same number of
+    ``_worst`` calls."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    calls = []
+    real = suites._worst
+
+    def worst(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "_worst", worst)
+    for name in ("iwasawa", "infinitesimal", "projection", "graph",
+                 "lagrangian-vertical", "lagrangian-horizontal"):
+        counts = []
+        for samples in (3, 30):
+            calls.clear()
+            assert all(r.passed for r in run_suite(chamber, name, samples=samples))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], name

@@ -293,7 +293,7 @@ class TestSectionOneForm:
         rng = np.random.default_rng(45)
         for g in (np.eye(model.n), model.random_group_element(rng, 0.4)):
             k = model.random_orthogonal(rng, 0.6)
-            form_values, _, _ = graph_routes(chamber, g, k, chamber._m_stack)
+            form_values, _, _ = graph_routes(chamber, g, k, chamber._stacks["m_basis"])
             for direction, form_value in zip(chamber.m_basis, form_values):
                 assert section_one_form(chamber, g, k, direction) == form_value
         assert len(calls) == 2 * (1 + chamber.dim_m)
@@ -308,7 +308,7 @@ class TestSectionOneForm:
         rng = np.random.default_rng(47)
         g = np.stack([np.eye(model.n)] + [model.random_group_element(rng, 0.4) for _ in range(2)])
         k = np.stack([model.random_orthogonal(rng, 0.6) for _ in range(3)])
-        stacked = graph_routes(chamber, g[:, None], k[:, None], chamber._m_stack)
+        stacked = graph_routes(chamber, g[:, None], k[:, None], chamber._stacks["m_basis"])
         assert [np.shape(route) for route in stacked] == [(3, chamber.dim_m)] * 3
         for s in range(3):
             for i, direction in enumerate(chamber.m_basis):
