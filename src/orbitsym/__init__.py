@@ -10,7 +10,6 @@ seeded verification suites and a command-line runner.
 
 from .numerics import (
     SingularInput,
-    as_matrix,
     central_diff,
     char_poly,
     commutator,
@@ -65,12 +64,6 @@ from .suites import (
     SUITE_NAMES,
     VerificationReport,
     run_suite,
-    verify_graph,
-    verify_infinitesimal,
-    verify_iwasawa,
-    verify_lagrangian,
-    verify_projection,
-    verify_theorem,
 )
 
 __version__ = "0.1.0"

@@ -215,20 +215,20 @@ def _run_info(args) -> int:
     return 0
 
 
+# The options of ``verify`` and ``info`` that take a value.
+_VALUE_FLAGS = {"--suite", "--n", "--H", "--samples", "--seed", "--fd-step", "--tol-exact",
+                "--tol-fd", "--json"}
+
+
 def _merge_value_flags(argv: list[str]) -> list[str]:
-    """Join ``--H -1,1`` into ``--H=-1,1`` so entries with a leading
-    minus sign survive argparse's option scanning."""
+    """Join each value flag with the token after it, ``--H -1,1`` into
+    ``--H=-1,1``, so that values with a leading minus sign ("-1e-3",
+    "-inf") survive argparse's option scanning."""
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--H" and i + 1 < len(argv):
-            merged.append(f"--H={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        merged.append(tok if value is None else f"{tok}={value}")
     return merged
 
 

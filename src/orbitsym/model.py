@@ -12,16 +12,15 @@ the subspaces the orbit geometry needs:
   z_K(H)  its antisymmetric part,
   m(H)    the Killing complement of z_K(H) in the antisymmetric matrices.
 
-Downstream modules touch the algebra only through the methods and the
-bases here (tuples, and for stacked code the read-only (dim, n, n)
-stacks in ``_stacks`` whose slices the tuples hold), so
+Each basis is one read-only float stack (dim, n, n).  Downstream modules
+touch the algebra only through the methods and the bases here, so
 further matrix models can be added behind the same surface.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -114,15 +113,11 @@ class SpecialLinearModel:
         self.dim = n * n - 1
         self.killing_coefficient = float(2 * n)
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        # each basis, by name, as a read-only stack (dim, n, n)
-        self._stacks = {
-            "k_basis": _units(n, upper, [(j, i) for i, j in upper]),
-            "a_basis": _units(n, [(i, i) for i in range(n - 1)],
-                              [(i + 1, i + 1) for i in range(n - 1)]),
-            "n_basis": _units(n, upper),
-        }
-        self.k_basis, self.a_basis, self.n_basis = map(tuple, self._stacks.values())
-        self.algebra_basis = self.k_basis + self.a_basis + self.n_basis
+        self.k_basis = _units(n, upper, [(j, i) for i, j in upper])
+        self.a_basis = _units(n, [(i, i) for i in range(n - 1)],
+                              [(i + 1, i + 1) for i in range(n - 1)])
+        self.n_basis = _units(n, upper)
+        self.algebra_basis = _locked(np.concatenate([self.k_basis, self.a_basis, self.n_basis]))
 
     def killing(self, x, y) -> float | np.ndarray:
         """Killing form 2n tr(XY) on traceless matrices.  Two matrices
@@ -193,13 +188,6 @@ class SpecialLinearModel:
         same_block = [(i, j) for i in range(n) for j in range(n)
                       if i != j and block_index[i] == block_index[j]]
         zk_pairs = [(i, j) for i, j in same_block if i < j]
-        stacks = {
-            "n_basis": n_of_h,
-            "theta_n_basis": _locked(self.cartan_involution(n_of_h)),
-            "z_basis": _locked(np.concatenate([self._stacks["a_basis"], _units(n, same_block)])),
-            "zk_basis": _units(n, zk_pairs, [(j, i) for i, j in zk_pairs]),
-            "m_basis": _units(n, positions, [(j, i) for i, j in positions]),
-        }
         gaps = tuple(floats[i] - floats[j] for i, j in positions)
 
         return ChamberElement(
@@ -209,9 +197,12 @@ class SpecialLinearModel:
             matrix=matrix,
             n_positions=positions,
             n_gaps=gaps,
-            **{name: tuple(stack) for name, stack in stacks.items()},
+            n_basis=n_of_h,
+            theta_n_basis=_locked(self.cartan_involution(n_of_h)),
+            z_basis=_locked(np.concatenate([self.a_basis, _units(n, same_block)])),
+            zk_basis=_units(n, zk_pairs, [(j, i) for i, j in zk_pairs]),
+            m_basis=_units(n, positions, [(j, i) for i, j in positions]),
             char_coeffs=char_coeffs,
-            _stacks=stacks,
         )
 
     def random_algebra_element(self, seed, scale: float) -> np.ndarray:
@@ -262,8 +253,7 @@ class ChamberElement:
     and ``n_gaps`` the corresponding positive differences H_ii - H_jj.
     ``_n_index`` caches the positions as (rows, columns) index arrays, so
     ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
-    ``_stacks`` holds each basis, by name, as the read-only (dim, n, n)
-    stack whose slices its tuple holds.
+    Each basis is a read-only (dim, n, n) stack.
     """
 
     model: SpecialLinearModel
@@ -272,13 +262,12 @@ class ChamberElement:
     matrix: np.ndarray
     n_positions: tuple[tuple[int, int], ...]
     n_gaps: tuple[float, ...]
-    n_basis: tuple[np.ndarray, ...]
-    theta_n_basis: tuple[np.ndarray, ...]
-    z_basis: tuple[np.ndarray, ...]
-    zk_basis: tuple[np.ndarray, ...]
-    m_basis: tuple[np.ndarray, ...]
+    n_basis: np.ndarray
+    theta_n_basis: np.ndarray
+    z_basis: np.ndarray
+    zk_basis: np.ndarray
+    m_basis: np.ndarray
     char_coeffs: np.ndarray
-    _stacks: dict[str, np.ndarray] = field(repr=False)
 
     @cached_property
     def _n_index(self) -> tuple[np.ndarray, ...]:
@@ -314,15 +303,15 @@ class ChamberElement:
 
     def random_fiber(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of n(H); zero, drawing nothing, when n(H) = 0."""
-        return _combinations(self._stacks["n_basis"], [rng], scale)[0, 0]
+        return _combinations(self.n_basis, [rng], scale)[0, 0]
 
     def random_centralizer(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of z(H)."""
-        return _combinations(self._stacks["z_basis"], [rng], scale)[0, 0]
+        return _combinations(self.z_basis, [rng], scale)[0, 0]
 
     def random_compact_centralizer(self, rng: np.random.Generator, scale: float) -> np.ndarray:
         """Random element of z_K(H); zero, drawing nothing, when z_K(H) = 0."""
-        return _combinations(self._stacks["zk_basis"], [rng], scale)[0, 0]
+        return _combinations(self.zk_basis, [rng], scale)[0, 0]
 
 
 __all__ = [

@@ -35,18 +35,9 @@ class SingularInput(ValueError):
     """Input matrix is rank deficient at working precision."""
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Copy ``entries`` to a read-only float array, rejecting NaN/Inf."""
-    m = np.array(entries, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
-
-
 def _stack(entries) -> np.ndarray:
     """``entries`` as a float stack (..., n, n) of square matrices,
-    rejecting NaN/Inf as ``as_matrix`` does."""
+    rejecting NaN/Inf."""
     a = np.asarray(entries, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")

@@ -188,28 +188,27 @@ def _fiber_coefficients(chamber: ChamberElement, w: np.ndarray) -> tuple[np.ndar
     return coeffs, _frobenius_stack(w - recon)
 
 
-def _check_fiber(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
-                 rtol: float = FIBER_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def _check_fiber(chamber: ChamberElement, k: np.ndarray, base: np.ndarray,
+                 fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w = k^T fiber k and its off-slice residuals.  Raise ``FiberResidual`` for
-    the first slice that leaves n(H) by more than ``rtol`` |base + fiber|, the
+    the first slice that leaves n(H) by more than ``FIBER_RTOL`` |base + fiber|, the
     orbit point whose rounding the residual carries; see ``_cotangent``."""
     w = np.swapaxes(k, -1, -2) @ fiber @ k
     _, residual = _fiber_coefficients(chamber, w)
-    off = residual > rtol * np.maximum(1.0, _frobenius_stack(base + fiber))
+    off = residual > FIBER_RTOL * np.maximum(1.0, _frobenius_stack(base + fiber))
     if off.any():
         first = float(np.asarray(residual)[off][0])
         raise FiberResidual(f"fiber residual {first:.3e} off the nilpotent slice")
     return w, residual
 
 
-def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray, fiber: np.ndarray,
-               rtol: float = FIBER_RTOL) -> np.ndarray:
+def _cotangent(chamber: ChamberElement, k: np.ndarray, base: np.ndarray,
+               fiber: np.ndarray) -> np.ndarray:
     """Cotangent coordinates (..., dim_m) of the representatives over the
     flag points ``base`` = k H k^T with the given fibers, all stacks
     (..., n, n) that broadcast together, after their ``_check_fiber``."""
-    _check_fiber(chamber, k, base, fiber, rtol)
-    moved = (k[..., None, :, :] @ chamber._stacks["m_basis"]
-             @ np.swapaxes(k, -1, -2)[..., None, :, :])
+    _check_fiber(chamber, k, base, fiber)
+    moved = k[..., None, :, :] @ chamber.m_basis @ np.swapaxes(k, -1, -2)[..., None, :, :]
     return chamber.model.killing(fiber[..., None, :, :], moved)
 
 
@@ -219,17 +218,17 @@ def _rep(chamber: ChamberElement, k, base, fiber, coords) -> CotangentRep:
                         fiber=_locked(fiber), coords=tuple(coords.tolist()))
 
 
-def _split(chamber: ChamberElement, k: np.ndarray, points: np.ndarray,
-           rtol: float = FIBER_RTOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split(chamber: ChamberElement, k: np.ndarray,
+           points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``to_cotangent`` of an orbit point, or of every point of a stack
     (..., n, n), given the orthogonal Iwasawa factors k of its witnesses:
     the flag points, fibers and cotangent coordinates."""
     base = _flag_points(chamber, k)
     fiber = points - base
-    return base, fiber, _cotangent(chamber, k, base, fiber, rtol)
+    return base, fiber, _cotangent(chamber, k, base, fiber)
 
 
-def to_cotangent(x: OrbitPoint, rtol: float = FIBER_RTOL) -> CotangentRep:
+def to_cotangent(x: OrbitPoint) -> CotangentRep:
     """Inverse of the bundle identification: split x into a flag base
     point and a fiber, and read off covector coordinates.
 
@@ -237,33 +236,31 @@ def to_cotangent(x: OrbitPoint, rtol: float = FIBER_RTOL) -> CotangentRep:
     nilpotent slice, which signals witness or rounding breakdown.
     """
     k = iwasawa(x.witness).k_factor
-    return _rep(x.chamber, k, *_split(x.chamber, k, x.point, rtol))
+    return _rep(x.chamber, k, *_split(x.chamber, k, x.point))
 
 
-def _cotangent_reps(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
-                    rtol: float = FIBER_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def _cotangent_reps(chamber: ChamberElement, k: np.ndarray,
+                    fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cotangent_rep`` of a rotation and fiber, or of stacks (..., n, n)
     that broadcast together: the flag points and cotangent coordinates.
     The representatives must lie on the orbit."""
     base = _flag_points(chamber, k)
-    coords = _cotangent(chamber, k, base, fiber, rtol)
+    coords = _cotangent(chamber, k, base, fiber)
     _check_on_orbit_stack(chamber, base + fiber)
     return base, coords
 
 
-def cotangent_rep(chamber: ChamberElement, base_witness, fiber,
-                  rtol: float = FIBER_RTOL) -> CotangentRep:
+def cotangent_rep(chamber: ChamberElement, base_witness, fiber) -> CotangentRep:
     """Build a cotangent representative from a rotation and a fiber
     matrix given at the base point."""
     k = np.asarray(base_witness, dtype=float)
     v = np.asarray(fiber, dtype=float)
-    base, coords = _cotangent_reps(chamber, k, v, rtol)
+    base, coords = _cotangent_reps(chamber, k, v)
     return _rep(chamber, k, base, v, coords)
 
 
 def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
-                    max_iterations: int = WITNESS_ITERATIONS,
-                    tol: float = WITNESS_TOL) -> tuple[np.ndarray, np.ndarray]:
+                    max_iterations: int = WITNESS_ITERATIONS) -> tuple[np.ndarray, np.ndarray]:
     """``from_cotangent`` of one representative, or of stacks (..., n, n)
     of rotations and fibers that broadcast together: the witnesses
     k exp(Y), Y in n(H), and their orbit points base + fiber.
@@ -295,7 +292,7 @@ def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
         y[:, rows, cols] = coeffs[active]
         exp_y, exp_minus_y = mat_exp(np.stack([y, -y]))
         gap = target[active] - (exp_y @ h @ exp_minus_y - h)[:, rows, cols]
-        done = _frobenius_stack(gap[:, None, :]) <= tol * scale[active]
+        done = _frobenius_stack(gap[:, None, :]) <= WITNESS_TOL * scale[active]
         unipotent[active[done]] = exp_y[done]
         coeffs[active[~done]] += gap[~done] / denom
         active = active[~done]
@@ -307,8 +304,7 @@ def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
     return witnesses.reshape(w.shape), points.reshape(w.shape)
 
 
-def from_cotangent(rep: CotangentRep, max_iterations: int = WITNESS_ITERATIONS,
-                   tol: float = WITNESS_TOL) -> OrbitPoint:
+def from_cotangent(rep: CotangentRep, max_iterations: int = WITNESS_ITERATIONS) -> OrbitPoint:
     """Bundle identification: recover the orbit point base + fiber with a
     witness k exp(Y), Y in n(H).
 
@@ -318,11 +314,11 @@ def from_cotangent(rep: CotangentRep, max_iterations: int = WITNESS_ITERATIONS,
     upward in the block grading, so the iteration settles in at most n
     steps.
     """
-    witness, point = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber, max_iterations, tol)
+    witness, point = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber, max_iterations)
     return OrbitPoint(chamber=rep.chamber, witness=_locked(witness), point=_locked(point))
 
 
-def solve_generator(x: OrbitPoint, value, rtol: float = 1e-9) -> np.ndarray:
+def solve_generator(x: OrbitPoint, value) -> np.ndarray:
     """Minimum-norm Z with [Z, x] = V, via least squares on the bracket
     operator.  The minimum-norm solution is orthogonal to the kernel, so
     it is automatically traceless.  Raises ``NotTangent`` when V is not
@@ -335,12 +331,12 @@ def solve_generator(x: OrbitPoint, value, rtol: float = 1e-9) -> np.ndarray:
     z = z.reshape(n, n)
     residual = float(np.linalg.norm(commutator(z, p) - v))
     scale = max(1.0, float(np.linalg.norm(p)) * float(np.linalg.norm(v)))
-    if residual > rtol * scale:
+    if residual > 1e-9 * scale:
         raise NotTangent(f"residual {residual:.3e} for the bracket equation")
     return z
 
 
-def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
+def _dexp(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Left-trivialized directional derivative of the exponential:
     returns D with d/ds exp(u + s x)|_0 = exp(u) D.  Series in nested
     brackets, summed to machine precision.  ``x`` may be a stack (..., n,
@@ -351,7 +347,7 @@ def _dexp(u: np.ndarray, x: np.ndarray, max_terms: int = 40) -> np.ndarray:
     total = np.array(term)
     within = tuple(range(max(term.ndim - np.ndim(u), 0), term.ndim - 2))  # axes of one series
     stopped = np.zeros((), dtype=bool)
-    for m in range(1, max_terms):
+    for m in range(1, 40):
         term = commutator(u, term) * (-1.0 / (m + 1))
         if stopped.any():  # the masked add only once a series has stopped
             np.add(total, term, out=total, where=~stopped[..., None, None])
@@ -375,29 +371,24 @@ class OrbitChart:
     t = 0 these pick up the exponential-derivative correction to the raw
     conjugated directions.  ``frame_generators`` returns the generators
     Ad(g(t)) X_i of the moving frame [Ad(g(t)) X_i, x(t)] instead; the two
-    agree at t = 0.  The base point ``at`` may be a stack (..., n, n):
+    agree at t = 0.  ``directions`` holds the X_i as one read-only stack
+    (dim, n, n).  The base point ``at`` may be a stack (..., n, n):
     ``point``, ``frame_generators`` and the stencil then stack over the
     base points, each equal to its own chart's bit for bit.
     """
 
     at: OrbitPoint
-    directions: tuple[np.ndarray, ...]
+    directions: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.directions)
 
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        """The directions as one (dim, n, n) array."""
-        n = self.at.point.shape[-1]
-        return _locked(np.reshape(self.directions, (self.dim, n, n)))
-
     def _displacement(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if t.shape != (self.dim,):
             raise ValueError(f"chart parameter must have shape ({self.dim},)")
-        return np.einsum("i,ijk->jk", t, self._stack)
+        return np.einsum("i,ijk->jk", t, self.directions)
 
     def point(self, t) -> OrbitPoint:
         """Chart point at t; at zero displacement the base point itself,
@@ -413,7 +404,7 @@ class OrbitChart:
         displacements s X_i, stacked (len(offsets), dim, n, n), and the
         witnesses g exp(s X_i), the points and the witness inverses, each
         stacked (..., len(offsets), dim, n, n) over the base points."""
-        u = np.multiply.outer(np.asarray(offsets, dtype=float), self._stack)
+        u = np.multiply.outer(np.asarray(offsets, dtype=float), self.directions)
         w = self.at.witness[..., None, None, :, :] @ mat_exp(u)
         x, w_inv = _orbit_points(self.at.chamber, w)
         return u, w, x, w_inv
@@ -439,14 +430,14 @@ class OrbitChart:
         all coordinate fields, stacked (dim, n, n): the field of X_i at t
         is [w dexp(u, X_i) w^-1, x(t)] for the point's witness w."""
         u = self._displacement(t)
-        return self.point(t), _dexp(u, self._stack)
+        return self.point(t), _dexp(u, self.directions)
 
     def frame_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point and all moving-frame generators at t, stacked
         (..., dim, n, n), sharing one witness inversion."""
         p = self.point(t)
         w = p.witness[..., None, :, :]
-        return p, w @ self._stack @ np.linalg.inv(w)
+        return p, w @ self.directions @ np.linalg.inv(w)
 
     def coordinate_frame(self, t) -> tuple[OrbitPoint, list[TangentVector]]:
         """Point and all coordinate velocity fields at t, sharing one
@@ -463,16 +454,15 @@ def orbit_chart(x: OrbitPoint, directions=None) -> OrbitChart:
     directions are dependent modulo z(H)."""
     chamber = x.chamber
     if directions is None:
-        dirs = tuple(chamber.theta_n_basis) + tuple(chamber.n_basis)
+        dirs = np.concatenate([chamber.theta_n_basis, chamber.n_basis])
     else:
-        dirs = tuple(np.asarray(d, dtype=float) for d in directions)
-    if dirs:
-        rows = [d.ravel() for d in dirs] + [z.ravel() for z in chamber.z_basis]
-        stacked = np.stack(rows)
-        expected = len(dirs) + len(chamber.z_basis)
-        if np.linalg.matrix_rank(stacked, tol=1e-10) < expected:
+        dirs = np.reshape(np.array(directions, dtype=float), (-1, *chamber.matrix.shape))
+    if len(dirs):
+        rows = np.concatenate([dirs, chamber.z_basis]).reshape(len(dirs) + chamber.dim_z, -1)
+        if np.linalg.matrix_rank(rows, tol=1e-10) < len(rows):
             raise DegenerateChart("directions are dependent modulo the centralizer")
-    return OrbitChart(at=x, directions=tuple(_locked(d) for d in dirs))
+    dirs.setflags(write=False)
+    return OrbitChart(at=x, directions=dirs)
 
 
 __all__ = [

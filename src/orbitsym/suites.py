@@ -174,8 +174,8 @@ def _check_iwasawa(chamber, rngs, indices, fd_step):
     n = model.n
     # per sample: the witness's factor logs, then the logs of k0, a0, n0
     logs = np.concatenate([_group_logs(model, rngs), model._rotation_logs(rngs, 1.5 / n),
-                           _combinations(model._stacks["a_basis"], rngs, 0.5),
-                           _combinations(model._stacks["n_basis"], rngs, 0.5)], axis=1)
+                           _combinations(model.a_basis, rngs, 0.5),
+                           _combinations(model.n_basis, rngs, 0.5)], axis=1)
     exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0, a0, n0 = exps[:, 3], exps[:, 4], exps[:, 5]
@@ -245,11 +245,10 @@ def _check_projection(chamber, rngs, indices, fd_step):
     model = chamber.model
     # per sample: the witness's factor logs, the logs of z, the log of k0,
     # and two fibers
-    stacks = chamber._stacks
-    logs = np.concatenate([_group_logs(model, rngs), _combinations(stacks["z_basis"], rngs, 0.4),
-                           _combinations(stacks["zk_basis"], rngs, 0.6),
+    logs = np.concatenate([_group_logs(model, rngs), _combinations(chamber.z_basis, rngs, 0.4),
+                           _combinations(chamber.zk_basis, rngs, 0.6),
                            model._rotation_logs(rngs, 1.5 / model.n)], axis=1)
-    fibers = _combinations(stacks["n_basis"], rngs, 0.8, count=2)
+    fibers = _combinations(chamber.n_basis, rngs, 0.8, count=2)
     exps = mat_exp(logs)
     g = model._group_products(exps[:, :3])
     k0 = exps[:, 5, None]  # (samples, 1, n, n), against stacks of fibers
@@ -297,8 +296,7 @@ def _pairing_ratio(chamber) -> float:
     over its smallest singular value (0 when n(H) = 0)."""
     if not chamber.dim_n:
         return 0.0
-    stacks = chamber._stacks
-    pairing = chamber.model.killing(stacks["n_basis"][:, None], stacks["m_basis"])
+    pairing = chamber.model.killing(chamber.n_basis[:, None], chamber.m_basis)
     smin = float(np.linalg.svd(pairing, compute_uv=False)[-1])
     return SMIN_THRESHOLD / smin
 
@@ -347,10 +345,9 @@ def _check_graph(chamber, rngs, indices, fd_step):
     """
     model = chamber.model
     g = _witnesses(model, rngs, indices,
-                   lambda one: _combinations(model._stacks["a_basis"], one, 0.6))
+                   lambda one: _combinations(model.a_basis, one, 0.6))
     k = mat_exp(model._rotation_logs(rngs, 1.5 / model.n)[:, 0])
-    a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber._stacks["m_basis"],
-                                       fd_step)
+    a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber.m_basis, fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
     scale = np.fmax(np.fmax(1.0, np.abs(a_val)), np.fmax(np.abs(b_val), np.abs(c_val)))
@@ -473,33 +470,6 @@ def run_suite(chamber: ChamberElement, name: str, *, samples=DEFAULT_SAMPLES,
     ]
 
 
-# Public entry points, one per suite; keywords as for run_suite.
-def verify_iwasawa(chamber, **options):
-    return run_suite(chamber, "iwasawa", **options)
-
-
-def verify_infinitesimal(chamber, **options):
-    return run_suite(chamber, "infinitesimal", **options)
-
-
-def verify_projection(chamber, **options):
-    return run_suite(chamber, "projection", **options)
-
-
-def verify_lagrangian(chamber, mode: str, **options):
-    if mode not in ("vertical", "horizontal"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'vertical' or 'horizontal'")
-    return run_suite(chamber, f"lagrangian-{mode}", **options)
-
-
-def verify_graph(chamber, **options):
-    return run_suite(chamber, "graph", **options)
-
-
-def verify_theorem(chamber, **options):
-    return run_suite(chamber, "theorem", **options)
-
-
 __all__ = [
     "DEFAULT_FD_STEP",
     "DEFAULT_SAMPLES",
@@ -507,10 +477,4 @@ __all__ = [
     "SUITE_NAMES",
     "VerificationReport",
     "run_suite",
-    "verify_graph",
-    "verify_infinitesimal",
-    "verify_iwasawa",
-    "verify_lagrangian",
-    "verify_projection",
-    "verify_theorem",
 ]

@@ -159,7 +159,7 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
         dual = _tautological_dual(chart.at.chamber, x, iwasawa(w), u)
         # lam[..., o, i, j]: lambda_j at stencil offset o along axis i, each
         # dual matrix's entries paired with those of X_j^T in one BLAS product
-        flat_dirs = np.swapaxes(chart._stack, -1, -2).reshape(m, -1)
+        flat_dirs = np.swapaxes(chart.directions, -1, -2).reshape(m, -1)
         coefficient = chart.at.chamber.model.killing_coefficient
         lam = coefficient * (dual.reshape(*dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
         # d[..., i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
@@ -193,7 +193,7 @@ def _omega_kks_shifts(chart: OrbitChart, fd_step: float):
     frame generators are built one offset at a time."""
     _, w, x, w_inv = chart._stencil(fd_step)
     for wp, xp, wp_inv in zip(*(a.reshape(-1, *a.shape[-4:]) for a in (w, x, w_inv))):
-        yield np.stack([_bracket_pairing(chart.at.chamber, xp[o], wp[o][:, None] @ chart._stack
+        yield np.stack([_bracket_pairing(chart.at.chamber, xp[o], wp[o][:, None] @ chart.directions
                                          @ wp_inv[o][:, None]) for o in (2, 1)])
 
 

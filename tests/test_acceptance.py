@@ -9,16 +9,8 @@ import json
 
 import pytest
 
-from orbitsym import SpecialLinearModel
+from orbitsym import SpecialLinearModel, run_suite
 from orbitsym.cli import main as cli_main
-from orbitsym.suites import (
-    verify_graph,
-    verify_infinitesimal,
-    verify_iwasawa,
-    verify_lagrangian,
-    verify_projection,
-    verify_theorem,
-)
 
 SEED = 42
 
@@ -58,21 +50,21 @@ def _criterion(label: str, reports) -> None:
 def test_criterion_1_iwasawa_reconstruction():
     reports = []
     for n in range(2, 7):
-        reports += verify_iwasawa(_chamber(REGULAR[n]), samples=50, seed=SEED)
+        reports += run_suite(_chamber(REGULAR[n]), "iwasawa", samples=50, seed=SEED)
     _criterion("1 iwasawa factorization, n=2..6", reports)
 
 
 def test_criterion_2_infinitesimal_projections():
     reports = []
     for n in range(2, 6):
-        reports += verify_infinitesimal(_chamber(REGULAR[n]), samples=50, seed=SEED)
+        reports += run_suite(_chamber(REGULAR[n]), "infinitesimal", samples=50, seed=SEED)
     _criterion("2 infinitesimal factor velocities, n=2..5", reports)
 
 
 def test_criterion_3_projection_well_defined():
     reports = []
     for entries in (REGULAR[2], REGULAR[3], WALL[3], REGULAR[4], WALL[4]):
-        for r in verify_projection(_chamber(entries), samples=50, seed=SEED):
+        for r in run_suite(_chamber(entries), "projection", samples=50, seed=SEED):
             if r.suite in ("projection-welldef", "projection-displacement"):
                 reports.append(r)
     _criterion("3 ruling projection well defined", reports)
@@ -81,7 +73,7 @@ def test_criterion_3_projection_well_defined():
 def test_criterion_4_identification_inverse_and_pairing():
     reports = []
     for entries in (REGULAR[2], REGULAR[3], WALL[3], REGULAR[4], WALL[4]):
-        for r in verify_projection(_chamber(entries), samples=50, seed=SEED):
+        for r in run_suite(_chamber(entries), "projection", samples=50, seed=SEED):
             if r.suite in ("projection-roundtrip", "projection-linearity", "projection-pairing"):
                 reports.append(r)
     _criterion("4 cotangent identification invertible, pairing nondegenerate", reports)
@@ -99,7 +91,7 @@ def test_criterion_5_lagrangian_subspaces():
     for entries, samples in plan:
         chamber = _chamber(entries)
         for mode in ("vertical", "horizontal"):
-            reports += verify_lagrangian(chamber, mode, samples=samples, seed=SEED)
+            reports += run_suite(chamber, f"lagrangian-{mode}", samples=samples, seed=SEED)
     _criterion("5 vertical and horizontal Lagrangian checks", reports)
 
 
@@ -107,7 +99,7 @@ def test_criterion_6_graph_of_potential_differential():
     reports = []
     for entries in (REGULAR[2], WALL[2], REGULAR[3], WALL[3], REGULAR[4], WALL[4]):
         # five samples: identity, diagonal, and three generic witnesses
-        reports += verify_graph(_chamber(entries), samples=5, seed=SEED)
+        reports += run_suite(_chamber(entries), "graph", samples=5, seed=SEED)
     _criterion("6 displaced sections are potential graphs", reports)
 
 
@@ -122,7 +114,7 @@ def test_criterion_7_symplectomorphism():
         (WALL[5], 10),
     ]
     for entries, samples in plan:
-        reports += verify_theorem(_chamber(entries), samples=samples, seed=SEED)
+        reports += run_suite(_chamber(entries), "theorem", samples=samples, seed=SEED)
     _criterion("7 form equality, invariance, nondegeneracy", reports)
 
 

@@ -223,6 +223,9 @@ class TestVerifyCommand:
         ("--tol-exact", "-1"),
         ("--tol-fd", "0"),
         ("--tol-fd", "inf"),
+        ("--fd-step", "-1e-3"),
+        ("--tol-exact", "-1e-9"),
+        ("--fd-step", "-inf"),
     ])
     def test_bad_numeric_flag_is_usage_error(self, capsys, flag, value):
         code, out, err = run_cli(

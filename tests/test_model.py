@@ -182,7 +182,7 @@ class TestChamberElement:
 
 
 def reference_bases(model, chamber):
-    """Every basis tuple as one unit matrix at a time (E_ij = unit(n, i, j)),
+    """Every basis as one unit matrix at a time (E_ij = unit(n, i, j)),
     in the documented order."""
     n = model.n
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -213,37 +213,29 @@ BASIS_ENTRIES = [
 
 @pytest.mark.parametrize("entries", BASIS_ENTRIES, ids=lambda e: ",".join(map(str, e)))
 def test_bases_match_unit_matrices(entries):
-    """The bases, built through index arrays, equal the unit-matrix
-    tuples entry for entry, in order, read-only, with the same memory
-    layout (theta n(H) is a transpose), signed zeros included."""
+    """Each basis, built through index arrays, is one read-only float stack
+    (dim, n, n) whose slices equal the unit-matrix references entry for
+    entry, in order, with the same memory layout (theta n(H) is a
+    transpose), signed zeros included."""
     model = SpecialLinearModel(len(entries))
     chamber = model.chamber_element(entries)
+    n = model.n
+    dims = {"chamber.n_basis": chamber.dim_n, "chamber.theta_n_basis": chamber.dim_n,
+            "chamber.z_basis": chamber.dim_z, "chamber.zk_basis": chamber.dim_zk,
+            "chamber.m_basis": chamber.dim_m}
     for name, expected in reference_bases(model, chamber).items():
         owner = chamber if name.startswith("chamber.") else model
         got = getattr(owner, name.split(".")[-1])
-        assert isinstance(got, tuple) and len(got) == len(expected), name
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64, name
+        assert got.shape == (len(expected), n, n) and not got.flags.writeable, name
+        assert len(got) == dims.get(name, len(expected)), name
         for e, ref in zip(got, expected):
-            assert e.dtype == ref.dtype and e.shape == ref.shape, name
             assert np.array_equal(e, ref) and np.array_equal(np.signbit(e), np.signbit(ref)), name
-            assert not e.flags.writeable, name
             assert e.flags.c_contiguous == ref.flags.c_contiguous, name
             assert e.flags.f_contiguous == ref.flags.f_contiguous, name
-    assert model.algebra_basis == model.k_basis + model.a_basis + model.n_basis
-
-
-@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1]])
-def test_basis_tuples_are_views_of_their_stacks(entries):
-    """Each basis is built once, as a read-only (dim, n, n) stack, and its
-    public tuple holds that stack's slices."""
-    model = SpecialLinearModel(len(entries))
-    chamber = model.chamber_element(entries)
-    for owner in (model, chamber):
-        for name, stack in owner._stacks.items():
-            basis = getattr(owner, name)
-            assert stack.shape == (len(basis), model.n, model.n), name
-            assert not stack.flags.writeable, name
-            assert all(e.base is stack for e in basis), name
-            assert np.array_equal(stack, np.reshape(basis, stack.shape)), name
+    assert isinstance(model.algebra_basis, np.ndarray) and not model.algebra_basis.flags.writeable
+    assert np.array_equal(model.algebra_basis,
+                          np.concatenate([model.k_basis, model.a_basis, model.n_basis]))
 
 
 class TestSubspaceOrthogonality:

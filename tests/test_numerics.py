@@ -11,7 +11,6 @@ from orbitsym.numerics import (
     EXP_NORM_CAP,
     EXP_TAYLOR_DEGREE,
     SingularInput,
-    as_matrix,
     central_diff,
     char_poly,
     mat_exp,
@@ -25,19 +24,6 @@ def random_invertible(seed, n):
     a = rng.uniform(-0.5, 0.5, (n, n))
     b = rng.uniform(-0.5, 0.5, (n, n))
     return mat_exp(a) @ mat_exp(b)
-
-
-def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_matrix([[1.0, float("nan")], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        as_matrix([[float("inf")]])
-
-
-def test_as_matrix_is_readonly():
-    m = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ValueError):
-        m[0, 0] = 5.0
 
 
 class TestQrPositive:

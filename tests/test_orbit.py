@@ -15,6 +15,7 @@ from orbitsym import (
     from_cotangent,
     iwasawa,
     mat_exp,
+    omega_kks_chart,
     orbit_chart,
     orbit_point,
     project_ruling,
@@ -312,6 +313,23 @@ class TestCharts:
         for d, got in zip(directions, stacked):
             single = _dexp(u, d)
             assert np.max(np.abs(got - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
+
+    @pytest.mark.parametrize("chamber_name", ["chamber3", "wall3", "chamber4"])
+    def test_directions_as_list_tuple_or_stack_give_one_chart(self, chamber_name, request):
+        """Directions given as a list, a tuple or a (dim, n, n) array give the
+        same read-only directions stack, the default chart's, bit for bit,
+        and the same orbit form entries."""
+        chamber = request.getfixturevalue(chamber_name)
+        x = orbit_point(chamber, chamber.model.random_group_element(49, 0.4))
+        default = orbit_chart(x)
+        stack = np.concatenate([chamber.theta_n_basis, chamber.n_basis])
+        for directions in (list(stack), tuple(stack), stack):
+            chart = orbit_chart(x, directions=directions)
+            assert chart.directions.shape == stack.shape
+            assert not chart.directions.flags.writeable
+            assert np.array_equal(chart.directions, default.directions)
+            assert np.array_equal(omega_kks_chart(chart).entries, omega_kks_chart(default).entries)
+        assert stack.flags.writeable  # the caller's array is copied, not locked
 
     def test_centralizer_direction_raises(self, chamber3):
         x = orbit_point(chamber3, np.eye(3))

@@ -14,16 +14,7 @@ from orbitsym import orbit as orbit_module
 from orbitsym import suites, symplectic
 from orbitsym.model import _combinations
 from orbitsym.orbit import OrbitChart
-from orbitsym.suites import (
-    _report,
-    _worst,
-    verify_graph,
-    verify_infinitesimal,
-    verify_iwasawa,
-    verify_lagrangian,
-    verify_projection,
-    verify_theorem,
-)
+from orbitsym.suites import _report, _worst
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -50,19 +41,19 @@ def test_zero_chamber_is_trivially_green(model2):
 
 
 def test_reports_are_deterministic(chamber2):
-    first = [r.as_dict() for r in verify_theorem(chamber2, samples=5, seed=9)]
-    second = [r.as_dict() for r in verify_theorem(chamber2, samples=5, seed=9)]
+    first = [r.as_dict() for r in run_suite(chamber2, "theorem", samples=5, seed=9)]
+    second = [r.as_dict() for r in run_suite(chamber2, "theorem", samples=5, seed=9)]
     assert json.dumps(first) == json.dumps(second)
 
 
 def test_graph_reports_are_deterministic(chamber3):
-    first = [r.as_dict() for r in verify_graph(chamber3, samples=6, seed=5)]
-    repeat = [r.as_dict() for r in verify_graph(chamber3, samples=6, seed=5)]
+    first = [r.as_dict() for r in run_suite(chamber3, "graph", samples=6, seed=5)]
+    repeat = [r.as_dict() for r in run_suite(chamber3, "graph", samples=6, seed=5)]
     assert json.dumps(first) == json.dumps(repeat)
 
 
 def test_report_shape(chamber3):
-    reports = verify_infinitesimal(chamber3, samples=4, seed=2)
+    reports = run_suite(chamber3, "infinitesimal", samples=4, seed=2)
     names = [r.suite for r in reports]
     assert names == ["infinitesimal-exact", "infinitesimal-fd"]
     payload = reports[0].as_dict()
@@ -80,15 +71,10 @@ def test_report_shape(chamber3):
 
 
 def test_tolerance_overrides(chamber2, chamber3):
-    loose = verify_iwasawa(chamber2, samples=3, seed=1, tol_exact=1.0)
+    loose = run_suite(chamber2, "iwasawa", samples=3, seed=1, tol_exact=1.0)
     assert loose[0].tolerance == 1.0
-    strict = verify_lagrangian(chamber3, "horizontal", samples=3, seed=1, tol_fd=1e-30)
+    strict = run_suite(chamber3, "lagrangian-horizontal", samples=3, seed=1, tol_fd=1e-30)
     assert any(not r.passed for r in strict if r.suite.endswith("-std"))
-
-
-def test_lagrangian_rejects_unknown_mode(chamber2):
-    with pytest.raises(ValueError, match="mode"):
-        verify_lagrangian(chamber2, "diagonal", samples=2, seed=1)
 
 
 NAN = float("nan")
@@ -126,7 +112,7 @@ def test_nan_inside_a_sample_fails_suite(chamber3, monkeypatch):
         return a_val, b_val, c_val
 
     monkeypatch.setattr(suites, "graph_routes", routes)
-    exact, fd = verify_graph(chamber3, samples=1, seed=1)
+    exact, fd = run_suite(chamber3, "graph", samples=1, seed=1)
     assert exact.max_error == math.inf and not exact.passed
     assert fd.max_error == math.inf and not fd.passed
 
@@ -135,7 +121,7 @@ def test_nan_derivative_route_fails_only_the_fd_report(chamber3, monkeypatch):
     """graph-exact compares the form and pairing routes alone, so a NaN
     from the potential's stencil fails graph-fd and leaves graph-exact,
     scales included, as it was."""
-    clean_exact, _ = verify_graph(chamber3, samples=2, seed=1)
+    clean_exact, _ = run_suite(chamber3, "graph", samples=2, seed=1)
     real = suites.graph_routes
 
     def routes(*args):
@@ -145,7 +131,7 @@ def test_nan_derivative_route_fails_only_the_fd_report(chamber3, monkeypatch):
         return a_val, b_val, c_val
 
     monkeypatch.setattr(suites, "graph_routes", routes)
-    exact, fd = verify_graph(chamber3, samples=2, seed=1)
+    exact, fd = run_suite(chamber3, "graph", samples=2, seed=1)
     assert exact == clean_exact
     assert fd.sample_errors == (math.inf, math.inf) and not fd.passed
 
@@ -223,7 +209,7 @@ def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
 
     monkeypatch.setattr(suites, "graph_routes", routes)
     with pytest.raises(TypeError, match="bad argument"):
-        verify_graph(chamber3, samples=2, seed=1)
+        run_suite(chamber3, "graph", samples=2, seed=1)
 
 
 def test_graph_factors_once_per_sample(monkeypatch):
@@ -372,7 +358,7 @@ def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
         return p, gens
 
     monkeypatch.setattr(OrbitChart, "frame_generators", frame_generators)
-    reports = verify_lagrangian(chamber3, mode, samples=3, seed=2)
+    reports = run_suite(chamber3, f"lagrangian-{mode}", samples=3, seed=2)
     assert all(r.passed for r in reports)
     assert shapes == [(3, chamber3.dim_n, 3, 3)]
 
@@ -400,7 +386,7 @@ def test_breakdown_at_one_stencil_point_fails_only_its_sample(
     their clean values.  Sample 1 is recognised by its data, the witness
     of its chart's base point, at its slot of the stacked chunk and then
     in its rerun alone."""
-    clean = verify_theorem(chamber3, samples=3, seed=7)
+    clean = run_suite(chamber3, "theorem", samples=3, seed=7)
     real_points = orbit_module._orbit_points
     bases = []  # the chart base witnesses (samples, n, n) of each check, in call order
 
@@ -410,7 +396,7 @@ def test_breakdown_at_one_stencil_point_fails_only_its_sample(
         return real_points(chamber, g)
 
     monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
-    verify_theorem(chamber3, samples=3, seed=7)
+    run_suite(chamber3, "theorem", samples=3, seed=7)
     target = bases[0][1]
     owner = importlib.import_module(module)
     real = getattr(owner, name)
@@ -427,7 +413,7 @@ def test_breakdown_at_one_stencil_point_fails_only_its_sample(
         return real(*head, stack)
 
     monkeypatch.setattr(owner, name, kernel)
-    reports = verify_theorem(chamber3, samples=3, seed=7)
+    reports = run_suite(chamber3, "theorem", samples=3, seed=7)
     assert corrupted == [1, 0]  # in the chunk of three, then alone
     for report, before in zip(reports, clean):
         assert report.exceptions == ((1, exception),)
@@ -539,16 +525,13 @@ def test_theorem_memory_is_bounded():
 
 
 def test_unknown_suite_rejected(chamber2):
-    with pytest.raises(ValueError, match="unknown suite"):
-        run_suite(chamber2, "spectral", samples=2, seed=1)
+    for name in ("spectral", "lagrangian-diagonal"):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite(chamber2, name, samples=2, seed=1)
 
 
-ENTRY_POINTS = [
-    *[lambda chamber, name=name, **o: run_suite(chamber, name, **o) for name in SUITE_NAMES],
-    verify_iwasawa, verify_infinitesimal, verify_projection, verify_graph, verify_theorem,
-    lambda chamber, **o: verify_lagrangian(chamber, "vertical", **o),
-    lambda chamber, **o: verify_lagrangian(chamber, "horizontal", **o),
-]
+ENTRY_POINTS = [lambda chamber, name=name, **o: run_suite(chamber, name, **o)
+                for name in SUITE_NAMES]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -574,7 +557,7 @@ def test_checks_return_one_error_table(entries, name):
 
 
 def test_projection_reports_cover_every_check(chamber3):
-    suites = [r.suite for r in verify_projection(chamber3, samples=3, seed=4)]
+    suites = [r.suite for r in run_suite(chamber3, "projection", samples=3, seed=4)]
     assert suites == [
         "projection-welldef",
         "projection-displacement",
@@ -598,7 +581,7 @@ def reference_rotation_log(rng, n, scale):
 
 
 def reference_combination(basis, rng, scale, n):
-    if not basis:
+    if not len(basis):
         return np.zeros((n, n))
     coeffs = rng.uniform(-scale, scale, len(basis))
     return np.einsum("i,ijk->jk", coeffs, np.asarray(basis))
@@ -621,15 +604,15 @@ def test_stacked_samplers_are_per_sample_draws_bit_for_bit(entries, chunk):
     model = SpecialLinearModel(len(entries))
     chamber = model.chamber_element(entries)
     n = model.n
-    stacks = {**model._stacks, **{f"chamber.{k}": v for k, v in chamber._stacks.items()}}
-    bases = {**{k: getattr(model, k) for k in model._stacks},
-             **{f"chamber.{k}": getattr(chamber, k) for k in chamber._stacks}}
+    bases = {**{k: getattr(model, k) for k in ("k_basis", "a_basis", "n_basis")},
+             **{f"chamber.{k}": getattr(chamber, k)
+                for k in ("n_basis", "theta_n_basis", "z_basis", "zk_basis", "m_basis")}}
     draws = [
         (lambda rngs: model._algebra_elements(rngs, 0.7, 3),
          lambda rng: [reference_algebra(rng, n, 0.7) for _ in range(3)]),
         (lambda rngs: model._rotation_logs(rngs, 1.5 / n),
          lambda rng: [reference_rotation_log(rng, n, 1.5 / n)]),
-        *[(lambda rngs, name=name: _combinations(stacks[name], rngs, 0.8, count=2),
+        *[(lambda rngs, name=name: _combinations(bases[name], rngs, 0.8, count=2),
            lambda rng, name=name: [reference_combination(bases[name], rng, 0.8, n)
                                    for _ in range(2)])
           for name in bases],

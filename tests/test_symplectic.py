@@ -293,7 +293,7 @@ class TestSectionOneForm:
         rng = np.random.default_rng(45)
         for g in (np.eye(model.n), model.random_group_element(rng, 0.4)):
             k = model.random_orthogonal(rng, 0.6)
-            form_values, _, _ = graph_routes(chamber, g, k, chamber._stacks["m_basis"])
+            form_values, _, _ = graph_routes(chamber, g, k, chamber.m_basis)
             for direction, form_value in zip(chamber.m_basis, form_values):
                 assert section_one_form(chamber, g, k, direction) == form_value
         assert len(calls) == 2 * (1 + chamber.dim_m)
@@ -308,7 +308,7 @@ class TestSectionOneForm:
         rng = np.random.default_rng(47)
         g = np.stack([np.eye(model.n)] + [model.random_group_element(rng, 0.4) for _ in range(2)])
         k = np.stack([model.random_orthogonal(rng, 0.6) for _ in range(3)])
-        stacked = graph_routes(chamber, g[:, None], k[:, None], chamber._stacks["m_basis"])
+        stacked = graph_routes(chamber, g[:, None], k[:, None], chamber.m_basis)
         assert [np.shape(route) for route in stacked] == [(3, chamber.dim_m)] * 3
         for s in range(3):
             for i, direction in enumerate(chamber.m_basis):
@@ -539,7 +539,7 @@ class TestStackedKernels:
         u, w, x, _ = chart._shifted_points(offsets)
         dual = symplectic._tautological_dual(chart.at.chamber, x, symplectic.iwasawa(w), u)
         coefficient = chart.at.chamber.model.killing_coefficient
-        got = coefficient * np.einsum("oiab,jba->oij", dual, chart._stack)
+        got = coefficient * np.einsum("oiab,jba->oij", dual, chart.directions)
         for o, s in enumerate(offsets):
             for i in range(chart.dim):
                 t = np.zeros(chart.dim)
