@@ -238,6 +238,26 @@ def test_bases_match_unit_matrices(entries):
                           np.concatenate([model.k_basis, model.a_basis, model.n_basis]))
 
 
+@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1]])
+def test_basis_tuples_are_views_of_their_stacks(entries):
+    """Each basis is built once, as one read-only (dim, n, n) stack, and
+    the matrices it yields as a sequence, by iteration or by index, are
+    read-only views of that stack rather than copies."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    names = {model: ("k_basis", "a_basis", "n_basis", "algebra_basis"),
+             chamber: ("n_basis", "theta_n_basis", "z_basis", "zk_basis", "m_basis")}
+    for owner, owned in names.items():
+        for name in owned:
+            stack = getattr(owner, name)
+            assert stack.shape == (len(stack), model.n, model.n), name
+            assert not stack.flags.writeable, name
+            for i, e in enumerate(stack):
+                assert np.shares_memory(e, stack) and not e.flags.writeable, name
+                assert np.shares_memory(stack[i], stack), name
+            assert np.array_equal(stack, np.reshape(list(stack), stack.shape)), name
+
+
 class TestSubspaceOrthogonality:
     def test_centralizer_orthogonal_to_slices(self, wall3):
         model = wall3.model

@@ -525,13 +525,27 @@ def test_theorem_memory_is_bounded():
 
 
 def test_unknown_suite_rejected(chamber2):
-    for name in ("spectral", "lagrangian-diagonal"):
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_suite(chamber2, name, samples=2, seed=1)
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite(chamber2, "spectral", samples=2, seed=1)
 
 
-ENTRY_POINTS = [lambda chamber, name=name, **o: run_suite(chamber, name, **o)
-                for name in SUITE_NAMES]
+def test_lagrangian_rejects_unknown_mode(chamber2):
+    """Only the vertical and horizontal Lagrangian suites exist."""
+    with pytest.raises(ValueError, match="unknown suite 'lagrangian-diagonal'"):
+        run_suite(chamber2, "lagrangian-diagonal", samples=2, seed=1)
+
+
+# Every suite with its default options, then again with every other
+# option set, so that the samples check cannot hinge on them.
+_OPTIONS = dict(fd_step=1e-4, tol_exact=1.0, tol_fd=1.0)
+ENTRY_POINTS = [
+    *[lambda chamber, name=name, **o: run_suite(chamber, name, **o) for name in SUITE_NAMES],
+    *[pytest.param(lambda chamber, name=name, **o: run_suite(chamber, name, **_OPTIONS, **o),
+                   id=f"verify_{name}")
+      for name in ("iwasawa", "infinitesimal", "projection", "graph", "theorem")],
+    *[lambda chamber, name=name, **o: run_suite(chamber, name, **_OPTIONS, **o)
+      for name in ("lagrangian-vertical", "lagrangian-horizontal")],
+]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
