@@ -4,7 +4,9 @@
 given as a comma-separated list (decimals or simple fractions) and
 prints one summary line per suite; ``--json`` additionally writes the
 full report list.  ``orbitsym info`` prints the block structure and the
-derived dimensions.  Exit codes: 0 all suites pass, 1 any failure,
+derived dimensions.  A process builds each distinct ``--n``/``--H`` pair's
+chamber once and shares it, with the stencil exponentials it keeps,
+across later ``main`` calls.  Exit codes: 0 all suites pass, 1 any failure,
 2 usage or configuration errors, including a ``--json`` path that
 cannot be written.
 """
@@ -93,7 +95,16 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+# Chambers kept across ``main`` calls, a fixed number so that the memo's
+# memory stays bounded.
+_CHAMBERS_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_CHAMBERS_KEPT)
 def _resolve_chamber(n_arg, h_text: str):
+    """The chamber of ``--n`` and ``--H``, built once per process for each
+    distinct pair (the last ``_CHAMBERS_KEPT`` of them); a pair that
+    raises is not kept, so it raises again on every call."""
     entries = parse_entries(h_text)
     n = n_arg if n_arg is not None else len(entries)
     if not 2 <= n <= 8:

@@ -28,6 +28,9 @@ import numpy as np
 
 from .numerics import char_poly, mat_exp
 
+# Shift exponentials kept per chamber: its three chart stacks at two steps.
+_SHIFT_EXPS_KEPT = 6
+
 
 class NotInChamber(ValueError):
     """Entries are not weakly decreasing with zero sum."""
@@ -93,7 +96,8 @@ def _combinations(stack: np.ndarray, rngs, scale: float, count: int = 1) -> np.n
 
 def random_combination(basis, rng: np.random.Generator, scale: float) -> np.ndarray:
     """Linear combination of ``basis`` with coefficients uniform in
-    [-scale, scale]; ``basis`` must be non-empty."""
+    [-scale, scale]; an empty basis (0, n, n) gives the zero matrix and
+    draws nothing from ``rng``."""
     return _combinations(np.asarray(basis), [rng], scale)[0, 0]
 
 
@@ -253,7 +257,10 @@ class ChamberElement:
     and ``n_gaps`` the corresponding positive differences H_ii - H_jj.
     ``_n_index`` caches the positions as (rows, columns) index arrays, so
     ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
-    Each basis is a read-only (dim, n, n) stack.
+    Each basis is a read-only (dim, n, n) stack.  What depends on H alone
+    is built once per chamber: ``_chart_basis``, the default chart
+    directions, and the stencil exponentials of its own stacks
+    (``_shift_exps``), so a chamber shared across calls shares them too.
     """
 
     model: SpecialLinearModel
@@ -272,6 +279,34 @@ class ChamberElement:
     @cached_property
     def _n_index(self) -> tuple[np.ndarray, ...]:
         return tuple(_locked(np.array(self.n_positions, dtype=np.intp).reshape(-1, 2).T))
+
+    @cached_property
+    def _chart_basis(self) -> np.ndarray:
+        """The default chart directions theta n(H) + n(H), one read-only stack."""
+        return _locked(np.concatenate([self.theta_n_basis, self.n_basis]))
+
+    @cached_property
+    def _shift_exps_kept(self) -> dict:
+        return {}
+
+    def _shift_exps(self, directions: np.ndarray, offsets) -> np.ndarray:
+        """exp(s X) for each s of ``offsets`` and each X of a stack
+        ``directions`` (dim, n, n), stacked (len(offsets), dim, n, n).
+
+        For one of the chamber's chart stacks (``_chart_basis``, ``n_basis``
+        or ``m_basis``, by identity) the result is computed once per
+        offsets and kept read-only, the last ``_SHIFT_EXPS_KEPT`` of them;
+        any other stack is exponentiated afresh."""
+        offsets = np.asarray(offsets, dtype=float)
+        if not any(directions is own for own in (self._chart_basis, self.n_basis, self.m_basis)):
+            return mat_exp(np.multiply.outer(offsets, directions))
+        kept = self._shift_exps_kept
+        key = (id(directions), *offsets.tolist())
+        if key not in kept:
+            if len(kept) == _SHIFT_EXPS_KEPT:
+                del kept[next(iter(kept))]
+            kept[key] = _locked(mat_exp(np.multiply.outer(offsets, directions)))
+        return kept[key]
 
     @property
     def dim_n(self) -> int:

@@ -138,15 +138,19 @@ def mat_exp(x) -> np.ndarray:
         lower, upper = _side_masks(n) @ np.abs(y.reshape(len(y), -1)).T
         degree = EXP_TAYLOR_DEGREE if np.minimum(lower, upper).any() else n - 1
     ident = np.eye(n)
-    # Horner's loop in place; its first step's product with I is exact
+    # Horner's loop in place, its terms y / k all divided at once; its first
+    # step's product with I is exact
     acc = ident + y / degree
-    scaled, product = np.empty_like(y), np.empty_like(y)
-    for k in range(degree - 1, 0, -1):
-        np.matmul(np.divide(y, k, out=scaled), acc, out=product)
+    product = np.empty_like(y)
+    for term in y / np.arange(degree - 1, 0, -1.0)[:, None, None, None]:
+        np.matmul(term, acc, out=product)
         np.add(ident, product, out=acc)
     for step in range(counts.max(initial=0)):
         due = counts > step
-        acc[due] = acc[due] @ acc[due]
+        if due.all():
+            acc = acc @ acc
+        else:
+            acc[due] = acc[due] @ acc[due]
     return acc.reshape(a.shape)
 
 

@@ -403,9 +403,12 @@ class OrbitChart:
         ``offsets`` and each axis i, in one stacked pass.  Returns the
         displacements s X_i, stacked (len(offsets), dim, n, n), and the
         witnesses g exp(s X_i), the points and the witness inverses, each
-        stacked (..., len(offsets), dim, n, n) over the base points."""
+        stacked (..., len(offsets), dim, n, n) over the base points.  The
+        exponentials come from the chamber, which keeps those of its own
+        stacks (``ChamberElement._shift_exps``)."""
         u = np.multiply.outer(np.asarray(offsets, dtype=float), self.directions)
-        w = self.at.witness[..., None, None, :, :] @ mat_exp(u)
+        exps = self.at.chamber._shift_exps(self.directions, offsets)
+        w = self.at.witness[..., None, None, :, :] @ exps
         x, w_inv = _orbit_points(self.at.chamber, w)
         return u, w, x, w_inv
 
@@ -451,17 +454,17 @@ class OrbitChart:
 def orbit_chart(x: OrbitPoint, directions=None) -> OrbitChart:
     """Chart through x; defaults to the theta n(H) + n(H) directions, a
     complement of the centralizer.  Raises ``DegenerateChart`` when the
-    directions are dependent modulo z(H)."""
+    directions are dependent modulo z(H).  A read-only float stack
+    (dim, n, n), such as a chamber basis, is kept as it is; other
+    directions are copied into one."""
     chamber = x.chamber
-    if directions is None:
-        dirs = np.concatenate([chamber.theta_n_basis, chamber.n_basis])
-    else:
-        dirs = np.reshape(np.array(directions, dtype=float), (-1, *chamber.matrix.shape))
+    dirs = chamber._chart_basis if directions is None else np.asarray(directions, dtype=float)
+    if dirs.flags.writeable or dirs.shape[1:] != chamber.matrix.shape:
+        dirs = _locked(np.reshape(dirs, (-1, *chamber.matrix.shape)))
     if len(dirs):
         rows = np.concatenate([dirs, chamber.z_basis]).reshape(len(dirs) + chamber.dim_z, -1)
         if np.linalg.matrix_rank(rows, tol=1e-10) < len(rows):
             raise DegenerateChart("directions are dependent modulo the centralizer")
-    dirs.setflags(write=False)
     return OrbitChart(at=x, directions=dirs)
 
 

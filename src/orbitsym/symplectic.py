@@ -33,7 +33,7 @@ import numpy as np
 from .iwasawa import (IwasawaFactors, InfinitesimalIwasawa, _diagonals, _require_det_one,
                       infinitesimal_iwasawa, iwasawa)
 from .model import ChamberElement, split_kan
-from .numerics import STENCIL_OFFSETS, _pivots, _stack, _stencil_diff, mat_exp
+from .numerics import STENCIL_OFFSETS, _pivots, _stack, _stencil_diff
 from .orbit import (
     OrbitChart,
     OrbitPoint,
@@ -260,8 +260,9 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     pairing_value = chamber.model.killing(fiber, kf @ inf.k_deriv @ np.swapaxes(kf, -1, -2))
 
     # the potentials one stencil offset at a time, each over the whole
-    # stack, which bounds the arrays alive at once to one offset's
-    exps = mat_exp(np.multiply.outer(np.multiply(STENCIL_OFFSETS, fd_step), x_dir))
+    # stack, which bounds the arrays alive at once to one offset's; the
+    # chamber keeps the exponentials of its own direction stacks
+    exps = chamber._shift_exps(x_dir, np.multiply(STENCIL_OFFSETS, fd_step))
     potentials = [iwasawa_potential(chamber, g, k @ e) for e in exps]
     derivative_value = -_stencil_diff(potentials, fd_step)
     return form_value, pairing_value, derivative_value

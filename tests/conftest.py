@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from orbitsym import SpecialLinearModel
+from orbitsym.cli import _resolve_chamber
 
 settings.register_profile(
     "numeric",
@@ -50,3 +51,12 @@ def chamber4(model4):
 @pytest.fixture(scope="session")
 def wall4(model4):
     return model4.chamber_element([1, 1, -1, -1])
+
+
+@pytest.fixture
+def fresh_chambers():
+    """An empty ``cli`` chamber memo, emptied again afterwards, for tests
+    that count the chambers ``main`` builds."""
+    _resolve_chamber.cache_clear()
+    yield
+    _resolve_chamber.cache_clear()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from orbitsym import SUITE_NAMES, SpecialLinearModel, iwasawa, orbit, suites
+from orbitsym import cli
 from orbitsym.cli import build_parser, main, parse_entries, write_reports
 from orbitsym.orbit import FiberResidual
 from orbitsym.suites import VerificationReport
@@ -512,3 +513,60 @@ def test_verify_json_does_not_use_the_json_encoder(tmp_path, monkeypatch):
                  "--json", str(path), "--quiet"])
     assert code == 0
     assert path.read_text(encoding="utf-8") == expected
+
+
+def count_chamber_builds(monkeypatch) -> list:
+    """Record the entries of every ``chamber_element`` call from now on."""
+    builds = []
+    real = SpecialLinearModel.chamber_element
+
+    def chamber_element(self, entries):
+        builds.append(list(entries))
+        return real(self, entries)
+
+    monkeypatch.setattr(SpecialLinearModel, "chamber_element", chamber_element)
+    return builds
+
+
+def test_repeated_h_builds_one_chamber(capsys, tmp_path, monkeypatch, fresh_chambers):
+    """Two ``main`` calls with the same --H build one chamber and write the
+    same stdout and JSON bytes; an ``info`` call after them builds none."""
+    builds = count_chamber_builds(monkeypatch)
+    outputs = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "verify", "all", "--H", "2,1,0,-1,-2",
+                                 "--samples", "3", "--seed", "9", "--json", str(path))
+        outputs.append((code, out, err, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert run_cli(capsys, "info", "--H", "2,1,0,-1,-2")[0] == 0
+    assert builds == [[2, 1, 0, -1, -2]]
+
+
+@pytest.mark.parametrize("bad", ["1,,-1", "1,x,-1", "-1,0,1", "1,0,-1,0"])
+def test_malformed_h_after_a_good_one_is_still_a_usage_error(capsys, fresh_chambers, bad):
+    """Errors are not kept: a malformed --H after a good one, and again
+    after that, exits 2 with one line each time."""
+    assert run_cli(capsys, "verify", "iwasawa", "--H", "1,0,-1", "--samples", "2")[0] == 0
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify", "iwasawa", "--n", "3", "--H", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert cli._resolve_chamber.cache_info().currsize == 1
+
+
+def test_given_and_inferred_size_agree(capsys, tmp_path):
+    """``--n 3 --H 1,0,-1`` and ``--H 1,0,-1`` give the same stdout and
+    JSON bytes, whichever of them runs first."""
+    outputs = []
+    for size in (["--n", "3"], [], ["--n", "3"]):
+        path = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, "verify", "all", *size, "--H", "1,0,-1",
+                               "--samples", "3", "--json", str(path))
+        outputs.append((code, out, path.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_chamber_memo_has_a_fixed_size():
+    assert cli._resolve_chamber.cache_info().maxsize == cli._CHAMBERS_KEPT

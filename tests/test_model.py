@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from orbitsym import NotInChamber, SpecialLinearModel, mat_exp, split_kan
+from orbitsym import NotInChamber, SpecialLinearModel, mat_exp, random_combination, split_kan
+from orbitsym import model as model_module
+from orbitsym.numerics import STENCIL_OFFSETS
 
 
 def unit(n, i, j):
@@ -345,3 +347,39 @@ class TestRandomness:
         k = model3.random_orthogonal(11, 0.5)
         assert np.linalg.norm(k.T @ k - np.eye(3)) <= 1e-12
         assert np.linalg.det(k) == pytest.approx(1.0)
+
+
+def test_random_combination_of_an_empty_basis_is_zero_and_draws_nothing(chamber3):
+    """z_K(H) = 0 at a regular chamber: the combination is the zero matrix
+    and the generator's state does not move."""
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    combination = random_combination(chamber3.zk_basis, rng, 1.0)
+    assert combination.shape == (3, 3) and not combination.any()
+    assert rng.bit_generator.state == state
+
+
+class TestShiftExponentials:
+    def test_own_stacks_are_kept_read_only_and_match_a_fresh_exp(self, model4):
+        chamber = model4.chamber_element([1, 1, -1, -1])
+        offsets = np.multiply(STENCIL_OFFSETS, 1e-3)
+        for stack in (chamber._chart_basis, chamber.n_basis, chamber.m_basis):
+            exps = chamber._shift_exps(stack, offsets)
+            assert chamber._shift_exps(stack, offsets) is exps
+            assert not exps.flags.writeable
+            assert exps.tobytes() == mat_exp(np.multiply.outer(offsets, stack)).tobytes()
+
+    def test_other_stacks_are_exponentiated_afresh(self, model4):
+        chamber = model4.chamber_element([1, 1, -1, -1])
+        offsets = np.multiply(STENCIL_OFFSETS, 1e-3)
+        copy = np.array(chamber.m_basis)
+        first = chamber._shift_exps(copy, offsets)
+        assert chamber._shift_exps(copy, offsets) is not first
+        assert first.tobytes() == chamber._shift_exps(chamber.m_basis, offsets).tobytes()
+        assert len(chamber._shift_exps_kept) == 1
+
+    def test_at_most_a_fixed_number_are_kept(self, model4):
+        chamber = model4.chamber_element([1.5, 0.5, -0.5, -1.5])
+        for step in range(1, model_module._SHIFT_EXPS_KEPT + 3):
+            chamber._shift_exps(chamber.n_basis, np.multiply(STENCIL_OFFSETS, step * 1e-3))
+        assert len(chamber._shift_exps_kept) == model_module._SHIFT_EXPS_KEPT

@@ -23,6 +23,7 @@ from orbitsym import (
     tangent_vector,
     to_cotangent,
 )
+from orbitsym import model as model_module
 from orbitsym.orbit import (
     _check_on_orbit_stack,
     _cotangent_reps,
@@ -624,3 +625,23 @@ class TestStackedBundleBuilders:
         for i, j in chamber.n_positions:
             recon[i, j] = w[i, j]
         return recon
+
+
+def test_chart_with_caller_directions_computes_its_own_exponentials(model4, monkeypatch):
+    """A chart on one of the chamber's stacks holds that stack and reads
+    the stencil exponentials the chamber keeps; a chart on a caller's
+    copy holds a read-only copy and exponentiates its own, with the same
+    bits."""
+    chamber = model4.chamber_element([1.5, 0.5, -0.5, -1.5])
+    witnesses = [np.eye(4), chamber.model.random_group_element(3, 0.3)]
+    exp_calls = []
+    monkeypatch.setattr(model_module, "mat_exp", lambda x: exp_calls.append(x.shape) or mat_exp(x))
+    own = [orbit_chart(orbit_point(chamber, g), directions=chamber.m_basis) for g in witnesses]
+    assert all(chart.directions is chamber.m_basis for chart in own)
+    copy = np.array(chamber.m_basis)
+    given = [orbit_chart(orbit_point(chamber, g), directions=copy) for g in witnesses]
+    assert all(chart.directions is not copy and not chart.directions.flags.writeable
+               for chart in given)
+    for a, b in zip(own, given):
+        assert a._stencil(1e-3)[1].tobytes() == b._stencil(1e-3)[1].tobytes()
+    assert len(exp_calls) == 1 + len(given)

@@ -12,7 +12,9 @@ import pytest
 from orbitsym import SUITE_NAMES, SpecialLinearModel, mat_exp, random_combination, run_suite
 from orbitsym import orbit as orbit_module
 from orbitsym import suites, symplectic
-from orbitsym.model import _combinations
+from orbitsym import model as model_module
+from orbitsym.model import ChamberElement, _combinations
+from orbitsym.numerics import STENCIL_OFFSETS
 from orbitsym.orbit import OrbitChart
 from orbitsym.suites import _report, _worst
 
@@ -714,3 +716,30 @@ def test_error_reductions_per_call_do_not_grow_with_samples(monkeypatch):
             assert all(r.passed for r in run_suite(chamber, name, samples=samples))
             counts.append(len(calls))
         assert counts[0] == counts[1], name
+
+
+def test_graph_and_lagrangian_horizontal_share_one_exponential_stack(monkeypatch):
+    """Both suites read the stencil exponentials of m(H) from the chamber:
+    one read-only stack, computed once for all their calls and equal bit
+    for bit to a fresh ``mat_exp`` of the same displacements."""
+    chamber = SpecialLinearModel(4).chamber_element([1.5, 0.5, -0.5, -1.5])
+    real = ChamberElement._shift_exps
+    read = []
+
+    def shift_exps(self, directions, offsets):
+        exps = real(self, directions, offsets)
+        read.append((directions, exps))
+        return exps
+
+    monkeypatch.setattr(ChamberElement, "_shift_exps", shift_exps)
+    exp_calls = []
+    monkeypatch.setattr(model_module, "mat_exp", lambda x: exp_calls.append(x.shape) or mat_exp(x))
+    for name in ("lagrangian-horizontal", "graph", "lagrangian-horizontal", "graph"):
+        assert all(r.passed for r in run_suite(chamber, name, samples=3, seed=1))
+    assert [directions is chamber.m_basis for directions, _ in read] == [True] * 4
+    assert all(exps is read[0][1] for _, exps in read)
+    assert not read[0][1].flags.writeable
+    assert exp_calls == [(4, chamber.dim_m, 4, 4)]
+    offsets = np.multiply(STENCIL_OFFSETS, suites.DEFAULT_FD_STEP)
+    fresh = mat_exp(np.multiply.outer(offsets, chamber.m_basis))
+    assert read[0][1].tobytes() == fresh.tobytes()
