@@ -34,7 +34,6 @@ from .orbit import (
     CotangentRep,
     DegenerateChart,
     FiberResidual,
-    NoNilpotentWitness,
     NotOrthogonal,
     NotTangent,
     OrbitChart,

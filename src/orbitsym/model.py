@@ -192,7 +192,6 @@ class SpecialLinearModel:
         same_block = [(i, j) for i in range(n) for j in range(n)
                       if i != j and block_index[i] == block_index[j]]
         zk_pairs = [(i, j) for i, j in same_block if i < j]
-        gaps = tuple(floats[i] - floats[j] for i, j in positions)
 
         return ChamberElement(
             model=self,
@@ -200,7 +199,6 @@ class SpecialLinearModel:
             blocks=tuple(blocks),
             matrix=matrix,
             n_positions=positions,
-            n_gaps=gaps,
             n_basis=n_of_h,
             theta_n_basis=_locked(self.cartan_involution(n_of_h)),
             z_basis=_locked(np.concatenate([self.a_basis, _units(n, same_block)])),
@@ -253,8 +251,7 @@ class SpecialLinearModel:
 class ChamberElement:
     """A point H of the closed positive chamber with its derived data.
 
-    ``n_positions`` lists the (i, j) index pairs of n(H) in basis order
-    and ``n_gaps`` the corresponding positive differences H_ii - H_jj.
+    ``n_positions`` lists the (i, j) index pairs of n(H) in basis order.
     ``_n_index`` caches the positions as (rows, columns) index arrays, so
     ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
     Each basis is a read-only (dim, n, n) stack.  What depends on H alone
@@ -268,7 +265,6 @@ class ChamberElement:
     blocks: tuple[tuple[float, int], ...]
     matrix: np.ndarray
     n_positions: tuple[tuple[int, int], ...]
-    n_gaps: tuple[float, ...]
     n_basis: np.ndarray
     theta_n_basis: np.ndarray
     z_basis: np.ndarray

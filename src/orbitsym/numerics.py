@@ -2,9 +2,8 @@
 
 Everything here targets small fixed-size problems (n <= 8): Householder
 QR (LAPACK) with a sign fix for strictly positive pivots, a
-scaling-and-squaring matrix exponential whose Taylor sum is finite on
-strictly triangular stacks (with the full sum's bits), characteristic
-polynomials without an eigensolve, and fourth-order central differences
+scaling-and-squaring matrix exponential, characteristic polynomials
+without an eigensolve, and fourth-order central differences
 used as the oracle for all derivative claims.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and gives
@@ -14,7 +13,6 @@ caller gets the single-matrix values bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -99,12 +97,6 @@ def central_diff(f, t: float = 0.0, h: float = 1e-3):
     return _stencil_diff([f(t + o * h) for o in STENCIL_OFFSETS], h)
 
 
-@functools.cache
-def _side_masks(n: int) -> np.ndarray:
-    """Indicator rows (2, n * n): on and below, on and above the diagonal."""
-    return np.stack([np.tri(n).ravel(), np.tri(n).T.ravel()])
-
-
 def mat_exp(x) -> np.ndarray:
     """Matrix exponential of a matrix, or of every slice of a stack
     (..., n, n), by scaling and squaring.
@@ -114,8 +106,7 @@ def mat_exp(x) -> np.ndarray:
     Relative error stays below 1e-12 for ||X|| <= 10.  The Taylor sum runs
     over the whole stack and each squaring over the slices that still
     need it, so every slice gets its own squaring count.  An all-zero
-    input skips the sum, which would give exactly I.  On strictly triangular
-    slices Y**n = 0: the sum starts at degree n - 1, with the same bits.
+    input skips the sum, which would give exactly I.
     """
     a = _stack(x)
     n = a.shape[-1]
@@ -127,22 +118,12 @@ def mat_exp(x) -> np.ndarray:
         for nrm in _frobenius_stack(flat).tolist()
     ], dtype=int)
     y = flat / (2.0 ** counts)[:, None, None]
-    # Strictly triangular: a zero diagonal, and |y| sums to zero on and below
-    # or on and above it.  Horner's levels of degree n and up then reach only
-    # entries beyond the last superdiagonal (subdiagonal), which structural
-    # zeros of y multiply; every other entry gets the same products in the
-    # same order, exact zeros enter each sum as +-0, and the I + step makes
-    # every zero +0.  So the bits are the degree-18 loop's, slice by slice.
-    degree = EXP_TAYLOR_DEGREE
-    if not np.diagonal(y, axis1=-2, axis2=-1).any():
-        lower, upper = _side_masks(n) @ np.abs(y.reshape(len(y), -1)).T
-        degree = EXP_TAYLOR_DEGREE if np.minimum(lower, upper).any() else n - 1
     ident = np.eye(n)
     # Horner's loop in place, its terms y / k all divided at once; its first
     # step's product with I is exact
-    acc = ident + y / degree
+    acc = ident + y / EXP_TAYLOR_DEGREE
     product = np.empty_like(y)
-    for term in y / np.arange(degree - 1, 0, -1.0)[:, None, None, None]:
+    for term in y / np.arange(EXP_TAYLOR_DEGREE - 1, 0, -1.0)[:, None, None, None]:
         np.matmul(term, acc, out=product)
         np.add(ident, product, out=acc)
     for step in range(counts.max(initial=0)):

@@ -7,7 +7,7 @@ compact flag orbit (the zero section of the ruling); the difference
 x - pr(x) is the fiber part, which lies in the K(g)-conjugate of n(H).
 Pairing the fiber against conjugated m(H)-basis elements through the
 Killing form gives cotangent coordinates; the inverse direction solves
-for a unipotent witness inside the nilpotent slice.
+for a unipotent witness in exp n(H) by back-substitution.
 
 The builders behind the public functions take one matrix or a stack
 (..., n, n) and give every slice the single-point result bit for bit:
@@ -40,10 +40,6 @@ class FiberResidual(ValueError):
     """Fiber part fails to lie in the conjugated nilpotent slice."""
 
 
-class NoNilpotentWitness(ValueError):
-    """Unipotent witness iteration did not converge."""
-
-
 class NotTangent(ValueError):
     """Vector is not tangent to the orbit at the given point."""
 
@@ -57,9 +53,6 @@ CHAR_RTOL = 1e-9
 TRACE_RTOL = 1e-10
 # A fiber may leave the conjugated n(H) by FIBER_RTOL times its orbit point.
 FIBER_RTOL = 1e-10
-# Unipotent witness iteration: step cap and convergence tolerance.
-WITNESS_ITERATIONS = 50
-WITNESS_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,62 +252,37 @@ def cotangent_rep(chamber: ChamberElement, base_witness, fiber) -> CotangentRep:
     return _rep(chamber, k, base, v, coords)
 
 
-def _from_cotangent(chamber: ChamberElement, k: np.ndarray, fiber: np.ndarray,
-                    max_iterations: int = WITNESS_ITERATIONS) -> tuple[np.ndarray, np.ndarray]:
+def _from_cotangent(chamber: ChamberElement, k: np.ndarray,
+                    fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``from_cotangent`` of one representative, or of stacks (..., n, n)
-    of rotations and fibers that broadcast together: the witnesses
-    k exp(Y), Y in n(H), and their orbit points base + fiber.
+    of rotations and fibers that broadcast together: the witnesses k U
+    and their orbit points base + fiber.
 
-    Quasi-Newton iteration on the n(H) coefficients of every slice at
-    once, each Y exponentiated together with -Y; a slice freezes once it
-    has converged, so it takes the steps a single call would.  A slice
-    that has not converged after ``max_iterations`` steps raises
-    ``NoNilpotentWitness``, after the orbit points of the slices before
-    it, as a loop of single calls would.
+    U H = (H + w) U for the deconjugated fiber w = k^T fiber k, read on
+    n(H), gives u_ij = (w U)_ij / (H_jj - H_ii) past the diagonal block
+    of row i.  That sum reads only the rows past the block, so the rows
+    are solved from the bottom up, each over every slice at once.
     """
-    h = chamber.matrix
+    h = np.asarray(chamber.entries)
     w = np.swapaxes(k, -1, -2) @ fiber @ k
-    k = np.broadcast_to(k, w.shape)
-    if not chamber.dim_n:  # n(H) = 0: the fiber is zero and k itself the witness
-        return np.array(k), _orbit_points(chamber, k)[0]
-    k = k.reshape(-1, *h.shape)
-    rows, cols = chamber._n_index
-    target = w[..., rows, cols].reshape(len(k), chamber.dim_n)
-    unipotent = np.empty_like(k)
-    denom = -np.asarray(chamber.n_gaps)  # coords([Y, H]) = -gap * coords(Y)
-    coeffs = target / denom
-    scale = np.maximum(1.0, _frobenius_stack(target[:, None, :]))
-    active = np.arange(len(k))
-    for _ in range(max_iterations):
-        if not active.size:
-            break
-        y = np.zeros((active.size, *h.shape))
-        y[:, rows, cols] = coeffs[active]
-        exp_y, exp_minus_y = mat_exp(np.stack([y, -y]))
-        gap = target[active] - (exp_y @ h @ exp_minus_y - h)[:, rows, cols]
-        done = _frobenius_stack(gap[:, None, :]) <= WITNESS_TOL * scale[active]
-        unipotent[active[done]] = exp_y[done]
-        coeffs[active[~done]] += gap[~done] / denom
-        active = active[~done]
-    first = active[0] if active.size else len(k)
-    witnesses = k[:first] @ unipotent[:first]
+    u = np.broadcast_to(np.eye(len(h)), w.shape).copy()
+    mults = [mult for _, mult in chamber.blocks]
+    ends = np.repeat(np.cumsum(mults), mults)  # row i's block ends before column ends[i]
+    for i in range(len(h) - 2, -1, -1):
+        e = ends[i]
+        u[..., i, e:] = (w[..., i, None, e:] @ u[..., e:, e:])[..., 0, :] / (h[e:] - h[i])
+    witnesses = k @ u
     points, _ = _orbit_points(chamber, witnesses)
-    if active.size:
-        raise NoNilpotentWitness(f"no unipotent witness after {max_iterations} iterations")
-    return witnesses.reshape(w.shape), points.reshape(w.shape)
+    return witnesses, points
 
 
-def from_cotangent(rep: CotangentRep, max_iterations: int = WITNESS_ITERATIONS) -> OrbitPoint:
+def from_cotangent(rep: CotangentRep) -> OrbitPoint:
     """Bundle identification: recover the orbit point base + fiber with a
-    witness k exp(Y), Y in n(H).
-
-    The unipotent witness solves Ad(exp Y) H = H + w for the deconjugated
-    fiber w.  Quasi-Newton iteration on the n(H) coefficients with the
-    diagonal linearization [Y, H]; the nonlinearity only feeds strictly
-    upward in the block grading, so the iteration settles in at most n
-    steps.
+    witness k U, where U in exp n(H) solves U H U^-1 = H + w for the
+    deconjugated fiber w.  The group exp n(H) acts simply transitively on
+    the slice H + n(H), and U is found by back-substitution.
     """
-    witness, point = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber, max_iterations)
+    witness, point = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber)
     return OrbitPoint(chamber=rep.chamber, witness=_locked(witness), point=_locked(point))
 
 
@@ -472,7 +440,6 @@ __all__ = [
     "CotangentRep",
     "DegenerateChart",
     "FiberResidual",
-    "NoNilpotentWitness",
     "NotOrthogonal",
     "NotTangent",
     "OrbitChart",

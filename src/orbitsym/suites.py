@@ -12,7 +12,7 @@ override every column of their class, and "fixed" columns never change.
 Every suite draws each sample from its own generator, then runs each
 stage once over the stack of samples: the draws' trace removals and
 basis combinations, exponentials, factorizations, orbit and flag
-points, cotangent representatives, the witness iteration, graph routes,
+points, cotangent representatives, the witness solves, graph routes,
 and the charts of ``theorem`` and ``lagrangian-*`` with their stencils.
 Every stage gives each slice the arithmetic of a single sample and checks
 every slice, so a sample's errors do not depend on the samples it is

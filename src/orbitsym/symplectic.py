@@ -38,9 +38,10 @@ from .orbit import (
     OrbitChart,
     OrbitPoint,
     TangentVector,
+    _check_fiber,
     _dexp,
+    _flag_points,
     _orbit_points,
-    _split,
     solve_generator,
 )
 
@@ -256,7 +257,9 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
 
     kf = fac.k_factor
     points, _ = _orbit_points(chamber, gk)
-    _, fiber, _ = _split(chamber, kf, points)
+    base = _flag_points(chamber, kf)
+    fiber = points - base
+    _check_fiber(chamber, kf, base, fiber)
     pairing_value = chamber.model.killing(fiber, kf @ inf.k_deriv @ np.swapaxes(kf, -1, -2))
 
     # the potentials one stencil offset at a time, each over the whole

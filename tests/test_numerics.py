@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from orbitsym import numerics
 from orbitsym.model import SpecialLinearModel
 from orbitsym.numerics import (
     EXP_NORM_CAP,
@@ -287,9 +286,9 @@ def strictly_upper(rng, count, n, norm):
 
 
 class TestFiniteTaylorSeries:
-    """On strictly triangular stacks the Taylor sum is finite and starts at
-    degree n - 1, with every bit, signs of zero included, of the full
-    sum."""
+    """On strictly triangular stacks, where the Taylor sum is finite,
+    every bit, signs of zero included, is the full degree-18 sum's, alone
+    and in any stack."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("norm", [1e-8, 0.3, 3.0, 30.0])
@@ -317,18 +316,3 @@ class TestFiniteTaylorSeries:
             assert_same_bits(with_full[i], alone)
             assert_same_bits(stacked[i], alone)
         assert_same_bits(with_full[-1], mat_exp(full))
-
-    def test_the_triangular_path_fires(self, monkeypatch):
-        """With the full sum cut to degree 1 (I + Y), strictly triangular
-        stacks still get exp: their sum starts at degree n - 1, apart from
-        the full one.  A full stack, the control, does change."""
-        rng = np.random.default_rng(7)
-        y = strictly_upper(rng, 3, 6, 2.0)
-        theorem_like = np.concatenate([y, np.swapaxes(y, -1, -2)])
-        stacks = (np.stack([y, -y]), theorem_like)
-        full = rng.uniform(-1, 1, (3, 6, 6))
-        expected = [mat_exp(s) for s in (*stacks, full)]
-        monkeypatch.setattr(numerics, "EXP_TAYLOR_DEGREE", 1)
-        for stack, before in zip(stacks, expected):
-            assert_same_bits(mat_exp(stack), before)
-        assert not np.array_equal(mat_exp(full), expected[-1])

@@ -1,15 +1,17 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from orbitsym import (
     DegenerateChart,
     FiberResidual,
-    NoNilpotentWitness,
     NotOrthogonal,
     NotTangent,
+    SpecialLinearModel,
     cotangent_rep,
     flag_point,
     from_cotangent,
@@ -214,6 +216,29 @@ class TestCotangentIdentification:
             assert np.linalg.norm(rep3.fiber - rep2.fiber) <= 1e-9 * fscale
             assert np.max(np.abs(np.subtract(rep3.coords, rep2.coords)), initial=0.0) <= 1e-9 * fscale
 
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_round_trips_on_random_chambers(self, data, seed):
+        """Chambers of n = 2..8 with random block multiplicities and gaps
+        between 0.1 and 2, at random rotations and fibers."""
+        n = data.draw(st.integers(2, 8))
+        ends = [*sorted(data.draw(st.sets(st.integers(1, n - 1)))), n]
+        gaps = [Fraction(data.draw(st.integers(10, 200)), 100) for _ in ends[1:]]
+        values = [-sum(gaps[:b]) for b in range(len(ends))]
+        entries = [v for v, start, end in zip(values, [0, *ends], ends) for _ in range(start, end)]
+        mean = sum(entries) / n
+        entries = [e - mean for e in entries]
+        model = SpecialLinearModel(n)
+        chamber = model.chamber_element(entries)
+        rng = np.random.default_rng(seed)
+        k = model.random_orthogonal(rng, 1.0)
+        v = k @ chamber.random_fiber(rng, 0.8) @ k.T
+        rep = cotangent_rep(chamber, k, v)
+        back = to_cotangent(from_cotangent(rep))
+        fscale = max(1.0, np.linalg.norm(v))
+        assert np.linalg.norm(back.base - rep.base) <= 1e-9 * fscale
+        assert np.linalg.norm(back.fiber - rep.fiber) <= 1e-9 * fscale
+        assert np.max(np.abs(np.subtract(back.coords, rep.coords)), initial=0.0) <= 1e-9 * fscale
+
     def test_fiber_linearity(self, wall3):
         model = wall3.model
         rng = np.random.default_rng(31)
@@ -237,13 +262,6 @@ class TestCotangentIdentification:
     def test_off_slice_fiber_raises(self, chamber2):
         with pytest.raises(FiberResidual):
             cotangent_rep(chamber2, np.eye(2), unit(2, 1, 0))
-
-    def test_exhausted_witness_iteration_raises(self, chamber2):
-        from orbitsym import NoNilpotentWitness
-
-        rep = cotangent_rep(chamber2, np.eye(2), 0.5 * unit(2, 0, 1))
-        with pytest.raises(NoNilpotentWitness):
-            from_cotangent(rep, max_iterations=0)
 
     @pytest.mark.parametrize("entries", [[1, -1], [1, 0, -1], [1, 1, -2], [1, 1, -1, -1]])
     def test_pairing_matrix_nondegenerate(self, entries):
@@ -444,9 +462,15 @@ class TestStackedBundleBuilders:
     slice."""
 
     CHAMBERS = ["chamber2", "chamber3", "wall3", "wall4", "zero2"]
+    # beyond the fixtures: H = 0 and two large chambers, the n = 8 regular
+    # one (7 back-substitution rows) and the n = 7 wall
+    ENTRIES = {"zero2": [0, 0], "regular8": [3.5, 2.5, 1.5, 0.5, -0.5, -1.5, -2.5, -3.5],
+               "wall7": [1, 1, 1, 1, 1, 1, -6]}
 
     def chamber(self, name, request, model2):
-        return model2.chamber_element([0, 0]) if name == "zero2" else request.getfixturevalue(name)
+        if name in self.ENTRIES:
+            return SpecialLinearModel(len(self.ENTRIES[name])).chamber_element(self.ENTRIES[name])
+        return request.getfixturevalue(name)
 
     def data(self, chamber, count=4):
         """Rotations, fibers at them, and witnesses, each (count, n, n)."""
@@ -498,7 +522,7 @@ class TestStackedBundleBuilders:
         for v, c in zip(shared_vs, shared):
             assert tuple(c.tolist()) == cotangent_rep(chamber, k0, v).coords
 
-    @pytest.mark.parametrize("chamber_name", CHAMBERS)
+    @pytest.mark.parametrize("chamber_name", [*CHAMBERS, "regular8", "wall7"])
     def test_from_cotangent_matches_single_calls(self, chamber_name, request, model2):
         chamber = self.chamber(chamber_name, request, model2)
         ks, vs, _ = self.data(chamber)
@@ -506,8 +530,13 @@ class TestStackedBundleBuilders:
         for k, v, witness, point in zip(ks, vs, witnesses, points):
             x = from_cotangent(cotangent_rep(chamber, k, v))
             assert np.array_equal(witness, x.witness)
-            assert np.array_equal(witness, self.witness_by_loop(chamber, k, v))
             assert np.array_equal(point, x.point)
+            self.assert_unipotent_witness(chamber, k, v, witness, atol=1e-15)
+        # at k = I the witness is U itself, so its structure is exact
+        eye = np.eye(chamber.model.n)
+        ws = np.swapaxes(ks, -1, -2) @ vs @ ks
+        for w, witness in zip(ws, _from_cotangent(chamber, eye, ws)[0]):
+            self.assert_unipotent_witness(chamber, eye, w, witness, atol=0.0)
 
     @pytest.mark.parametrize("chamber_name", CHAMBERS)
     def test_fiber_coefficients_match_single_calls(self, chamber_name, request, model2):
@@ -530,7 +559,7 @@ class TestStackedBundleBuilders:
         assert bases.shape == fibers.shape == (0, n, n) and coords.shape == (0, chamber.dim_m)
         bases, coords = _cotangent_reps(chamber, empty, empty)
         assert bases.shape == (0, n, n) and coords.shape == (0, chamber.dim_m)
-        witnesses, points = _from_cotangent(chamber, empty, empty, max_iterations=0)
+        witnesses, points = _from_cotangent(chamber, empty, empty)
         assert witnesses.shape == points.shape == (0, n, n)
 
     def test_reflection_slice_raises_like_flag_point(self, chamber3):
@@ -556,68 +585,36 @@ class TestStackedBundleBuilders:
             _cotangent_reps(chamber3, ks, vs)
         assert str(stacked.value) == str(single.value)
 
-    def test_exhausted_iteration_raises_like_from_cotangent(self, chamber3):
-        ks, vs, _ = self.data(chamber3)
-        with pytest.raises(NoNilpotentWitness) as single:
-            from_cotangent(cotangent_rep(chamber3, ks[0], vs[0]), max_iterations=0)
-        with pytest.raises(NoNilpotentWitness) as stacked:
-            _from_cotangent(chamber3, ks, vs, max_iterations=0)
-        assert str(stacked.value) == str(single.value)
-
     def test_earlier_orbit_point_error_comes_first(self, model3):
-        """Slice 0 converges to a witness of determinant 2 and slice 1 does
-        not converge: the stack raises slice 0's orbit-point error, as a
-        loop of single calls does."""
+        """Slice 0's witness has determinant 2 and slice 1's is a good
+        one: the stack raises slice 0's orbit-point error, as a loop of
+        single calls does."""
         chamber = model3.chamber_element([2, 1, -3])
         ks, vs, _ = self.data(chamber, count=2)
         ks[0] = 2.0 ** (1.0 / 3.0) * ks[0]
         vs[0] = 0.0
         with pytest.raises(ValueError, match="determinant") as single:
             for k, v in zip(ks, vs):
-                _from_cotangent(chamber, k, v, max_iterations=1)
+                _from_cotangent(chamber, k, v)
         with pytest.raises(ValueError) as stacked:
-            _from_cotangent(chamber, ks, vs, max_iterations=1)
+            _from_cotangent(chamber, ks, vs)
         assert type(stacked.value) is type(single.value)
         assert str(stacked.value) == str(single.value)
 
-    def test_converged_slices_freeze_while_others_iterate(self, model3):
-        """A zero fiber settles in one step.  With unequal gaps the
-        quadratic term of Ad(exp Y) H survives, so a generic fiber needs
-        more: one step raises for it alone, and with enough steps both
-        slices are their own single calls."""
-        chamber = model3.chamber_element([2, 1, -3])
-        ks, vs, _ = self.data(chamber, count=2)
-        vs[0] = 0.0
-        singles = [cotangent_rep(chamber, k, v) for k, v in zip(ks, vs)]
-        from_cotangent(singles[0], max_iterations=1)
-        with pytest.raises(NoNilpotentWitness):
-            from_cotangent(singles[1], max_iterations=1)
-        with pytest.raises(NoNilpotentWitness):
-            _from_cotangent(chamber, ks, vs, max_iterations=1)
-        witnesses, _ = _from_cotangent(chamber, ks, vs)
-        for witness, rep in zip(witnesses, singles):
-            assert np.array_equal(witness, from_cotangent(rep).witness)
-
     @staticmethod
-    def witness_by_loop(chamber, k, v, max_iterations=50, tol=1e-12):
-        """The witness iteration for one representative, one ``mat_exp``
-        per exponential."""
-        if not chamber.dim_n:
-            return k
-        h = chamber.matrix
-        rows, cols = chamber._n_index
-        target = (k.T @ v @ k)[rows, cols]
-        denom = -np.asarray(chamber.n_gaps)
-        coeffs = target / denom
-        scale = max(1.0, float(np.linalg.norm(target)))
-        for _ in range(max_iterations):
-            y = np.zeros_like(h)
-            y[rows, cols] = coeffs
-            gap = target - (mat_exp(y) @ h @ mat_exp(-y) - h)[rows, cols]
-            if np.linalg.norm(gap) <= tol * scale:
-                return k @ mat_exp(y)
-            coeffs = coeffs + gap / denom
-        raise AssertionError("no convergence")
+    def assert_unipotent_witness(chamber, k, v, witness, atol):
+        """U = k^T witness is 1 on the diagonal and 0 off n(H) and off the
+        diagonal, to ``atol``, and U H U^-1 = H + w for w = k^T v k."""
+        n = chamber.model.n
+        u = k.T @ witness
+        off = np.ones((n, n), dtype=bool)
+        off[tuple(np.array(chamber.n_positions, dtype=int).reshape(-1, 2).T)] = False
+        np.fill_diagonal(off, False)
+        assert np.all(np.abs(np.diagonal(u) - 1.0) <= atol)
+        assert np.all(np.abs(u[off]) <= atol)
+        h, w = chamber.matrix, k.T @ v @ k
+        scale = max(1.0, np.linalg.norm(h) + np.linalg.norm(w))
+        assert np.linalg.norm(u @ h @ np.linalg.inv(u) - h - w) <= 1e-12 * scale
 
     @staticmethod
     def on_slice(chamber, w):

@@ -287,7 +287,7 @@ def test_projection_factors_once_per_sample(monkeypatch):
     """Call-count guard, per suite call: a ``projection`` call of two
     samples at n = 6 factors every g and g z in one stacked pass and the
     returning witnesses in another, runs all round trips through one
-    stacked witness iteration, and makes no single-point bundle call.
+    stacked witness solve, and makes no single-point bundle call.
     Its slice checks are three stacked ``_check_fiber`` calls: the
     representatives of x (alone, without their coordinates), the three
     over each k0 and the two returns, the last two inside the two
