@@ -15,7 +15,7 @@ import sys
 import time
 
 from orbitsym import SUITE_NAMES, SpecialLinearModel, run_suite
-from orbitsym.cli import suite_line, write_reports
+from orbitsym.cli import open_json, suite_line, write_reports
 
 CONFIGS = [
     ("regular", [1, -1]),
@@ -44,7 +44,7 @@ def main() -> int:
         print("error: --samples must be positive", file=sys.stderr)
         return 2
     try:
-        out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
+        out = open_json(args.json_path) if args.json_path else None
     except OSError as exc:
         print(f"error: cannot write --json {args.json_path}: {exc.strerror}", file=sys.stderr)
         return 2
@@ -68,6 +68,7 @@ def main() -> int:
     if out:
         with out:
             write_reports(out, all_reports)
+            out.truncate()
         print(f"wrote {len(all_reports)} reports to {args.json_path}")
     return 1 if failures else 0
 

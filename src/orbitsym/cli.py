@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -164,6 +165,15 @@ def _json_report(fields: dict) -> str:
     return _REPORT.format_map(values)
 
 
+def open_json(path: str):
+    """``path`` opened for writing text at its start, created if missing but
+    not truncated, so the caller truncates after writing.  On ext4 a file
+    truncated to zero and rewritten costs tens of milliseconds more than
+    one overwritten and cut at its new end.  The file keeps its inode,
+    symlinks and permissions."""
+    return os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
+
+
 def write_reports(fh, reports: list[VerificationReport]) -> None:
     """Write the bytes of ``json.dump(..., indent=2, allow_nan=False)`` and a newline."""
     body = ",\n".join(_json_report(r.as_dict()) for r in reports)
@@ -187,7 +197,7 @@ def _run_verify(args) -> int:
     except (ValueError, NotInChamber) as exc:
         return _usage_error(str(exc))
     try:  # opened before the first suite, so that an unwritable path costs no run
-        out = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
+        out = open_json(args.json_path) if args.json_path else None
     except OSError as exc:
         return _usage_error(f"cannot write --json {args.json_path}: {exc.strerror}")
 
@@ -205,6 +215,7 @@ def _run_verify(args) -> int:
     if out:
         with out:
             write_reports(out, all_reports)
+            out.truncate()
     return 0 if ok else 1
 
 

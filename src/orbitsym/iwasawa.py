@@ -58,9 +58,10 @@ class InfinitesimalIwasawa:
 
 def _require_det_one(g: np.ndarray) -> None:
     """Reject a matrix, or a stack (..., n, n) with any slice, whose
-    determinant is not 1."""
+    determinant is not 1.  Each test is the negation of a passing
+    comparison, so the NaN sign and log of a slice with a NaN entry fail."""
     sign, logdet = np.linalg.slogdet(g)
-    if np.count_nonzero((sign <= 0) | (abs(logdet) > DET_RTOL * max(1.0, g.shape[-1]))):
+    if np.count_nonzero(~(sign > 0) | ~(abs(logdet) <= DET_RTOL * max(1.0, g.shape[-1]))):
         raise ValueError("group element must have determinant 1")
 
 

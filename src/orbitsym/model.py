@@ -81,6 +81,20 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _uniforms(rngs, scale: float, shape) -> np.ndarray:
+    """``rng.uniform(-scale, scale, shape)`` of each generator, stacked
+    (len(rngs), *shape) and filled in place.  numpy draws a uniform as
+    low + (high - low) * next_double, so scaling each row of doubles by
+    2 scale and adding -scale gives the same bits; an empty shape draws
+    nothing."""
+    out = np.empty((len(rngs), *shape))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    out *= 2.0 * scale
+    out += -scale
+    return out
+
+
 def _combinations(stack: np.ndarray, rngs, scale: float, count: int = 1) -> np.ndarray:
     """``count`` combinations (len(rngs), count, n, n) per generator of a basis
     stack (dim, n, n), uniform in [-scale, scale]; an empty basis draws nothing."""
@@ -89,7 +103,7 @@ def _combinations(stack: np.ndarray, rngs, scale: float, count: int = 1) -> np.n
     # (+0 where all vanish) in any summation order: a generator's draws do
     # not depend on the stack.
     dim, n = len(stack), stack.shape[-1]
-    coeffs = np.array([rng.uniform(-scale, scale, (count, dim)) for rng in rngs])
+    coeffs = _uniforms(rngs, scale, (count, dim))
     flat = stack.reshape(dim, n * n)
     return (coeffs.reshape(len(rngs) * count, dim) @ flat).reshape(len(rngs), count, n, n)
 
@@ -214,8 +228,7 @@ class SpecialLinearModel:
 
     def _algebra_elements(self, rngs, scale: float, count: int = 1) -> np.ndarray:
         """``count`` ``random_algebra_element`` draws per generator: (len(rngs), count, n, n)."""
-        dims = (len(rngs), count, self.n, self.n)
-        return self._traceless(np.reshape([r.uniform(-scale, scale, dims[1:]) for r in rngs], dims))
+        return self._traceless(_uniforms(rngs, scale, (count, self.n, self.n)))
 
     def _traceless(self, m: np.ndarray) -> np.ndarray:
         """``m`` with each slice's trace removed from its diagonal, in place."""

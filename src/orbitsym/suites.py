@@ -9,16 +9,24 @@ and one ``(report name, tolerance class, default)`` entry per column.
 (numerical derivatives) at a looser one; ``tol_exact`` and ``tol_fd``
 override every column of their class, and "fixed" columns never change.
 
-Every suite draws each sample from its own generator, then runs each
-stage once over the stack of samples: the draws' trace removals and
-basis combinations, exponentials, factorizations, orbit and flag
-points, cotangent representatives, the witness solves, graph routes,
-and the charts of ``theorem`` and ``lagrangian-*`` with their stencils.
-Every stage gives each slice the arithmetic of a single sample and checks
-every slice, so a sample's errors do not depend on the samples it is
-stacked with.  A column that merges several sub-checks takes their
-largest error through one stacked ``_worst`` call over all samples; a
-single-source column passes its errors through as they are.  ``theorem``
+Every suite draws each sample from its own generator (``_rngs`` seeds a
+chunk's generators from one array of seed words, and each kind of draw
+fills one array in place), then runs each stage once over the stack of
+samples: the draws' trace removals and basis combinations,
+exponentials, factorizations, orbit and flag points, cotangent
+representatives, the witness solves, graph routes, and the charts of
+``theorem`` and ``lagrangian-*`` with their stencils.  Kernel calls on
+stacks that do not depend on each other are one call over both, such as
+``iwasawa``'s factorizations of g and of k0 a0 n0, ``graph``'s
+exponentials of the witness and rotation logs and ``projection``'s flag
+points of g, g z and k0.  Every stage gives each slice the arithmetic of
+a single sample and checks every slice, so a sample's errors do not
+depend on the samples it is stacked with.  A merged call raises for the
+first failing slice of its whole stack, so a sample that breaks in both
+merged stages may be named by either stage's error.  A column that
+merges several sub-checks takes their largest error through one stacked
+``_worst`` call over all samples; a single-source column passes its
+errors through as they are.  ``theorem``
 forms its invariance defect, dim**3 entries per sample, one sample at a
 time and reduces the per-sample maxima in one call.
 
@@ -47,7 +55,8 @@ from .model import ChamberElement, _combinations
 from .numerics import _frobenius_stack, mat_exp
 from .orbit import (
     _check_fiber,
-    _cotangent_reps,
+    _check_on_orbit_stack,
+    _cotangent,
     _flag_points,
     _from_cotangent,
     _orbit_points,
@@ -146,8 +155,15 @@ def _report(suite, chamber, seed, fd_step, errors, tolerance, exceptions=()) -> 
     )
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng([seed % 2**63, *key])
+def _rngs(seed: int, indices, key: int) -> list[np.random.Generator]:
+    """The generators ``np.random.default_rng([seed % 2**63, index, key])``
+    of the sample ``indices``.  SeedSequence reads each int of a list as its
+    little-endian uint32 words (the high word only when nonzero) and takes a
+    uint32 array as it is, so the rows of one word array give the same pools."""
+    s = seed % 2**63
+    head = [s & 0xFFFFFFFF, *([s >> 32] if s >> 32 else [])]
+    words = np.array([[*head, index, key] for index in indices], dtype=np.uint32)
+    return [np.random.default_rng(row) for row in words]
 
 
 def _group_logs(model, rngs, strength: float = 1.2) -> np.ndarray:
@@ -180,25 +196,26 @@ def _check_iwasawa(chamber, rngs, indices, fd_step):
     g = model._group_products(exps[:, :3])
     k0, a0, n0 = exps[:, 3], exps[:, 4], exps[:, 5]
 
-    fac = iwasawa(g)
-    a_diag = np.diagonal(fac.a_factor, axis1=-2, axis2=-1)
-    a_part = np.zeros_like(fac.a_factor)
+    # g and k0 a0 n0 factored in one call: [0] of each factor is g's, [1] the product's
+    fac = iwasawa(np.stack([g, k0 @ a0 @ n0], axis=1))
+    k, a, nil = (np.moveaxis(f, 1, 0) for f in (fac.k_factor, fac.a_factor, fac.n_factor))
+    a_diag = np.diagonal(a[0], axis1=-2, axis2=-1)
+    a_part = np.zeros_like(a[0])
     a_part[..., range(n), range(n)] = a_diag
-    n_diag = np.diagonal(fac.n_factor, axis1=-2, axis2=-1)
-    k_t = np.swapaxes(fac.k_factor, -1, -2)
+    n_diag = np.diagonal(nil[0], axis1=-2, axis2=-1)
+    k_t = np.swapaxes(k[0], -1, -2)
+    scale = _frobenius_stack(a0) * _frobenius_stack(n0)
     errs = [
-        _rel(_frobenius_stack(g - fac.reconstruct()), _frobenius_stack(g)),
-        _frobenius_stack(k_t @ fac.k_factor - np.eye(n)),
-        _frobenius_stack(fac.a_factor - a_part),
-        _frobenius_stack(np.tril(fac.n_factor, -1)) + _frobenius_stack((n_diag - 1.0)[:, None]),
-        np.abs(np.trace(fac.h_projection, axis1=-2, axis2=-1)),
+        _rel(_frobenius_stack(g - k[0] @ a[0] @ nil[0]), _frobenius_stack(g)),
+        _frobenius_stack(k_t @ k[0] - np.eye(n)),
+        _frobenius_stack(a[0] - a_part),
+        _frobenius_stack(np.tril(nil[0], -1)) + _frobenius_stack((n_diag - 1.0)[:, None]),
+        np.abs(np.trace(fac.h_projection[:, 0], axis1=-2, axis2=-1)),
+        _rel(_frobenius_stack(k[1] - k0), scale),
+        _rel(_frobenius_stack(a[1] - a0), scale),
+        _rel(_frobenius_stack(nil[1] - n0), scale),
     ]
     nonpositive = np.min(a_diag, axis=-1) <= 0
-    fac2 = iwasawa(k0 @ a0 @ n0)
-    scale = _frobenius_stack(a0) * _frobenius_stack(n0)
-    errs.append(_rel(_frobenius_stack(fac2.k_factor - k0), scale))
-    errs.append(_rel(_frobenius_stack(fac2.a_factor - a0), scale))
-    errs.append(_rel(_frobenius_stack(fac2.n_factor - n0), scale))
     return np.where(nonpositive, math.inf, _worst(np.transpose(errs), axis=-1))[:, None]
 
 
@@ -237,10 +254,11 @@ def _check_projection(chamber, rngs, indices, fd_step):
     """Ruling projection and bundle identification: witness
     independence, fiber membership, round trips and fiber linearity.
 
-    Each stage runs once over the stack of samples: the orbit points and
-    flag points of g and g z; the representatives over one rotation k0
-    with fibers v1, v2 and v1 + v2; the unipotent witnesses of the round
-    trips from x and from v1 and v1 + v2; and the return of the last two.
+    Each stage runs once over the stack of samples: the orbit points of g
+    and g z, and the flag points of g, g z and one rotation k0; the
+    representatives over k0 with fibers v1, v2 and v1 + v2; the unipotent
+    witnesses of the round trips from x and from v1 and v1 + v2; and the
+    return of the last two.
     """
     model = chamber.model
     # per sample: the witness's factor logs, the logs of z, the log of k0,
@@ -256,7 +274,7 @@ def _check_projection(chamber, rngs, indices, fd_step):
     witnesses = np.stack([g, g @ (exps[:, 3] @ exps[:, 4])], axis=1)
     points, _ = _orbit_points(chamber, witnesses)
     k = iwasawa(witnesses).k_factor
-    bases = _flag_points(chamber, k)
+    bases = _flag_points(chamber, np.concatenate([k, k0], axis=1))  # of g, g z and k0
     x, base, k_x = points[:, 0], bases[:, 0], k[:, 0]
     fiber = x - base
     scale = _frobenius_stack(x)
@@ -267,8 +285,11 @@ def _check_projection(chamber, rngs, indices, fd_step):
 
     v = k0 @ fibers @ np.swapaxes(k0, -1, -2)
     v1, v2 = v[:, 0], v[:, 1]
-    base0, coords = _cotangent_reps(chamber, k0, np.stack([v1, v2, v1 + v2], axis=1))
-    base0 = base0[:, 0]
+    # the representatives over k0 with fibers v1, v2 and v1 + v2, as
+    # _cotangent_reps builds them
+    reps, base0 = np.stack([v1, v2, v1 + v2], axis=1), bases[:, 2]
+    coords = _cotangent(chamber, k0, base0[:, None], reps)
+    _check_on_orbit_stack(chamber, base0[:, None] + reps)
 
     trips, back = _from_cotangent(chamber, np.concatenate([k_x[:, None], k0, k0], axis=1),
                                   np.stack([fiber, v1, v1 + v2], axis=1))
@@ -301,9 +322,9 @@ def _pairing_ratio(chamber) -> float:
     return SMIN_THRESHOLD / smin
 
 
-def _witnesses(model, rngs, indices, sample1) -> np.ndarray:
-    """The witnesses (samples, n, n) of ``theorem`` and ``graph`` from one
-    zero-filled stack of factor logs: the identity at sample 0, the logs
+def _witness_logs(model, rngs, indices, sample1) -> np.ndarray:
+    """The factor logs (samples, 3, n, n) of the witnesses of ``theorem``
+    and ``graph``, one zero-filled stack: zero at sample 0, the logs
     ``sample1([rng])[0]`` in sample 1's leading rows, generic ones after."""
     logs = np.zeros((len(rngs), 3, model.n, model.n))
     generic = [row for row, index in enumerate(indices) if index > 1]
@@ -312,7 +333,7 @@ def _witnesses(model, rngs, indices, sample1) -> np.ndarray:
     if 1 in indices:
         draws = sample1([rngs[indices.index(1)]])
         logs[indices.index(1), :draws.shape[1]] = draws[0]
-    return model._group_products(mat_exp(logs))
+    return logs
 
 
 def _check_lagrangian(basis):
@@ -346,9 +367,12 @@ def _check_graph(chamber, rngs, indices, fd_step):
     ``graph_routes`` call.  Sample 1 uses a diagonal group element.
     """
     model = chamber.model
-    g = _witnesses(model, rngs, indices,
-                   lambda one: _combinations(model.a_basis, one, 0.6))
-    k = mat_exp(model._rotation_logs(rngs, 1.5 / model.n)[:, 0])
+    # per sample: the witness's factor logs, then the log of k
+    logs = np.concatenate([_witness_logs(model, rngs, indices,
+                                         lambda one: _combinations(model.a_basis, one, 0.6)),
+                           model._rotation_logs(rngs, 1.5 / model.n)], axis=1)
+    exps = mat_exp(logs)
+    g, k = model._group_products(exps[:, :3]), exps[:, 3]
     a_val, b_val, c_val = graph_routes(chamber, g[:, None], k[:, None], chamber.m_basis, fd_step)
     # fmax skips NaN as the builtin max does, so a NaN route fails only
     # the errors it enters
@@ -366,7 +390,8 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     Sample 0 sits at the identity witness and sample 1 far from it.
     """
     model = chamber.model
-    g = _witnesses(model, rngs, indices, lambda one: _group_logs(model, one, strength=2.0))
+    logs = _witness_logs(model, rngs, indices, lambda one: _group_logs(model, one, strength=2.0))
+    g = model._group_products(mat_exp(logs))
     chart = orbit_chart(orbit_point(chamber, g))
     if chart.dim == 0:
         return np.zeros((len(rngs), 3))
@@ -425,7 +450,7 @@ _CHUNK = 64
 def _sample_rows(check, chamber, seed, key, indices, fd_step) -> np.ndarray:
     """The check's error table for the samples ``indices``, each drawn from
     its own generator, with numpy's floating-point faults raised."""
-    rngs = [_rng(seed, index, key) for index in indices]
+    rngs = _rngs(seed, indices, key)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         return check(chamber, rngs, indices, fd_step)
 

@@ -161,7 +161,8 @@ class TestVerifyCommand:
         # pass (the slice check of to_cotangent(x)) receives for it, in a
         # batch and alone
         model = SpecialLinearModel(3)
-        g = model.random_group_element(suites._rng(1, 1, suites.SUITES["projection"][0]), 1.2 / 3)
+        [rng] = suites._rngs(1, [1], suites.SUITES["projection"][0])
+        g = model.random_group_element(rng, 1.2 / 3)
         target = iwasawa(g).k_factor
         real = orbit._check_fiber
 
@@ -414,6 +415,32 @@ def test_unwritable_json_path_is_usage_error(capsys, tmp_path, where):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"error: cannot write --json {path}: ")
+
+
+@pytest.mark.parametrize("old", ["x" * 1_000_000, "[]"], ids=["longer", "shorter"])
+def test_json_overwrites_an_existing_file_exactly(capsys, tmp_path, old):
+    """Rewriting an existing --json file, longer or shorter than the new
+    report list, leaves exactly the new bytes in the same file."""
+    argv = ("verify", "iwasawa", "--H", "1,0,-1", "--samples", "2", "--quiet", "--json")
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(capsys, *argv, str(fresh))[0] == 0
+    path = tmp_path / "out.json"
+    path.write_text(old, encoding="utf-8")
+    inode = path.stat().st_ino
+    assert run_cli(capsys, *argv, str(path))[0] == 0
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_ino == inode
+
+
+def test_full_sweep_script_overwrites_an_existing_file_exactly(tmp_path):
+    """The same for the sweep script, over a longer and a shorter file."""
+    fresh = tmp_path / "fresh.json"
+    assert run_sweep("--samples", "1", "--json", str(fresh)).returncode == 0
+    for old in ("x" * 1_000_000, "[]"):
+        path = tmp_path / "out.json"
+        path.write_text(old, encoding="utf-8")
+        assert run_sweep("--samples", "1", "--json", str(path)).returncode == 0
+        assert path.read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

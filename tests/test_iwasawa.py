@@ -14,6 +14,7 @@ from orbitsym import (
     random_combination,
     split_kan,
 )
+from orbitsym.iwasawa import _require_det_one
 
 
 def unit(n, i, j):
@@ -173,3 +174,19 @@ class TestStackedFactorization:
             iwasawa(stack[1])
         with pytest.raises(ValueError, match="group element must have determinant 1"):
             iwasawa(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_slice_fails_the_determinant_check(self, bad):
+        """A slice with a NaN or Inf entry has no determinant 1: slogdet gives
+        it a NaN sign and log, which no comparison passes, so it is rejected
+        with the determinant message, alone or behind a good slice.  (The
+        suites raise numpy's invalid operation in slogdet itself.)"""
+        broken = np.eye(3)
+        broken[0, 1] = bad
+        with np.errstate(invalid="ignore"):
+            for g in (broken, np.stack([np.eye(3), broken]), np.stack([broken, np.eye(3)])):
+                with pytest.raises(ValueError, match="group element must have determinant 1"):
+                    _require_det_one(g)
+            with pytest.raises(ValueError, match="group element must have determinant 1"):
+                iwasawa(np.stack([np.eye(3), broken]))
+        _require_det_one(np.stack([np.eye(3), np.eye(3)]))

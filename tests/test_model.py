@@ -349,6 +349,25 @@ class TestRandomness:
         assert np.linalg.det(k) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (3, 4, 4), (2, 0)])
+def test_uniform_fills_equal_uniform_draws(shape):
+    """``_uniforms`` fills each generator's row with doubles and scales the
+    stack in place; every row equals ``rng.uniform(-s, s, shape)`` bit for
+    bit and leaves its generator where the draw leaves it.  An empty shape
+    draws nothing."""
+    for seed in range(200):
+        for scale in (0.8, 1.2 / 7, 3.0):
+            rngs = [np.random.default_rng([seed, i]) for i in range(3)]
+            refs = [np.random.default_rng([seed, i]) for i in range(3)]
+            states = [rng.bit_generator.state for rng in rngs]
+            filled = model_module._uniforms(rngs, scale, shape)
+            expected = np.array([rng.uniform(-scale, scale, shape) for rng in refs])
+            assert filled.shape == (3, *shape)
+            assert np.array_equal(filled.view(np.int64), expected.view(np.int64))
+            assert [rng.bit_generator.state for rng in rngs] == (
+                states if 0 in shape else [rng.bit_generator.state for rng in refs])
+
+
 def test_random_combination_of_an_empty_basis_is_zero_and_draws_nothing(chamber3):
     """z_K(H) = 0 at a regular chamber: the combination is the zero matrix
     and the generator's state does not move."""

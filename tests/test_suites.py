@@ -218,10 +218,10 @@ def test_graph_factors_once_per_sample(monkeypatch):
     """Call-count guard, per suite call: one stacked ``graph_routes`` call
     covers both samples and all 15 m(H) directions at n = 6.  Each
     sample's g k is factored once, for its velocities and its cotangent
-    representative alike, and each of the four potential stencil offsets
-    is one R-only factorization over every sample and direction; there is
-    no single-point orbit point, cotangent representative or
-    factorization."""
+    representative alike, and the four potential stencil offsets, which fit
+    the byte budget together, are one R-only factorization over every
+    offset, sample and direction; there is no single-point orbit point,
+    cotangent representative or factorization."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     calls = dict.fromkeys(("graph_routes", "orbit_point", "to_cotangent"), 0)
     shapes, qr_calls = [], []
@@ -255,7 +255,7 @@ def test_graph_factors_once_per_sample(monkeypatch):
     assert all(r.passed for r in reports)
     assert calls == {"graph_routes": 1, "orbit_point": 0, "to_cotangent": 0}
     assert shapes == [(2, 1, 6, 6)]
-    assert qr_calls == [((2, 1, 6, 6), "reduced")] + [((2, 15, 6, 6), "r")] * 4
+    assert qr_calls == [((2, 1, 6, 6), "reduced"), ((4, 2, 15, 6, 6), "r")]
 
 
 @pytest.mark.parametrize("entries", [
@@ -286,8 +286,10 @@ def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
 def test_projection_factors_once_per_sample(monkeypatch):
     """Call-count guard, per suite call: a ``projection`` call of two
     samples at n = 6 factors every g and g z in one stacked pass and the
-    returning witnesses in another, runs all round trips through one
-    stacked witness solve, and makes no single-point bundle call.
+    returning witnesses in another, builds the flag points of g, g z and
+    k0 in one stacked pass and those of the returns in another, runs all
+    round trips through one stacked witness solve, and makes no
+    single-point bundle call.
     Its slice checks are three stacked ``_check_fiber`` calls: the
     representatives of x (alone, without their coordinates), the three
     over each k0 and the two returns, the last two inside the two
@@ -311,14 +313,21 @@ def test_projection_factors_once_per_sample(monkeypatch):
         shapes.append(np.shape(g))
         return real_iwasawa(g)
 
+    def flag_points(chamber, k):
+        flag_shapes.append(np.shape(k))
+        return real_flag_points(chamber, k)
+
     iwasawa_module = importlib.import_module("orbitsym.iwasawa")
     real_iwasawa = iwasawa_module.iwasawa
+    real_flag_points, flag_shapes = orbit_module._flag_points, []
     for module in (suites, symplectic, orbit_module, iwasawa_module):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         if hasattr(module, "iwasawa"):
             monkeypatch.setattr(module, "iwasawa", factor)
+        if hasattr(module, "_flag_points"):
+            monkeypatch.setattr(module, "_flag_points", flag_points)
     monkeypatch.setattr(SpecialLinearModel, "killing",
                         counted("killing", SpecialLinearModel.killing))
     reports = run_suite(chamber, "projection", samples=2)
@@ -327,6 +336,7 @@ def test_projection_factors_once_per_sample(monkeypatch):
     assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 2,
                      "_check_fiber": 3, "_fiber_coefficients": 3}
     assert shapes == [(2, 2, 6, 6)] * 2
+    assert flag_shapes == [(2, 3, 6, 6), (2, 2, 6, 6)]
     calls["killing"] = 0
     assert all(r.passed for r in run_suite(chamber, "projection", samples=5))
     assert killings > 0 and calls["killing"] == killings
@@ -669,6 +679,18 @@ def test_public_samplers_keep_their_draws(entries):
         for sample, basis, scale in samplers:
             assert_same_bits(sample(np.random.default_rng(seed)),
                              reference_combination(basis, np.random.default_rng(seed), scale, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, -1, 2**64 + 5])
+def test_sample_generators_are_seeded_from_the_int_list(seed):
+    """``_rngs`` builds one uint32 word array per chunk; each generator's
+    stream equals that of ``default_rng([seed % 2**63, index, key])``."""
+    indices = [0, 1, 63, 2**31]
+    for key in (0, 6):
+        for index, rng in zip(indices, suites._rngs(seed, indices, key), strict=True):
+            reference = np.random.default_rng([seed % 2**63, index, key])
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.random(5), reference.random(5))
 
 
 def test_trace_removals_per_call_do_not_grow_with_samples(monkeypatch):

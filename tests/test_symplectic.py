@@ -315,6 +315,36 @@ class TestSectionOneForm:
                 single = graph_routes(chamber, g[s], k[s], direction)
                 assert np.array_equal([route[s, i] for route in stacked], single)
 
+    def test_potential_offsets_split_at_the_byte_budget(self, monkeypatch):
+        """A call whose g k stack at one stencil offset exceeds
+        ``_POTENTIAL_BYTES`` (64 samples x 15 directions at n = 6) factors
+        the potential one offset at a time, four R-only QR calls; chunks of
+        8 samples fit all four offsets in one call.  The routes are equal
+        bit for bit."""
+        chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+        model = chamber.model
+        rng = np.random.default_rng(51)
+        g = np.stack([model.random_group_element(rng, 0.4) for _ in range(64)])[:, None]
+        k = np.stack([model.random_orthogonal(rng, 0.6) for _ in range(64)])[:, None]
+        assert 8 * g.size * chamber.dim_m > symplectic._POTENTIAL_BYTES
+        real_qr = np.linalg.qr
+        r_calls = []
+
+        def qr(a, mode="reduced"):
+            if mode == "r":
+                r_calls.append(np.shape(a))
+            return real_qr(a, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        stacked = graph_routes(chamber, g, k, chamber.m_basis)
+        assert r_calls == [(1, 64, 15, 6, 6)] * 4
+        del r_calls[:]
+        chunks = [graph_routes(chamber, g[i:i + 8], k[i:i + 8], chamber.m_basis)
+                  for i in range(0, 64, 8)]
+        assert r_calls == [(4, 8, 15, 6, 6)] * 8
+        for route, pieces in zip(stacked, zip(*chunks)):
+            assert np.array_equal(route, np.concatenate(pieces))
+
     def test_empty_direction_stack_gives_empty_routes(self, model2):
         chamber = model2.chamber_element([0, 0])
         g = model2.random_group_element(43, 0.4)
