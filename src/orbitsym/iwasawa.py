@@ -19,6 +19,7 @@ matrix's result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +34,16 @@ DET_RTOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class IwasawaFactors:
     """Factors of g = k a n: orthogonal k, positive diagonal a, unit
-    upper-triangular n, and the diagonal logarithm of a."""
+    upper-triangular n, and the diagonal logarithm of a, formed from a's
+    pivots when first read."""
 
     k_factor: np.ndarray
     a_factor: np.ndarray
     n_factor: np.ndarray
-    h_projection: np.ndarray
+
+    @cached_property
+    def h_projection(self) -> np.ndarray:
+        return _diagonals(np.log(np.diagonal(self.a_factor, axis1=-2, axis2=-1)))
 
     def an_factor(self) -> np.ndarray:
         return self.a_factor @ self.n_factor
@@ -81,8 +86,7 @@ def iwasawa(g) -> IwasawaFactors:
     q, r = qr_positive(mat)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     n = (1.0 / diag)[..., :, None] * r
-    return IwasawaFactors(k_factor=q, a_factor=_diagonals(diag), n_factor=n,
-                          h_projection=_diagonals(np.log(diag)))
+    return IwasawaFactors(k_factor=q, a_factor=_diagonals(diag), n_factor=n)
 
 
 def infinitesimal_iwasawa(x, g, factors: IwasawaFactors | None = None) -> InfinitesimalIwasawa:

@@ -294,6 +294,11 @@ class ChamberElement:
         """The default chart directions theta n(H) + n(H), one read-only stack."""
         return _locked(np.concatenate([self.theta_n_basis, self.n_basis]))
 
+    def _owns(self, directions: np.ndarray) -> bool:
+        """Whether ``directions`` is one of the chamber's chart stacks
+        (``_chart_basis``, ``n_basis`` or ``m_basis``), by identity."""
+        return any(directions is own for own in (self._chart_basis, self.n_basis, self.m_basis))
+
     @cached_property
     def _shift_exps_kept(self) -> dict:
         return {}
@@ -307,7 +312,7 @@ class ChamberElement:
         offsets and kept read-only, the last ``_SHIFT_EXPS_KEPT`` of them;
         any other stack is exponentiated afresh."""
         offsets = np.asarray(offsets, dtype=float)
-        if not any(directions is own for own in (self._chart_basis, self.n_basis, self.m_basis)):
+        if not self._owns(directions):
             return mat_exp(np.multiply.outer(offsets, directions))
         kept = self._shift_exps_kept
         key = (id(directions), *offsets.tolist())

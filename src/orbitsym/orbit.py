@@ -419,20 +419,31 @@ class OrbitChart:
         return p, [tangent_vector(p, commutator(z, p.point), generator=z) for z in zs]
 
 
+def _check_directions(chamber: ChamberElement, dirs: np.ndarray) -> None:
+    """Raise ``DegenerateChart`` when the stack ``dirs`` (dim, n, n) is
+    dependent modulo z(H)."""
+    if len(dirs):
+        rows = np.concatenate([dirs, chamber.z_basis]).reshape(len(dirs) + chamber.dim_z, -1)
+        if np.linalg.matrix_rank(rows, tol=1e-10) < len(rows):
+            raise DegenerateChart("directions are dependent modulo the centralizer")
+
+
 def orbit_chart(x: OrbitPoint, directions=None) -> OrbitChart:
     """Chart through x; defaults to the theta n(H) + n(H) directions, a
     complement of the centralizer.  Raises ``DegenerateChart`` when the
     directions are dependent modulo z(H).  A read-only float stack
     (dim, n, n), such as a chamber basis, is kept as it is; other
-    directions are copied into one."""
+    directions are copied into one.  The chamber's own chart stacks
+    (``ChamberElement._owns``) skip the rank check: each of their
+    matrices lives on off-diagonal entries that no other one and no
+    matrix of z(H) touches, so they are independent modulo z(H) by
+    construction."""
     chamber = x.chamber
     dirs = chamber._chart_basis if directions is None else np.asarray(directions, dtype=float)
     if dirs.flags.writeable or dirs.shape[1:] != chamber.matrix.shape:
         dirs = _locked(np.reshape(dirs, (-1, *chamber.matrix.shape)))
-    if len(dirs):
-        rows = np.concatenate([dirs, chamber.z_basis]).reshape(len(dirs) + chamber.dim_z, -1)
-        if np.linalg.matrix_rank(rows, tol=1e-10) < len(rows):
-            raise DegenerateChart("directions are dependent modulo the centralizer")
+    if not chamber._owns(dirs):
+        _check_directions(chamber, dirs)
     return OrbitChart(at=x, directions=dirs)
 
 

@@ -17,7 +17,9 @@ one per base point, so a chart at a stack of base points gives each
 the single chart's matrix bit for bit.  A chart builds and checks its
 stencil points once per step for all its base points: the standard
 form factors all four offsets at once, and the orbit form's invariance
-shifts read the +h and -h slices one base point at a time.
+defect (``_invariance_defect``) reads the +h and -h slices one base
+point and one block of axis shifts at a time, within a fixed byte budget
+and in buffers reused across the call.
 ``graph_routes`` compares the one-form cutting out a displaced flag
 section with the cotangent covector and the potential's differential
 over stacks of witnesses and flag directions, factoring each witness
@@ -56,6 +58,14 @@ from .orbit import (
 # 4,000 minor page faults per call and ran about 30% slower).
 _POTENTIAL_BYTES = 256 * 1024
 
+# Bytes of the (block, dim, n, n) generator stack of one block of axis
+# shifts in ``_invariance_defect`` (one shift's stack at least).  Each of its
+# buffers stays below glibc's default mmap threshold (128 KiB), so that a
+# ``theorem`` call reuses heap memory instead of paging in fresh pages: 256
+# KiB brought back about 280 minor page faults per one-sample call at the
+# n = 6 regular chamber.
+_INVARIANCE_BYTES = 128 * 1024
+
 
 @dataclass(frozen=True, eq=False)
 class FormMatrix:
@@ -77,16 +87,24 @@ def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
     return solve_generator(x, v.value)
 
 
-def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -> np.ndarray:
+def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray,
+                     out=None) -> np.ndarray:
     """Matrix of <x, [Z_i, Z_j]> over a stack of generators (..., m, n, n)
     at the orbit point x (..., n, n): 2n (M - M^T), exactly antisymmetric
     with a zero diagonal, for M_ij = tr(x Z_i Z_j).  M pairs the entries of
     Z_i^T x^T with those of Z_j, one BLAS product per base point of the
-    flattened stacks (..., m, n*n), whose base-point axes stay batch axes."""
+    flattened stacks (..., m, n*n), whose base-point axes stay batch axes.
+
+    ``out`` may hold C-contiguous buffers (left, product, entries) shaped
+    like Z^T x^T, M and the result, which the same arithmetic fills; the
+    result is then ``entries``."""
     n2 = gens.shape[-1] ** 2
-    left = np.swapaxes(gens, -1, -2) @ np.swapaxes(x, -1, -2)[..., None, :, :]
-    m = left.reshape(*left.shape[:-2], n2) @ np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2)
-    return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
+    left, m, entries = (None, None, None) if out is None else out
+    left = np.matmul(np.swapaxes(gens, -1, -2), np.swapaxes(x, -1, -2)[..., None, :, :], out=left)
+    m = np.matmul(left.reshape(*left.shape[:-2], n2),
+                  np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2), out=m)
+    entries = np.subtract(m, np.swapaxes(m, -1, -2), out=entries)
+    return np.multiply(chamber.model.killing_coefficient, entries, out=entries)
 
 
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
@@ -197,16 +215,41 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
     return FormMatrix(chart=chart, entries=entries)
 
 
-def _omega_kks_shifts(chart: OrbitChart, fd_step: float):
-    """Entries of ``omega_kks_chart`` at every axis shift s e_i, for s =
-    +fd_step and -fd_step (in that order) and each axis i, stacked (2,
-    dim, dim, dim), one base point at a time, so that only one point's
-    dim**3 entries are alive: the +h and -h slices of the stencil, whose
-    frame generators are built one offset at a time."""
+def _invariance_defect(chart: OrbitChart, kks: np.ndarray, fd_step: float) -> np.ndarray:
+    """Largest |shifted - kks| per base point, over the entries of
+    ``omega_kks_chart`` at every axis shift s e_i, for s = +fd_step and
+    -fd_step and each axis i, against the base points' forms ``kks``
+    (..., dim, dim), for a chart of dimension at least 1.  A NaN entry
+    makes its base point's value NaN.
+
+    The 2 dim shifts of a base point are the -h and +h slices of the
+    chart's stencil.  They are formed in blocks, with each block's
+    generators w_s X_a w_s^-1 (block, dim, n, n) within
+    ``_INVARIANCE_BYTES``, in buffers that every block and base point
+    reuses."""
     _, w, x, w_inv = chart._stencil(fd_step)
-    for wp, xp, wp_inv in zip(*(a.reshape(-1, *a.shape[-4:]) for a in (w, x, w_inv))):
-        yield np.stack([_bracket_pairing(chart.at.chamber, xp[o], wp[o][:, None] @ chart.directions
-                                         @ wp_inv[o][:, None]) for o in (2, 1)])
+    points = w.shape[:-4]
+    dirs = chart.directions
+    dim, n = chart.dim, dirs.shape[-1]
+    shifts = 2 * dim
+    w, x, w_inv = (a[..., 1:3, :, :, :].reshape(-1, shifts, n, n) for a in (w, x, w_inv))
+    kks = kks.reshape(-1, dim, dim)
+    block = max(1, min(shifts, _INVARIANCE_BYTES // (8 * dim * n * n)))
+    conj, gens, left = (np.empty((block, dim, n, n)) for _ in range(3))
+    product, entries = np.empty((block, dim, dim)), np.empty((block, dim, dim))
+    starts = range(0, shifts, block)
+    maxima = np.empty((len(w), len(starts)))
+    for p in range(len(w)):
+        for b, start in enumerate(starts):
+            k = min(block, shifts - start)
+            rows = slice(start, start + k)
+            np.matmul(w[p, rows, None], dirs, out=conj[:k])
+            np.matmul(conj[:k], w_inv[p, rows, None], out=gens[:k])
+            shifted = _bracket_pairing(chart.at.chamber, x[p, rows], gens[:k],
+                                       out=(left[:k], product[:k], entries[:k]))
+            np.subtract(shifted, kks[p], out=shifted)
+            maxima[p, b] = np.abs(shifted, out=shifted).max()
+    return maxima.max(axis=-1).reshape(points)
 
 
 def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:

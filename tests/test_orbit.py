@@ -26,6 +26,7 @@ from orbitsym import (
     to_cotangent,
 )
 from orbitsym import model as model_module
+from orbitsym import orbit as orbit_module
 from orbitsym.orbit import (
     _check_on_orbit_stack,
     _cotangent_reps,
@@ -354,6 +355,29 @@ class TestCharts:
         x = orbit_point(chamber3, np.eye(3))
         with pytest.raises(DegenerateChart):
             orbit_chart(x, directions=[chamber3.z_basis[0]])
+
+    def test_dependent_locked_stack_raises(self, wall3):
+        """A read-only user stack is kept as it is but still checked: one
+        that repeats a direction of the chamber's own chart stack raises."""
+        x = orbit_point(wall3, np.eye(3))
+        stack = np.concatenate([wall3.n_basis, wall3.n_basis[:1]])
+        stack.setflags(write=False)
+        with pytest.raises(DegenerateChart):
+            orbit_chart(x, directions=stack)
+
+    def test_only_the_chambers_own_stacks_skip_the_rank_check(self, chamber3, monkeypatch):
+        """The default chart and the n(H) and m(H) stacks skip the rank
+        check; a copy of one of them, equal entry for entry, does not."""
+        checked = []
+        real = orbit_module._check_directions
+        monkeypatch.setattr(orbit_module, "_check_directions",
+                            lambda chamber, dirs: checked.append(dirs) or real(chamber, dirs))
+        x = orbit_point(chamber3, np.eye(3))
+        for directions in (None, chamber3.n_basis, chamber3.m_basis):
+            orbit_chart(x, directions=directions)
+        assert checked == []
+        copy = orbit_chart(x, directions=chamber3.m_basis.copy())
+        assert len(checked) == 1 and checked[0] is copy.directions
 
     def test_zero_chamber_chart_is_empty(self, model2):
         ch = model2.chamber_element([0, 0])

@@ -149,6 +149,14 @@ def nan_field(result, name):
     return dataclasses.replace(result, **{name: nan_at_sample_1(getattr(result, name))})
 
 
+def nan_h_projection(factors):
+    """A copy of the factors whose lazily formed ``h_projection`` (a cached
+    property, not a field) reads NaN at sample 1, and no other factor."""
+    corrupt = dataclasses.replace(factors)
+    vars(corrupt)["h_projection"] = nan_at_sample_1(factors.h_projection)
+    return corrupt
+
+
 def nan_in_witness_velocity(result, *args, **kwargs):
     # only the second call, against a n, feeds nothing but witness independence
     return result if "factors" in kwargs else nan_field(result, "n_deriv")
@@ -157,7 +165,7 @@ def nan_in_witness_velocity(result, *args, **kwargs):
 # (suite, patched name in suites, corruption of its result, the report that
 # fails): each NaN enters one sub-check of the failing report's column
 MERGED_NAN = [
-    ("iwasawa", "iwasawa", lambda r, *a: nan_field(r, "h_projection"), "iwasawa"),
+    ("iwasawa", "iwasawa", lambda r, *a: nan_h_projection(r), "iwasawa"),
     ("infinitesimal", "infinitesimal_iwasawa", nan_in_witness_velocity, "infinitesimal-exact"),
     ("infinitesimal", "fd_iwasawa_velocities",
      lambda r, *a: (r[0], r[1], nan_at_sample_1(r[2])), "infinitesimal-fd"),
@@ -492,6 +500,17 @@ def sweep_chambers():
     return [entries for _, entries in sweep.CONFIGS]
 
 
+@pytest.mark.parametrize("entries", sweep_chambers(), ids=lambda e: ",".join(map(str, e)))
+def test_own_chart_stacks_pass_the_rank_check(entries):
+    """``orbit_chart`` skips the rank check for the chamber's own stacks,
+    which are independent modulo z(H) by construction; the check itself
+    passes each of them at every sweep chamber."""
+    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
+    for stack in (chamber._chart_basis, chamber.n_basis, chamber.m_basis):
+        assert chamber._owns(stack)
+        orbit_module._check_directions(chamber, stack)
+
+
 def bits(errors) -> bytes:
     return np.array(errors, dtype=float).tobytes()
 
@@ -519,21 +538,84 @@ def test_batch_size_changes_no_report(entries, monkeypatch):
         monkeypatch.undo()
 
 
-def test_theorem_memory_is_bounded():
-    """Memory guard: a chunk's arrays grow with its samples, but the
-    invariance shifts, dim**3 entries per sample, are reduced one sample
-    at a time.  16 samples at the n = 6 regular chamber peak at about
-    9.4 MB under tracemalloc; shifts stacked over the samples take about
-    27 MB."""
-    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+def traced_peak(chamber, name, samples):
+    """The suite's reports and its traced memory peak in bytes."""
     tracemalloc.start()
     try:
-        reports = run_suite(chamber, "theorem", samples=16)
+        reports = run_suite(chamber, name, samples=samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return reports, peak
+
+
+def test_theorem_memory_is_bounded():
+    """Memory guard: a chunk's arrays grow with its samples, but the
+    invariance shifts, dim**3 entries per sample, are reduced in blocks of
+    axis shifts.  16 samples at the n = 6 regular chamber peak at about
+    8.9 MB under tracemalloc; shifts stacked over the samples take about
+    27 MB."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    reports, peak = traced_peak(chamber, "theorem", 16)
     assert all(r.passed for r in reports)
     assert peak < 12e6
+
+
+def test_one_sample_theorem_memory_is_bounded():
+    """Memory guard: a one-sample ``theorem`` call at the n = 8 regular
+    chamber holds one block of shifted generators at a time, not a point's
+    whole (dim, dim, n, n) generator stacks (1.6 MB each).  It peaks at about
+    2.7 MB under tracemalloc, against 9.1 MB with whole shift stacks."""
+    chamber = SpecialLinearModel(8).chamber_element([3.5, 2.5, 1.5, 0.5, -0.5, -1.5, -2.5, -3.5])
+    reports, peak = traced_peak(chamber, "theorem", 1)
+    assert all(r.passed for r in reports)
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("block", [1, 7, 60])
+def test_invariance_blocks_change_no_report(block, monkeypatch):
+    """The invariance defect is the same bit for bit whatever the block
+    of axis shifts: one shift, a block that leaves a shorter last one, and
+    all 60 shifts (+h and -h along 30 axes) of the n = 6 regular
+    chamber's chart, against the default 15."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    expected = json.dumps([r.as_dict() for r in run_suite(chamber, "theorem", samples=3, seed=8)])
+    monkeypatch.setattr(symplectic, "_INVARIANCE_BYTES", block * 8 * 30 * 6 * 6)
+    reports = run_suite(chamber, "theorem", samples=3, seed=8)
+    assert json.dumps([r.as_dict() for r in reports]) == expected
+
+
+def test_nan_in_a_shifted_form_fails_invariance(chamber3, monkeypatch):
+    """A NaN in one shifted form of sample 1, in a block after a finite
+    one, makes that sample's invariance defect infinite; samples 0 and 2
+    and the other reports keep their values.  (A reduction through the
+    builtin max would keep the finite maximum of the first block.)"""
+    clean = run_suite(chamber3, "theorem", samples=3, seed=6)
+    real = symplectic._bracket_pairing
+    blocks = []
+
+    def pairing(*args, out=None):
+        entries = real(*args, out=out)
+        if out is not None:  # a block of shifted forms
+            blocks.append(None)
+            if len(blocks) == 14:  # the second block of sample 1
+                entries[0, 0, 1] = NAN
+        return entries
+
+    # one shift per block: 12 blocks per sample at this chamber (dim 6)
+    monkeypatch.setattr(symplectic, "_INVARIANCE_BYTES", 1)
+    monkeypatch.setattr(symplectic, "_bracket_pairing", pairing)
+    reports = run_suite(chamber3, "theorem", samples=3, seed=6)
+    assert len(blocks) == 36
+    for report, before in zip(reports, clean):
+        if report.suite != "theorem-invariance":
+            assert report == before, report.suite
+            continue
+        payload = report.as_dict()
+        assert payload["samples_detail"][1]["error"] == "Infinity"
+        assert payload["max_error"] == "Infinity" and not report.passed
+        assert report.sample_errors[0] == before.sample_errors[0]
+        assert report.sample_errors[2] == before.sample_errors[2]
 
 
 def test_unknown_suite_rejected(chamber2):

@@ -594,23 +594,28 @@ class TestStackedKernels:
             assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
-    def test_kks_shifts_match_single_charts(self, chamber_name, request):
-        """Each base point of a stacked chart gets, in turn, the shifted
-        orbit forms of its own chart bit for bit."""
+    def test_invariance_defect_matches_single_charts(self, chamber_name, request):
+        """Each base point of a stacked chart gets, bit for bit, the largest
+        |shifted - kks| over the orbit forms of its own chart at every axis
+        shift s e_i, s = +h and -h."""
         chamber = request.getfixturevalue(chamber_name)
         witnesses = stacked_witnesses(chamber)
         fd_step = 1e-3
-        shifts = list(symplectic._omega_kks_shifts(orbit_chart(orbit_point(chamber, witnesses)),
-                                                   fd_step))
-        assert len(shifts) == len(witnesses)
-        for g, shifted in zip(witnesses, shifts):
+        stacked = orbit_chart(orbit_point(chamber, witnesses))
+        kks = omega_kks_chart(stacked).entries
+        defect = symplectic._invariance_defect(stacked, kks, fd_step)
+        assert defect.shape == (len(witnesses),)
+        for g, got, base in zip(witnesses, defect, kks):
             chart = orbit_chart(orbit_point(chamber, g))
-            assert shifted.shape == (2, chart.dim, chart.dim, chart.dim)
-            for o, s in enumerate((fd_step, -fd_step)):
+            expected = 0.0
+            for s in (fd_step, -fd_step):
                 for i in range(chart.dim):
                     t = np.zeros(chart.dim)
                     t[i] = s
-                    assert np.array_equal(shifted[o, i], omega_kks_chart(chart, t).entries)
+                    shifted = omega_kks_chart(chart, t).entries
+                    expected = max(expected, np.max(np.abs(shifted - base)))
+            assert got == expected
+            assert symplectic._invariance_defect(chart, base, fd_step) == expected
 
     @pytest.mark.parametrize("basis", [None, "m_basis", "n_basis"])
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
