@@ -268,9 +268,10 @@ class ChamberElement:
     ``_n_index`` caches the positions as (rows, columns) index arrays, so
     ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
     Each basis is a read-only (dim, n, n) stack.  What depends on H alone
-    is built once per chamber: ``_chart_basis``, the default chart
-    directions, and the stencil exponentials of its own stacks
-    (``_shift_exps``), so a chamber shared across calls shares them too.
+    is built once per chamber, on first use: ``_chart_basis``, the default
+    chart directions, ``_orbit_form``, the orbit form on them, and the
+    stencil exponentials of its own stacks (``_shift_exps``), so a chamber
+    shared across calls shares them too.
     """
 
     model: SpecialLinearModel
@@ -293,6 +294,22 @@ class ChamberElement:
     def _chart_basis(self) -> np.ndarray:
         """The default chart directions theta n(H) + n(H), one read-only stack."""
         return _locked(np.concatenate([self.theta_n_basis, self.n_basis]))
+
+    @cached_property
+    def _orbit_form(self) -> np.ndarray:
+        """Omega(H), the orbit form 2n tr(H [X_a, X_b]) on the default chart
+        directions, one read-only (dim, dim) matrix from the entries of H.
+        For (i, j) in n(H), [-E_ji, E_ij] = E_ii - E_jj, and no other pair of
+        directions brackets onto the diagonal, so row (i, j) of each half has
+        its one nonzero, +-2n (H_i - H_j), in the other half."""
+        d = self.dim_n
+        h = np.asarray(self.entries)
+        rows, cols = self._n_index
+        gaps = self.model.killing_coefficient * (h[rows] - h[cols])
+        form = np.zeros((2 * d, 2 * d))
+        form[range(d), range(d, 2 * d)] = gaps
+        form[range(d, 2 * d), range(d)] = -gaps
+        return _locked(form)
 
     def _owns(self, directions: np.ndarray) -> bool:
         """Whether ``directions`` is one of the chamber's chart stacks

@@ -23,7 +23,6 @@ stack of them (``OrbitChart``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -368,33 +367,23 @@ class OrbitChart:
 
     def _shifted_points(self, offsets) -> tuple[np.ndarray, ...]:
         """The chart points at every axis shift s e_i, for each s in
-        ``offsets`` and each axis i, in one stacked pass.  Returns the
-        displacements s X_i, stacked (len(offsets), dim, n, n), and the
-        witnesses g exp(s X_i), the points and the witness inverses, each
-        stacked (..., len(offsets), dim, n, n) over the base points.  The
-        exponentials come from the chamber, which keeps those of its own
-        stacks (``ChamberElement._shift_exps``)."""
+        ``offsets`` and each axis i, in one stacked pass.  Returns (u, w,
+        x): the displacements s X_i, stacked (len(offsets), dim, n, n), and
+        the witnesses g exp(s X_i) and their points, each stacked (...,
+        len(offsets), dim, n, n) over the base points.  The exponentials
+        come from the chamber, which keeps those of its own stacks
+        (``ChamberElement._shift_exps``)."""
         u = np.multiply.outer(np.asarray(offsets, dtype=float), self.directions)
         exps = self.at.chamber._shift_exps(self.directions, offsets)
         w = self.at.witness[..., None, None, :, :] @ exps
-        x, w_inv = _orbit_points(self.at.chamber, w)
-        return u, w, x, w_inv
-
-    @cached_property
-    def _stencils(self) -> dict:
-        return {}
+        x, _ = _orbit_points(self.at.chamber, w)
+        return u, w, x
 
     def _stencil(self, fd_step: float) -> tuple[np.ndarray, ...]:
         """``_shifted_points`` at the offsets ``STENCIL_OFFSETS`` times
-        ``fd_step``, built and checked once per step and read-only, so
-        that both chart forms share the points of one stacked pass.  The
-        slices at offsets -h and +h are indices 1 and 2."""
-        if fd_step not in self._stencils:
-            arrays = self._shifted_points(np.multiply(STENCIL_OFFSETS, fd_step))
-            for a in arrays:
-                a.setflags(write=False)
-            self._stencils[fd_step] = arrays
-        return self._stencils[fd_step]
+        ``fd_step``, the points of the standard form's stencil.  Only the
+        standard form reads them, once per chart, so they are not kept."""
+        return self._shifted_points(np.multiply(STENCIL_OFFSETS, fd_step))
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of

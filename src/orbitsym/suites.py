@@ -26,10 +26,10 @@ first failing slice of its whole stack, so a sample that breaks in both
 merged stages may be named by either stage's error.  A column that
 merges several sub-checks takes their largest error through one stacked
 ``_worst`` call over all samples; a single-source column passes its
-errors through as they are.  ``theorem``
-reduces its invariance defect over the shifted forms in fixed-size
-blocks of axis shifts (``symplectic._invariance_defect``), one sample at
-a time, and divides each sample's maximum by its scale once.
+errors through as they are.  ``theorem`` checks each sample's orbit
+form against the chamber's exact one, ``ChamberElement._orbit_form``,
+which the Ad-invariance of the Killing form makes the same at every
+witness, and counts a non-finite invariance error as infinite too.
 
 ``run_suite`` is the one sample loop.  It passes the samples to the
 check in chunks of a fixed size; a chunk that raises ``ValueError`` or
@@ -67,7 +67,6 @@ from .orbit import (
 )
 from .symplectic import (
     _bracket_pairing,
-    _invariance_defect,
     graph_routes,
     omega_kks_chart,
     omega_std_chart,
@@ -385,9 +384,12 @@ def _check_graph(chamber, rngs, indices, fd_step):
 def _check_theorem(chamber, rngs, indices, fd_step):
     """Entrywise equality of the two forms in the default chart, plus
     invariance and nondegeneracy of the orbit form, at the points of all
-    samples at once.  The invariance defect is reduced one point and one
-    block of axis shifts at a time, in buffers that the call reuses, which
-    bounds the shifted forms alive at once to one block's.
+    samples at once.  Invariance compares each sample's orbit form with
+    the chamber's exact Omega(H) (``ChamberElement._orbit_form``): at
+    t = 0 the frame generators are g X_a g^-1 at x = g H g^-1, so the
+    Ad-invariance of the Killing form makes the form Omega(H) at every
+    witness g.  Nondegeneracy takes each computed form's own smallest
+    singular value.
 
     Sample 0 sits at the identity witness and sample 1 far from it.
     """
@@ -403,10 +405,8 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     scale = np.fmax(np.fmax(1.0, np.max(np.abs(kks), axis=(-2, -1))),
                     np.max(np.abs(std), axis=(-2, -1)))
     e_match = _rel(np.max(np.abs(std - kks), axis=(-2, -1)), scale)
-    # the defect over all shifts divided once by the scale gives the largest
-    # quotient bit for bit, since a / s is monotone in a; _worst over no axis
-    # counts a non-finite quotient as infinite
-    e_inv = _worst(_invariance_defect(chart, kks, fd_step) / scale, axis=())
+    # _worst over no axis counts a non-finite quotient as infinite
+    e_inv = _worst(np.max(np.abs(kks - chamber._orbit_form), axis=(-2, -1)) / scale, axis=())
     ratio = SMIN_THRESHOLD / kks_form.smallest_singular_value()
     return np.transpose([e_match, e_inv, ratio])
 

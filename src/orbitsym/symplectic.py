@@ -14,12 +14,12 @@ this pairing is one matrix per point (``_tautological_dual``).  Both
 Killing pairings of a chart (the orbit form on all frame pairs, lambda
 on all coordinate fields) are BLAS products of flattened (n*n) stacks,
 one per base point, so a chart at a stack of base points gives each
-the single chart's matrix bit for bit.  A chart builds and checks its
-stencil points once per step for all its base points: the standard
-form factors all four offsets at once, and the orbit form's invariance
-defect (``_invariance_defect``) reads the +h and -h slices one base
-point and one block of axis shifts at a time, within a fixed byte budget
-and in buffers reused across the call.
+the single chart's matrix bit for bit.  The standard form builds and
+checks a chart's stencil points in one pass over all its base points
+and factors all four offsets at once.  The orbit form needs no stencil:
+by the Ad-invariance of the Killing form it is, at t = 0, the chamber's
+constant ``_orbit_form`` at every witness, and ``theorem`` checks it
+against that.
 ``graph_routes`` compares the one-form cutting out a displaced flag
 section with the cotangent covector and the potential's differential
 over stacks of witnesses and flag directions, factoring each witness
@@ -58,14 +58,6 @@ from .orbit import (
 # 4,000 minor page faults per call and ran about 30% slower).
 _POTENTIAL_BYTES = 256 * 1024
 
-# Bytes of the (block, dim, n, n) generator stack of one block of axis
-# shifts in ``_invariance_defect`` (one shift's stack at least).  Each of its
-# buffers stays below glibc's default mmap threshold (128 KiB), so that a
-# ``theorem`` call reuses heap memory instead of paging in fresh pages: 256
-# KiB brought back about 280 minor page faults per one-sample call at the
-# n = 6 regular chamber.
-_INVARIANCE_BYTES = 128 * 1024
-
 
 @dataclass(frozen=True, eq=False)
 class FormMatrix:
@@ -87,24 +79,16 @@ def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
     return solve_generator(x, v.value)
 
 
-def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray,
-                     out=None) -> np.ndarray:
+def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Matrix of <x, [Z_i, Z_j]> over a stack of generators (..., m, n, n)
     at the orbit point x (..., n, n): 2n (M - M^T), exactly antisymmetric
     with a zero diagonal, for M_ij = tr(x Z_i Z_j).  M pairs the entries of
     Z_i^T x^T with those of Z_j, one BLAS product per base point of the
-    flattened stacks (..., m, n*n), whose base-point axes stay batch axes.
-
-    ``out`` may hold C-contiguous buffers (left, product, entries) shaped
-    like Z^T x^T, M and the result, which the same arithmetic fills; the
-    result is then ``entries``."""
+    flattened stacks (..., m, n*n), whose base-point axes stay batch axes."""
     n2 = gens.shape[-1] ** 2
-    left, m, entries = (None, None, None) if out is None else out
-    left = np.matmul(np.swapaxes(gens, -1, -2), np.swapaxes(x, -1, -2)[..., None, :, :], out=left)
-    m = np.matmul(left.reshape(*left.shape[:-2], n2),
-                  np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2), out=m)
-    entries = np.subtract(m, np.swapaxes(m, -1, -2), out=entries)
-    return np.multiply(chamber.model.killing_coefficient, entries, out=entries)
+    left = np.swapaxes(gens, -1, -2) @ np.swapaxes(x, -1, -2)[..., None, :, :]
+    m = left.reshape(*left.shape[:-2], n2) @ np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2)
+    return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
 
 
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
@@ -185,7 +169,7 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     m = chart.dim
     entries = np.zeros((*chart.at.witness.shape[:-2], m, m))
     if m >= 2:
-        u, w, x, _ = chart._stencil(fd_step)
+        u, w, x = chart._stencil(fd_step)
         dual = _tautological_dual(chart.at.chamber, x, iwasawa(w), u)
         # lam[..., o, i, j]: lambda_j at stencil offset o along axis i, each
         # dual matrix's entries paired with those of X_j^T in one BLAS product
@@ -200,12 +184,14 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
 
 
 def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
-    """Orbit form on the moving frame of the chart.
+    """Orbit form on the moving frame of the chart, at chart parameter t
+    (default 0).
 
     The frame generators conjugate along with the point, so every entry
-    equals the value at t = 0; re-evaluating on a t-grid measures the
-    invariance defect of the floating-point arithmetic.  All pairs come
-    from one contraction over the stacked generators.
+    equals the value at t = 0, which for the default directions is the
+    chamber's ``_orbit_form`` at every witness.  No report reads t != 0;
+    it lets the tests check that constancy along the chart.  All pairs
+    come from one contraction over the stacked generators.
     """
     if t is None:
         t = np.zeros(chart.dim)
@@ -213,43 +199,6 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
     entries = _bracket_pairing(p.chamber, p.point, gens)
     entries.setflags(write=False)
     return FormMatrix(chart=chart, entries=entries)
-
-
-def _invariance_defect(chart: OrbitChart, kks: np.ndarray, fd_step: float) -> np.ndarray:
-    """Largest |shifted - kks| per base point, over the entries of
-    ``omega_kks_chart`` at every axis shift s e_i, for s = +fd_step and
-    -fd_step and each axis i, against the base points' forms ``kks``
-    (..., dim, dim), for a chart of dimension at least 1.  A NaN entry
-    makes its base point's value NaN.
-
-    The 2 dim shifts of a base point are the -h and +h slices of the
-    chart's stencil.  They are formed in blocks, with each block's
-    generators w_s X_a w_s^-1 (block, dim, n, n) within
-    ``_INVARIANCE_BYTES``, in buffers that every block and base point
-    reuses."""
-    _, w, x, w_inv = chart._stencil(fd_step)
-    points = w.shape[:-4]
-    dirs = chart.directions
-    dim, n = chart.dim, dirs.shape[-1]
-    shifts = 2 * dim
-    w, x, w_inv = (a[..., 1:3, :, :, :].reshape(-1, shifts, n, n) for a in (w, x, w_inv))
-    kks = kks.reshape(-1, dim, dim)
-    block = max(1, min(shifts, _INVARIANCE_BYTES // (8 * dim * n * n)))
-    conj, gens, left = (np.empty((block, dim, n, n)) for _ in range(3))
-    product, entries = np.empty((block, dim, dim)), np.empty((block, dim, dim))
-    starts = range(0, shifts, block)
-    maxima = np.empty((len(w), len(starts)))
-    for p in range(len(w)):
-        for b, start in enumerate(starts):
-            k = min(block, shifts - start)
-            rows = slice(start, start + k)
-            np.matmul(w[p, rows, None], dirs, out=conj[:k])
-            np.matmul(conj[:k], w_inv[p, rows, None], out=gens[:k])
-            shifted = _bracket_pairing(chart.at.chamber, x[p, rows], gens[:k],
-                                       out=(left[:k], product[:k], entries[:k]))
-            np.subtract(shifted, kks[p], out=shifted)
-            maxima[p, b] = np.abs(shifted, out=shifted).max()
-    return maxima.max(axis=-1).reshape(points)
 
 
 def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:

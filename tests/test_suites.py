@@ -550,11 +550,11 @@ def traced_peak(chamber, name, samples):
 
 
 def test_theorem_memory_is_bounded():
-    """Memory guard: a chunk's arrays grow with its samples, but the
-    invariance shifts, dim**3 entries per sample, are reduced in blocks of
-    axis shifts.  16 samples at the n = 6 regular chamber peak at about
-    8.9 MB under tracemalloc; shifts stacked over the samples take about
-    27 MB."""
+    """Memory guard: a chunk's arrays grow with its samples.  16 samples at
+    the n = 6 regular chamber peak at about 8.4 MB under tracemalloc, since
+    invariance reads the chamber's Omega(H) rather than orbit forms at
+    shifted points (8.9 MB with those reduced in blocks, about 27 MB with
+    them stacked over the samples)."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     reports, peak = traced_peak(chamber, "theorem", 16)
     assert all(r.passed for r in reports)
@@ -563,59 +563,78 @@ def test_theorem_memory_is_bounded():
 
 def test_one_sample_theorem_memory_is_bounded():
     """Memory guard: a one-sample ``theorem`` call at the n = 8 regular
-    chamber holds one block of shifted generators at a time, not a point's
-    whole (dim, dim, n, n) generator stacks (1.6 MB each).  It peaks at about
-    2.7 MB under tracemalloc, against 9.1 MB with whole shift stacks."""
+    chamber forms no (dim, dim, n, n) generator stack (1.6 MB each).  It
+    peaks at about 2.7 MB under tracemalloc, as with shifted generators
+    formed one block at a time, against 9.1 MB with whole shift stacks."""
     chamber = SpecialLinearModel(8).chamber_element([3.5, 2.5, 1.5, 0.5, -0.5, -1.5, -2.5, -3.5])
     reports, peak = traced_peak(chamber, "theorem", 1)
     assert all(r.passed for r in reports)
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("block", [1, 7, 60])
-def test_invariance_blocks_change_no_report(block, monkeypatch):
-    """The invariance defect is the same bit for bit whatever the block
-    of axis shifts: one shift, a block that leaves a shorter last one, and
-    all 60 shifts (+h and -h along 30 axes) of the n = 6 regular
-    chamber's chart, against the default 15."""
-    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
-    expected = json.dumps([r.as_dict() for r in run_suite(chamber, "theorem", samples=3, seed=8)])
-    monkeypatch.setattr(symplectic, "_INVARIANCE_BYTES", block * 8 * 30 * 6 * 6)
-    reports = run_suite(chamber, "theorem", samples=3, seed=8)
-    assert json.dumps([r.as_dict() for r in reports]) == expected
-
-
-def test_nan_in_a_shifted_form_fails_invariance(chamber3, monkeypatch):
-    """A NaN in one shifted form of sample 1, in a block after a finite
-    one, makes that sample's invariance defect infinite; samples 0 and 2
-    and the other reports keep their values.  (A reduction through the
-    builtin max would keep the finite maximum of the first block.)"""
+@pytest.mark.parametrize("svd", ["real", "stubbed"])
+def test_nan_in_a_computed_orbit_form_fails_invariance(chamber3, monkeypatch, svd):
+    """A NaN in sample 1's computed orbit form gives sample 1 an infinite
+    invariance error, and samples 0 and 2 keep their values.  With the real
+    SVD the NaN fails nondegeneracy's SVD first, so the sample raises
+    ``LinAlgError`` on its own; with the SVD stubbed out, the NaN reaches
+    the invariance column, which counts it as infinite rather than NaN.
+    Sample 1's point is recognised by its bits, taken from the first
+    (whole-chunk) call, whatever the samples it is stacked with."""
     clean = run_suite(chamber3, "theorem", samples=3, seed=6)
     real = symplectic._bracket_pairing
-    blocks = []
+    target = []
 
-    def pairing(*args, out=None):
-        entries = real(*args, out=out)
-        if out is not None:  # a block of shifted forms
-            blocks.append(None)
-            if len(blocks) == 14:  # the second block of sample 1
-                entries[0, 0, 1] = NAN
+    def pairing(chamber, x, gens):
+        entries = real(chamber, x, gens)
+        if not target:
+            target.append(np.array(x[1]))
+        entries[(x == target[0]).all(axis=(-2, -1)), 0, 1] = NAN
         return entries
 
-    # one shift per block: 12 blocks per sample at this chamber (dim 6)
-    monkeypatch.setattr(symplectic, "_INVARIANCE_BYTES", 1)
     monkeypatch.setattr(symplectic, "_bracket_pairing", pairing)
-    reports = run_suite(chamber3, "theorem", samples=3, seed=6)
-    assert len(blocks) == 36
-    for report, before in zip(reports, clean):
-        if report.suite != "theorem-invariance":
-            assert report == before, report.suite
-            continue
-        payload = report.as_dict()
-        assert payload["samples_detail"][1]["error"] == "Infinity"
-        assert payload["max_error"] == "Infinity" and not report.passed
-        assert report.sample_errors[0] == before.sample_errors[0]
-        assert report.sample_errors[2] == before.sample_errors[2]
+    if svd == "stubbed":
+        monkeypatch.setattr(symplectic.FormMatrix, "smallest_singular_value",
+                            lambda form: np.ones(form.entries.shape[:-2]))
+    reports = {r.suite: r for r in run_suite(chamber3, "theorem", samples=3, seed=6)}
+    report, before = reports["theorem-invariance"], clean[1]
+    payload = report.as_dict()
+    assert payload["samples_detail"][1]["error"] == "Infinity"
+    assert payload["max_error"] == "Infinity" and not report.passed
+    assert report.sample_errors[0] == before.sample_errors[0]
+    assert report.sample_errors[2] == before.sample_errors[2]
+    assert report.exceptions == (((1, "LinAlgError"),) if svd == "real" else ())
+
+
+def test_half_killing_coefficient_fails_invariance(chamber3, monkeypatch):
+    """Mutation check: an orbit form at half the Killing coefficient is
+    still constant along every chart, so only the exact Omega(H) sees it in
+    the invariance column; nondegeneracy still passes."""
+    real = symplectic._bracket_pairing
+    monkeypatch.setattr(symplectic, "_bracket_pairing", lambda *args: 0.5 * real(*args))
+    reports = {r.suite: r for r in run_suite(chamber3, "theorem", samples=10, seed=3)}
+    invariance = reports["theorem-invariance"]
+    assert not invariance.passed
+    assert invariance.max_error == pytest.approx(0.5, rel=1e-9)
+    assert reports["theorem-nondegenerate"].passed
+
+
+def test_symmetric_pairing_fails_nondegeneracy(chamber3, monkeypatch):
+    """Mutation check: the symmetric pairing 2n (M + M^T) makes each
+    computed form's own smallest singular value tiny or zero, so the
+    per-sample SVD fails every sample, not only sample 0, at which the form
+    is exactly singular and the sample raises.  A nondegeneracy of the
+    chamber's Omega(H) alone would pass this mutation."""
+    def symmetric(chamber, x, gens):
+        m = np.einsum("...ab,...ibc,...jca->...ij", x, gens, gens)
+        return chamber.model.killing_coefficient * (m + np.swapaxes(m, -1, -2))
+
+    monkeypatch.setattr(symplectic, "_bracket_pairing", symmetric)
+    reports = {r.suite: r for r in run_suite(chamber3, "theorem", samples=10, seed=3)}
+    nondegenerate = reports["theorem-nondegenerate"]
+    assert nondegenerate.as_dict()["max_error"] == "Infinity" and not nondegenerate.passed
+    assert nondegenerate.exceptions == ((0, "FloatingPointError"),)
+    assert all(e > nondegenerate.tolerance for e in nondegenerate.sample_errors)
 
 
 def test_unknown_suite_rejected(chamber2):
