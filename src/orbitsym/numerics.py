@@ -140,15 +140,19 @@ def char_poly(m) -> np.ndarray:
     matrix, or of every slice of a stack (..., n, n) as (..., n + 1).
 
     Faddeev-LeVerrier recursion: n matrix products, no eigensolve, so the
-    result is deterministic and cheap at these sizes.
+    result is deterministic and cheap at these sizes.  M_k = A (M_{k-1} +
+    c_{k-1} I) runs in two buffers, each step adding its coefficient to
+    the diagonal in place and reading the trace from a diagonal view.
     """
     a = _stack(m)
     n = a.shape[-1]
     coeffs = np.empty((*a.shape[:-2], n + 1))
     coeffs[..., 0] = 1.0
-    ident = np.eye(n)
-    mk = np.zeros(a.shape)
+    prev, mk = np.zeros(a.shape), np.empty(a.shape)
+    prev_diag, mk_diag = np.einsum("...ii->...i", prev), np.einsum("...ii->...i", mk)
     for k in range(1, n + 1):
-        mk = a @ (mk + coeffs[..., k - 1, None, None] * ident)
-        coeffs[..., k] = -np.trace(mk, axis1=-2, axis2=-1) / k
+        prev_diag += coeffs[..., k - 1, None]
+        np.matmul(a, prev, out=mk)
+        coeffs[..., k] = -mk_diag.sum(axis=-1) / k
+        prev, mk, prev_diag, mk_diag = mk, prev, mk_diag, prev_diag
     return coeffs

@@ -1,8 +1,8 @@
 """Adjoint-orbit geometry: points, tangents, the ruling, and the
 identification of the orbit with the cotangent bundle of its flag.
 
-An orbit point is stored together with a group witness g and the matrix
-x = g H g^-1.  The orthogonal factor of the witness projects x to the
+An orbit point is stored together with a group witness g, its inverse
+and the matrix x = g H g^-1.  The orthogonal factor of the witness projects x to the
 compact flag orbit (the zero section of the ruling); the difference
 x - pr(x) is the fiber part, which lies in the K(g)-conjugate of n(H).
 Pairing the fiber against conjugated m(H)-basis elements through the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
+from .iwasawa import IwasawaFactors, _factor, _require_det_one, iwasawa
 from .model import ChamberElement
 from .numerics import STENCIL_OFFSETS, _frobenius_stack, char_poly, commutator, mat_exp
 
@@ -56,9 +56,13 @@ FIBER_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class OrbitPoint:
+    """An orbit point x = g H g^-1 with its witness g and the inverse g^-1,
+    which the chart's frames and stencil reuse."""
+
     chamber: ChamberElement
     witness: np.ndarray
     point: np.ndarray
+    witness_inverse: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +102,9 @@ def _locked(m: np.ndarray) -> np.ndarray:
 def orbit_point(chamber: ChamberElement, witness) -> OrbitPoint:
     """Orbit point g H g^-1 carrying its witness g (determinant one)."""
     g = np.asarray(witness, dtype=float)
-    point, _ = _orbit_points(chamber, g)
-    return OrbitPoint(chamber=chamber, witness=_locked(g), point=_locked(point))
+    point, g_inv = _orbit_points(chamber, g)
+    return OrbitPoint(chamber=chamber, witness=_locked(g), point=_locked(point),
+                      witness_inverse=_locked(g_inv))
 
 
 def _check_on_orbit_stack(chamber: ChamberElement, points: np.ndarray) -> None:
@@ -125,9 +130,15 @@ def _orbit_points(chamber: ChamberElement, witnesses) -> tuple[np.ndarray, np.nd
     g = np.asarray(witnesses, dtype=float)
     _require_det_one(g)
     g_inv = np.linalg.inv(g)
+    return _conjugates(chamber, g, g_inv), g_inv
+
+
+def _conjugates(chamber: ChamberElement, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """The points g H g^-1 of witnesses whose determinant was checked,
+    given their inverses, after their ``_check_on_orbit_stack``."""
     points = g @ chamber.matrix @ g_inv
     _check_on_orbit_stack(chamber, points)
-    return points, g_inv
+    return points
 
 
 def _flag_points(chamber: ChamberElement, k: np.ndarray) -> np.ndarray:
@@ -147,7 +158,8 @@ def flag_point(chamber: ChamberElement, k) -> OrbitPoint:
     """Orbit point with rotation witness; lies on the compact flag."""
     mat = np.asarray(k, dtype=float)
     point = _flag_points(chamber, mat)
-    return OrbitPoint(chamber=chamber, witness=_locked(mat), point=_locked(point))
+    return OrbitPoint(chamber=chamber, witness=_locked(mat), point=_locked(point),
+                      witness_inverse=_locked(np.linalg.inv(mat)))
 
 
 def tangent_vector(x: OrbitPoint, value, generator=None) -> TangentVector:
@@ -252,10 +264,10 @@ def cotangent_rep(chamber: ChamberElement, base_witness, fiber) -> CotangentRep:
 
 
 def _from_cotangent(chamber: ChamberElement, k: np.ndarray,
-                    fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    fiber: np.ndarray) -> tuple[np.ndarray, ...]:
     """``from_cotangent`` of one representative, or of stacks (..., n, n)
-    of rotations and fibers that broadcast together: the witnesses k U
-    and their orbit points base + fiber.
+    of rotations and fibers that broadcast together: the witnesses k U,
+    their orbit points base + fiber and the witness inverses.
 
     U H = (H + w) U for the deconjugated fiber w = k^T fiber k, read on
     n(H), gives u_ij = (w U)_ij / (H_jj - H_ii) past the diagonal block
@@ -271,8 +283,7 @@ def _from_cotangent(chamber: ChamberElement, k: np.ndarray,
         e = ends[i]
         u[..., i, e:] = (w[..., i, None, e:] @ u[..., e:, e:])[..., 0, :] / (h[e:] - h[i])
     witnesses = k @ u
-    points, _ = _orbit_points(chamber, witnesses)
-    return witnesses, points
+    return witnesses, *_orbit_points(chamber, witnesses)
 
 
 def from_cotangent(rep: CotangentRep) -> OrbitPoint:
@@ -281,8 +292,9 @@ def from_cotangent(rep: CotangentRep) -> OrbitPoint:
     deconjugated fiber w.  The group exp n(H) acts simply transitively on
     the slice H + n(H), and U is found by back-substitution.
     """
-    witness, point = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber)
-    return OrbitPoint(chamber=rep.chamber, witness=_locked(witness), point=_locked(point))
+    witness, point, w_inv = _from_cotangent(rep.chamber, rep.base_witness, rep.fiber)
+    return OrbitPoint(chamber=rep.chamber, witness=_locked(witness), point=_locked(point),
+                      witness_inverse=_locked(w_inv))
 
 
 def solve_generator(x: OrbitPoint, value) -> np.ndarray:
@@ -320,8 +332,10 @@ def _dexp(u: np.ndarray, x: np.ndarray) -> np.ndarray:
             np.add(total, term, out=total, where=~stopped[..., None, None])
         else:
             total += term
-        sizes = np.linalg.norm(term, axis=(-2, -1))
-        small = sizes <= 1e-17 * np.maximum(1.0, np.linalg.norm(total, axis=(-2, -1)))
+        # Frobenius norms, as np.linalg.norm(..., axis=(-2, -1)) sums them
+        sizes = np.sqrt(np.add.reduce(term * term, axis=(-2, -1)))
+        totals = np.sqrt(np.add.reduce(total * total, axis=(-2, -1)))
+        small = sizes <= 1e-17 * np.maximum(1.0, totals)
         if small.all():
             break
         if small.any():
@@ -365,25 +379,33 @@ class OrbitChart:
             return self.at
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
 
-    def _shifted_points(self, offsets) -> tuple[np.ndarray, ...]:
-        """The chart points at every axis shift s e_i, for each s in
-        ``offsets`` and each axis i, in one stacked pass.  Returns (u, w,
-        x): the displacements s X_i, stacked (len(offsets), dim, n, n), and
-        the witnesses g exp(s X_i) and their points, each stacked (...,
-        len(offsets), dim, n, n) over the base points.  The exponentials
-        come from the chamber, which keeps those of its own stacks
-        (``ChamberElement._shift_exps``)."""
-        u = np.multiply.outer(np.asarray(offsets, dtype=float), self.directions)
-        exps = self.at.chamber._shift_exps(self.directions, offsets)
-        w = self.at.witness[..., None, None, :, :] @ exps
-        x, _ = _orbit_points(self.at.chamber, w)
-        return u, w, x
+    def _stencil(self, fd_step: float) -> tuple:
+        """The standard form's stencil: the chart points at every axis
+        shift s e_i, for each s of ``STENCIL_OFFSETS`` times ``fd_step`` and
+        each axis i, in one stacked pass.  Returns (u, x, factors, an_inv):
+        the displacements s X_i, stacked (4, dim, n, n), and, stacked (...,
+        4, dim, n, n) over the base points, the points, the Iwasawa factors
+        K A N of their witnesses w = g exp(s X_i), and (A N)^-1, read as
+        triu(w^-1 K) so that it is exactly triangular.
 
-    def _stencil(self, fd_step: float) -> tuple[np.ndarray, ...]:
-        """``_shifted_points`` at the offsets ``STENCIL_OFFSETS`` times
-        ``fd_step``, the points of the standard form's stencil.  Only the
-        standard form reads them, once per chart, so they are not kept."""
-        return self._shifted_points(np.multiply(STENCIL_OFFSETS, fd_step))
+        The exponentials come from the chamber, which keeps those of its
+        own stacks (``ChamberElement._shift_exps``).  The offsets are
+        symmetric, so exp(-s X_i) is the mirrored slice, and w^-1 is
+        exp(-s X_i) g^-1 with the base point's kept inverse.  Each witness's
+        determinant is checked once; its point's spectrum check and its
+        factorization's checks (finite entries, pivots) follow, and the QR
+        is its only factorization.  Only the standard form reads the
+        stencil, once per chart, so it is not kept."""
+        chamber = self.at.chamber
+        offsets = np.multiply(STENCIL_OFFSETS, fd_step)
+        exps = chamber._shift_exps(self.directions, offsets)
+        w = self.at.witness[..., None, None, :, :] @ exps
+        _require_det_one(w)
+        w_inv = exps[::-1] @ self.at.witness_inverse[..., None, None, :, :]
+        x = _conjugates(chamber, w, w_inv)
+        factors = _factor(w)
+        an_inv = np.triu(w_inv @ factors.k_factor)
+        return np.multiply.outer(offsets, self.directions), x, factors, an_inv
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of
@@ -394,17 +416,15 @@ class OrbitChart:
 
     def frame_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point and all moving-frame generators at t, stacked
-        (..., dim, n, n), sharing one witness inversion."""
+        (..., dim, n, n), sharing the point's witness inverse."""
         p = self.point(t)
-        w = p.witness[..., None, :, :]
-        return p, w @ self.directions @ np.linalg.inv(w)
+        return p, p.witness[..., None, :, :] @ self.directions @ p.witness_inverse[..., None, :, :]
 
     def coordinate_frame(self, t) -> tuple[OrbitPoint, list[TangentVector]]:
-        """Point and all coordinate velocity fields at t, sharing one
-        witness inversion."""
+        """Point and all coordinate velocity fields at t, sharing the
+        point's witness inverse."""
         p, gens = self._dexp_generators(t)
-        w = p.witness
-        zs = w @ gens @ np.linalg.inv(w)
+        zs = p.witness @ gens @ p.witness_inverse
         return p, [tangent_vector(p, commutator(z, p.point), generator=z) for z in zs]
 
 

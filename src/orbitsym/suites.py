@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
+from .iwasawa import _factor, fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, _combinations
 from .numerics import _frobenius_stack, mat_exp
 from .orbit import (
@@ -273,7 +273,7 @@ def _check_projection(chamber, rngs, indices, fd_step):
 
     witnesses = np.stack([g, g @ (exps[:, 3] @ exps[:, 4])], axis=1)
     points, _ = _orbit_points(chamber, witnesses)
-    k = iwasawa(witnesses).k_factor
+    k = _factor(witnesses).k_factor  # the determinants checked just above
     bases = _flag_points(chamber, np.concatenate([k, k0], axis=1))  # of g, g z and k0
     x, base, k_x = points[:, 0], bases[:, 0], k[:, 0]
     fiber = x - base
@@ -291,9 +291,10 @@ def _check_projection(chamber, rngs, indices, fd_step):
     coords = _cotangent(chamber, k0, base0[:, None], reps)
     _check_on_orbit_stack(chamber, base0[:, None] + reps)
 
-    trips, back = _from_cotangent(chamber, np.concatenate([k_x[:, None], k0, k0], axis=1),
-                                  np.stack([fiber, v1, v1 + v2], axis=1))
-    base_b, fiber_b, coords_b = _split(chamber, iwasawa(trips[:, 1:]).k_factor, back[:, 1:])
+    trips, back, _ = _from_cotangent(chamber, np.concatenate([k_x[:, None], k0, k0], axis=1),
+                                     np.stack([fiber, v1, v1 + v2], axis=1))
+    # the witnesses' determinants were checked with their orbit points
+    base_b, fiber_b, coords_b = _split(chamber, _factor(trips[:, 1:]).k_factor, back[:, 1:])
 
     scale_f = _frobenius_stack(v1)
     e_round = [

@@ -16,7 +16,11 @@ on all coordinate fields) are BLAS products of flattened (n*n) stacks,
 one per base point, so a chart at a stack of base points gives each
 the single chart's matrix bit for bit.  The standard form builds and
 checks a chart's stencil points in one pass over all its base points
-and factors all four offsets at once.  The orbit form needs no stencil:
+and all four offsets (``OrbitChart._stencil``): each stencil witness
+w = g exp(s X) has its determinant checked once and one QR, and both
+w^-1 = exp(-s X) g^-1 and (A N)^-1 = triu(w^-1 K) come from products
+with the chamber's kept exponentials and the base point's kept inverse,
+with no further factorization.  The orbit form needs no stencil:
 by the Ad-invariance of the Killing form it is, at t = 0, the chamber's
 constant ``_orbit_form`` at every witness, and ``theorem`` checks it
 against that.
@@ -44,9 +48,9 @@ from .orbit import (
     OrbitPoint,
     TangentVector,
     _check_fiber,
+    _conjugates,
     _dexp,
     _flag_points,
-    _orbit_points,
     solve_generator,
 )
 
@@ -118,25 +122,27 @@ def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray
 
 
 def _tautological_dual(chamber: ChamberElement, x: np.ndarray, factors: IwasawaFactors,
-                       u: np.ndarray) -> np.ndarray:
+                       an_inv: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The tautological form on the coordinate fields at a stack of chart
     points, as one matrix D per point: lambda_j = 2n tr(D X_j) for every
     chart direction X_j.
 
     ``x`` holds the points (..., n, n), ``factors`` the stacked
-    factorization of their witnesses and ``u`` their displacements.  With
-    F the deconjugated fiber and C = A N Z (A N)^-1, the pairing of F with
-    the antisymmetric part of C equals tr(W^T C) for W = tril(F^T - F, -1),
-    that is tr(V Z) for V = (A N)^-1 W^T A N.  The generator is
-    Z = dexp(u, X_j), and the trace adjoint of dexp(u, .) is dexp(-u, .)
-    (the trace adjoint of ad_u is -ad_u), so D = dexp(-u, V).
+    factorization K A N of their witnesses, ``an_inv`` the upper-triangular
+    (A N)^-1 and ``u`` their displacements.  With F the deconjugated fiber
+    and C = A N Z (A N)^-1, the pairing of F with the antisymmetric part
+    of C equals tr(W^T C) for W = tril(F^T - F, -1), that is tr(V Z) for
+    V = (A N)^-1 W^T A N, a product of triangular matrices that is exactly
+    strictly upper triangular.  The generator is Z = dexp(u, X_j), and the
+    trace adjoint of dexp(u, .) is dexp(-u, .) (the trace adjoint of ad_u
+    is -ad_u), so D = dexp(-u, V).  The chart's stencil gives every
+    argument (``OrbitChart._stencil``).
     """
     k = factors.k_factor
     k_t = np.swapaxes(k, -1, -2)
     fiber = k_t @ (x - k @ chamber.matrix @ k_t) @ k
     w = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
-    an = factors.an_factor()
-    return _dexp(-u, np.linalg.solve(an, np.swapaxes(w, -1, -2) @ an))
+    return _dexp(-u, an_inv @ (np.swapaxes(w, -1, -2) @ factors.an_factor()))
 
 
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
@@ -161,16 +167,17 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     by one fourth-order stencil; lambda_j is evaluated on the honest
     coordinate field, so the mixed partials cancel exactly and only the
     finite-difference error survives.  The 4 dim stencil points of each
-    base point come from the chart's stencil at ``fd_step``; their
-    factorizations are one more stacked pass, and each point's dual
-    matrix gives lambda on every coordinate field at once.  A stacked
-    chart gives one matrix per base point, (..., dim, dim).
+    base point, their witnesses' factorizations (one QR each) and the
+    inverses (A N)^-1 come from the chart's stencil at ``fd_step``, and
+    each point's dual matrix gives lambda on every coordinate field at
+    once.  A stacked chart gives one matrix per base point, (..., dim,
+    dim).
     """
     m = chart.dim
     entries = np.zeros((*chart.at.witness.shape[:-2], m, m))
     if m >= 2:
-        u, w, x = chart._stencil(fd_step)
-        dual = _tautological_dual(chart.at.chamber, x, iwasawa(w), u)
+        u, x, factors, an_inv = chart._stencil(fd_step)
+        dual = _tautological_dual(chart.at.chamber, x, factors, an_inv, u)
         # lam[..., o, i, j]: lambda_j at stencil offset o along axis i, each
         # dual matrix's entries paired with those of X_j^T in one BLAS product
         flat_dirs = np.swapaxes(chart.directions, -1, -2).reshape(m, -1)
@@ -260,7 +267,7 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
     form_value = _section_value(chamber, inf)
 
     kf = fac.k_factor
-    points, _ = _orbit_points(chamber, gk)
+    points = _conjugates(chamber, gk, np.linalg.inv(gk))  # the determinant checked by iwasawa
     base = _flag_points(chamber, kf)
     fiber = points - base
     _check_fiber(chamber, kf, base, fiber)

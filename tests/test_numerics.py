@@ -170,6 +170,23 @@ class TestCharPoly:
         m = rng.uniform(-2, 2, (n, n))
         assert_allclose(char_poly(m), np.poly(m), atol=1e-9 * max(1.0, np.linalg.norm(m)) ** n)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_plain_recursion(self, n):
+        """The in-place recursion gives the coefficients of the plain
+        Faddeev-LeVerrier loop, which adds c_{k-1} I as a full matrix and
+        takes ``np.trace``, bit for bit, on stacks of one to two leading
+        axes with slices of very different norms."""
+        rng = np.random.default_rng(70 + n)
+        stack = rng.standard_normal((3, 4, n, n)) * np.array([1e-3, 1.0, 30.0])[:, None, None, None]
+        for m in (stack, stack[1]):
+            expected = np.empty((*m.shape[:-2], n + 1))
+            expected[..., 0] = 1.0
+            mk = np.zeros(m.shape)
+            for k in range(1, n + 1):
+                mk = m @ (mk + expected[..., k - 1, None, None] * np.eye(n))
+                expected[..., k] = -np.trace(mk, axis1=-2, axis2=-1) / k
+            assert np.array_equal(char_poly(m), expected)
+
 
 def mixed_norm_stack(seed, n):
     """Stack whose slices need 0, 1 and several squarings in ``mat_exp``,

@@ -429,9 +429,14 @@ class TestStackedOrbitPoints:
         chamber = request.getfixturevalue(chamber_name)
         g = self.witnesses(chamber).reshape(2, 2, chamber.model.n, chamber.model.n)
         points, g_inv = _orbit_points(chamber, g)
+        stacked = orbit_point(chamber, g)
+        assert np.array_equal(stacked.witness_inverse, g_inv)
+        assert not stacked.witness_inverse.flags.writeable
         for index in np.ndindex(2, 2):
-            assert np.array_equal(points[index], orbit_point(chamber, g[index]).point)
+            single = orbit_point(chamber, g[index])
+            assert np.array_equal(points[index], single.point)
             assert np.array_equal(g_inv[index], np.linalg.inv(g[index]))
+            assert np.array_equal(single.witness_inverse, g_inv[index])
 
     def test_empty_stack_gives_empty_points(self, chamber3):
         empty = np.zeros((0, 3, 3))
@@ -550,11 +555,13 @@ class TestStackedBundleBuilders:
     def test_from_cotangent_matches_single_calls(self, chamber_name, request, model2):
         chamber = self.chamber(chamber_name, request, model2)
         ks, vs, _ = self.data(chamber)
-        witnesses, points = _from_cotangent(chamber, ks, vs)
-        for k, v, witness, point in zip(ks, vs, witnesses, points):
+        witnesses, points, inverses = _from_cotangent(chamber, ks, vs)
+        for k, v, witness, point, inverse in zip(ks, vs, witnesses, points, inverses):
             x = from_cotangent(cotangent_rep(chamber, k, v))
             assert np.array_equal(witness, x.witness)
             assert np.array_equal(point, x.point)
+            assert np.array_equal(inverse, x.witness_inverse)
+            assert np.array_equal(inverse, np.linalg.inv(witness))
             self.assert_unipotent_witness(chamber, k, v, witness, atol=1e-15)
         # at k = I the witness is U itself, so its structure is exact
         eye = np.eye(chamber.model.n)
@@ -583,8 +590,8 @@ class TestStackedBundleBuilders:
         assert bases.shape == fibers.shape == (0, n, n) and coords.shape == (0, chamber.dim_m)
         bases, coords = _cotangent_reps(chamber, empty, empty)
         assert bases.shape == (0, n, n) and coords.shape == (0, chamber.dim_m)
-        witnesses, points = _from_cotangent(chamber, empty, empty)
-        assert witnesses.shape == points.shape == (0, n, n)
+        witnesses, points, inverses = _from_cotangent(chamber, empty, empty)
+        assert witnesses.shape == points.shape == inverses.shape == (0, n, n)
 
     def test_reflection_slice_raises_like_flag_point(self, chamber3):
         ks, vs, _ = self.data(chamber3)
@@ -664,5 +671,7 @@ def test_chart_with_caller_directions_computes_its_own_exponentials(model4, monk
     assert all(chart.directions is not copy and not chart.directions.flags.writeable
                for chart in given)
     for a, b in zip(own, given):
-        assert a._stencil(1e-3)[1].tobytes() == b._stencil(1e-3)[1].tobytes()
+        (_, x_a, fac_a, inv_a), (_, x_b, fac_b, inv_b) = a._stencil(1e-3), b._stencil(1e-3)
+        assert x_a.tobytes() == x_b.tobytes() and inv_a.tobytes() == inv_b.tobytes()
+        assert fac_a.k_factor.tobytes() == fac_b.k_factor.tobytes()
     assert len(exp_calls) == 1 + len(given)

@@ -3,6 +3,10 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -273,28 +277,91 @@ def test_graph_factors_once_per_sample(monkeypatch):
 def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
     """Call-count guard: a ``theorem`` call builds and checks the chart
     points of all its samples in one stacked pass of shape (samples, 4,
-    dim, n, n), which the standard form's stencil and the invariance
-    shifts share; the samples' own orbit points, one (samples, n, n)
-    pass, are the only other pass."""
+    dim, n, n), the standard form's stencil; the samples' own orbit
+    points, one (samples, n, n) pass, are the only other pass.  Both
+    passes go through the one builder of conjugates, ``_conjugates``."""
     n = len(entries)
     chamber = SpecialLinearModel(n).chamber_element(entries)
-    real = orbit_module._orbit_points
+    real = orbit_module._conjugates
     shapes = []
 
-    def orbit_points(chamber, witnesses):
-        shapes.append(np.shape(witnesses))
-        return real(chamber, witnesses)
+    def conjugates(chamber, g, g_inv):
+        shapes.append(np.shape(g))
+        return real(chamber, g, g_inv)
 
-    monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
+    monkeypatch.setattr(orbit_module, "_conjugates", conjugates)
     reports = run_suite(chamber, "theorem", samples=3)
     assert all(r.passed for r in reports)
     assert shapes == [(3, n, n), (3, 4, 2 * chamber.dim_n, n, n)]
 
 
+@pytest.mark.parametrize("name", ["theorem", "lagrangian-vertical", "lagrangian-horizontal"])
+def test_no_stencil_witness_is_inverted_or_checked_twice(name, monkeypatch):
+    """Guard: at n = 6, a chart suite of three samples runs no
+    ``np.linalg.inv`` or ``np.linalg.solve`` on its stencil stack (samples,
+    4, dim, n, n) and one determinant check on it.  The base witnesses are
+    checked and inverted once, in one (samples, n, n) call each, and their
+    inverses serve the frames and the stencil."""
+    chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
+    shapes = {"inv": [], "solve": [], "slogdet": []}
+
+    def recorded(fn_name):
+        real = getattr(np.linalg, fn_name)
+
+        def wrapper(a, *args, **kwargs):
+            shapes[fn_name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for fn_name in shapes:
+        monkeypatch.setattr(np.linalg, fn_name, recorded(fn_name))
+    reports = run_suite(chamber, name, samples=3)
+    assert all(r.passed for r in reports)
+    dim = chamber.orbit_dim if name == "theorem" else chamber.dim_n
+    assert shapes == {"inv": [(3, 6, 6)], "solve": [], "slogdet": [(3, 6, 6), (3, 4, dim, 6, 6)]}
+
+
+def test_plus_exponentials_in_the_stencil_inverse_fail_theorem(tmp_path):
+    """Mutation check on a copy of the package: the stencil's witness
+    inverses from exp(+s X) in place of the mirrored exp(-s X).  Along
+    n(H) and theta n(H) the wrong points g E H E g^-1 (E = exp(s X)) keep
+    the chamber's spectrum, since E H E is triangular with diagonal H, so
+    at (1, 0, -1) only ``theorem-match`` sees the mutation, at 1.0.  Along
+    m(H) the spectrum check sees it, and ``lagrangian-horizontal`` raises
+    ``ValueError`` at every sample."""
+    package = Path(orbit_module.__file__).resolve().parent
+    copy = tmp_path / "orbitsym"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / "orbit.py"
+    text = source.read_text(encoding="utf-8")
+    anchor = "w_inv = exps[::-1] @ "
+    assert text.count(anchor) == 1
+    source.write_text(text.replace(anchor, "w_inv = exps @ "), encoding="utf-8")
+    script = (
+        "import json, orbitsym\n"
+        "from orbitsym import SpecialLinearModel, run_suite\n"
+        "chamber = SpecialLinearModel(3).chamber_element([1, 0, -1])\n"
+        "reports = [r for name in ('theorem', 'lagrangian-horizontal')\n"
+        "           for r in run_suite(chamber, name, samples=10, seed=3)]\n"
+        "print(json.dumps([orbitsym.__file__, {r.suite: [r.max_error, r.passed, r.exceptions]\n"
+        "                                      for r in reports}]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
+    location, reports = json.loads(result.stdout)
+    assert Path(location).resolve().parent == copy.resolve()
+    assert reports["theorem-match"][:2] == [pytest.approx(1.0, rel=1e-6), False]
+    assert all(reports[name][1] for name in ("theorem-invariance", "theorem-nondegenerate"))
+    for name in ("lagrangian-horizontal-kks", "lagrangian-horizontal-std"):
+        assert reports[name][2] == [[i, "ValueError"] for i in range(10)]
+
+
 def test_projection_factors_once_per_sample(monkeypatch):
     """Call-count guard, per suite call: a ``projection`` call of two
     samples at n = 6 factors every g and g z in one stacked pass and the
-    returning witnesses in another, builds the flag points of g, g z and
+    returning witnesses in another, checks the determinant of each witness
+    once (with its orbit point, not again to factor it), builds the flag
+    points of g, g z and
     k0 in one stacked pass and those of the returns in another, runs all
     round trips through one stacked witness solve, and makes no
     single-point bundle call.
@@ -309,7 +376,7 @@ def test_projection_factors_once_per_sample(monkeypatch):
     single = ("to_cotangent", "from_cotangent", "cotangent_rep", "orbit_point", "flag_point")
     calls = dict.fromkeys((*single, "_from_cotangent", "_cotangent", "_check_fiber",
                            "_fiber_coefficients", "killing"), 0)
-    shapes = []
+    shapes, det_shapes = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -317,23 +384,34 @@ def test_projection_factors_once_per_sample(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def factor(g):
-        shapes.append(np.shape(g))
-        return real_iwasawa(g)
+    def factor(name, real):
+        def wrapper(g):
+            shapes.append((name, np.shape(g)))
+            return real(g)
+        return wrapper
+
+    def require_det_one(g):
+        det_shapes.append(np.shape(g))
+        return real_det(g)
 
     def flag_points(chamber, k):
         flag_shapes.append(np.shape(k))
         return real_flag_points(chamber, k)
 
     iwasawa_module = importlib.import_module("orbitsym.iwasawa")
-    real_iwasawa = iwasawa_module.iwasawa
+    real_iwasawa, real_factor = iwasawa_module.iwasawa, iwasawa_module._factor
+    real_det = iwasawa_module._require_det_one
     real_flag_points, flag_shapes = orbit_module._flag_points, []
     for module in (suites, symplectic, orbit_module, iwasawa_module):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         if hasattr(module, "iwasawa"):
-            monkeypatch.setattr(module, "iwasawa", factor)
+            monkeypatch.setattr(module, "iwasawa", factor("iwasawa", real_iwasawa))
+        if hasattr(module, "_factor"):
+            monkeypatch.setattr(module, "_factor", factor("_factor", real_factor))
+        if hasattr(module, "_require_det_one"):
+            monkeypatch.setattr(module, "_require_det_one", require_det_one)
         if hasattr(module, "_flag_points"):
             monkeypatch.setattr(module, "_flag_points", flag_points)
     monkeypatch.setattr(SpecialLinearModel, "killing",
@@ -343,7 +421,10 @@ def test_projection_factors_once_per_sample(monkeypatch):
     killings = calls.pop("killing")
     assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 2,
                      "_check_fiber": 3, "_fiber_coefficients": 3}
-    assert shapes == [(2, 2, 6, 6)] * 2
+    # each witness stack is factored once, right after its one determinant
+    # check with its orbit points: g and g z, then the three witness solves
+    assert shapes == [("_factor", (2, 2, 6, 6)), ("_factor", (2, 2, 6, 6))]
+    assert det_shapes == [(2, 2, 6, 6), (2, 3, 6, 6)]
     assert flag_shapes == [(2, 3, 6, 6), (2, 2, 6, 6)]
     calls["killing"] = 0
     assert all(r.passed for r in run_suite(chamber, "projection", samples=5))
@@ -387,7 +468,7 @@ AT = (3, 1)  # stencil offset +2h along axis 1
 
 
 def scale_witness(stack, s):
-    stack[s][AT] *= 2.0  # determinant 2^n, which the stencil's orbit points reject
+    stack[s][AT] *= 2.0  # determinant 2^n, which the stencil's one determinant check rejects
 
 
 def drop_column(stack, s):
@@ -395,7 +476,7 @@ def drop_column(stack, s):
 
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
-    ("orbitsym.orbit", "_orbit_points", scale_witness, "ValueError"),
+    ("orbitsym.orbit", "_require_det_one", scale_witness, "ValueError"),
     ("orbitsym.iwasawa", "qr_positive", drop_column, "SingularInput"),
 ])
 def test_breakdown_at_one_stencil_point_fails_only_its_sample(

@@ -24,7 +24,7 @@ from orbitsym import orbit as orbit_module
 from orbitsym import symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.model import SpecialLinearModel, random_combination
-from orbitsym.numerics import SingularInput, commutator
+from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator
 from orbitsym.orbit import _dexp
 
 
@@ -469,6 +469,54 @@ def test_orbit_form_is_the_chamber_constant(entries):
         assert smin == pytest.approx(model.killing_coefficient * gap, rel=1e-14)
 
 
+def inverting_stencil(chart, fd_step):
+    """The stencil points and dual matrices by the route that inverts each
+    stencil witness w = g exp(s X) and solves with its A N factor."""
+    chamber = chart.at.chamber
+    offsets = np.multiply(STENCIL_OFFSETS, fd_step)
+    w = chart.at.witness[..., None, None, :, :] @ chamber._shift_exps(chart.directions, offsets)
+    x = w @ chamber.matrix @ np.linalg.inv(w)
+    fac = iwasawa(w)
+    k = fac.k_factor
+    k_t = np.swapaxes(k, -1, -2)
+    fiber = k_t @ (x - k @ chamber.matrix @ k_t) @ k
+    lower = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
+    an = fac.an_factor()
+    u = np.multiply.outer(offsets, chart.directions)
+    return x, fac, _dexp(-u, np.linalg.solve(an, np.swapaxes(lower, -1, -2) @ an))
+
+
+@pytest.mark.parametrize("basis", [None, "m_basis"])
+@pytest.mark.parametrize("entries", sweep_chambers())
+def test_stencil_inverses_match_the_inverting_route(entries, basis):
+    """The stencil inverts each witness w = g exp(s X) as exp(-s X) g^-1,
+    from the chamber's kept exponentials (mirrored, since the offsets are
+    symmetric) and the base point's kept inverse, and reads (A N)^-1 as
+    triu(w^-1 K).  Its points and dual matrices equal those of the route
+    that inverts and solves, within 1e-12 times each base point's scale, at
+    the identity, generic and far witnesses; its factorization is that of
+    ``iwasawa`` bit for bit, and every (A N)^-1 is upper triangular."""
+    assert STENCIL_OFFSETS == tuple(-s for s in reversed(STENCIL_OFFSETS))
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    witnesses = np.stack([np.eye(model.n),
+                          *[model.random_group_element(seed, 1.2 / model.n) for seed in (3, 4)],
+                          *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6, 7)]])
+    directions = None if basis is None else getattr(chamber, basis)
+    chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
+    if chart.dim == 0:
+        return
+    u, x, factors, an_inv = chart._stencil(1e-3)
+    dual = symplectic._tautological_dual(chamber, x, factors, an_inv, u)
+    x_ref, fac_ref, dual_ref = inverting_stencil(chart, 1e-3)
+    assert np.array_equal(factors.k_factor, fac_ref.k_factor)
+    assert np.array_equal(factors.an_factor(), fac_ref.an_factor())
+    assert np.array_equal(an_inv, np.triu(an_inv))
+    for got, ref in ((x, x_ref), (dual, dual_ref)):
+        scale = np.fmax(1.0, np.max(np.abs(ref), axis=(1, 2, 3, 4)))
+        assert np.all(np.max(np.abs(got - ref), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
+
+
 def reference_tautological(x, fac, gens):
     """Tautological values on left-trivialized generators, one direction
     at a time through the public closed-form factor velocities."""
@@ -590,23 +638,24 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_dual_matches_per_point_tautological_stack(self, chamber_name, request):
-        """lambda from one dual matrix per point, against the tautological
-        stack on every per-direction generator dexp(u, X_j)."""
+        """lambda from one dual matrix per stencil point, against the
+        tautological stack on every per-direction generator dexp(u, X_j)
+        at that point, factored afresh; the offsets run from 1e-3 to 0.1."""
         chart = self.chart(request.getfixturevalue(chamber_name))
-        offsets = (-0.05, -1e-3, 2e-3, 0.1)
-        u, w, x = chart._shifted_points(offsets)
-        dual = symplectic._tautological_dual(chart.at.chamber, x, symplectic.iwasawa(w), u)
         coefficient = chart.at.chamber.model.killing_coefficient
-        got = coefficient * np.einsum("oiab,jba->oij", dual, chart.directions)
-        for o, s in enumerate(offsets):
-            for i in range(chart.dim):
-                t = np.zeros(chart.dim)
-                t[i] = s
-                p = chart.point(t)
-                gens = np.stack([_dexp(u[o, i], d) for d in chart.directions])
-                ref = symplectic._tautological_stack(p, iwasawa(p.witness), gens)
-                scale = max(1.0, np.max(np.abs(ref)))
-                assert np.max(np.abs(got[o, i] - ref)) <= 1e-12 * scale
+        for fd_step in (1e-3, 0.05):
+            u, x, factors, an_inv = chart._stencil(fd_step)
+            dual = symplectic._tautological_dual(chart.at.chamber, x, factors, an_inv, u)
+            got = coefficient * np.einsum("oiab,jba->oij", dual, chart.directions)
+            for o, s in enumerate(np.multiply(STENCIL_OFFSETS, fd_step)):
+                for i in range(chart.dim):
+                    t = np.zeros(chart.dim)
+                    t[i] = s
+                    p = chart.point(t)
+                    gens = np.stack([_dexp(u[o, i], d) for d in chart.directions])
+                    ref = symplectic._tautological_stack(p, iwasawa(p.witness), gens)
+                    scale = max(1.0, np.max(np.abs(ref)))
+                    assert np.max(np.abs(got[o, i] - ref)) <= 1e-12 * scale
 
     def test_dexp_at_minus_u_is_the_trace_adjoint(self, chamber4):
         """tr(V dexp(u, X)) = tr(dexp(-u, V) X), on matching stacks of u
@@ -662,7 +711,8 @@ class TestStackedKernels:
 
     def test_std_chart_factors_once_per_stencil_point(self, chamber3, monkeypatch):
         """Call-count guard: every stencil point is factored once, all in
-        one stacked factorization; no single-point orbit point,
+        one stacked factorization without a determinant check of its own,
+        after one stacked determinant check; no single-point orbit point,
         factorization or tautological call."""
         calls = {"orbit_point": 0, "tautological": 0}
 
@@ -672,21 +722,30 @@ class TestStackedKernels:
                 return fn(*args, **kwargs)
             return wrapper
 
-        shapes = []
+        factored, checked = [], []
 
-        def factor(g):
-            shapes.append(np.shape(g))
-            return iwasawa(g)
+        def recorded(name, fn, log):
+            def wrapper(g):
+                log.append((name, np.shape(g)))
+                return fn(g)
+            return wrapper
 
-        # iwasawa factors one matrix or a stack; every call's shape is kept,
-        # so a single-point factorization would show up as (3, 3).  The
-        # package re-exports the function under its module's name.
+        # Every factorization and determinant check keeps its entry point
+        # and shape, so a single-point one would show up as (3, 3), and a
+        # checked factorization as an ``iwasawa`` entry.  The package
+        # re-exports the function iwasawa under its module's name.
+        chart = self.chart(chamber3)
         iwasawa_module = importlib.import_module("orbitsym.iwasawa")
         for module in (symplectic, orbit_module, iwasawa_module):
-            monkeypatch.setattr(module, "iwasawa", factor)
+            for name, log in (("iwasawa", factored), ("_factor", factored),
+                              ("_require_det_one", checked)):
+                if hasattr(module, name):
+                    real = getattr(iwasawa_module, name)
+                    monkeypatch.setattr(module, name, recorded(name, real, log))
         monkeypatch.setattr(orbit_module, "orbit_point", counted("orbit_point", orbit_point))
         monkeypatch.setattr(symplectic, "tautological", counted("tautological", tautological))
-        chart = self.chart(chamber3)
         omega_std_chart(chart)
         assert calls == {"orbit_point": 0, "tautological": 0}
-        assert shapes == [(4, chart.dim, 3, 3)]
+        stencil = (4, chart.dim, 3, 3)
+        assert factored == [("_factor", stencil)]
+        assert checked == [("_require_det_one", stencil)]
