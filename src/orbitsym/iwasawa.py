@@ -80,17 +80,16 @@ def _diagonals(d: np.ndarray) -> np.ndarray:
 def iwasawa(g) -> IwasawaFactors:
     """Unique factorization of a determinant-one matrix as k a n.  A
     stack (..., n, n) is factored slice by slice, with the arithmetic of
-    a single call, into factors of the same shape.  A caller that has
-    just checked the determinant of the same array factors it with
-    ``_factor``, which skips that check and keeps the others (finite
-    entries, pivots)."""
+    a single call, into factors of the same shape.  ``_factor`` skips the
+    determinant check, for an array whose determinant was just checked."""
     mat = np.asarray(g, dtype=float)
     _require_det_one(mat)
     return _factor(mat)
 
 
 def _factor(mat: np.ndarray) -> IwasawaFactors:
-    """``iwasawa`` of a float matrix or stack whose determinant was checked."""
+    """``iwasawa`` of a float matrix or stack whose determinant was just
+    checked; ``qr_positive`` still checks its entries and pivots."""
     q, r = qr_positive(mat)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     n = (1.0 / diag)[..., :, None] * r

@@ -334,6 +334,26 @@ class TestCharts:
             single = _dexp(u, d)
             assert np.max(np.abs(got - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
 
+    @pytest.mark.parametrize("scale", [2e-3, 0.3, 1.0])
+    def test_dexp_matches_the_block_exponential(self, chamber4, scale):
+        """An oracle outside the bracket series: the upper right block of
+        exp([[u, x], [0, u]]) is d/ds exp(u + s x) at s = 0, so exp(-u)
+        times it is dexp(u, x).  The displacements run from the stencil's
+        size up; a series cut short after any bracket term fails, which the
+        standard form's central differences alone would not show at the
+        stencil's size, since they cancel the even-order error terms."""
+        rng = np.random.default_rng(71)
+        model = chamber4.model
+        n = model.n
+        u = np.stack([model.random_algebra_element(rng, scale) for _ in range(3)])
+        x = np.stack([model.random_algebra_element(rng, 1.0) for _ in range(3)])
+        block = np.zeros((3, 2 * n, 2 * n))
+        block[:, :n, :n] = block[:, n:, n:] = u
+        block[:, :n, n:] = x
+        expected = mat_exp(-u) @ mat_exp(block)[:, :n, n:]
+        got = _dexp(u, x)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+
     @pytest.mark.parametrize("chamber_name", ["chamber3", "wall3", "chamber4"])
     def test_directions_as_list_tuple_or_stack_give_one_chart(self, chamber_name, request):
         """Directions given as a list, a tuple or a (dim, n, n) array give the
