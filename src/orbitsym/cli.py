@@ -57,12 +57,20 @@ def parse_entries(text: str) -> list:
     return [float(v) for v in values]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``parser_class`` each of its subparsers, whose
+    usage errors are one line and exit code 2, as the program's own are."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     ``main`` call in the process; each ``parse_args`` call returns a
     fresh namespace, so no state carries over between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitsym",
         description="Verification suites for hyperbolic adjoint orbits of SL(n,R).",
     )

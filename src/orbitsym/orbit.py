@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import IwasawaFactors, _factor, _require_det_one, iwasawa
+from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
 from .model import ChamberElement
-from .numerics import STENCIL_OFFSETS, _frobenius_stack, char_poly, commutator, mat_exp
+from .numerics import (STENCIL_OFFSETS, _frobenius_stack, char_poly, commutator, mat_exp,
+                       qr_positive)
 
 
 class NotOrthogonal(ValueError):
@@ -317,29 +318,22 @@ def solve_generator(x: OrbitPoint, value) -> np.ndarray:
 
 def _dexp(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Left-trivialized directional derivative of the exponential:
-    returns D with d/ds exp(u + s x)|_0 = exp(u) D.  Series in nested
-    brackets, summed to machine precision.  ``x`` may be a stack (..., n,
-    n) and ``u`` a stack that broadcasts against it.  Each index of the
-    axes that ``x`` has in front of ``u``'s gets the terms of a call on it
-    alone: it stops once all of its slices have converged."""
+    returns D with d/ds exp(u + s x)|_0 = exp(u) D, for a stack x (..., n,
+    n) and a stack u that broadcasts against it.  The m-th bracket term
+    (-ad_u)^m x / (m+1)! is at most (2|u|)^m / (m+1)! |x|, |u| the largest
+    Frobenius norm of u; terms are summed until that bound is at most 1e-17
+    (39 at most) or a term is zero in every slice, as ad_u^3 x is for a u with
+    one nonzero entry.  The count depends on u alone, not on x's slices."""
     term = np.asarray(x, dtype=float)
     total = np.array(term)
-    within = tuple(range(max(term.ndim - np.ndim(u), 0), term.ndim - 2))  # axes of one series
-    stopped = np.zeros((), dtype=bool)
+    size = 2.0 * float(np.max(_frobenius_stack(np.asarray(u, dtype=float)), initial=0.0))
+    bound = 1.0
     for m in range(1, 40):
         term = commutator(u, term) * (-1.0 / (m + 1))
-        if stopped.any():  # the masked add only once a series has stopped
-            np.add(total, term, out=total, where=~stopped[..., None, None])
-        else:
-            total += term
-        # Frobenius norms, as np.linalg.norm(..., axis=(-2, -1)) sums them
-        sizes = np.sqrt(np.add.reduce(term * term, axis=(-2, -1)))
-        totals = np.sqrt(np.add.reduce(total * total, axis=(-2, -1)))
-        small = sizes <= 1e-17 * np.maximum(1.0, totals)
-        if small.all():
+        total += term
+        bound *= size / (m + 1)
+        if bound <= 1e-17 or not term.any():
             break
-        if small.any():
-            stopped = stopped | small.all(axis=within, keepdims=True)
     return total
 
 
@@ -380,32 +374,27 @@ class OrbitChart:
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
 
     def _stencil(self, fd_step: float) -> tuple:
-        """The standard form's stencil: the chart points at every axis
-        shift s e_i, for each s of ``STENCIL_OFFSETS`` times ``fd_step`` and
-        each axis i, in one stacked pass.  Returns (u, x, factors, an_inv):
-        the displacements s X_i, stacked (4, dim, n, n), and, stacked (...,
-        4, dim, n, n) over the base points, the points, the Iwasawa factors
-        K A N of their witnesses w = g exp(s X_i), and (A N)^-1, read as
-        triu(w^-1 K) so that it is exactly triangular.
-
-        The exponentials come from the chamber, which keeps those of its
-        own stacks (``ChamberElement._shift_exps``).  The offsets are
-        symmetric, so exp(-s X_i) is the mirrored slice, and w^-1 is
-        exp(-s X_i) g^-1 with the base point's kept inverse.  Each witness's
-        determinant is checked once; its point's spectrum check and its
-        factorization's checks (finite entries, pivots) follow, and the QR
-        is its only factorization.  Only the standard form reads the
-        stencil, once per chart, so it is not kept."""
+        """The standard form's stencil: the chart's witnesses w = g exp(s X_i)
+        = K A N at every axis shift s e_i, for each s of ``STENCIL_OFFSETS``
+        times ``fd_step`` and each axis i, in one stacked pass.  Returns
+        (u, an, an_inv): the displacements s X_i, stacked (4, dim, n, n),
+        and, stacked (..., 4, dim, n, n) over the base points, the R factors
+        A N and (A N)^-1, read as triu(w^-1 K) so that it is exactly
+        triangular.  The chamber keeps the exponentials of its own stacks
+        (``ChamberElement._shift_exps``); the offsets are symmetric, so w^-1
+        is exp(-s X_i) g^-1 from the mirrored slice and the base point's kept
+        inverse.  Each witness's determinant is checked once, and its QR
+        checks its entries and pivots.  The points w H w^-1 are built only
+        for their spectrum check, which is what checks those inverses."""
         chamber = self.at.chamber
         offsets = np.multiply(STENCIL_OFFSETS, fd_step)
         exps = chamber._shift_exps(self.directions, offsets)
         w = self.at.witness[..., None, None, :, :] @ exps
         _require_det_one(w)
         w_inv = exps[::-1] @ self.at.witness_inverse[..., None, None, :, :]
-        x = _conjugates(chamber, w, w_inv)
-        factors = _factor(w)
-        an_inv = np.triu(w_inv @ factors.k_factor)
-        return np.multiply.outer(offsets, self.directions), x, factors, an_inv
+        _conjugates(chamber, w, w_inv)
+        k, an = qr_positive(w)
+        return np.multiply.outer(offsets, self.directions), an, np.triu(w_inv @ k)
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of

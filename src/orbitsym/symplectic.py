@@ -15,12 +15,14 @@ Killing pairings of a chart (the orbit form on all frame pairs, lambda
 on all coordinate fields) are BLAS products of flattened (n*n) stacks,
 one per base point, so a chart at a stack of base points gives each
 the single chart's matrix bit for bit.  The standard form builds and
-checks a chart's stencil points in one pass over all its base points
-and all four offsets (``OrbitChart._stencil``): each stencil witness
-w = g exp(s X) has its determinant checked once and one QR, and both
-w^-1 = exp(-s X) g^-1 and (A N)^-1 = triu(w^-1 K) come from products
-with the chamber's kept exponentials and the base point's kept inverse,
-with no further factorization.  The orbit form needs no stencil:
+checks a chart's stencil in one pass over all its base points and all
+four offsets (``OrbitChart._stencil``): each stencil witness
+w = g exp(s X) = K A N has its determinant checked once and one QR,
+whose R is A N, and (A N)^-1 = triu(w^-1 K) comes from products with
+the chamber's kept exponentials and the base point's kept inverse.
+Since Ad(A N) H lies in H + n(H), the dual reads R alone; the
+single-point ``tautological`` keeps the route through the point's fiber
+and K as its reference.  The orbit form needs no stencil:
 by the Ad-invariance of the Killing form it is, at t = 0, the chamber's
 constant ``_orbit_form`` at every witness, and ``theorem`` checks it
 against that.
@@ -121,28 +123,22 @@ def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray
     return x.chamber.model.killing_coefficient * np.einsum("ab,mba->m", fiber, k_velocities)
 
 
-def _tautological_dual(chamber: ChamberElement, x: np.ndarray, factors: IwasawaFactors,
-                       an_inv: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _tautological_dual(chamber: ChamberElement, an: np.ndarray, an_inv: np.ndarray,
+                       u: np.ndarray) -> np.ndarray:
     """The tautological form on the coordinate fields at a stack of chart
     points, as one matrix D per point: lambda_j = 2n tr(D X_j) for every
-    chart direction X_j.
+    chart direction X_j, from the R factors ``an`` = A N of the points'
+    witnesses K A N, their inverses ``an_inv`` and the displacements ``u``,
+    all from the chart's stencil (``OrbitChart._stencil``).
 
-    ``x`` holds the points (..., n, n), ``factors`` the stacked
-    factorization K A N of their witnesses, ``an_inv`` the upper-triangular
-    (A N)^-1 and ``u`` their displacements.  With F the deconjugated fiber
-    and C = A N Z (A N)^-1, the pairing of F with the antisymmetric part
-    of C equals tr(W^T C) for W = tril(F^T - F, -1), that is tr(V Z) for
-    V = (A N)^-1 W^T A N, a product of triangular matrices that is exactly
-    strictly upper triangular.  The generator is Z = dexp(u, X_j), and the
-    trace adjoint of dexp(u, .) is dexp(-u, .) (the trace adjoint of ad_u
-    is -ad_u), so D = dexp(-u, V).  The chart's stencil gives every
-    argument (``OrbitChart._stencil``).
+    The fiber deconjugated by K is F = A N H (A N)^-1 - H, in n(H), and its
+    pairing with the antisymmetric part of A N Z (A N)^-1 is tr(V Z) for
+    V = (A N)^-1 F A N = H - (A N)^-1 H A N, strictly upper triangular and
+    read as such.  The generator is Z = dexp(u, X_j), whose trace adjoint
+    is dexp(-u, .) (that of ad_u is -ad_u), so D = dexp(-u, V).
     """
-    k = factors.k_factor
-    k_t = np.swapaxes(k, -1, -2)
-    fiber = k_t @ (x - k @ chamber.matrix @ k_t) @ k
-    w = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
-    return _dexp(-u, an_inv @ (np.swapaxes(w, -1, -2) @ factors.an_factor()))
+    h = np.asarray(chamber.entries)
+    return _dexp(-u, -np.triu((an_inv * h) @ an, 1))
 
 
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
@@ -166,18 +162,18 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0), all axes at once
     by one fourth-order stencil; lambda_j is evaluated on the honest
     coordinate field, so the mixed partials cancel exactly and only the
-    finite-difference error survives.  The 4 dim stencil points of each
-    base point, their witnesses' factorizations (one QR each) and the
-    inverses (A N)^-1 come from the chart's stencil at ``fd_step``, and
-    each point's dual matrix gives lambda on every coordinate field at
-    once.  A stacked chart gives one matrix per base point, (..., dim,
-    dim).
+    finite-difference error survives.  The R factors A N of the 4 dim
+    stencil witnesses of each base point (one QR each) and their inverses
+    come from the chart's stencil at ``fd_step``, and each stencil point's
+    dual matrix, read from those two alone, gives lambda on every
+    coordinate field at once.  A stacked chart gives one matrix per base
+    point, (..., dim, dim).
     """
     m = chart.dim
     entries = np.zeros((*chart.at.witness.shape[:-2], m, m))
     if m >= 2:
-        u, x, factors, an_inv = chart._stencil(fd_step)
-        dual = _tautological_dual(chart.at.chamber, x, factors, an_inv, u)
+        u, an, an_inv = chart._stencil(fd_step)
+        dual = _tautological_dual(chart.at.chamber, an, an_inv, u)
         # lam[..., o, i, j]: lambda_j at stencil offset o along axis i, each
         # dual matrix's entries paired with those of X_j^T in one BLAS product
         flat_dirs = np.swapaxes(chart.directions, -1, -2).reshape(m, -1)

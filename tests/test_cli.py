@@ -238,6 +238,36 @@ class TestVerifyCommand:
         assert err == f"error: {flag} must be finite and positive\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "theorem", "--H", "1,0,-1", "--samples", "abc"),
+     "argument --samples: invalid int value: 'abc'"),
+    (("verify", "spectral", "--H", "1,0,-1"), "argument SUITE: invalid choice: 'spectral'"),
+    (("verify",), "the following arguments are required: --H"),
+    (("verify", "theorem", "--H", "1,0,-1", "--n", "3.5"),
+     "argument --n: invalid int value: '3.5'"),
+    ((), "the following arguments are required: command"),
+])
+def test_argparse_usage_error_is_one_line(capsys, argv, message):
+    """Malformed arguments that argparse itself rejects, in the top-level
+    parser or a subcommand's, end with exit code 2 and one stderr line,
+    as the program's own usage errors do, with no usage block."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+def test_help_keeps_its_usage_block(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: orbitsym verify") and "--samples" in out
+
+
 class TestInfoCommand:
     def test_regular_three(self, capsys):
         code, out, _ = run_cli(capsys, "info", "--n", "3", "--H", "1,0,-1")

@@ -477,7 +477,7 @@ def drop_column(stack, s):
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
     ("orbitsym.orbit", "_require_det_one", scale_witness, "ValueError"),
-    ("orbitsym.iwasawa", "qr_positive", drop_column, "SingularInput"),
+    ("orbitsym.orbit", "qr_positive", drop_column, "SingularInput"),
 ])
 def test_breakdown_at_one_stencil_point_fails_only_its_sample(
         chamber3, monkeypatch, module, name, corrupt, exception):
@@ -698,6 +698,54 @@ def test_half_killing_coefficient_fails_invariance(chamber3, monkeypatch):
     assert not invariance.passed
     assert invariance.max_error == pytest.approx(0.5, rel=1e-9)
     assert reports["theorem-nondegenerate"].passed
+
+
+def mutated_dual(v_of, dexp=True):
+    """A ``_tautological_dual`` that reads V = v_of(h, A N, (A N)^-1), with h
+    the chamber's entries, in place of V = H - (A N)^-1 H A N."""
+    def dual(chamber, an, an_inv, u):
+        v = v_of(np.asarray(chamber.entries), an, an_inv)
+        return orbit_module._dexp(-u, v) if dexp else v
+    return dual
+
+
+# The mutations of the standard form's dual, each with its readings at
+# (1, 0, -1) and at the n = 6 regular chamber (10 samples, seed 3).
+DUAL_MUTATIONS = {
+    "sign-flipped": (mutated_dual(lambda h, an, an_inv: np.triu((an_inv * h) @ an, 1)),
+                     {"theorem-match": (2.0, 2.0)}),
+    "scaled-on-the-wrong-side": (
+        mutated_dual(lambda h, an, an_inv: -np.triu((h[:, None] * an_inv) @ an, 1)),
+        {"theorem-match": (1.0, 1.0)}),
+    "conjugated-the-wrong-way": (
+        mutated_dual(lambda h, an, an_inv: -np.triu((an * h) @ an_inv, 1)),
+        {"theorem-match": (2.0, 2.0), "lagrangian-horizontal-std": (0.04162, 0.08729)}),
+    "without-dexp": (
+        mutated_dual(lambda h, an, an_inv: -np.triu((an_inv * h) @ an, 1), dexp=False),
+        {"theorem-match": (1.0, 0.9488), "lagrangian-horizontal-std": (0.1200, 0.1354)}),
+}
+
+
+@pytest.mark.parametrize("mutation", DUAL_MUTATIONS)
+def test_wrong_duals_fail_the_standard_form(monkeypatch, mutation):
+    """Mutation checks of V = H - (A N)^-1 H A N in the standard form: its
+    sign flipped, H applied on the wrong side (which makes V = 0), R H R^-1
+    in place of R^-1 H R, and V without dexp.  Each fails ``theorem-match``,
+    and two fail ``lagrangian-horizontal-std``, at the readings listed.
+    ``lagrangian-vertical-std`` reads exactly 0 under all four: on n(H)
+    every V stays strictly upper triangular, and it pairs to zero with
+    strictly upper directions (a blind spot of that column)."""
+    dual, expected = DUAL_MUTATIONS[mutation]
+    monkeypatch.setattr(symplectic, "_tautological_dual", dual)
+    for c, entries in enumerate(([1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5])):
+        chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
+        reports = {r.suite: r for name in ("theorem", "lagrangian-horizontal",
+                                           "lagrangian-vertical")
+                   for r in run_suite(chamber, name, samples=10, seed=3)}
+        for name, readings in expected.items():
+            assert reports[name].max_error == pytest.approx(readings[c], rel=1e-3)
+            assert not reports[name].passed
+        assert reports["lagrangian-vertical-std"].max_error == 0.0
 
 
 def test_symmetric_pairing_fails_nondegeneracy(chamber3, monkeypatch):

@@ -24,7 +24,7 @@ from orbitsym import orbit as orbit_module
 from orbitsym import symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.model import SpecialLinearModel, random_combination
-from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator
+from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator, qr_positive
 from orbitsym.orbit import _dexp
 
 
@@ -470,8 +470,9 @@ def test_orbit_form_is_the_chamber_constant(entries):
 
 
 def inverting_stencil(chart, fd_step):
-    """The stencil points and dual matrices by the route that inverts each
-    stencil witness w = g exp(s X) and solves with its A N factor."""
+    """The stencil witnesses, points and dual matrices by the route that
+    inverts each stencil witness w = g exp(s X), rebuilds its fiber from
+    the point and K, and solves with its A N factor."""
     chamber = chart.at.chamber
     offsets = np.multiply(STENCIL_OFFSETS, fd_step)
     w = chart.at.witness[..., None, None, :, :] @ chamber._shift_exps(chart.directions, offsets)
@@ -483,19 +484,21 @@ def inverting_stencil(chart, fd_step):
     lower = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
     an = fac.an_factor()
     u = np.multiply.outer(offsets, chart.directions)
-    return x, fac, _dexp(-u, np.linalg.solve(an, np.swapaxes(lower, -1, -2) @ an))
+    return w, x, _dexp(-u, np.linalg.solve(an, np.swapaxes(lower, -1, -2) @ an))
 
 
 @pytest.mark.parametrize("basis", [None, "m_basis"])
 @pytest.mark.parametrize("entries", sweep_chambers())
-def test_stencil_inverses_match_the_inverting_route(entries, basis):
+def test_stencil_inverses_match_the_inverting_route(entries, basis, monkeypatch):
     """The stencil inverts each witness w = g exp(s X) as exp(-s X) g^-1,
     from the chamber's kept exponentials (mirrored, since the offsets are
     symmetric) and the base point's kept inverse, and reads (A N)^-1 as
-    triu(w^-1 K).  Its points and dual matrices equal those of the route
-    that inverts and solves, within 1e-12 times each base point's scale, at
-    the identity, generic and far witnesses; its factorization is that of
-    ``iwasawa`` bit for bit, and every (A N)^-1 is upper triangular."""
+    triu(w^-1 K).  The points it checks and the dual matrices read from R
+    alone equal those of the route that inverts, rebuilds each fiber and
+    solves, within 1e-12 times each base point's scale, at the identity,
+    generic and far witnesses.  Its K and R are ``qr_positive`` of the same
+    witnesses bit for bit; every (A N)^-1 is exactly upper triangular and
+    every V exactly strictly upper triangular."""
     assert STENCIL_OFFSETS == tuple(-s for s in reversed(STENCIL_OFFSETS))
     model = SpecialLinearModel(len(entries))
     chamber = model.chamber_element(entries)
@@ -506,13 +509,28 @@ def test_stencil_inverses_match_the_inverting_route(entries, basis):
     chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
     if chart.dim == 0:
         return
-    u, x, factors, an_inv = chart._stencil(1e-3)
-    dual = symplectic._tautological_dual(chamber, x, factors, an_inv, u)
-    x_ref, fac_ref, dual_ref = inverting_stencil(chart, 1e-3)
-    assert np.array_equal(factors.k_factor, fac_ref.k_factor)
-    assert np.array_equal(factors.an_factor(), fac_ref.an_factor())
+    seen = {}
+
+    def recorded(name, real):
+        def wrapper(*args):
+            seen[name] = (args, real(*args))
+            return seen[name][1]
+        return wrapper
+
+    for module, name in ((orbit_module, "_conjugates"), (orbit_module, "qr_positive"),
+                         (symplectic, "_dexp")):
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    u, an, an_inv = chart._stencil(1e-3)
+    dual = symplectic._tautological_dual(chamber, an, an_inv, u)
+    w_ref, x_ref, dual_ref = inverting_stencil(chart, 1e-3)
+    (w,), (k, _) = seen["qr_positive"]
+    k_ref, r_ref = qr_positive(w_ref)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(k, k_ref) and np.array_equal(an, r_ref)
     assert np.array_equal(an_inv, np.triu(an_inv))
-    for got, ref in ((x, x_ref), (dual, dual_ref)):
+    (_, v), _ = seen["_dexp"]
+    assert np.array_equal(v, np.triu(v, 1))
+    for got, ref in ((seen["_conjugates"][1], x_ref), (dual, dual_ref)):
         scale = np.fmax(1.0, np.max(np.abs(ref), axis=(1, 2, 3, 4)))
         assert np.all(np.max(np.abs(got - ref), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
 
@@ -644,8 +662,8 @@ class TestStackedKernels:
         chart = self.chart(request.getfixturevalue(chamber_name))
         coefficient = chart.at.chamber.model.killing_coefficient
         for fd_step in (1e-3, 0.05):
-            u, x, factors, an_inv = chart._stencil(fd_step)
-            dual = symplectic._tautological_dual(chart.at.chamber, x, factors, an_inv, u)
+            u, an, an_inv = chart._stencil(fd_step)
+            dual = symplectic._tautological_dual(chart.at.chamber, an, an_inv, u)
             got = coefficient * np.einsum("oiab,jba->oij", dual, chart.directions)
             for o, s in enumerate(np.multiply(STENCIL_OFFSETS, fd_step)):
                 for i in range(chart.dim):
@@ -698,8 +716,8 @@ class TestStackedKernels:
 
     def test_dexp_series_of_a_stack_stop_on_their_own(self, chamber4):
         """Each index of the axes that x has in front of u's gets the terms
-        of its own call bit for bit, though the three problems here need
-        different numbers of terms."""
+        of its own call bit for bit, though the three problems here lie
+        nine orders of magnitude apart."""
         rng = np.random.default_rng(67)
         model = chamber4.model
         u = np.stack([model.random_algebra_element(rng, 0.05) for _ in range(3)])
@@ -709,11 +727,51 @@ class TestStackedKernels:
         for xi, di in zip(x, d):
             assert np.array_equal(di, _dexp(u, xi))
 
+    def test_dexp_term_count_depends_on_the_shift_alone(self, chamber4, monkeypatch):
+        """Call-count guard: the bracket terms of one ``_dexp`` call, counted
+        as ``commutator`` calls, are as many for 1, 2 and 64 stacked base
+        points and for x scaled by 1e-6, 1 and 1e6.  The m(H) shifts have
+        two nonzero entries and a series that does not terminate.  A shift
+        u = s E_ij with one nonzero entry has ad_u^2 V = -2 s^2 V_ji E_ij and
+        ad_u^3 = 0, so the default chart's series stops at its third term,
+        exactly zero, at every base point at once, and the n(H) series at
+        its second, since V_ji = 0 for the strictly upper V and i < j."""
+        model = chamber4.model
+        counts = []
+
+        def counted(u, x):
+            counts.append(0)
+            return real_dexp(u, x)
+
+        def commutator_counted(a, b):
+            counts[-1] += 1
+            return commutator(a, b)
+
+        real_dexp = orbit_module._dexp
+        monkeypatch.setattr(symplectic, "_dexp", counted)
+        monkeypatch.setattr(orbit_module, "commutator", commutator_counted)
+        witnesses = np.stack([model.random_group_element(seed, 1.2 / model.n)
+                              for seed in range(64)])
+        for size in (1, 2, 64):
+            omega_std_chart(orbit_chart(orbit_point(chamber4, witnesses[:size]),
+                                        directions=chamber4.m_basis))
+        u = np.multiply.outer(np.multiply(STENCIL_OFFSETS, 1e-3), chamber4.m_basis)
+        x = np.random.default_rng(69).standard_normal((2, *u.shape))
+        for scale in (1e-6, 1.0, 1e6):
+            counted(-u, scale * x)
+        assert len(counts) == 6 and len(set(counts)) == 1 and counts[0] > 3
+        counts.clear()
+        for directions in (None, chamber4.n_basis):
+            for size in (1, 2, 64):
+                omega_std_chart(orbit_chart(orbit_point(chamber4, witnesses[:size]),
+                                            directions=directions))
+        assert counts == [3] * 3 + [2] * 3
+
     def test_std_chart_factors_once_per_stencil_point(self, chamber3, monkeypatch):
         """Call-count guard: every stencil point is factored once, all in
-        one stacked factorization without a determinant check of its own,
-        after one stacked determinant check; no single-point orbit point,
-        factorization or tautological call."""
+        one stacked QR without a determinant check of its own or an Iwasawa
+        factorization around it, after one stacked determinant check; no
+        single-point orbit point, factorization or tautological call."""
         calls = {"orbit_point": 0, "tautological": 0}
 
         def counted(name, fn):
@@ -731,14 +789,15 @@ class TestStackedKernels:
             return wrapper
 
         # Every factorization and determinant check keeps its entry point
-        # and shape, so a single-point one would show up as (3, 3), and a
-        # checked factorization as an ``iwasawa`` entry.  The package
-        # re-exports the function iwasawa under its module's name.
+        # and shape, so a single-point one would show up as (3, 3), and an
+        # Iwasawa factorization as an ``iwasawa`` or ``_factor`` entry
+        # before its QR.  The package re-exports the function iwasawa under
+        # its module's name.
         chart = self.chart(chamber3)
         iwasawa_module = importlib.import_module("orbitsym.iwasawa")
         for module in (symplectic, orbit_module, iwasawa_module):
             for name, log in (("iwasawa", factored), ("_factor", factored),
-                              ("_require_det_one", checked)):
+                              ("qr_positive", factored), ("_require_det_one", checked)):
                 if hasattr(module, name):
                     real = getattr(iwasawa_module, name)
                     monkeypatch.setattr(module, name, recorded(name, real, log))
@@ -747,5 +806,5 @@ class TestStackedKernels:
         omega_std_chart(chart)
         assert calls == {"orbit_point": 0, "tautological": 0}
         stencil = (4, chart.dim, 3, 3)
-        assert factored == [("_factor", stencil)]
+        assert factored == [("qr_positive", stencil)]
         assert checked == [("_require_det_one", stencil)]
