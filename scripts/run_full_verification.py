@@ -5,17 +5,18 @@ Covers regular and wall chambers for n = 2..5, 7 and 8 and the regular
 chamber at n = 6, runs every suite at each with the same sample count, prints
 one line per suite and configuration, and optionally writes the full
 report list as JSON.  ``--samples`` must be at least 1, and a ``--json``
-path that cannot be written ends the run with exit 2 before the sweep.
+path that cannot be opened ends the run with exit 2 before the sweep;
+one that cannot be written ends it with exit 2 after.  Usage errors
+print one ``error:`` line and exit 2.
 
     python3 scripts/run_full_verification.py --samples 25 --json sweep.json
 """
 
-import argparse
 import sys
 import time
 
 from orbitsym import SUITE_NAMES, SpecialLinearModel, run_suite
-from orbitsym.cli import open_json, suite_line, write_reports
+from orbitsym.cli import _Parser, open_json, save_json, suite_line
 
 CONFIGS = [
     ("regular", [1, -1]),
@@ -35,7 +36,7 @@ CONFIGS = [
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--samples", type=int, default=25)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--json", dest="json_path", default=None)
@@ -66,9 +67,8 @@ def main() -> int:
     print(f"done in {elapsed:.1f}s, {failures} failing suite runs")
 
     if out:
-        with out:
-            write_reports(out, all_reports)
-            out.truncate()
+        if save_json(out, args.json_path, all_reports):
+            return 2
         print(f"wrote {len(all_reports)} reports to {args.json_path}")
     return 1 if failures else 0
 

@@ -50,7 +50,6 @@ from .orbit import (
     to_cotangent,
 )
 from .symplectic import (
-    FormMatrix,
     graph_routes,
     iwasawa_potential,
     kks,

@@ -8,7 +8,7 @@ derived dimensions.  A process builds each distinct ``--n``/``--H`` pair's
 chamber once and shares it, with the stencil exponentials it keeps,
 across later ``main`` calls.  Exit codes: 0 all suites pass, 1 any failure,
 2 usage or configuration errors, including a ``--json`` path that
-cannot be written.
+cannot be opened or written.
 """
 
 from __future__ import annotations
@@ -188,6 +188,18 @@ def write_reports(fh, reports: list[VerificationReport]) -> None:
     fh.write(f"[\n{body}\n]\n" if reports else "[]\n")
 
 
+def save_json(out, path: str, reports: list[VerificationReport]) -> int:
+    """Write ``reports`` to ``out``, opened by ``open_json(path)``, and close
+    it: 0, or 2 after one error line when that fails, as on a full disk."""
+    try:
+        with out:
+            write_reports(out, reports)
+            out.truncate()
+    except OSError as exc:
+        return _usage_error(f"cannot write --json {path}: {exc.strerror}")
+    return 0
+
+
 def _run_verify(args) -> int:
     suite = args.suite_pos or args.suite
     if suite is None:
@@ -220,10 +232,8 @@ def _run_verify(args) -> int:
         if not args.quiet:
             print(suite_line(name, args.samples, reports))
 
-    if out:
-        with out:
-            write_reports(out, all_reports)
-            out.truncate()
+    if out and save_json(out, args.json_path, all_reports):
+        return 2
     return 0 if ok else 1
 
 

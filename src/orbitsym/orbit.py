@@ -53,6 +53,9 @@ CHAR_RTOL = 1e-9
 TRACE_RTOL = 1e-10
 # A fiber may leave the conjugated n(H) by FIBER_RTOL times its orbit point.
 FIBER_RTOL = 1e-10
+# A stencil pair A N, (A N)^-1 may miss the identity by INVERSE_RTOL times
+# the product of their norms; neither depends on the scale of H.
+INVERSE_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,22 +382,23 @@ class OrbitChart:
         times ``fd_step`` and each axis i, in one stacked pass.  Returns
         (u, an, an_inv): the displacements s X_i, stacked (4, dim, n, n),
         and, stacked (..., 4, dim, n, n) over the base points, the R factors
-        A N and (A N)^-1, read as triu(w^-1 K) so that it is exactly
-        triangular.  The chamber keeps the exponentials of its own stacks
-        (``ChamberElement._shift_exps``); the offsets are symmetric, so w^-1
-        is exp(-s X_i) g^-1 from the mirrored slice and the base point's kept
-        inverse.  Each witness's determinant is checked once, and its QR
-        checks its entries and pivots.  The points w H w^-1 are built only
-        for their spectrum check, which is what checks those inverses."""
-        chamber = self.at.chamber
+        A N and (A N)^-1 = triu(w^-1 K), exactly triangular, with w^-1 =
+        exp(-s X_i) g^-1 from the mirrored slice of the chamber's kept
+        exponentials (``ChamberElement._shift_exps``; the offsets are
+        symmetric) and the base point's kept inverse.  Each witness's
+        determinant is checked once, its QR checks its entries and pivots,
+        and no orbit point is built: a pair with |A N (A N)^-1 - I| >
+        ``INVERSE_RTOL`` |A N| |(A N)^-1| (Frobenius) raises ``ValueError``."""
         offsets = np.multiply(STENCIL_OFFSETS, fd_step)
-        exps = chamber._shift_exps(self.directions, offsets)
+        exps = self.at.chamber._shift_exps(self.directions, offsets)
         w = self.at.witness[..., None, None, :, :] @ exps
         _require_det_one(w)
-        w_inv = exps[::-1] @ self.at.witness_inverse[..., None, None, :, :]
-        _conjugates(chamber, w, w_inv)
         k, an = qr_positive(w)
-        return np.multiply.outer(offsets, self.directions), an, np.triu(w_inv @ k)
+        an_inv = np.triu(exps[::-1] @ self.at.witness_inverse[..., None, None, :, :] @ k)
+        miss = _frobenius_stack(an @ an_inv - np.eye(w.shape[-1]))
+        if not np.all(miss <= INVERSE_RTOL * _frobenius_stack(an) * _frobenius_stack(an_inv)):
+            raise ValueError("stencil witness inverse does not invert its R factor")
+        return np.multiply.outer(offsets, self.directions), an, an_inv
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of

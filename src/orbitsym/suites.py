@@ -51,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iwasawa import _factor, fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
+from .iwasawa import fd_iwasawa_velocities, infinitesimal_iwasawa, iwasawa
 from .model import ChamberElement, _combinations
-from .numerics import _frobenius_stack, mat_exp
+from .numerics import _frobenius_stack, mat_exp, qr_positive
 from .orbit import (
     _check_fiber,
     _check_on_orbit_stack,
@@ -273,7 +273,7 @@ def _check_projection(chamber, rngs, indices, fd_step):
 
     witnesses = np.stack([g, g @ (exps[:, 3] @ exps[:, 4])], axis=1)
     points, _ = _orbit_points(chamber, witnesses)
-    k = _factor(witnesses).k_factor  # the determinants checked just above
+    k = qr_positive(witnesses)[0]  # K of the witnesses, their determinants checked just above
     bases = _flag_points(chamber, np.concatenate([k, k0], axis=1))  # of g, g z and k0
     x, base, k_x = points[:, 0], bases[:, 0], k[:, 0]
     fiber = x - base
@@ -294,7 +294,7 @@ def _check_projection(chamber, rngs, indices, fd_step):
     trips, back, _ = _from_cotangent(chamber, np.concatenate([k_x[:, None], k0, k0], axis=1),
                                      np.stack([fiber, v1, v1 + v2], axis=1))
     # the witnesses' determinants were checked with their orbit points
-    base_b, fiber_b, coords_b = _split(chamber, _factor(trips[:, 1:]).k_factor, back[:, 1:])
+    base_b, fiber_b, coords_b = _split(chamber, qr_positive(trips[:, 1:])[0], back[:, 1:])
 
     scale_f = _frobenius_stack(v1)
     e_round = [
@@ -353,7 +353,7 @@ def _check_lagrangian(basis):
         scale = np.fmax(1.0, model.killing_coefficient * _frobenius_stack(x.point) * (zmax * zmax))
         pairing = _bracket_pairing(chamber, x.point, gens)
         e_kks = _rel(np.max(np.abs(pairing), axis=(-2, -1), initial=0.0), scale)
-        std = omega_std_chart(chart, fd_step).entries  # zero below dimension 2
+        std = omega_std_chart(chart, fd_step)  # zero below dimension 2
         e_std = _rel(np.max(np.abs(std), axis=(-2, -1), initial=0.0), scale)
         return np.transpose([e_kks, e_std])
 
@@ -400,15 +400,14 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     chart = orbit_chart(orbit_point(chamber, g))
     if chart.dim == 0:
         return np.zeros((len(rngs), 3))
-    kks_form = omega_kks_chart(chart)
-    kks, std = kks_form.entries, omega_std_chart(chart, fd_step).entries
+    kks, std = omega_kks_chart(chart), omega_std_chart(chart, fd_step)
     # fmax skips NaN as the builtin max does
     scale = np.fmax(np.fmax(1.0, np.max(np.abs(kks), axis=(-2, -1))),
                     np.max(np.abs(std), axis=(-2, -1)))
     e_match = _rel(np.max(np.abs(std - kks), axis=(-2, -1)), scale)
     # _worst over no axis counts a non-finite quotient as infinite
     e_inv = _worst(np.max(np.abs(kks - chamber._orbit_form), axis=(-2, -1)) / scale, axis=())
-    ratio = SMIN_THRESHOLD / kks_form.smallest_singular_value()
+    ratio = SMIN_THRESHOLD / np.linalg.svd(kks, compute_uv=False)[..., -1]
     return np.transpose([e_match, e_inv, ratio])
 
 

@@ -14,12 +14,13 @@ this pairing is one matrix per point (``_tautological_dual``).  Both
 Killing pairings of a chart (the orbit form on all frame pairs, lambda
 on all coordinate fields) are BLAS products of flattened (n*n) stacks,
 one per base point, so a chart at a stack of base points gives each
-the single chart's matrix bit for bit.  The standard form builds and
-checks a chart's stencil in one pass over all its base points and all
-four offsets (``OrbitChart._stencil``): each stencil witness
-w = g exp(s X) = K A N has its determinant checked once and one QR,
-whose R is A N, and (A N)^-1 = triu(w^-1 K) comes from products with
-the chamber's kept exponentials and the base point's kept inverse.
+the single chart's read-only matrix bit for bit.  The standard form
+builds and checks a chart's stencil in one pass over all its base
+points and all four offsets (``OrbitChart._stencil``): each stencil
+witness w = g exp(s X) = K A N has its determinant checked once and one
+QR, whose R is A N, and (A N)^-1 = triu(w^-1 K), checked against A N,
+comes from the chamber's kept exponentials and the base point's kept
+inverse; no stencil point is built.
 Since Ad(A N) H lies in H + n(H), the dual reads R alone; the
 single-point ``tautological`` keeps the route through the point's fiber
 and K as its reference.  The orbit form needs no stencil:
@@ -37,7 +38,6 @@ as fit a fixed byte budget.  The seeded verification suites are in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,20 +63,6 @@ from .orbit import (
 # all four offsets merged, a 50-sample ``graph`` call at n = 8 made about
 # 4,000 minor page faults per call and ran about 30% slower).
 _POTENTIAL_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True, eq=False)
-class FormMatrix:
-    """Antisymmetric matrix of form values on chart velocity pairs."""
-
-    chart: OrbitChart
-    entries: np.ndarray
-
-    def smallest_singular_value(self) -> float | np.ndarray:
-        """Smallest singular value, one per base point of a stacked chart."""
-        if not self.chart.dim:
-            return np.full(self.entries.shape[:-2], np.inf)[()]
-        return np.linalg.svd(self.entries, compute_uv=False)[..., -1]
 
 
 def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
@@ -155,7 +141,7 @@ def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     return float(_tautological_stack(x, fac, x_alg[None])[0])
 
 
-def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
+def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> np.ndarray:
     """Cotangent-bundle form, as minus the exterior derivative of the
     tautological one-form in chart coordinates.
 
@@ -166,8 +152,9 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
     stencil witnesses of each base point (one QR each) and their inverses
     come from the chart's stencil at ``fd_step``, and each stencil point's
     dual matrix, read from those two alone, gives lambda on every
-    coordinate field at once.  A stacked chart gives one matrix per base
-    point, (..., dim, dim).
+    coordinate field at once.  Returns the read-only array of the
+    matrix, (dim, dim), or one matrix per base point of a stacked chart,
+    (..., dim, dim).
     """
     m = chart.dim
     entries = np.zeros((*chart.at.witness.shape[:-2], m, m))
@@ -183,10 +170,10 @@ def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> FormMatrix:
         d = _stencil_diff(np.moveaxis(lam, -3, 0), fd_step)
         entries = np.swapaxes(d, -1, -2) - d
     entries.setflags(write=False)
-    return FormMatrix(chart=chart, entries=entries)
+    return entries
 
 
-def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
+def omega_kks_chart(chart: OrbitChart, t=None) -> np.ndarray:
     """Orbit form on the moving frame of the chart, at chart parameter t
     (default 0).
 
@@ -194,14 +181,15 @@ def omega_kks_chart(chart: OrbitChart, t=None) -> FormMatrix:
     equals the value at t = 0, which for the default directions is the
     chamber's ``_orbit_form`` at every witness.  No report reads t != 0;
     it lets the tests check that constancy along the chart.  All pairs
-    come from one contraction over the stacked generators.
+    come from one contraction over the stacked generators, returned as a
+    read-only array (..., dim, dim), one matrix per base point.
     """
     if t is None:
         t = np.zeros(chart.dim)
     p, gens = chart.frame_generators(t)
     entries = _bracket_pairing(p.chamber, p.point, gens)
     entries.setflags(write=False)
-    return FormMatrix(chart=chart, entries=entries)
+    return entries
 
 
 def iwasawa_potential(chamber: ChamberElement, g, k) -> float | np.ndarray:
@@ -284,7 +272,6 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
 
 
 __all__ = [
-    "FormMatrix",
     "graph_routes",
     "iwasawa_potential",
     "kks",

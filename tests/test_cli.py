@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import io
 import json
@@ -409,10 +410,15 @@ def run_sweep(*argv):
     )
 
 
-def test_full_sweep_script_passes_every_suite_run():
+def sweep_module():
     spec = importlib.util.spec_from_file_location("run_full_verification", SWEEP)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_full_sweep_script_passes_every_suite_run():
+    sweep = sweep_module()
     expected = len(SUITE_NAMES) * len(sweep.CONFIGS)
     result = run_sweep("--samples", "1")
     assert result.returncode == 0, result.stderr
@@ -445,6 +451,31 @@ def test_unwritable_json_path_is_usage_error(capsys, tmp_path, where):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"error: cannot write --json {path}: ")
+
+
+def full_disk(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("target", [
+    "full-disk",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                      reason="no /dev/full")),
+])
+def test_failed_json_write_is_usage_error(capsys, tmp_path, monkeypatch, target):
+    """A --json file that opens but cannot be written, as on a full disk,
+    ends the run with one error line and exit code 2, after the suite
+    lines it printed; no traceback."""
+    path = target
+    if target == "full-disk":
+        path = str(tmp_path / "out.json")
+        monkeypatch.setattr(cli, "write_reports", full_disk)
+    code, out, err = run_cli(capsys, "verify", "iwasawa", "--H", "1,0,-1", "--samples", "1",
+                             "--json", path)
+    assert code == 2
+    [line] = out.splitlines()
+    assert line.startswith("iwasawa ") and line.endswith(" PASS")
+    assert err.splitlines() == [f"error: cannot write --json {path}: {os.strerror(errno.ENOSPC)}"]
 
 
 @pytest.mark.parametrize("old", ["x" * 1_000_000, "[]"], ids=["longer", "shorter"])
@@ -481,6 +512,43 @@ def test_full_sweep_script_rejects_unwritable_json_path(tmp_path, where):
     assert result.stdout == ""  # rejected before the first chamber label
     [line] = result.stderr.splitlines()
     assert line.startswith(f"error: cannot write --json {path}: ")
+
+
+def test_full_sweep_script_reports_a_failed_json_write(capsys, tmp_path, monkeypatch):
+    """A --json file that cannot be written after the sweep, as on a full
+    disk, ends the run with one error line and exit code 2; every line the
+    sweep printed stays, and no traceback follows."""
+    sweep = sweep_module()
+    path = tmp_path / "out.json"
+    monkeypatch.setattr(cli, "write_reports", full_disk)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), "--samples", "1", "--json", str(path)])
+    assert sweep.main() == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    suite_lines = [l for l in lines if l.startswith("  ")]
+    assert len(suite_lines) == len(SUITE_NAMES) * len(sweep.CONFIGS)
+    assert lines[-1].startswith("done in ")
+    assert captured.err.splitlines() == [
+        f"error: cannot write --json {path}: {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--samples", "abc"), "argument --samples: invalid int value: 'abc'"),
+    (("--bogus",), "unrecognized arguments: --bogus"),
+])
+def test_full_sweep_script_usage_error_is_one_line(argv, message):
+    """Options that argparse itself rejects print one error line and no
+    usage block, with exit code 2, as ``orbitsym verify`` does."""
+    result = run_sweep(*argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_full_sweep_script_help_keeps_its_usage_block():
+    result = run_sweep("-h")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: ") and "--samples" in result.stdout
 
 
 @pytest.mark.parametrize("command", [["verify", "all", "--samples", "2"], ["info"]])

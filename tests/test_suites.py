@@ -181,7 +181,7 @@ MERGED_NAN = [
 # the same for single-source columns, whose errors pass through unreduced
 SINGLE_NAN = [
     ("projection", "_flag_points", lambda r, *a: nan_at_sample_1(r, 1), "projection-welldef"),
-    ("theorem", "omega_std_chart", lambda r, *a: nan_field(r, "entries"), "theorem-match"),
+    ("theorem", "omega_std_chart", lambda r, *a: nan_at_sample_1(r), "theorem-match"),
 ]
 
 
@@ -275,24 +275,27 @@ def test_graph_factors_once_per_sample(monkeypatch):
     [2.5, 1.5, 0.5, -0.5, -1.5, -2.5],
 ], ids=["chamber3", "n6-regular"])
 def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
-    """Call-count guard: a ``theorem`` call builds and checks the chart
-    points of all its samples in one stacked pass of shape (samples, 4,
-    dim, n, n), the standard form's stencil; the samples' own orbit
-    points, one (samples, n, n) pass, are the only other pass.  Both
-    passes go through the one builder of conjugates, ``_conjugates``."""
+    """Call-count guard: a ``theorem`` call factors the stencil witnesses
+    of all its samples in one stacked QR of shape (samples, 4, dim, n, n),
+    the standard form's stencil, and builds no stencil point: the samples'
+    own orbit points, one (samples, n, n) pass through the one builder of
+    conjugates, ``_conjugates``, are the only points it builds."""
     n = len(entries)
     chamber = SpecialLinearModel(n).chamber_element(entries)
-    real = orbit_module._conjugates
-    shapes = []
+    shapes = {"_conjugates": [], "qr_positive": []}
 
-    def conjugates(chamber, g, g_inv):
-        shapes.append(np.shape(g))
-        return real(chamber, g, g_inv)
+    def recorded(name, real):
+        def wrapper(*args):  # the last argument is the stack: g^-1 or w
+            shapes[name].append(np.shape(args[-1]))
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(orbit_module, "_conjugates", conjugates)
+    for name in shapes:
+        monkeypatch.setattr(orbit_module, name, recorded(name, getattr(orbit_module, name)))
     reports = run_suite(chamber, "theorem", samples=3)
     assert all(r.passed for r in reports)
-    assert shapes == [(3, n, n), (3, 4, 2 * chamber.dim_n, n, n)]
+    assert shapes == {"_conjugates": [(3, n, n)],
+                      "qr_positive": [(3, 4, 2 * chamber.dim_n, n, n)]}
 
 
 @pytest.mark.parametrize("name", ["theorem", "lagrangian-vertical", "lagrangian-horizontal"])
@@ -323,44 +326,49 @@ def test_no_stencil_witness_is_inverted_or_checked_twice(name, monkeypatch):
 
 def test_plus_exponentials_in_the_stencil_inverse_fail_theorem(tmp_path):
     """Mutation check on a copy of the package: the stencil's witness
-    inverses from exp(+s X) in place of the mirrored exp(-s X).  Along
-    n(H) and theta n(H) the wrong points g E H E g^-1 (E = exp(s X)) keep
-    the chamber's spectrum, since E H E is triangular with diagonal H, so
-    at (1, 0, -1) only ``theorem-match`` sees the mutation, at 1.0.  Along
-    m(H) the spectrum check sees it, and ``lagrangian-horizontal`` raises
-    ``ValueError`` at every sample."""
+    inverses from exp(+s X) in place of the mirrored exp(-s X).  The
+    stencil checks A N (A N)^-1 = I on the pair it returns, which a wrong
+    inverse misses along every direction, n(H) included, where the wrong
+    points g E H E g^-1 (E = exp(s X)) would keep the chamber's spectrum.
+    So at (1, 0, -1) and at the n = 6 regular chamber every report of
+    ``theorem`` and both ``lagrangian-*`` suites fails, each sample with
+    ``ValueError``."""
     package = Path(orbit_module.__file__).resolve().parent
     copy = tmp_path / "orbitsym"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
     source = copy / "orbit.py"
     text = source.read_text(encoding="utf-8")
-    anchor = "w_inv = exps[::-1] @ "
+    anchor = "an_inv = np.triu(exps[::-1] @ "
     assert text.count(anchor) == 1
-    source.write_text(text.replace(anchor, "w_inv = exps @ "), encoding="utf-8")
+    source.write_text(text.replace(anchor, "an_inv = np.triu(exps @ "), encoding="utf-8")
     script = (
         "import json, orbitsym\n"
         "from orbitsym import SpecialLinearModel, run_suite\n"
-        "chamber = SpecialLinearModel(3).chamber_element([1, 0, -1])\n"
-        "reports = [r for name in ('theorem', 'lagrangian-horizontal')\n"
-        "           for r in run_suite(chamber, name, samples=10, seed=3)]\n"
-        "print(json.dumps([orbitsym.__file__, {r.suite: [r.max_error, r.passed, r.exceptions]\n"
-        "                                      for r in reports}]))\n"
+        "reports = {}\n"
+        "for entries in ([1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]):\n"
+        "    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)\n"
+        "    reports[len(entries)] = [\n"
+        "        [r.suite, r.passed, r.exceptions]\n"
+        "        for name in ('theorem', 'lagrangian-vertical', 'lagrangian-horizontal')\n"
+        "        for r in run_suite(chamber, name, samples=10, seed=3)]\n"
+        "print(json.dumps([orbitsym.__file__, reports]))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
     location, reports = json.loads(result.stdout)
     assert Path(location).resolve().parent == copy.resolve()
-    assert reports["theorem-match"][:2] == [pytest.approx(1.0, rel=1e-6), False]
-    assert all(reports[name][1] for name in ("theorem-invariance", "theorem-nondegenerate"))
-    for name in ("lagrangian-horizontal-kks", "lagrangian-horizontal-std"):
-        assert reports[name][2] == [[i, "ValueError"] for i in range(10)]
+    everywhere = [[i, "ValueError"] for i in range(10)]
+    for n in ("3", "6"):
+        assert len(reports[n]) == 7
+        assert all(not passed and raised == everywhere for _, passed, raised in reports[n])
 
 
 def test_projection_factors_once_per_sample(monkeypatch):
     """Call-count guard, per suite call: a ``projection`` call of two
-    samples at n = 6 factors every g and g z in one stacked pass and the
-    returning witnesses in another, checks the determinant of each witness
-    once (with its orbit point, not again to factor it), builds the flag
+    samples at n = 6 reads K of every g and g z by one stacked QR and of
+    the returning witnesses by another, with no Iwasawa factorization,
+    checks the determinant of each witness once (with its orbit point,
+    not again to factor it), builds the flag
     points of g, g z and
     k0 in one stacked pass and those of the returns in another, runs all
     round trips through one stacked witness solve, and makes no
@@ -399,7 +407,7 @@ def test_projection_factors_once_per_sample(monkeypatch):
         return real_flag_points(chamber, k)
 
     iwasawa_module = importlib.import_module("orbitsym.iwasawa")
-    real_iwasawa, real_factor = iwasawa_module.iwasawa, iwasawa_module._factor
+    real_iwasawa, real_qr = iwasawa_module.iwasawa, iwasawa_module.qr_positive
     real_det = iwasawa_module._require_det_one
     real_flag_points, flag_shapes = orbit_module._flag_points, []
     for module in (suites, symplectic, orbit_module, iwasawa_module):
@@ -408,8 +416,8 @@ def test_projection_factors_once_per_sample(monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         if hasattr(module, "iwasawa"):
             monkeypatch.setattr(module, "iwasawa", factor("iwasawa", real_iwasawa))
-        if hasattr(module, "_factor"):
-            monkeypatch.setattr(module, "_factor", factor("_factor", real_factor))
+        if hasattr(module, "qr_positive"):
+            monkeypatch.setattr(module, "qr_positive", factor("qr_positive", real_qr))
         if hasattr(module, "_require_det_one"):
             monkeypatch.setattr(module, "_require_det_one", require_det_one)
         if hasattr(module, "_flag_points"):
@@ -421,9 +429,10 @@ def test_projection_factors_once_per_sample(monkeypatch):
     killings = calls.pop("killing")
     assert calls == {**dict.fromkeys(single, 0), "_from_cotangent": 1, "_cotangent": 2,
                      "_check_fiber": 3, "_fiber_coefficients": 3}
-    # each witness stack is factored once, right after its one determinant
-    # check with its orbit points: g and g z, then the three witness solves
-    assert shapes == [("_factor", (2, 2, 6, 6)), ("_factor", (2, 2, 6, 6))]
+    # K of each witness stack is read once, by its QR alone, right after its
+    # one determinant check with its orbit points: g and g z, then the
+    # returns of the two fiber round trips
+    assert shapes == [("qr_positive", (2, 2, 6, 6)), ("qr_positive", (2, 2, 6, 6))]
     assert det_shapes == [(2, 2, 6, 6), (2, 3, 6, 6)]
     assert flag_shapes == [(2, 3, 6, 6), (2, 2, 6, 6)]
     calls["killing"] = 0
@@ -467,22 +476,36 @@ def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
 AT = (3, 1)  # stencil offset +2h along axis 1
 
 
-def scale_witness(stack, s):
+def scale_witness(call, stack, s):
     stack[s][AT] *= 2.0  # determinant 2^n, which the stencil's one determinant check rejects
+    return call(stack)
 
 
-def drop_column(stack, s):
+def drop_column(call, stack, s):
     stack[s][AT][:, 1] = 0.0  # a dependent column for the factorization
+    return call(stack)
+
+
+def tilt_rotation(call, stack, s):
+    """K gains 1e-3 in its corner (0, n-1), so (A N)^-1 = triu(w^-1 K) gains
+    1e-3 times w^-1's first column in its last column, all of it upper,
+    and A N (A N)^-1 misses I by 1e-3."""
+    k, an = call(stack)
+    k[s][AT][0, -1] += 1e-3
+    return k, an
 
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
     ("orbitsym.orbit", "_require_det_one", scale_witness, "ValueError"),
     ("orbitsym.orbit", "qr_positive", drop_column, "SingularInput"),
+    ("orbitsym.orbit", "qr_positive", tilt_rotation, "ValueError"),
 ])
 def test_breakdown_at_one_stencil_point_fails_only_its_sample(
         chamber3, monkeypatch, module, name, corrupt, exception):
     """A breakdown at one of the 4 dim stencil points of sample 1's
-    cotangent form fails that sample, under the exception name a
+    cotangent form (a witness off determinant one, a singular witness, or
+    a wrong (A N)^-1, which the stencil's inverse check rejects) fails
+    that sample, under the exception name a
     per-point evaluation raises, and leaves samples 0 and 2 passing with
     their clean values.  Sample 1 is recognised by its data, the witness
     of its chart's base point, at its slot of the stacked chunk and then
@@ -510,7 +533,7 @@ def test_breakdown_at_one_stencil_point_fails_only_its_sample(
             for s, base in enumerate(bases[-1]):
                 if np.array_equal(base, target):
                     corrupted.append(s)
-                    corrupt(stack, s)
+                    return corrupt(lambda a: real(*head, a), stack, s)
         return real(*head, stack)
 
     monkeypatch.setattr(owner, name, kernel)
@@ -538,7 +561,8 @@ def test_breakdown_in_one_sample_of_a_batch_fails_only_that_sample(
     data, taken from a clean pass, in which the factorization's leading
     axis runs over the samples."""
     clean = run_suite(chamber3, name, samples=3, seed=4)
-    owner = importlib.import_module("orbitsym.iwasawa")
+    # projection reads K of its checked witnesses by QR alone
+    owner = suites if name == "projection" else importlib.import_module("orbitsym.iwasawa")
     real = owner.qr_positive
     first = []
 
@@ -658,8 +682,9 @@ def test_nan_in_a_computed_orbit_form_fails_invariance(chamber3, monkeypatch, sv
     """A NaN in sample 1's computed orbit form gives sample 1 an infinite
     invariance error, and samples 0 and 2 keep their values.  With the real
     SVD the NaN fails nondegeneracy's SVD first, so the sample raises
-    ``LinAlgError`` on its own; with the SVD stubbed out, the NaN reaches
-    the invariance column, which counts it as infinite rather than NaN.
+    ``LinAlgError`` on its own; with the SVD that ``_check_theorem`` calls
+    stubbed out, the NaN reaches the invariance column, which counts it as
+    infinite rather than NaN.
     Sample 1's point is recognised by its bits, taken from the first
     (whole-chunk) call, whatever the samples it is stacked with."""
     clean = run_suite(chamber3, "theorem", samples=3, seed=6)
@@ -675,8 +700,8 @@ def test_nan_in_a_computed_orbit_form_fails_invariance(chamber3, monkeypatch, sv
 
     monkeypatch.setattr(symplectic, "_bracket_pairing", pairing)
     if svd == "stubbed":
-        monkeypatch.setattr(symplectic.FormMatrix, "smallest_singular_value",
-                            lambda form: np.ones(form.entries.shape[:-2]))
+        monkeypatch.setattr(suites.np.linalg, "svd",
+                            lambda a, compute_uv=True: np.ones(a.shape[:-1]))
     reports = {r.suite: r for r in run_suite(chamber3, "theorem", samples=3, seed=6)}
     report, before = reports["theorem-invariance"], clean[1]
     payload = report.as_dict()

@@ -383,26 +383,26 @@ class TestFormMatrices:
         g = chamber3.model.random_group_element(43, 0.4)
         chart = orbit_chart(orbit_point(chamber3, g))
         for form in (omega_std_chart(chart), omega_kks_chart(chart)):
-            assert np.array_equal(form.entries, -form.entries.T)
+            assert np.array_equal(form, -form.T)
 
     def test_two_by_two_value_by_hand(self, chamber2):
         chart = orbit_chart(orbit_point(chamber2, np.eye(2)))
         std = omega_std_chart(chart)
         kks_form = omega_kks_chart(chart)
-        assert kks_form.entries[0, 1] == pytest.approx(8.0, abs=1e-12)
-        assert std.entries[0, 1] == pytest.approx(8.0, abs=1e-5)
+        assert kks_form[0, 1] == pytest.approx(8.0, abs=1e-12)
+        assert std[0, 1] == pytest.approx(8.0, abs=1e-5)
 
     def test_kks_diagonal_blocks_vanish(self, chamber3):
         g = chamber3.model.random_group_element(45, 0.4)
         chart = orbit_chart(orbit_point(chamber3, g))
-        entries = omega_kks_chart(chart).entries
+        entries = omega_kks_chart(chart)
         m = chamber3.dim_n
         assert np.max(np.abs(entries[:m, :m])) <= 1e-12  # both directions lowered
         assert np.max(np.abs(entries[m:, m:])) <= 1e-12  # both directions raised
 
     def test_std_diagonal_blocks_vanish_at_zero_section(self, chamber3):
         chart = orbit_chart(orbit_point(chamber3, np.eye(3)))
-        entries = omega_std_chart(chart).entries
+        entries = omega_std_chart(chart)
         m = chamber3.dim_n
         assert np.max(np.abs(entries[:m, :m])) <= 1e-6
         assert np.max(np.abs(entries[m:, m:])) <= 1e-6
@@ -410,11 +410,11 @@ class TestFormMatrices:
     def test_kks_chart_constant_across_parameters(self, wall3):
         g = wall3.model.random_group_element(47, 0.4)
         chart = orbit_chart(orbit_point(wall3, g))
-        base = omega_kks_chart(chart).entries
+        base = omega_kks_chart(chart)
         rng = np.random.default_rng(49)
         for _ in range(5):
             t = rng.uniform(-1e-3, 1e-3, chart.dim)
-            moved = omega_kks_chart(chart, t).entries
+            moved = omega_kks_chart(chart, t)
             assert np.max(np.abs(moved - base)) <= 1e-9 * max(1.0, np.max(np.abs(base)))
 
     def test_forms_agree_on_independent_direction_basis(self, chamber3):
@@ -430,15 +430,15 @@ class TestFormMatrices:
             sum(c * d for c, d in zip(row, default)) for row in mix
         ]
         chart = orbit_chart(x, directions=directions)
-        std = omega_std_chart(chart).entries
-        kks_form = omega_kks_chart(chart).entries
+        std = omega_std_chart(chart)
+        kks_form = omega_kks_chart(chart)
         scale = max(1.0, np.max(np.abs(kks_form)))
         assert np.max(np.abs(std - kks_form)) <= 1e-5 * scale
 
     def test_smallest_singular_value(self, chamber2):
         chart = orbit_chart(orbit_point(chamber2, np.eye(2)))
         form = omega_kks_chart(chart)
-        assert form.smallest_singular_value() == pytest.approx(8.0)
+        assert np.linalg.svd(form, compute_uv=False)[-1] == pytest.approx(8.0)
 
 
 @pytest.mark.parametrize("entries", sweep_chambers())
@@ -458,7 +458,7 @@ def test_orbit_form_is_the_chamber_constant(entries):
     witnesses = np.stack([np.eye(model.n),
                           *[model.random_group_element(seed, 1.2 / model.n) for seed in (3, 4)],
                           *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6, 7)]])
-    kks_form = omega_kks_chart(orbit_chart(orbit_point(chamber, witnesses))).entries
+    kks_form = omega_kks_chart(orbit_chart(orbit_point(chamber, witnesses)))
     tolerance = 1e-13 * max(1.0, np.max(np.abs(omega), initial=0.0))
     assert np.max(np.abs(kks_form - omega), initial=0.0) <= tolerance
     if chamber.dim_n:
@@ -470,13 +470,15 @@ def test_orbit_form_is_the_chamber_constant(entries):
 
 
 def inverting_stencil(chart, fd_step):
-    """The stencil witnesses, points and dual matrices by the route that
-    inverts each stencil witness w = g exp(s X), rebuilds its fiber from
-    the point and K, and solves with its A N factor."""
+    """The stencil witnesses, the inverses (A N)^-1 = w^-1 K and the dual
+    matrices by the route that inverts each stencil witness w = g exp(s X),
+    rebuilds its fiber from the point and K, and solves with its A N
+    factor."""
     chamber = chart.at.chamber
     offsets = np.multiply(STENCIL_OFFSETS, fd_step)
     w = chart.at.witness[..., None, None, :, :] @ chamber._shift_exps(chart.directions, offsets)
-    x = w @ chamber.matrix @ np.linalg.inv(w)
+    w_inv = np.linalg.inv(w)
+    x = w @ chamber.matrix @ w_inv
     fac = iwasawa(w)
     k = fac.k_factor
     k_t = np.swapaxes(k, -1, -2)
@@ -484,7 +486,7 @@ def inverting_stencil(chart, fd_step):
     lower = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
     an = fac.an_factor()
     u = np.multiply.outer(offsets, chart.directions)
-    return w, x, _dexp(-u, np.linalg.solve(an, np.swapaxes(lower, -1, -2) @ an))
+    return w, w_inv @ k, _dexp(-u, np.linalg.solve(an, np.swapaxes(lower, -1, -2) @ an))
 
 
 @pytest.mark.parametrize("basis", [None, "m_basis"])
@@ -493,7 +495,7 @@ def test_stencil_inverses_match_the_inverting_route(entries, basis, monkeypatch)
     """The stencil inverts each witness w = g exp(s X) as exp(-s X) g^-1,
     from the chamber's kept exponentials (mirrored, since the offsets are
     symmetric) and the base point's kept inverse, and reads (A N)^-1 as
-    triu(w^-1 K).  The points it checks and the dual matrices read from R
+    triu(w^-1 K).  Its inverses (A N)^-1 and the dual matrices read from R
     alone equal those of the route that inverts, rebuilds each fiber and
     solves, within 1e-12 times each base point's scale, at the identity,
     generic and far witnesses.  Its K and R are ``qr_positive`` of the same
@@ -517,12 +519,11 @@ def test_stencil_inverses_match_the_inverting_route(entries, basis, monkeypatch)
             return seen[name][1]
         return wrapper
 
-    for module, name in ((orbit_module, "_conjugates"), (orbit_module, "qr_positive"),
-                         (symplectic, "_dexp")):
+    for module, name in ((orbit_module, "qr_positive"), (symplectic, "_dexp")):
         monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     u, an, an_inv = chart._stencil(1e-3)
     dual = symplectic._tautological_dual(chamber, an, an_inv, u)
-    w_ref, x_ref, dual_ref = inverting_stencil(chart, 1e-3)
+    w_ref, an_inv_ref, dual_ref = inverting_stencil(chart, 1e-3)
     (w,), (k, _) = seen["qr_positive"]
     k_ref, r_ref = qr_positive(w_ref)
     assert np.array_equal(w, w_ref)
@@ -530,9 +531,30 @@ def test_stencil_inverses_match_the_inverting_route(entries, basis, monkeypatch)
     assert np.array_equal(an_inv, np.triu(an_inv))
     (_, v), _ = seen["_dexp"]
     assert np.array_equal(v, np.triu(v, 1))
-    for got, ref in ((seen["_conjugates"][1], x_ref), (dual, dual_ref)):
+    for got, ref in ((an_inv, an_inv_ref), (dual, dual_ref)):
         scale = np.fmax(1.0, np.max(np.abs(ref), axis=(1, 2, 3, 4)))
         assert np.all(np.max(np.abs(got - ref), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("basis", [None, "n_basis", "m_basis"])
+@pytest.mark.parametrize("entries", [[1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]],
+                         ids=["chamber3", "n6-regular"])
+def test_stencil_is_the_same_under_dilation(entries, basis):
+    """A N and (A N)^-1 of the stencil witnesses do not depend on the scale
+    of H, and neither does the stencil's inverse check, which has no
+    max(1, .) floor: the stencil of the same witnesses at c H, for c =
+    2^-40, 1 and 2^40, returns the same (u, A N, (A N)^-1) bit for bit and
+    raises at none of them."""
+    model = SpecialLinearModel(len(entries))
+    witnesses = np.stack([np.eye(model.n),
+                          *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6)]])
+    stencils = []
+    for c in (2.0 ** -40, 1.0, 2.0 ** 40):
+        chamber = model.chamber_element([c * e for e in entries])
+        directions = None if basis is None else getattr(chamber, basis)
+        chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
+        stencils.append([a.tobytes() for a in chart._stencil(1e-3)])
+    assert stencils[0] == stencils[1] == stencils[2]
 
 
 def reference_tautological(x, fac, gens):
@@ -613,7 +635,7 @@ class TestStackedKernels:
         t = np.random.default_rng(59).uniform(-1e-2, 1e-2, chart.dim)
         p, gens = chart.frame_generators(t)
         ref = np.array([[model.killing(p.point, commutator(a, b)) for b in gens] for a in gens])
-        entries = omega_kks_chart(chart, t).entries
+        entries = omega_kks_chart(chart, t)
         assert np.max(np.abs(entries - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
         assert np.array_equal(entries, -entries.T)
         assert np.all(np.diag(entries) == 0.0)
@@ -640,7 +662,7 @@ class TestStackedKernels:
     def test_std_chart_matches_reference_loop(self, chamber_name, request):
         chart = self.chart(request.getfixturevalue(chamber_name))
         ref = reference_std_chart(chart)
-        entries = omega_std_chart(chart).entries
+        entries = omega_std_chart(chart)
         assert np.max(np.abs(entries - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("dim", [0, 1])
@@ -651,8 +673,8 @@ class TestStackedKernels:
             chart = orbit_chart(orbit_point(chamber2, np.eye(2)), directions=chamber2.n_basis)
         assert chart.dim == dim
         for form in (omega_std_chart(chart), omega_kks_chart(chart)):
-            assert form.entries.shape == (dim, dim)
-            assert np.all(form.entries == 0.0)
+            assert form.shape == (dim, dim)
+            assert np.all(form == 0.0)
 
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_dual_matches_per_point_tautological_stack(self, chamber_name, request):
@@ -703,16 +725,16 @@ class TestStackedKernels:
         _, gens = stacked.frame_generators(t0)
         kks_form = omega_kks_chart(stacked)
         std_form = omega_std_chart(stacked)
-        smin = kks_form.smallest_singular_value()
+        smin = np.linalg.svd(kks_form, compute_uv=False)[..., -1]
         assert gens.shape == (len(witnesses), stacked.dim, *witnesses.shape[1:])
         assert smin.shape == (len(witnesses),)
         for i, g in enumerate(witnesses):
             chart = orbit_chart(orbit_point(chamber, g), directions=directions)
             single = omega_kks_chart(chart)
             assert np.array_equal(gens[i], chart.frame_generators(t0)[1])
-            assert np.array_equal(kks_form.entries[i], single.entries)
-            assert np.array_equal(std_form.entries[i], omega_std_chart(chart).entries)
-            assert smin[i] == single.smallest_singular_value()
+            assert np.array_equal(kks_form[i], single)
+            assert np.array_equal(std_form[i], omega_std_chart(chart))
+            assert smin[i] == np.linalg.svd(single, compute_uv=False)[-1]
 
     def test_dexp_series_of_a_stack_stop_on_their_own(self, chamber4):
         """Each index of the axes that x has in front of u's gets the terms
@@ -771,8 +793,11 @@ class TestStackedKernels:
         """Call-count guard: every stencil point is factored once, all in
         one stacked QR without a determinant check of its own or an Iwasawa
         factorization around it, after one stacked determinant check; no
-        single-point orbit point, factorization or tautological call."""
-        calls = {"orbit_point": 0, "tautological": 0}
+        single-point orbit point, factorization or tautological call.  No
+        stencil point is built or spectrum-checked: no ``_conjugates`` or
+        ``char_poly`` call."""
+        names = ("orbit_point", "tautological", "_conjugates", "char_poly")
+        calls = dict.fromkeys(names, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -790,21 +815,21 @@ class TestStackedKernels:
 
         # Every factorization and determinant check keeps its entry point
         # and shape, so a single-point one would show up as (3, 3), and an
-        # Iwasawa factorization as an ``iwasawa`` or ``_factor`` entry
-        # before its QR.  The package re-exports the function iwasawa under
-        # its module's name.
+        # Iwasawa factorization as an ``iwasawa`` entry before its QR.  The
+        # package re-exports the function iwasawa under its module's name.
         chart = self.chart(chamber3)
         iwasawa_module = importlib.import_module("orbitsym.iwasawa")
         for module in (symplectic, orbit_module, iwasawa_module):
-            for name, log in (("iwasawa", factored), ("_factor", factored),
-                              ("qr_positive", factored), ("_require_det_one", checked)):
+            for name, log in (("iwasawa", factored), ("qr_positive", factored),
+                              ("_require_det_one", checked)):
                 if hasattr(module, name):
                     real = getattr(iwasawa_module, name)
                     monkeypatch.setattr(module, name, recorded(name, real, log))
-        monkeypatch.setattr(orbit_module, "orbit_point", counted("orbit_point", orbit_point))
-        monkeypatch.setattr(symplectic, "tautological", counted("tautological", tautological))
+        for module, name in ((orbit_module, "orbit_point"), (symplectic, "tautological"),
+                             (orbit_module, "_conjugates"), (orbit_module, "char_poly")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         omega_std_chart(chart)
-        assert calls == {"orbit_point": 0, "tautological": 0}
+        assert calls == dict.fromkeys(names, 0)
         stencil = (4, chart.dim, 3, 3)
         assert factored == [("qr_positive", stencil)]
         assert checked == [("_require_det_one", stencil)]
