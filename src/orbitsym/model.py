@@ -28,8 +28,8 @@ import numpy as np
 
 from .numerics import char_poly, mat_exp
 
-# Shift exponentials kept per chamber: its three chart stacks at two steps.
-_SHIFT_EXPS_KEPT = 6
+# Shift exponentials kept per chamber: the m(H) stack of ``graph`` at two steps.
+_SHIFT_EXPS_KEPT = 2
 
 
 class NotInChamber(ValueError):
@@ -270,8 +270,8 @@ class ChamberElement:
     Each basis is a read-only (dim, n, n) stack.  What depends on H alone
     is built once per chamber, on first use: ``_chart_basis``, the default
     chart directions, ``_orbit_form``, the orbit form on them, and the
-    stencil exponentials of its own stacks (``_shift_exps``), so a chamber
-    shared across calls shares them too.
+    potential stencil exponentials of its own stacks (``_shift_exps``), so
+    a chamber shared across calls shares them too.
     """
 
     model: SpecialLinearModel

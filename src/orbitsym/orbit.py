@@ -28,8 +28,7 @@ import numpy as np
 
 from .iwasawa import IwasawaFactors, _require_det_one, iwasawa
 from .model import ChamberElement
-from .numerics import (STENCIL_OFFSETS, _frobenius_stack, char_poly, commutator, mat_exp,
-                       qr_positive)
+from .numerics import _frobenius_stack, char_poly, commutator, mat_exp
 
 
 class NotOrthogonal(ValueError):
@@ -53,15 +52,16 @@ CHAR_RTOL = 1e-9
 TRACE_RTOL = 1e-10
 # A fiber may leave the conjugated n(H) by FIBER_RTOL times its orbit point.
 FIBER_RTOL = 1e-10
-# A stencil pair A N, (A N)^-1 may miss the identity by INVERSE_RTOL times
-# the product of their norms; neither depends on the scale of H.
+# A witness's R factor A N and its inverse may miss the identity by
+# INVERSE_RTOL times the product of their norms; neither depends on the
+# scale of H.
 INVERSE_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class OrbitPoint:
     """An orbit point x = g H g^-1 with its witness g and the inverse g^-1,
-    which the chart's frames and stencil reuse."""
+    which the chart's frames and the standard form reuse."""
 
     chamber: ChamberElement
     witness: np.ndarray
@@ -351,8 +351,8 @@ class OrbitChart:
     Ad(g(t)) X_i of the moving frame [Ad(g(t)) X_i, x(t)] instead; the two
     agree at t = 0.  ``directions`` holds the X_i as one read-only stack
     (dim, n, n).  The base point ``at`` may be a stack (..., n, n):
-    ``point``, ``frame_generators`` and the stencil then stack over the
-    base points, each equal to its own chart's bit for bit.
+    ``point``, ``frame_generators`` and the chart forms then stack over
+    the base points, each equal to its own chart's bit for bit.
     """
 
     at: OrbitPoint
@@ -375,30 +375,6 @@ class OrbitChart:
         if not u.any():
             return self.at
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
-
-    def _stencil(self, fd_step: float) -> tuple:
-        """The standard form's stencil: the chart's witnesses w = g exp(s X_i)
-        = K A N at every axis shift s e_i, for each s of ``STENCIL_OFFSETS``
-        times ``fd_step`` and each axis i, in one stacked pass.  Returns
-        (u, an, an_inv): the displacements s X_i, stacked (4, dim, n, n),
-        and, stacked (..., 4, dim, n, n) over the base points, the R factors
-        A N and (A N)^-1 = triu(w^-1 K), exactly triangular, with w^-1 =
-        exp(-s X_i) g^-1 from the mirrored slice of the chamber's kept
-        exponentials (``ChamberElement._shift_exps``; the offsets are
-        symmetric) and the base point's kept inverse.  Each witness's
-        determinant is checked once, its QR checks its entries and pivots,
-        and no orbit point is built: a pair with |A N (A N)^-1 - I| >
-        ``INVERSE_RTOL`` |A N| |(A N)^-1| (Frobenius) raises ``ValueError``."""
-        offsets = np.multiply(STENCIL_OFFSETS, fd_step)
-        exps = self.at.chamber._shift_exps(self.directions, offsets)
-        w = self.at.witness[..., None, None, :, :] @ exps
-        _require_det_one(w)
-        k, an = qr_positive(w)
-        an_inv = np.triu(exps[::-1] @ self.at.witness_inverse[..., None, None, :, :] @ k)
-        miss = _frobenius_stack(an @ an_inv - np.eye(w.shape[-1]))
-        if not np.all(miss <= INVERSE_RTOL * _frobenius_stack(an) * _frobenius_stack(an_inv)):
-            raise ValueError("stencil witness inverse does not invert its R factor")
-        return np.multiply.outer(offsets, self.directions), an, an_inv
 
     def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point at t and the left-trivialized generators dexp(u, X_i) of

@@ -15,7 +15,7 @@ fills one array in place), then runs each stage once over the stack of
 samples: the draws' trace removals and basis combinations,
 exponentials, factorizations, orbit and flag points, cotangent
 representatives, the witness solves, graph routes, and the charts of
-``theorem`` and ``lagrangian-*`` with their stencils.  Kernel calls on
+``theorem`` and ``lagrangian-*`` with their R factors.  Kernel calls on
 stacks that do not depend on each other are one call over both, such as
 ``iwasawa``'s factorizations of g and of k0 a0 n0, ``graph``'s
 exponentials of the witness and rotation logs and ``projection``'s flag
@@ -341,8 +341,9 @@ def _check_lagrangian(basis):
     """Isotropy, for both symplectic forms, of the chart spanned by the
     chamber's stack ``basis(chamber)``: the ruling fibers (``n_basis``)
     or displaced flag tangents (``m_basis``), at the points of all
-    samples at once.  The chart holds the chamber's own stack, whose
-    stencil exponentials the chamber keeps."""
+    samples at once.  The chart holds the chamber's own stack, so it
+    skips the rank check; the standard form is exact, so ``fd_step`` goes
+    only into the reports."""
 
     def check(chamber, rngs, indices, fd_step):
         model = chamber.model
@@ -353,7 +354,7 @@ def _check_lagrangian(basis):
         scale = np.fmax(1.0, model.killing_coefficient * _frobenius_stack(x.point) * (zmax * zmax))
         pairing = _bracket_pairing(chamber, x.point, gens)
         e_kks = _rel(np.max(np.abs(pairing), axis=(-2, -1), initial=0.0), scale)
-        std = omega_std_chart(chart, fd_step)  # zero below dimension 2
+        std = omega_std_chart(chart)  # zero below dimension 2
         e_std = _rel(np.max(np.abs(std), axis=(-2, -1), initial=0.0), scale)
         return np.transpose([e_kks, e_std])
 
@@ -385,7 +386,9 @@ def _check_graph(chamber, rngs, indices, fd_step):
 def _check_theorem(chamber, rngs, indices, fd_step):
     """Entrywise equality of the two forms in the default chart, plus
     invariance and nondegeneracy of the orbit form, at the points of all
-    samples at once.  Invariance compares each sample's orbit form with
+    samples at once.  The standard form is minus the exact derivative of
+    the tautological form, from one QR per sample (``omega_std_chart``);
+    ``theorem-match`` keeps its "fd" class and tolerance.  Invariance compares each sample's orbit form with
     the chamber's exact Omega(H) (``ChamberElement._orbit_form``): at
     t = 0 the frame generators are g X_a g^-1 at x = g H g^-1, so the
     Ad-invariance of the Killing form makes the form Omega(H) at every
@@ -400,7 +403,7 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     chart = orbit_chart(orbit_point(chamber, g))
     if chart.dim == 0:
         return np.zeros((len(rngs), 3))
-    kks, std = omega_kks_chart(chart), omega_std_chart(chart, fd_step)
+    kks, std = omega_kks_chart(chart), omega_std_chart(chart)
     # fmax skips NaN as the builtin max does
     scale = np.fmax(np.fmax(1.0, np.max(np.abs(kks), axis=(-2, -1))),
                     np.max(np.abs(std), axis=(-2, -1)))

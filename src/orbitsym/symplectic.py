@@ -10,23 +10,22 @@ expression
 
 where the K-velocity is the antisymmetric part of the Iwasawa factor
 derivative along V's generator.  On all coordinate fields of a chart
-this pairing is one matrix per point (``_tautological_dual``).  Both
-Killing pairings of a chart (the orbit form on all frame pairs, lambda
-on all coordinate fields) are BLAS products of flattened (n*n) stacks,
-one per base point, so a chart at a stack of base points gives each
-the single chart's read-only matrix bit for bit.  The standard form
-builds and checks a chart's stencil in one pass over all its base
-points and all four offsets (``OrbitChart._stencil``): each stencil
-witness w = g exp(s X) = K A N has its determinant checked once and one
-QR, whose R is A N, and (A N)^-1 = triu(w^-1 K), checked against A N,
-comes from the chamber's kept exponentials and the base point's kept
-inverse; no stencil point is built.
-Since Ad(A N) H lies in H + n(H), the dual reads R alone; the
-single-point ``tautological`` keeps the route through the point's fiber
-and K as its reference.  The orbit form needs no stencil:
-by the Ad-invariance of the Killing form it is, at t = 0, the chamber's
-constant ``_orbit_form`` at every witness, and ``theorem`` checks it
-against that.
+this pairing is one matrix D per point, lambda_j = 2n tr(D X_j), and at
+the chart's base point g = K R (R = A N) its derivative along X_i has a
+closed form read from R alone:
+
+    d_i D = [L_i, P] + 1/2 [X_i, V0],   P = R^-1 H R,   V0 = H - P,
+
+with L_i = R^-1 triu(R X_i R^-1) R, so ``omega_std_chart`` takes minus
+the exterior derivative exactly, from one QR per base point.  The orbit
+form pairs bracket generators instead (``_bracket_pairing``).  Both
+Killing pairings of a chart are BLAS products of flattened (n*n)
+stacks, one per base point, so a chart at a stack of base points gives
+each the single chart's read-only matrix bit for bit.  The single-point
+``tautological`` keeps the route through the point's fiber and K as
+its reference.  By the Ad-invariance of the Killing form the orbit form
+is, at t = 0, the chamber's constant ``_orbit_form`` at every witness,
+and ``theorem`` checks it against that.
 ``graph_routes`` compares the one-form cutting out a displaced flag
 section with the cotangent covector and the potential's differential
 over stacks of witnesses and flag directions, factoring each witness
@@ -44,14 +43,15 @@ import numpy as np
 from .iwasawa import (IwasawaFactors, InfinitesimalIwasawa, _diagonals, _require_det_one,
                       infinitesimal_iwasawa, iwasawa)
 from .model import ChamberElement, split_kan
-from .numerics import STENCIL_OFFSETS, _pivots, _stack, _stencil_diff
+from .numerics import (STENCIL_OFFSETS, _frobenius_stack, _pivots, _stack, _stencil_diff,
+                       commutator, qr_positive)
 from .orbit import (
+    INVERSE_RTOL,
     OrbitChart,
     OrbitPoint,
     TangentVector,
     _check_fiber,
     _conjugates,
-    _dexp,
     _flag_points,
     solve_generator,
 )
@@ -109,24 +109,6 @@ def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray
     return x.chamber.model.killing_coefficient * np.einsum("ab,mba->m", fiber, k_velocities)
 
 
-def _tautological_dual(chamber: ChamberElement, an: np.ndarray, an_inv: np.ndarray,
-                       u: np.ndarray) -> np.ndarray:
-    """The tautological form on the coordinate fields at a stack of chart
-    points, as one matrix D per point: lambda_j = 2n tr(D X_j) for every
-    chart direction X_j, from the R factors ``an`` = A N of the points'
-    witnesses K A N, their inverses ``an_inv`` and the displacements ``u``,
-    all from the chart's stencil (``OrbitChart._stencil``).
-
-    The fiber deconjugated by K is F = A N H (A N)^-1 - H, in n(H), and its
-    pairing with the antisymmetric part of A N Z (A N)^-1 is tr(V Z) for
-    V = (A N)^-1 F A N = H - (A N)^-1 H A N, strictly upper triangular and
-    read as such.  The generator is Z = dexp(u, X_j), whose trace adjoint
-    is dexp(-u, .) (that of ad_u is -ad_u), so D = dexp(-u, V).
-    """
-    h = np.asarray(chamber.entries)
-    return _dexp(-u, -np.triu((an_inv * h) @ an, 1))
-
-
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     """Tautological (Liouville) one-form transported to the orbit.
 
@@ -141,33 +123,44 @@ def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     return float(_tautological_stack(x, fac, x_alg[None])[0])
 
 
-def omega_std_chart(chart: OrbitChart, fd_step: float = 1e-3) -> np.ndarray:
+def omega_std_chart(chart: OrbitChart) -> np.ndarray:
     """Cotangent-bundle form, as minus the exterior derivative of the
-    tautological one-form in chart coordinates.
+    tautological one-form in chart coordinates, at t = 0.
 
-    Entry (i, j) is -(d_i lambda_j - d_j lambda_i)(0), all axes at once
-    by one fourth-order stencil; lambda_j is evaluated on the honest
-    coordinate field, so the mixed partials cancel exactly and only the
-    finite-difference error survives.  The R factors A N of the 4 dim
-    stencil witnesses of each base point (one QR each) and their inverses
-    come from the chart's stencil at ``fd_step``, and each stencil point's
-    dual matrix, read from those two alone, gives lambda on every
-    coordinate field at once.  Returns the read-only array of the
+    Entry (i, j) is -(d_i lambda_j - d_j lambda_i) for d_ij = d_i lambda_j
+    = 2n tr(d_i D X_j), with d_i D = [L_i, P] + 1/2 [X_i, V0] as in the
+    module docstring, all pairs in one BLAS product per base point.  The
+    witness g = K R of each base point is factored once, and R^-1 =
+    triu(g^-1 K) comes from the point's kept inverse: a pair with
+    |R R^-1 - I| > ``INVERSE_RTOL`` |R| |R^-1| (Frobenius) raises
+    ``ValueError``.  U_i = triu(R X_i R^-1) is the A N velocity of the
+    factor curve g exp(s X_i); the strictly lower part of R X_i R^-1 that
+    the Iwasawa splitting folds into N adds a term to d_ij that is
+    symmetric in (i, j) and cancels.  R and the L_i do not depend on H, so
+    the form scales with H exactly.  Returns the read-only array of the
     matrix, (dim, dim), or one matrix per base point of a stacked chart,
     (..., dim, dim).
     """
     m = chart.dim
-    entries = np.zeros((*chart.at.witness.shape[:-2], m, m))
+    at = chart.at
+    entries = np.zeros((*at.witness.shape[:-2], m, m))
     if m >= 2:
-        u, an, an_inv = chart._stencil(fd_step)
-        dual = _tautological_dual(chart.at.chamber, an, an_inv, u)
-        # lam[..., o, i, j]: lambda_j at stencil offset o along axis i, each
-        # dual matrix's entries paired with those of X_j^T in one BLAS product
-        flat_dirs = np.swapaxes(chart.directions, -1, -2).reshape(m, -1)
-        coefficient = chart.at.chamber.model.killing_coefficient
-        lam = coefficient * (dual.reshape(*dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
-        # d[..., i, j] = d_i lambda_j; the diagonal is computed but cancels exactly
-        d = _stencil_diff(np.moveaxis(lam, -3, 0), fd_step)
+        k, an = qr_positive(at.witness)
+        an_inv = np.triu(at.witness_inverse @ k)
+        miss = _frobenius_stack(an @ an_inv - np.eye(an.shape[-1]))
+        if not np.all(miss <= INVERSE_RTOL * _frobenius_stack(an) * _frobenius_stack(an_inv)):
+            raise ValueError("witness inverse does not invert its R factor")
+        p = (an_inv * np.asarray(at.chamber.entries)) @ an
+        v0 = (at.chamber.matrix - p)[..., None, :, :]
+        dirs = chart.directions
+        u_i = np.triu(an[..., None, :, :] @ dirs @ an_inv[..., None, :, :])
+        l_i = an_inv[..., None, :, :] @ u_i @ an[..., None, :, :]
+        d_dual = commutator(l_i, p[..., None, :, :]) + 0.5 * commutator(dirs, v0)
+        # d[..., i, j] = d_i lambda_j: each d_i D paired with X_j^T, flattened;
+        # the diagonal is computed but cancels exactly
+        flat_dirs = np.swapaxes(dirs, -1, -2).reshape(m, -1)
+        coefficient = at.chamber.model.killing_coefficient
+        d = coefficient * (d_dual.reshape(*d_dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
         entries = np.swapaxes(d, -1, -2) - d
     entries.setflags(write=False)
     return entries

@@ -3,11 +3,8 @@ import importlib
 import importlib.util
 import json
 import math
-import os
-import shutil
-import subprocess
-import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -274,37 +271,35 @@ def test_graph_factors_once_per_sample(monkeypatch):
     [1, 0, -1],
     [2.5, 1.5, 0.5, -0.5, -1.5, -2.5],
 ], ids=["chamber3", "n6-regular"])
-def test_theorem_builds_its_stencil_once_per_sample(entries, monkeypatch):
-    """Call-count guard: a ``theorem`` call factors the stencil witnesses
-    of all its samples in one stacked QR of shape (samples, 4, dim, n, n),
-    the standard form's stencil, and builds no stencil point: the samples'
-    own orbit points, one (samples, n, n) pass through the one builder of
-    conjugates, ``_conjugates``, are the only points it builds."""
+def test_theorem_factors_each_witness_once(entries, monkeypatch):
+    """Call-count guard: a ``theorem`` call factors the witnesses of all its
+    samples in one stacked QR of shape (samples, n, n), the standard form's,
+    and builds no other point: the samples' own orbit points, one (samples,
+    n, n) pass through the one builder of conjugates, ``_conjugates``, are
+    the only points it builds."""
     n = len(entries)
     chamber = SpecialLinearModel(n).chamber_element(entries)
     shapes = {"_conjugates": [], "qr_positive": []}
 
     def recorded(name, real):
-        def wrapper(*args):  # the last argument is the stack: g^-1 or w
+        def wrapper(*args):  # the last argument is the stack: g^-1 or g
             shapes[name].append(np.shape(args[-1]))
             return real(*args)
         return wrapper
 
-    for name in shapes:
-        monkeypatch.setattr(orbit_module, name, recorded(name, getattr(orbit_module, name)))
+    for module, name in ((orbit_module, "_conjugates"), (symplectic, "qr_positive")):
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     reports = run_suite(chamber, "theorem", samples=3)
     assert all(r.passed for r in reports)
-    assert shapes == {"_conjugates": [(3, n, n)],
-                      "qr_positive": [(3, 4, 2 * chamber.dim_n, n, n)]}
+    assert shapes == {"_conjugates": [(3, n, n)], "qr_positive": [(3, n, n)]}
 
 
 @pytest.mark.parametrize("name", ["theorem", "lagrangian-vertical", "lagrangian-horizontal"])
-def test_no_stencil_witness_is_inverted_or_checked_twice(name, monkeypatch):
-    """Guard: at n = 6, a chart suite of three samples runs no
-    ``np.linalg.inv`` or ``np.linalg.solve`` on its stencil stack (samples,
-    4, dim, n, n) and one determinant check on it.  The base witnesses are
-    checked and inverted once, in one (samples, n, n) call each, and their
-    inverses serve the frames and the stencil."""
+def test_no_chart_witness_is_inverted_or_checked_twice(name, monkeypatch):
+    """Guard: at n = 6, a chart suite of three samples checks the
+    determinants of its base witnesses and inverts them once each, in one
+    (samples, n, n) call, and runs no ``np.linalg.solve``; the kept
+    inverses serve the frames and the standard form's R^-1."""
     chamber = SpecialLinearModel(6).chamber_element([2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
     shapes = {"inv": [], "solve": [], "slogdet": []}
 
@@ -320,47 +315,7 @@ def test_no_stencil_witness_is_inverted_or_checked_twice(name, monkeypatch):
         monkeypatch.setattr(np.linalg, fn_name, recorded(fn_name))
     reports = run_suite(chamber, name, samples=3)
     assert all(r.passed for r in reports)
-    dim = chamber.orbit_dim if name == "theorem" else chamber.dim_n
-    assert shapes == {"inv": [(3, 6, 6)], "solve": [], "slogdet": [(3, 6, 6), (3, 4, dim, 6, 6)]}
-
-
-def test_plus_exponentials_in_the_stencil_inverse_fail_theorem(tmp_path):
-    """Mutation check on a copy of the package: the stencil's witness
-    inverses from exp(+s X) in place of the mirrored exp(-s X).  The
-    stencil checks A N (A N)^-1 = I on the pair it returns, which a wrong
-    inverse misses along every direction, n(H) included, where the wrong
-    points g E H E g^-1 (E = exp(s X)) would keep the chamber's spectrum.
-    So at (1, 0, -1) and at the n = 6 regular chamber every report of
-    ``theorem`` and both ``lagrangian-*`` suites fails, each sample with
-    ``ValueError``."""
-    package = Path(orbit_module.__file__).resolve().parent
-    copy = tmp_path / "orbitsym"
-    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    source = copy / "orbit.py"
-    text = source.read_text(encoding="utf-8")
-    anchor = "an_inv = np.triu(exps[::-1] @ "
-    assert text.count(anchor) == 1
-    source.write_text(text.replace(anchor, "an_inv = np.triu(exps @ "), encoding="utf-8")
-    script = (
-        "import json, orbitsym\n"
-        "from orbitsym import SpecialLinearModel, run_suite\n"
-        "reports = {}\n"
-        "for entries in ([1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]):\n"
-        "    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)\n"
-        "    reports[len(entries)] = [\n"
-        "        [r.suite, r.passed, r.exceptions]\n"
-        "        for name in ('theorem', 'lagrangian-vertical', 'lagrangian-horizontal')\n"
-        "        for r in run_suite(chamber, name, samples=10, seed=3)]\n"
-        "print(json.dumps([orbitsym.__file__, reports]))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
-    location, reports = json.loads(result.stdout)
-    assert Path(location).resolve().parent == copy.resolve()
-    everywhere = [[i, "ValueError"] for i in range(10)]
-    for n in ("3", "6"):
-        assert len(reports[n]) == 7
-        assert all(not passed and raised == everywhere for _, passed, raised in reports[n])
+    assert shapes == {"inv": [(3, 6, 6)], "solve": [], "slogdet": [(3, 6, 6)]}
 
 
 def test_projection_factors_once_per_sample(monkeypatch):
@@ -473,50 +428,55 @@ def test_lagrangian_builds_one_frame_per_sample(chamber3, monkeypatch, mode):
     assert shapes == [(3, chamber3.dim_n, 3, 3)]
 
 
-AT = (3, 1)  # stencil offset +2h along axis 1
-
-
 def scale_witness(call, stack, s):
-    stack[s][AT] *= 2.0  # determinant 2^n, which the stencil's one determinant check rejects
+    stack[s] *= 2.0  # determinant 2^n, which the base points' determinant check rejects
     return call(stack)
 
 
 def drop_column(call, stack, s):
-    stack[s][AT][:, 1] = 0.0  # a dependent column for the factorization
+    stack[s][:, 1] = 0.0  # a dependent column for the factorization
     return call(stack)
 
 
 def tilt_rotation(call, stack, s):
-    """K gains 1e-3 in its corner (0, n-1), so (A N)^-1 = triu(w^-1 K) gains
-    1e-3 times w^-1's first column in its last column, all of it upper,
-    and A N (A N)^-1 misses I by 1e-3."""
+    """K gains 1e-3 in its corner (0, n-1), so R^-1 = triu(g^-1 K) gains
+    1e-3 times g^-1's first column in its last column, all of it upper,
+    and R R^-1 misses I by 1e-3."""
     k, an = call(stack)
-    k[s][AT][0, -1] += 1e-3
+    k[s][0, -1] += 1e-3
     return k, an
+
+
+def tilt_inverse(call, stack, s):
+    """The kept witness inverse gains 1e-3 in its corner (0, n-1); the
+    orbit point keeps its value, and R^-1 = triu(g^-1 K) misses R^-1."""
+    points, g_inv = call(stack)
+    g_inv[s][0, -1] += 1e-3
+    return points, g_inv
 
 
 @pytest.mark.parametrize("module, name, corrupt, exception", [
     ("orbitsym.orbit", "_require_det_one", scale_witness, "ValueError"),
-    ("orbitsym.orbit", "qr_positive", drop_column, "SingularInput"),
-    ("orbitsym.orbit", "qr_positive", tilt_rotation, "ValueError"),
-])
-def test_breakdown_at_one_stencil_point_fails_only_its_sample(
+    ("orbitsym.symplectic", "qr_positive", drop_column, "SingularInput"),
+    ("orbitsym.symplectic", "qr_positive", tilt_rotation, "ValueError"),
+    ("orbitsym.orbit", "_orbit_points", tilt_inverse, "ValueError"),
+], ids=["det", "singular", "rotation", "inverse"])
+def test_breakdown_at_one_base_point_fails_only_its_sample(
         chamber3, monkeypatch, module, name, corrupt, exception):
-    """A breakdown at one of the 4 dim stencil points of sample 1's
-    cotangent form (a witness off determinant one, a singular witness, or
-    a wrong (A N)^-1, which the stencil's inverse check rejects) fails
-    that sample, under the exception name a
-    per-point evaluation raises, and leaves samples 0 and 2 passing with
-    their clean values.  Sample 1 is recognised by its data, the witness
-    of its chart's base point, at its slot of the stacked chunk and then
-    in its rerun alone."""
+    """A breakdown at sample 1's base point (a witness off determinant one,
+    a witness that is singular for the standard form's QR, or a wrong R^-1
+    from a wrong K or a wrong kept witness inverse, which the standard
+    form's inverse check rejects) fails that sample under the exception
+    name a per-point evaluation raises, and leaves samples 0 and 2 passing
+    with their clean values.  Sample 1 is recognised by its data, the
+    witness of its chart's base point, at its slot of the stacked chunk
+    and then in its rerun alone."""
     clean = run_suite(chamber3, "theorem", samples=3, seed=7)
     real_points = orbit_module._orbit_points
     bases = []  # the chart base witnesses (samples, n, n) of each check, in call order
 
     def orbit_points(chamber, g):
-        if np.ndim(g) == 3:
-            bases.append(np.array(g))
+        bases.append(np.array(g))
         return real_points(chamber, g)
 
     monkeypatch.setattr(orbit_module, "_orbit_points", orbit_points)
@@ -529,11 +489,10 @@ def test_breakdown_at_one_stencil_point_fails_only_its_sample(
     def kernel(*args):
         *head, stack = args
         stack = np.array(stack)
-        if stack.ndim == 5:  # the stencil (samples, 4, dim, n, n)
-            for s, base in enumerate(bases[-1]):
-                if np.array_equal(base, target):
-                    corrupted.append(s)
-                    return corrupt(lambda a: real(*head, a), stack, s)
+        for s, base in enumerate(stack):
+            if np.array_equal(base, target):
+                corrupted.append(s)
+                return corrupt(lambda a: real(*head, a), stack, s)
         return real(*head, stack)
 
     monkeypatch.setattr(owner, name, kernel)
@@ -725,51 +684,56 @@ def test_half_killing_coefficient_fails_invariance(chamber3, monkeypatch):
     assert reports["theorem-nondegenerate"].passed
 
 
-def mutated_dual(v_of, dexp=True):
-    """A ``_tautological_dual`` that reads V = v_of(h, A N, (A N)^-1), with h
-    the chamber's entries, in place of V = H - (A N)^-1 H A N."""
-    def dual(chamber, an, an_inv, u):
-        v = v_of(np.asarray(chamber.entries), an, an_inv)
-        return orbit_module._dexp(-u, v) if dexp else v
-    return dual
+def mutated_std_chart(anchor, replacement):
+    """``omega_std_chart`` from a copy of the ``symplectic`` source in which
+    the one occurrence of ``anchor`` reads ``replacement``."""
+    source = Path(symplectic.__file__).read_text(encoding="utf-8")
+    assert source.count(anchor) == 1, anchor
+    module = types.ModuleType("orbitsym._mutated_symplectic")
+    module.__package__ = "orbitsym"
+    exec(compile(source.replace(anchor, replacement), symplectic.__file__, "exec"), module.__dict__)
+    return module.omega_std_chart
 
 
-# The mutations of the standard form's dual, each with its readings at
-# (1, 0, -1) and at the n = 6 regular chamber (10 samples, seed 3).
-DUAL_MUTATIONS = {
-    "sign-flipped": (mutated_dual(lambda h, an, an_inv: np.triu((an_inv * h) @ an, 1)),
-                     {"theorem-match": (2.0, 2.0)}),
-    "scaled-on-the-wrong-side": (
-        mutated_dual(lambda h, an, an_inv: -np.triu((h[:, None] * an_inv) @ an, 1)),
-        {"theorem-match": (1.0, 1.0)}),
-    "conjugated-the-wrong-way": (
-        mutated_dual(lambda h, an, an_inv: -np.triu((an * h) @ an_inv, 1)),
-        {"theorem-match": (2.0, 2.0), "lagrangian-horizontal-std": (0.04162, 0.08729)}),
-    "without-dexp": (
-        mutated_dual(lambda h, an, an_inv: -np.triu((an_inv * h) @ an, 1), dexp=False),
-        {"theorem-match": (1.0, 0.9488), "lagrangian-horizontal-std": (0.1200, 0.1354)}),
+# The mutations of the exact standard form d_i D = [L_i, P] + 1/2 [X_i, V0],
+# L_i = R^-1 U_i R, U_i = triu(R X_i R^-1), each with its worst
+# ``theorem-match`` at (1, 0, -1) and at the n = 6 regular chamber (10
+# samples, seed 3) and whether the identity witness of sample 0 fails it.
+EXACT_FORM_MUTATIONS = {
+    "half-bracket-dropped": ("+ 0.5 * commutator(dirs, v0)", "+ 0.0 * commutator(dirs, v0)",
+                             (1.0, 0.9488), False),
+    "half-bracket-doubled": ("+ 0.5 * commutator(dirs, v0)", "+ 1.0 * commutator(dirs, v0)",
+                             (1.0, 0.9488), False),
+    "velocity-unconjugated": ("l_i = an_inv[..., None, :, :] @ u_i @ an[..., None, :, :]",
+                              "l_i = u_i", (1.0, 1.0), False),
+    "velocity-diagonal": ("u_i = np.triu(", "u_i = np.eye(an.shape[-1]) * (", (1.0, 1.0), True),
 }
 
 
-@pytest.mark.parametrize("mutation", DUAL_MUTATIONS)
-def test_wrong_duals_fail_the_standard_form(monkeypatch, mutation):
-    """Mutation checks of V = H - (A N)^-1 H A N in the standard form: its
-    sign flipped, H applied on the wrong side (which makes V = 0), R H R^-1
-    in place of R^-1 H R, and V without dexp.  Each fails ``theorem-match``,
-    and two fail ``lagrangian-horizontal-std``, at the readings listed.
-    ``lagrangian-vertical-std`` reads exactly 0 under all four: on n(H)
-    every V stays strictly upper triangular, and it pairs to zero with
-    strictly upper directions (a blind spot of that column)."""
-    dual, expected = DUAL_MUTATIONS[mutation]
-    monkeypatch.setattr(symplectic, "_tautological_dual", dual)
+@pytest.mark.parametrize("mutation", EXACT_FORM_MUTATIONS)
+def test_wrong_exact_forms_fail_theorem(monkeypatch, mutation):
+    """Mutation checks of the exact standard form: 1/2 [X_i, V0] dropped or
+    doubled, L_i = U_i unconjugated, and U_i reduced to its diagonal.  Each
+    fails ``theorem-match`` at every sample whose witness is not the
+    identity, and ``lagrangian-horizontal-std`` too.  Sample 0 is exempt:
+    its witness is the identity, so R = I, V0 = 0 and L_i = U_i, and only
+    the diagonal mutation, which drops the whole velocity, changes its form
+    there.  ``lagrangian-vertical-std`` reads exactly 0 under all four: on
+    an n(H) chart every d_i D is a commutator of upper triangular matrices
+    with a zero diagonal, which pairs to zero with every strictly upper
+    direction (a blind spot of that column)."""
+    anchor, replacement, readings, fails_at_identity = EXACT_FORM_MUTATIONS[mutation]
+    monkeypatch.setattr(suites, "omega_std_chart", mutated_std_chart(anchor, replacement))
     for c, entries in enumerate(([1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5])):
         chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
         reports = {r.suite: r for name in ("theorem", "lagrangian-horizontal",
                                            "lagrangian-vertical")
                    for r in run_suite(chamber, name, samples=10, seed=3)}
-        for name, readings in expected.items():
-            assert reports[name].max_error == pytest.approx(readings[c], rel=1e-3)
-            assert not reports[name].passed
+        match = reports["theorem-match"]
+        assert match.max_error == pytest.approx(readings[c], rel=1e-3)
+        assert all(e > match.tolerance for e in match.sample_errors[1:])
+        assert (match.sample_errors[0] > match.tolerance) == fails_at_identity
+        assert not reports["lagrangian-horizontal-std"].passed
         assert reports["lagrangian-vertical-std"].max_error == 0.0
 
 
@@ -995,10 +959,11 @@ def test_error_reductions_per_call_do_not_grow_with_samples(monkeypatch):
         assert counts[0] == counts[1], name
 
 
-def test_graph_and_lagrangian_horizontal_share_one_exponential_stack(monkeypatch):
-    """Both suites read the stencil exponentials of m(H) from the chamber:
-    one read-only stack, computed once for all their calls and equal bit
-    for bit to a fresh ``mat_exp`` of the same displacements."""
+def test_graph_calls_share_one_exponential_stack(monkeypatch):
+    """``graph`` reads the potential stencil exponentials of m(H) from the
+    chamber: one read-only stack, computed once for all its calls and equal
+    bit for bit to a fresh ``mat_exp`` of the same displacements.  The
+    exact standard form of ``lagrangian-horizontal`` reads none."""
     chamber = SpecialLinearModel(4).chamber_element([1.5, 0.5, -0.5, -1.5])
     real = ChamberElement._shift_exps
     read = []
@@ -1013,7 +978,7 @@ def test_graph_and_lagrangian_horizontal_share_one_exponential_stack(monkeypatch
     monkeypatch.setattr(model_module, "mat_exp", lambda x: exp_calls.append(x.shape) or mat_exp(x))
     for name in ("lagrangian-horizontal", "graph", "lagrangian-horizontal", "graph"):
         assert all(r.passed for r in run_suite(chamber, name, samples=3, seed=1))
-    assert [directions is chamber.m_basis for directions, _ in read] == [True] * 4
+    assert [directions is chamber.m_basis for directions, _ in read] == [True] * 2
     assert all(exps is read[0][1] for _, exps in read)
     assert not read[0][1].flags.writeable
     assert exp_calls == [(4, chamber.dim_m, 4, 4)]

@@ -1,10 +1,12 @@
 import importlib
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitsym import (
     graph_routes,
@@ -21,10 +23,10 @@ from orbitsym import (
     to_cotangent,
 )
 from orbitsym import orbit as orbit_module
-from orbitsym import symplectic
+from orbitsym import suites, symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.model import SpecialLinearModel, random_combination
-from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator, qr_positive
+from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator
 from orbitsym.orbit import _dexp
 
 
@@ -469,92 +471,74 @@ def test_orbit_form_is_the_chamber_constant(entries):
         assert smin == pytest.approx(model.killing_coefficient * gap, rel=1e-14)
 
 
-def inverting_stencil(chart, fd_step):
-    """The stencil witnesses, the inverses (A N)^-1 = w^-1 K and the dual
-    matrices by the route that inverts each stencil witness w = g exp(s X),
-    rebuilds its fiber from the point and K, and solves with its A N
-    factor."""
-    chamber = chart.at.chamber
-    offsets = np.multiply(STENCIL_OFFSETS, fd_step)
-    w = chart.at.witness[..., None, None, :, :] @ chamber._shift_exps(chart.directions, offsets)
-    w_inv = np.linalg.inv(w)
-    x = w @ chamber.matrix @ w_inv
-    fac = iwasawa(w)
-    k = fac.k_factor
-    k_t = np.swapaxes(k, -1, -2)
-    fiber = k_t @ (x - k @ chamber.matrix @ k_t) @ k
-    lower = np.tril(np.swapaxes(fiber, -1, -2) - fiber, -1)
-    an = fac.an_factor()
-    u = np.multiply.outer(offsets, chart.directions)
-    return w, w_inv @ k, _dexp(-u, np.linalg.solve(an, np.swapaxes(lower, -1, -2) @ an))
+def theorem_witnesses(model, seed, samples=50):
+    """The witnesses of ``theorem``'s samples 0..samples-1 at ``seed``: the
+    identity, a far witness (sample 1) and generic ones."""
+    rngs = suites._rngs(seed, range(samples), suites.SUITES["theorem"][0])
+    logs = suites._witness_logs(model, rngs, list(range(samples)),
+                                lambda one: suites._group_logs(model, one, strength=2.0))
+    return model._group_products(mat_exp(logs))
 
 
-@pytest.mark.parametrize("basis", [None, "m_basis"])
-@pytest.mark.parametrize("entries", sweep_chambers())
-def test_stencil_inverses_match_the_inverting_route(entries, basis, monkeypatch):
-    """The stencil inverts each witness w = g exp(s X) as exp(-s X) g^-1,
-    from the chamber's kept exponentials (mirrored, since the offsets are
-    symmetric) and the base point's kept inverse, and reads (A N)^-1 as
-    triu(w^-1 K).  Its inverses (A N)^-1 and the dual matrices read from R
-    alone equal those of the route that inverts, rebuilds each fiber and
-    solves, within 1e-12 times each base point's scale, at the identity,
-    generic and far witnesses.  Its K and R are ``qr_positive`` of the same
-    witnesses bit for bit; every (A N)^-1 is exactly upper triangular and
-    every V exactly strictly upper triangular."""
-    assert STENCIL_OFFSETS == tuple(-s for s in reversed(STENCIL_OFFSETS))
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("entries", sweep_chambers(), ids=lambda e: ",".join(map(str, e)))
+def test_std_chart_is_the_orbit_form(entries, seed):
+    """The exact oracle: at t = 0 minus d lambda is Omega(H) at every
+    witness, so the standard form equals the chamber's ``_orbit_form``
+    within 1e-13 max|Omega| at the 50 witnesses of ``theorem``, far ones
+    included."""
     model = SpecialLinearModel(len(entries))
     chamber = model.chamber_element(entries)
-    witnesses = np.stack([np.eye(model.n),
-                          *[model.random_group_element(seed, 1.2 / model.n) for seed in (3, 4)],
-                          *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6, 7)]])
-    directions = None if basis is None else getattr(chamber, basis)
-    chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
-    if chart.dim == 0:
-        return
-    seen = {}
+    std = omega_std_chart(orbit_chart(orbit_point(chamber, theorem_witnesses(model, seed))))
+    omega = chamber._orbit_form
+    assert std.shape == (50, *omega.shape)
+    tolerance = 1e-13 * np.max(np.abs(omega), initial=0.0)
+    assert np.max(np.abs(std - omega), initial=0.0) <= tolerance
 
-    def recorded(name, real):
-        def wrapper(*args):
-            seen[name] = (args, real(*args))
-            return seen[name][1]
-        return wrapper
 
-    for module, name in ((orbit_module, "qr_positive"), (symplectic, "_dexp")):
-        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
-    u, an, an_inv = chart._stencil(1e-3)
-    dual = symplectic._tautological_dual(chamber, an, an_inv, u)
-    w_ref, an_inv_ref, dual_ref = inverting_stencil(chart, 1e-3)
-    (w,), (k, _) = seen["qr_positive"]
-    k_ref, r_ref = qr_positive(w_ref)
-    assert np.array_equal(w, w_ref)
-    assert np.array_equal(k, k_ref) and np.array_equal(an, r_ref)
-    assert np.array_equal(an_inv, np.triu(an_inv))
-    (_, v), _ = seen["_dexp"]
-    assert np.array_equal(v, np.triu(v, 1))
-    for got, ref in ((an_inv, an_inv_ref), (dual, dual_ref)):
-        scale = np.fmax(1.0, np.max(np.abs(ref), axis=(1, 2, 3, 4)))
-        assert np.all(np.max(np.abs(got - ref), axis=(1, 2, 3, 4)) <= 1e-12 * scale)
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_std_chart_is_the_orbit_form_on_random_chambers(data, seed):
+    """The same oracle at chambers of n = 2..8 with random block
+    multiplicities (walls included) and gaps between 0.1 and 2, at the
+    identity and at generic and far witnesses."""
+    n = data.draw(st.integers(2, 8))
+    ends = [*sorted(data.draw(st.sets(st.integers(1, n - 1)))), n]
+    gaps = [Fraction(data.draw(st.integers(10, 200)), 100) for _ in ends[1:]]
+    values = [-sum(gaps[:b]) for b in range(len(ends))]
+    entries = [v for v, start, end in zip(values, [0, *ends], ends) for _ in range(start, end)]
+    mean = sum(entries) / n
+    model = SpecialLinearModel(n)
+    chamber = model.chamber_element([e - mean for e in entries])
+    rng = np.random.default_rng(seed)
+    witnesses = np.stack([np.eye(n), *[model.random_group_element(rng, strength / n)
+                                       for strength in (1.2, 1.2, 2.0, 2.0)]])
+    std = omega_std_chart(orbit_chart(orbit_point(chamber, witnesses)))
+    omega = chamber._orbit_form
+    tolerance = 1e-13 * np.max(np.abs(omega), initial=0.0)
+    assert np.max(np.abs(std - omega), initial=0.0) <= tolerance
 
 
 @pytest.mark.parametrize("basis", [None, "n_basis", "m_basis"])
-@pytest.mark.parametrize("entries", [[1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]],
-                         ids=["chamber3", "n6-regular"])
-def test_stencil_is_the_same_under_dilation(entries, basis):
-    """A N and (A N)^-1 of the stencil witnesses do not depend on the scale
-    of H, and neither does the stencil's inverse check, which has no
-    max(1, .) floor: the stencil of the same witnesses at c H, for c =
-    2^-40, 1 and 2^40, returns the same (u, A N, (A N)^-1) bit for bit and
-    raises at none of them."""
+@pytest.mark.parametrize("entries", [[1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5], [1, 1, -2],
+                                     [1, 1, 1, 1, -1, -1, -1, -1]],
+                         ids=["chamber3", "n6-regular", "wall3", "n8-wall"])
+def test_std_chart_is_exact_under_dilation(entries, basis):
+    """R, R^-1 and the L_i do not depend on H, and neither does the inverse
+    check, which has no max(1, .) floor: at c H, for c = 2^k with k in
+    {-40, -20, 20, 40}, the standard form of the same witnesses is c times
+    its form at H bit for bit, and raises at none of them."""
     model = SpecialLinearModel(len(entries))
     witnesses = np.stack([np.eye(model.n),
                           *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6)]])
-    stencils = []
-    for c in (2.0 ** -40, 1.0, 2.0 ** 40):
-        chamber = model.chamber_element([c * e for e in entries])
+    forms = {}
+    for k in (0, -40, -20, 20, 40):
+        chamber = model.chamber_element([2.0 ** k * e for e in entries])
         directions = None if basis is None else getattr(chamber, basis)
-        chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
-        stencils.append([a.tobytes() for a in chart._stencil(1e-3)])
-    assert stencils[0] == stencils[1] == stencils[2]
+        forms[k] = omega_std_chart(orbit_chart(orbit_point(chamber, witnesses), directions=directions))
+    if basis is None:
+        assert np.any(forms[0] != 0.0)
+    for k in (-40, -20, 20, 40):
+        assert forms[k].tobytes() == (2.0 ** k * forms[0]).tobytes(), k
 
 
 def reference_tautological(x, fac, gens):
@@ -676,27 +660,6 @@ class TestStackedKernels:
             assert form.shape == (dim, dim)
             assert np.all(form == 0.0)
 
-    @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
-    def test_dual_matches_per_point_tautological_stack(self, chamber_name, request):
-        """lambda from one dual matrix per stencil point, against the
-        tautological stack on every per-direction generator dexp(u, X_j)
-        at that point, factored afresh; the offsets run from 1e-3 to 0.1."""
-        chart = self.chart(request.getfixturevalue(chamber_name))
-        coefficient = chart.at.chamber.model.killing_coefficient
-        for fd_step in (1e-3, 0.05):
-            u, an, an_inv = chart._stencil(fd_step)
-            dual = symplectic._tautological_dual(chart.at.chamber, an, an_inv, u)
-            got = coefficient * np.einsum("oiab,jba->oij", dual, chart.directions)
-            for o, s in enumerate(np.multiply(STENCIL_OFFSETS, fd_step)):
-                for i in range(chart.dim):
-                    t = np.zeros(chart.dim)
-                    t[i] = s
-                    p = chart.point(t)
-                    gens = np.stack([_dexp(u[o, i], d) for d in chart.directions])
-                    ref = symplectic._tautological_stack(p, iwasawa(p.witness), gens)
-                    scale = max(1.0, np.max(np.abs(ref)))
-                    assert np.max(np.abs(got[o, i] - ref)) <= 1e-12 * scale
-
     def test_dexp_at_minus_u_is_the_trace_adjoint(self, chamber4):
         """tr(V dexp(u, X)) = tr(dexp(-u, V) X), on matching stacks of u
         and V, for every basis direction X."""
@@ -755,81 +718,54 @@ class TestStackedKernels:
         points and for x scaled by 1e-6, 1 and 1e6.  The m(H) shifts have
         two nonzero entries and a series that does not terminate.  A shift
         u = s E_ij with one nonzero entry has ad_u^2 V = -2 s^2 V_ji E_ij and
-        ad_u^3 = 0, so the default chart's series stops at its third term,
-        exactly zero, at every base point at once, and the n(H) series at
-        its second, since V_ji = 0 for the strictly upper V and i < j."""
-        model = chamber4.model
+        ad_u^3 = 0, so for strictly upper V the default chart's series stops
+        at its third term, exactly zero, at every base point at once, and
+        the n(H) series at its second, since V_ji = 0 for i < j."""
         counts = []
-
-        def counted(u, x):
-            counts.append(0)
-            return real_dexp(u, x)
 
         def commutator_counted(a, b):
             counts[-1] += 1
             return commutator(a, b)
 
-        real_dexp = orbit_module._dexp
-        monkeypatch.setattr(symplectic, "_dexp", counted)
         monkeypatch.setattr(orbit_module, "commutator", commutator_counted)
-        witnesses = np.stack([model.random_group_element(seed, 1.2 / model.n)
-                              for seed in range(64)])
-        for size in (1, 2, 64):
-            omega_std_chart(orbit_chart(orbit_point(chamber4, witnesses[:size]),
-                                        directions=chamber4.m_basis))
-        u = np.multiply.outer(np.multiply(STENCIL_OFFSETS, 1e-3), chamber4.m_basis)
-        x = np.random.default_rng(69).standard_normal((2, *u.shape))
-        for scale in (1e-6, 1.0, 1e6):
-            counted(-u, scale * x)
-        assert len(counts) == 6 and len(set(counts)) == 1 and counts[0] > 3
-        counts.clear()
-        for directions in (None, chamber4.n_basis):
-            for size in (1, 2, 64):
-                omega_std_chart(orbit_chart(orbit_point(chamber4, witnesses[:size]),
-                                            directions=directions))
-        assert counts == [3] * 3 + [2] * 3
+        rng = np.random.default_rng(69)
+        offsets = np.multiply(STENCIL_OFFSETS, 1e-3)
+        for directions, upper in ((chamber4.m_basis, False), (chamber4._chart_basis, True),
+                                  (chamber4.n_basis, True)):
+            u = np.multiply.outer(offsets, directions)
+            for size, scale in ((1, 1.0), (2, 1.0), (64, 1.0), (2, 1e-6), (2, 1e6)):
+                x = scale * rng.standard_normal((size, *u.shape))
+                counts.append(0)
+                _dexp(-u, np.triu(x, 1) if upper else x)
+        assert len(set(counts[:5])) == 1 and counts[0] > 3
+        assert counts[5:] == [3] * 5 + [2] * 5
 
-    def test_std_chart_factors_once_per_stencil_point(self, chamber3, monkeypatch):
-        """Call-count guard: every stencil point is factored once, all in
-        one stacked QR without a determinant check of its own or an Iwasawa
-        factorization around it, after one stacked determinant check; no
-        single-point orbit point, factorization or tautological call.  No
-        stencil point is built or spectrum-checked: no ``_conjugates`` or
-        ``char_poly`` call."""
-        names = ("orbit_point", "tautological", "_conjugates", "char_poly")
-        calls = dict.fromkeys(names, 0)
+    @pytest.mark.parametrize("size", [None, 1, 3])
+    def test_std_chart_factors_once_per_chart(self, chamber3, monkeypatch, size):
+        """Call-count guard: the standard form of a chart, at one base point
+        or at a stack of them, makes exactly one ``qr_positive`` call, on
+        the base witnesses as they are, and no ``_dexp``, Iwasawa
+        factorization, determinant check, inversion or solve; it builds no
+        point: no ``orbit_point``, ``_conjugates``, ``char_poly`` or
+        single-point ``tautological`` call."""
+        g = chamber3.model.random_group_element(55, 0.4)
+        witnesses = g if size is None else np.stack([g] * size)
+        chart = orbit_chart(orbit_point(chamber3, witnesses))
+        calls = []
 
-        def counted(name, fn):
+        def recorded(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append((name, np.shape(args[-1])))
                 return fn(*args, **kwargs)
             return wrapper
 
-        factored, checked = [], []
-
-        def recorded(name, fn, log):
-            def wrapper(g):
-                log.append((name, np.shape(g)))
-                return fn(g)
-            return wrapper
-
-        # Every factorization and determinant check keeps its entry point
-        # and shape, so a single-point one would show up as (3, 3), and an
-        # Iwasawa factorization as an ``iwasawa`` entry before its QR.  The
-        # package re-exports the function iwasawa under its module's name.
-        chart = self.chart(chamber3)
         iwasawa_module = importlib.import_module("orbitsym.iwasawa")
         for module in (symplectic, orbit_module, iwasawa_module):
-            for name, log in (("iwasawa", factored), ("qr_positive", factored),
-                              ("_require_det_one", checked)):
+            for name in ("qr_positive", "iwasawa", "_require_det_one", "_dexp", "orbit_point",
+                         "_conjugates", "char_poly", "tautological"):
                 if hasattr(module, name):
-                    real = getattr(iwasawa_module, name)
-                    monkeypatch.setattr(module, name, recorded(name, real, log))
-        for module, name in ((orbit_module, "orbit_point"), (symplectic, "tautological"),
-                             (orbit_module, "_conjugates"), (orbit_module, "char_poly")):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                    monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
         omega_std_chart(chart)
-        assert calls == dict.fromkeys(names, 0)
-        stencil = (4, chart.dim, 3, 3)
-        assert factored == [("qr_positive", stencil)]
-        assert checked == [("_require_det_one", stencil)]
+        assert calls == [("qr_positive", witnesses.shape)]
