@@ -388,12 +388,12 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     invariance and nondegeneracy of the orbit form, at the points of all
     samples at once.  The standard form is minus the exact derivative of
     the tautological form, from one QR per sample (``omega_std_chart``);
-    ``theorem-match`` keeps its "fd" class and tolerance.  Invariance compares each sample's orbit form with
-    the chamber's exact Omega(H) (``ChamberElement._orbit_form``): at
-    t = 0 the frame generators are g X_a g^-1 at x = g H g^-1, so the
-    Ad-invariance of the Killing form makes the form Omega(H) at every
-    witness g.  Nondegeneracy takes each computed form's own smallest
-    singular value.
+    ``theorem-match`` keeps its "fd" class and tolerance.  Invariance
+    compares each sample's orbit form with the chamber's exact Omega(H)
+    (``ChamberElement._orbit_form``): at t = 0 the frame generators are
+    g X_a g^-1 at x = g H g^-1, so the Ad-invariance of the Killing form
+    makes the form Omega(H) at every witness g.  Nondegeneracy takes each
+    computed form's own smallest singular value.
 
     Sample 0 sits at the identity witness and sample 1 far from it.
     """

@@ -691,9 +691,14 @@ def test_chart_with_caller_directions_holds_a_read_only_copy(model4, monkeypatch
     assert all(chart.directions is not copy and not chart.directions.flags.writeable
                for chart in copies)
     exp_calls = []
+
+    def counted(x):
+        exp_calls.append(np.shape(x))
+        return mat_exp(x)
+
     for module in (model_module, orbit_module, symplectic):
         if hasattr(module, "mat_exp"):
-            monkeypatch.setattr(module, "mat_exp", lambda x: exp_calls.append(x.shape) or mat_exp(x))
+            monkeypatch.setattr(module, "mat_exp", counted)
     for a, b in zip(own, copies):
         assert omega_std_chart(a).tobytes() == omega_std_chart(b).tobytes()
     assert exp_calls == []

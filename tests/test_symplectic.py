@@ -534,7 +534,8 @@ def test_std_chart_is_exact_under_dilation(entries, basis):
     for k in (0, -40, -20, 20, 40):
         chamber = model.chamber_element([2.0 ** k * e for e in entries])
         directions = None if basis is None else getattr(chamber, basis)
-        forms[k] = omega_std_chart(orbit_chart(orbit_point(chamber, witnesses), directions=directions))
+        chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
+        forms[k] = omega_std_chart(chart)
     if basis is None:
         assert np.any(forms[0] != 0.0)
     for k in (-40, -20, 20, 40):
