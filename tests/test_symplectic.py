@@ -26,7 +26,7 @@ from orbitsym import orbit as orbit_module
 from orbitsym import suites, symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.model import SpecialLinearModel, random_combination
-from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator
+from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator, qr_positive
 from orbitsym.orbit import _dexp
 
 
@@ -540,6 +540,97 @@ def test_std_chart_is_exact_under_dilation(entries, basis):
         assert np.any(forms[0] != 0.0)
     for k in (-40, -20, 20, 40):
         assert forms[k].tobytes() == (2.0 ** k * forms[0]).tobytes(), k
+
+
+def exact_form_parts(chart):
+    """Runs ``omega_std_chart`` on a chart of dim >= 2 and returns what it
+    read on the way, through hooks on its names in ``symplectic``: the
+    witnesses it factored, their K and R = A N, the R^-1 it checked against
+    R, and its L_i, P and V0 (the arguments of its two commutators)."""
+    calls = {"qr_positive": [], "_frobenius_stack": [], "commutator": []}
+
+    def recorded(name, real):
+        def wrapper(*args):
+            out = real(*args)
+            calls[name].append((args, out))
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(symplectic, name, recorded(name, getattr(symplectic, name)))
+        omega_std_chart(chart)
+    [((w,), (k, r))] = calls["qr_positive"]
+    [_, ((r_checked,), _), ((r_inv,), _)] = calls["_frobenius_stack"]
+    assert r_checked is r
+    [((l_i, p), _), ((_, v0), _)] = calls["commutator"]
+    return w, k, r, r_inv, l_i, p[..., 0, :, :], v0[..., 0, :, :]
+
+
+def inverting_route(chart):
+    """R^-1, L_i = R^-1 triu(R X_i R^-1) R, P = R^-1 H R and V0 = H - P by
+    the route that inverts each R factor of the base witnesses and solves
+    with it."""
+    h = chart.at.chamber.matrix
+    _, r = qr_positive(chart.at.witness)
+    r_inv = np.linalg.inv(r)
+    p = np.linalg.solve(r, h @ r)
+    u = np.triu(r[..., None, :, :] @ chart.directions @ r_inv[..., None, :, :])
+    return r_inv, np.linalg.solve(r[..., None, :, :], u @ r[..., None, :, :]), p, h - p
+
+
+@pytest.mark.parametrize("basis", [None, "m_basis"])
+@pytest.mark.parametrize("entries", sweep_chambers())
+def test_stencil_inverses_match_the_inverting_route(entries, basis):
+    """The exact standard form took the fourth-order stencil's place, and its
+    stencil is one point per sample, the base witness g = K R itself.  It
+    reads R^-1 as triu(g^-1 K) from the base point's kept inverse instead of
+    inverting R.  Its R^-1, L_i, P and V0 equal those of the route that
+    inverts and solves, within 1e-12 times each base point's scale, at the
+    identity, generic and far witnesses.  Its K and R are ``qr_positive`` of
+    the chart's witnesses bit for bit, and R^-1, P, V0 and every L_i are
+    exactly upper triangular."""
+    model = SpecialLinearModel(len(entries))
+    chamber = model.chamber_element(entries)
+    witnesses = np.stack([np.eye(model.n),
+                          *[model.random_group_element(seed, 1.2 / model.n) for seed in (3, 4)],
+                          *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6, 7)]])
+    directions = None if basis is None else getattr(chamber, basis)
+    chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
+    if chart.dim < 2:
+        return
+    w, k, r, *got = exact_form_parts(chart)
+    k_ref, r_ref = qr_positive(chart.at.witness)
+    assert np.array_equal(w, chart.at.witness)
+    assert np.array_equal(k, k_ref) and np.array_equal(r, r_ref)
+    for part in got:
+        assert np.array_equal(part, np.triu(part))
+    for part, ref in zip(got, inverting_route(chart)):
+        part, ref = part.reshape(len(witnesses), -1), ref.reshape(len(witnesses), -1)
+        scale = np.fmax(1.0, np.max(np.abs(ref), axis=1))
+        assert np.all(np.max(np.abs(part - ref), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("basis", [None, "n_basis", "m_basis"])
+@pytest.mark.parametrize("entries", [[1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]],
+                         ids=["chamber3", "n6-regular"])
+def test_stencil_is_the_same_under_dilation(entries, basis):
+    """R, R^-1 and the L_i of the exact form's one stencil point per sample,
+    the base witness, do not depend on the scale of H, and neither does its
+    inverse check, which has no max(1, .) floor: at c H for c = 2^-40, 1 and
+    2^40 the same witnesses give the same (K, R, R^-1, L_i) bit for bit, and
+    the form raises at none of them."""
+    model = SpecialLinearModel(len(entries))
+    witnesses = np.stack([np.eye(model.n),
+                          *[model.random_group_element(seed, 2.0 / model.n) for seed in (5, 6)]])
+    stencils = []
+    for c in (2.0 ** -40, 1.0, 2.0 ** 40):
+        chamber = model.chamber_element([c * e for e in entries])
+        directions = None if basis is None else getattr(chamber, basis)
+        chart = orbit_chart(orbit_point(chamber, witnesses), directions=directions)
+        _, k, r, r_inv, l_i, _, _ = exact_form_parts(chart)
+        stencils.append([a.tobytes() for a in (k, r, r_inv, l_i)])
+    assert stencils[0] == stencils[1] == stencils[2]
 
 
 def reference_tautological(x, fac, gens):
