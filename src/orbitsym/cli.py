@@ -5,8 +5,8 @@ given as a comma-separated list (decimals or simple fractions) and
 prints one summary line per suite; ``--json`` additionally writes the
 full report list.  ``orbitsym info`` prints the block structure and the
 derived dimensions.  A process builds each distinct ``--n``/``--H`` pair's
-chamber once and shares it, with the potential stencil exponentials it
-keeps, across later ``main`` calls.  Exit codes: 0 all suites pass, 1 any failure,
+chamber once and shares it, with what it keeps of H, across later
+``main`` calls.  Exit codes: 0 all suites pass, 1 any failure,
 2 usage or configuration errors, including a ``--json`` path that
 cannot be opened or written.
 """

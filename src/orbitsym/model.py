@@ -28,9 +28,6 @@ import numpy as np
 
 from .numerics import char_poly, mat_exp
 
-# Shift exponentials kept per chamber: the m(H) stack of ``graph`` at two steps.
-_SHIFT_EXPS_KEPT = 2
-
 
 class NotInChamber(ValueError):
     """Entries are not weakly decreasing with zero sum."""
@@ -269,9 +266,8 @@ class ChamberElement:
     ``w[chamber._n_index]`` reads the n(H) coefficients of w in that order.
     Each basis is a read-only (dim, n, n) stack.  What depends on H alone
     is built once per chamber, on first use: ``_chart_basis``, the default
-    chart directions, ``_orbit_form``, the orbit form on them, and the
-    potential stencil exponentials of its own stacks (``_shift_exps``), so
-    a chamber shared across calls shares them too.
+    chart directions, and ``_orbit_form``, the orbit form on them, so a
+    chamber shared across calls shares them too.
     """
 
     model: SpecialLinearModel
@@ -315,29 +311,6 @@ class ChamberElement:
         """Whether ``directions`` is one of the chamber's chart stacks
         (``_chart_basis``, ``n_basis`` or ``m_basis``), by identity."""
         return any(directions is own for own in (self._chart_basis, self.n_basis, self.m_basis))
-
-    @cached_property
-    def _shift_exps_kept(self) -> dict:
-        return {}
-
-    def _shift_exps(self, directions: np.ndarray, offsets) -> np.ndarray:
-        """exp(s X) for each s of ``offsets`` and each X of a stack
-        ``directions`` (dim, n, n), stacked (len(offsets), dim, n, n).
-
-        For one of the chamber's chart stacks (``_chart_basis``, ``n_basis``
-        or ``m_basis``, by identity) the result is computed once per
-        offsets and kept read-only, the last ``_SHIFT_EXPS_KEPT`` of them;
-        any other stack is exponentiated afresh."""
-        offsets = np.asarray(offsets, dtype=float)
-        if not self._owns(directions):
-            return mat_exp(np.multiply.outer(offsets, directions))
-        kept = self._shift_exps_kept
-        key = (id(directions), *offsets.tolist())
-        if key not in kept:
-            if len(kept) == _SHIFT_EXPS_KEPT:
-                del kept[next(iter(kept))]
-            kept[key] = _locked(mat_exp(np.multiply.outer(offsets, directions)))
-        return kept[key]
 
     @property
     def dim_n(self) -> int:

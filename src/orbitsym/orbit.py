@@ -376,13 +376,6 @@ class OrbitChart:
             return self.at
         return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
 
-    def _dexp_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
-        """Point at t and the left-trivialized generators dexp(u, X_i) of
-        all coordinate fields, stacked (dim, n, n): the field of X_i at t
-        is [w dexp(u, X_i) w^-1, x(t)] for the point's witness w."""
-        u = self._displacement(t)
-        return self.point(t), _dexp(u, self.directions)
-
     def frame_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point and all moving-frame generators at t, stacked
         (..., dim, n, n), sharing the point's witness inverse."""
@@ -391,9 +384,11 @@ class OrbitChart:
 
     def coordinate_frame(self, t) -> tuple[OrbitPoint, list[TangentVector]]:
         """Point and all coordinate velocity fields at t, sharing the
-        point's witness inverse."""
-        p, gens = self._dexp_generators(t)
-        zs = p.witness @ gens @ p.witness_inverse
+        point's witness inverse: the field of X_i at t is
+        [w dexp(u, X_i) w^-1, x(t)] for the point's witness w and the
+        displacement u at t."""
+        p = self.point(t)
+        zs = p.witness @ _dexp(self._displacement(t), self.directions) @ p.witness_inverse
         return p, [tangent_vector(p, commutator(z, p.point), generator=z) for z in zs]
 
 

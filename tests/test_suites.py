@@ -13,8 +13,7 @@ import pytest
 from orbitsym import SUITE_NAMES, SpecialLinearModel, mat_exp, random_combination, run_suite
 from orbitsym import orbit as orbit_module
 from orbitsym import suites, symplectic
-from orbitsym import model as model_module
-from orbitsym.model import ChamberElement, _combinations
+from orbitsym.model import _combinations
 from orbitsym.numerics import STENCIL_OFFSETS
 from orbitsym.orbit import OrbitChart
 from orbitsym.suites import _report, _worst
@@ -960,28 +959,29 @@ def test_error_reductions_per_call_do_not_grow_with_samples(monkeypatch):
 
 
 def test_graph_calls_share_one_exponential_stack(monkeypatch):
-    """``graph`` reads the potential stencil exponentials of m(H) from the
-    chamber: one read-only stack, computed once for all its calls and equal
-    bit for bit to a fresh ``mat_exp`` of the same displacements.  The
-    exact standard form of ``lagrangian-horizontal`` reads none."""
+    """``graph`` reads the potential stencil exponentials of m(H) from
+    ``symplectic._m_basis_exps``: one read-only stack, computed once for all
+    its calls at the chamber and step and equal bit for bit to a fresh
+    ``mat_exp`` of the same displacements.  The exact standard form of
+    ``lagrangian-horizontal`` reads none."""
     chamber = SpecialLinearModel(4).chamber_element([1.5, 0.5, -0.5, -1.5])
-    real = ChamberElement._shift_exps
+    real = symplectic._m_basis_exps
     read = []
 
-    def shift_exps(self, directions, offsets):
-        exps = real(self, directions, offsets)
-        read.append((directions, exps))
+    def m_basis_exps(kept_chamber, fd_step):
+        exps = real(kept_chamber, fd_step)
+        read.append((kept_chamber, fd_step, exps))
         return exps
 
-    monkeypatch.setattr(ChamberElement, "_shift_exps", shift_exps)
+    monkeypatch.setattr(symplectic, "_m_basis_exps", m_basis_exps)
     exp_calls = []
-    monkeypatch.setattr(model_module, "mat_exp", lambda x: exp_calls.append(x.shape) or mat_exp(x))
+    monkeypatch.setattr(symplectic, "mat_exp", lambda x: exp_calls.append(x.shape) or mat_exp(x))
     for name in ("lagrangian-horizontal", "graph", "lagrangian-horizontal", "graph"):
         assert all(r.passed for r in run_suite(chamber, name, samples=3, seed=1))
-    assert [directions is chamber.m_basis for directions, _ in read] == [True] * 2
-    assert all(exps is read[0][1] for _, exps in read)
-    assert not read[0][1].flags.writeable
+    assert [(c is chamber, step) for c, step, _ in read] == [(True, suites.DEFAULT_FD_STEP)] * 2
+    assert all(exps is read[0][2] for _, _, exps in read)
+    assert not read[0][2].flags.writeable
     assert exp_calls == [(4, chamber.dim_m, 4, 4)]
     offsets = np.multiply(STENCIL_OFFSETS, suites.DEFAULT_FD_STEP)
     fresh = mat_exp(np.multiply.outer(offsets, chamber.m_basis))
-    assert read[0][1].tobytes() == fresh.tobytes()
+    assert read[0][2].tobytes() == fresh.tobytes()

@@ -23,7 +23,7 @@ from orbitsym import (
     to_cotangent,
 )
 from orbitsym import orbit as orbit_module
-from orbitsym import suites, symplectic
+from orbitsym import cli, suites, symplectic
 from orbitsym.iwasawa import infinitesimal_iwasawa, iwasawa
 from orbitsym.model import SpecialLinearModel, random_combination
 from orbitsym.numerics import STENCIL_OFFSETS, SingularInput, commutator, qr_positive
@@ -353,6 +353,75 @@ class TestSectionOneForm:
         k = model2.random_orthogonal(43, 0.6)
         routes = graph_routes(chamber, g, k, np.zeros((0, 2, 2)))
         assert [np.shape(route) for route in routes] == [(0,)] * 3
+
+
+@pytest.fixture
+def fresh_m_exps():
+    """An empty store of kept m(H) exponentials, emptied again afterwards."""
+    symplectic._m_basis_exps.cache_clear()
+    yield
+    symplectic._m_basis_exps.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_m_exps")
+class TestMBasisExponentials:
+    """``graph_routes`` keeps the potential stencil exponentials of
+    ``chamber.m_basis`` per chamber and step; any other stack is
+    exponentiated afresh."""
+
+    def count_exps(self, monkeypatch) -> list:
+        shapes = []
+        monkeypatch.setattr(symplectic, "mat_exp", lambda x: shapes.append(x.shape) or mat_exp(x))
+        return shapes
+
+    def routes(self, chamber, directions, fd_step=1e-3):
+        model = chamber.model
+        g = model.random_group_element(61, 0.4)
+        k = model.random_orthogonal(61, 0.6)
+        return graph_routes(chamber, g, k, directions, fd_step)
+
+    def test_kept_read_only_and_equal_to_a_fresh_exp(self, wall4):
+        offsets = np.multiply(STENCIL_OFFSETS, 1e-3)
+        exps = symplectic._m_basis_exps(wall4, 1e-3)
+        assert symplectic._m_basis_exps(wall4, 1e-3) is exps
+        assert not exps.flags.writeable
+        assert exps.tobytes() == mat_exp(np.multiply.outer(offsets, wall4.m_basis)).tobytes()
+
+    def test_computed_once_per_chamber_and_step_across_calls(self, chamber4, monkeypatch):
+        shapes = self.count_exps(monkeypatch)
+        first = self.routes(chamber4, chamber4.m_basis)
+        for _ in range(2):
+            assert all(map(np.array_equal, self.routes(chamber4, chamber4.m_basis), first))
+        self.routes(chamber4, chamber4.m_basis, fd_step=2e-3)
+        assert shapes == [(4, chamber4.dim_m, 4, 4)] * 2
+        info = symplectic._m_basis_exps.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    def test_a_cycle_through_as_many_chambers_as_the_cli_keeps_hits(self, model3, monkeypatch):
+        """Calls that visit ``cli._CHAMBERS_KEPT`` chambers in turn at one
+        step exponentiate each chamber's m(H) on its first visit only."""
+        chambers = [model3.chamber_element([a, 0, -a]) for a in range(1, cli._CHAMBERS_KEPT + 1)]
+        shapes = self.count_exps(monkeypatch)
+        for _ in range(2):
+            for chamber in chambers:
+                self.routes(chamber, chamber.m_basis)
+        assert shapes == [(4, 3, 3, 3)] * len(chambers)
+
+    def test_other_stacks_are_exponentiated_afresh(self, chamber4, monkeypatch):
+        shapes = self.count_exps(monkeypatch)
+        copy = np.array(chamber4.m_basis)
+        fresh = [self.routes(chamber4, copy) for _ in range(2)]
+        assert shapes == [(4, chamber4.dim_m, 4, 4)] * 2
+        assert symplectic._m_basis_exps.cache_info().currsize == 0
+        kept = self.routes(chamber4, chamber4.m_basis)
+        for routes in fresh:
+            assert all(map(np.array_equal, routes, kept))
+
+    def test_at_most_a_fixed_number_are_kept(self, chamber4):
+        for step in range(1, symplectic._M_EXPS_KEPT + 3):
+            symplectic._m_basis_exps(chamber4, step * 1e-3)
+        info = symplectic._m_basis_exps.cache_info()
+        assert info.maxsize == info.currsize == symplectic._M_EXPS_KEPT
 
 
 class TestMixedPairIdentity:
@@ -690,19 +759,19 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_tautological_stack_matches_reference(self, chamber_name, request):
+        """``tautological`` on each coordinate field of ``coordinate_frame``,
+        at t = 0 and t != 0, against the reference on the field's
+        left-trivialized generator dexp(u, X_i)."""
         chart = self.chart(request.getfixturevalue(chamber_name))
         rng = np.random.default_rng(57)
         for t in (np.zeros(chart.dim), rng.uniform(-1e-2, 1e-2, chart.dim)):
-            p, gens = chart._dexp_generators(t)
+            p, frame = chart.coordinate_frame(t)
             fac = iwasawa(p.witness)
-            got = symplectic._tautological_stack(p, fac, gens)
-            ref = reference_tautological(p, fac, gens)
+            ref = reference_tautological(p, fac, _dexp(chart._displacement(t), chart.directions))
             scale = max(1.0, np.max(np.abs(ref)))
-            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
-            w = p.witness
-            for z, expected in zip(w @ gens @ np.linalg.inv(w), ref):
-                value = tautological(p, bracket_tangent(p, z), factors=fac)
-                assert abs(value - expected) <= 1e-12 * scale
+            assert len(frame) == len(ref)
+            for v, expected in zip(frame, ref):
+                assert abs(tautological(p, v, factors=fac) - expected) <= 1e-12 * scale
 
     @pytest.mark.parametrize("chamber_name", STACK_CHAMBERS)
     def test_kks_chart_matches_pair_loop(self, chamber_name, request):
