@@ -6,8 +6,10 @@ prints one summary line per suite; ``--json`` additionally writes the
 full report list.  ``orbitsym info`` prints the block structure and the
 derived dimensions.  A process builds each distinct ``--n``/``--H`` pair's
 chamber once and shares it, with what it keeps of H, across later
-``main`` calls.  Exit codes: 0 all suites pass, 1 any failure,
-2 usage or configuration errors, including a ``--json`` path that
+``main`` calls.  ``main`` hands the tokens after a known command to that
+command's own parser, and anything else to the top-level parser.  Exit
+codes: 0 all suites pass, 1 any failure, 2 usage or configuration
+errors, including a ``--json`` path (a file, device or pipe) that
 cannot be opened or written.
 """
 
@@ -17,6 +19,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -28,6 +31,7 @@ from .suites import (
     DEFAULT_SEED,
     SUITE_NAMES,
     VerificationReport,
+    _json_number,
     run_suite,
 )
 
@@ -69,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     ``main`` call in the process; each ``parse_args`` call returns a
-    fresh namespace, so no state carries over between calls."""
+    fresh namespace, so no state carries over between calls.  Its
+    ``commands`` maps each command's name to that command's own parser."""
     parser = _Parser(
         prog="orbitsym",
         description="Verification suites for hyperbolic adjoint orbits of SL(n,R).",
@@ -96,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="print chamber block structure and dimensions")
     info.add_argument("--n", type=int, help="matrix size; inferred from --H when omitted")
     info.add_argument("--H", required=True)
+    parser.commands = {"verify": verify, "info": info}
     return parser
 
 
@@ -155,37 +161,49 @@ def _json_scalar(value) -> str:
 # ``json.dump(reports, indent=2)`` lays a report out with its fields at depth
 # two, in the order of ``VerificationReport.as_dict``, the items of its lists
 # at depth three and the fields of a detail row at depth four.
-_REPORT = ('  {{\n    "suite": {suite},\n    "n": {n},\n    "H": {H},\n'
-           '    "samples": {samples},\n    "seed": {seed},\n    "fd_step": {fd_step},\n'
-           '    "max_error": {max_error},\n    "tolerance": {tolerance},\n    "pass": {pass},\n'
-           '    "samples_detail": {samples_detail}\n  }}')
-_DETAIL = '      {{\n        "index": {},\n        "error": {}{}\n      }}'
+_REPORT = ('  {\n    "suite": %s,\n    "n": %s,\n    "H": %s,\n'
+           '    "samples": %s,\n    "seed": %s,\n    "fd_step": %s,\n'
+           '    "max_error": %s,\n    "tolerance": %s,\n    "pass": %s,\n'
+           '    "samples_detail": %s\n  }')
+_ROW = '      {\n        "index": %d,\n        "error": %s\n      }'
+_RAISED = '      {\n        "index": %d,\n        "error": %s,\n        "exception": %s\n      }'
 
 
-def _json_report(fields: dict) -> str:
-    values = {k: _json_scalar(v) for k, v in fields.items() if not isinstance(v, list)}
-    h = ["      " + _json_scalar(entry) for entry in fields["H"]]
-    detail = [_DETAIL.format(_json_scalar(row["index"]), _json_scalar(row["error"]),
-                             f',\n        "exception": {_json_scalar(row["exception"])}'
-                             if "exception" in row else "") for row in fields["samples_detail"]]
-    for key, items in (("H", h), ("samples_detail", detail)):
-        values[key] = "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
-    return _REPORT.format_map(values)
+def _json_error(value: float) -> str:
+    """An error as ``as_dict`` gives it (``_json_number``), written."""
+    return float.__repr__(value) if math.isfinite(value) else f'"{_json_number(value)}"'
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
 
 
 def open_json(path: str):
     """``path`` opened for writing text at its start, created if missing but
-    not truncated, so the caller truncates after writing.  On ext4 a file
-    truncated to zero and rewritten costs tens of milliseconds more than
-    one overwritten and cut at its new end.  The file keeps its inode,
-    symlinks and permissions."""
+    not truncated, so that ``save_json`` truncates a regular file after
+    writing.  On ext4 a file truncated to zero and rewritten costs tens of
+    milliseconds more than one overwritten and cut at its new end.  The
+    file keeps its inode, symlinks and permissions."""
     return os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
 
 
 def write_reports(fh, reports: list[VerificationReport]) -> None:
-    """Write the bytes of ``json.dump(..., indent=2, allow_nan=False)`` and a newline."""
-    body = ",\n".join(_json_report(r.as_dict()) for r in reports)
-    fh.write(f"[\n{body}\n]\n" if reports else "[]\n")
+    """Write the bytes of ``json.dump([r.as_dict() for r in reports], indent=2,
+    allow_nan=False)`` and a newline, formatted from each report's fields."""
+    texts, entries, h_text = [], None, None
+    for r in reports:
+        if r.chamber_entries is not entries:  # a run of reports on one chamber shares "H"
+            entries = r.chamber_entries
+            h_text = _json_list(["      " + _json_scalar(e) for e in entries])
+        raised = dict(r.exceptions)
+        rows = [_ROW % (i, _json_error(e)) if i not in raised
+                else _RAISED % (i, _json_error(e), _json_scalar(raised[i]))
+                for i, e in enumerate(r.sample_errors)]
+        texts.append(_REPORT % (
+            _json_scalar(r.suite), _json_scalar(r.n), h_text, _json_scalar(r.samples),
+            _json_scalar(r.seed), _json_scalar(r.fd_step), _json_error(r.max_error),
+            _json_scalar(r.tolerance), _json_scalar(r.passed), _json_list(rows)))
+    fh.write("[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n")
 
 
 def save_json(out, path: str, reports: list[VerificationReport]) -> int:
@@ -194,7 +212,8 @@ def save_json(out, path: str, reports: list[VerificationReport]) -> int:
     try:
         with out:
             write_reports(out, reports)
-            out.truncate()
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # a device or pipe has no end
+                out.truncate()
     except OSError as exc:
         return _usage_error(f"cannot write --json {path}: {exc.strerror}")
     return 0
@@ -272,12 +291,16 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return merged
 
 
+_RUNNERS = {"verify": _run_verify, "info": _run_info}
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_value_flags(raw))
-    if args.command == "verify":
-        return _run_verify(args)
-    return _run_info(args)
+    parser = build_parser()
+    if raw and raw[0] in parser.commands:  # where the top-level parser would route them
+        return _RUNNERS[raw[0]](parser.commands[raw[0]].parse_args(_merge_value_flags(raw[1:])))
+    args = parser.parse_args(_merge_value_flags(raw))
+    return _RUNNERS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ def _stack(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -49,7 +49,7 @@ def _frobenius_stack(a: np.ndarray) -> np.ndarray:
     sums one matrix (a dot product of its entries), so that thresholds
     built on it match a single call's."""
     flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
-    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
+    return np.sqrt((flat @ flat.mT)[..., 0, 0])
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ def qr_positive(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _stack(m)
     q, r = np.linalg.qr(a)
-    signs = np.where(_pivots(a, r) < 0, -1.0, 1.0)
+    signs = np.copysign(1.0, _pivots(a, r))  # the pivots are nonzero
     return q * signs[..., None, :], signs[..., :, None] * r
 
 
@@ -142,17 +142,17 @@ def char_poly(m) -> np.ndarray:
     Faddeev-LeVerrier recursion: n matrix products, no eigensolve, so the
     result is deterministic and cheap at these sizes.  M_k = A (M_{k-1} +
     c_{k-1} I) runs in two buffers, each step adding its coefficient to
-    the diagonal in place and reading the trace from a diagonal view.
+    the diagonal in place and reading the trace from a strided diagonal view.
     """
     a = _stack(m)
     n = a.shape[-1]
     coeffs = np.empty((*a.shape[:-2], n + 1))
     coeffs[..., 0] = 1.0
     prev, mk = np.zeros(a.shape), np.empty(a.shape)
-    prev_diag, mk_diag = np.einsum("...ii->...i", prev), np.einsum("...ii->...i", mk)
+    prev_diag, mk_diag = (b.reshape(*a.shape[:-2], n * n)[..., ::n + 1] for b in (prev, mk))
     for k in range(1, n + 1):
         prev_diag += coeffs[..., k - 1, None]
         np.matmul(a, prev, out=mk)
-        coeffs[..., k] = -mk_diag.sum(axis=-1) / k
+        np.divide(np.add.reduce(mk_diag, -1), -k, out=coeffs[..., k])
         prev, mk, prev_diag, mk_diag = mk, prev, mk_diag, prev_diag
     return coeffs

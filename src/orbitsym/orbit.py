@@ -116,7 +116,7 @@ def _check_on_orbit_stack(chamber: ChamberElement, points: np.ndarray) -> None:
     traceless and has the chamber's spectrum; the first failing slice
     raises."""
     nx = np.maximum(1.0, _frobenius_stack(points))
-    off_trace = np.abs(np.trace(points, axis1=-2, axis2=-1)) > TRACE_RTOL * nx
+    off_trace = np.abs(points.trace(axis1=-2, axis2=-1)) > TRACE_RTOL * nx
     coeffs = char_poly(points)
     powers = nx[..., None] ** np.arange(1, points.shape[-1] + 1)
     off_spectrum = np.abs(coeffs[..., 1:] - chamber.char_coeffs[1:]) > CHAR_RTOL * powers
@@ -369,12 +369,12 @@ class OrbitChart:
         return np.einsum("i,ijk->jk", t, self.directions)
 
     def point(self, t) -> OrbitPoint:
-        """Chart point at t; at zero displacement the base point itself,
-        which is what g exp(0) = g rebuilds bit for bit."""
-        u = self._displacement(t)
-        if not u.any():
+        """Chart point at t; at t = 0 the base point itself, which is what
+        g exp(0) = g rebuilds bit for bit."""
+        t = np.asarray(t, dtype=float)
+        if t.shape == (self.dim,) and not t.any():
             return self.at
-        return orbit_point(self.at.chamber, self.at.witness @ mat_exp(u))
+        return orbit_point(self.at.chamber, self.at.witness @ mat_exp(self._displacement(t)))
 
     def frame_generators(self, t) -> tuple[OrbitPoint, np.ndarray]:
         """Point and all moving-frame generators at t, stacked

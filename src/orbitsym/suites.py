@@ -134,7 +134,7 @@ def _worst(errors, axis=None):
     empty axis, counting any non-finite value as infinite so that NaN can
     never pass a tolerance check."""
     e = np.asarray(errors, dtype=float)
-    return np.max(np.where(np.isfinite(e), e, math.inf), axis=axis, initial=0.0)
+    return np.where(np.isfinite(e), e, math.inf).max(axis=axis, initial=0.0)
 
 
 def _report(suite, chamber, seed, fd_step, errors, tolerance, exceptions=()) -> VerificationReport:
@@ -180,7 +180,7 @@ def _rel(err, scale):
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
     """Largest absolute entry along the last axis, 0 when it is empty."""
-    return np.max(np.abs(a), axis=-1, initial=0.0)
+    return np.abs(a).max(axis=-1, initial=0.0)
 
 
 def _check_iwasawa(chamber, rngs, indices, fd_step):
@@ -350,12 +350,12 @@ def _check_lagrangian(basis):
         g = model._group_products(mat_exp(_group_logs(model, rngs)))
         chart = orbit_chart(orbit_point(chamber, g), directions=basis(chamber))
         x, gens = chart.frame_generators(np.zeros(chart.dim))
-        zmax = np.max(_frobenius_stack(gens), axis=-1, initial=0.0)
+        zmax = _frobenius_stack(gens).max(axis=-1, initial=0.0)
         scale = np.fmax(1.0, model.killing_coefficient * _frobenius_stack(x.point) * (zmax * zmax))
         pairing = _bracket_pairing(chamber, x.point, gens)
-        e_kks = _rel(np.max(np.abs(pairing), axis=(-2, -1), initial=0.0), scale)
+        e_kks = _rel(np.abs(pairing).max(axis=(-2, -1), initial=0.0), scale)
         std = omega_std_chart(chart)  # zero below dimension 2
-        e_std = _rel(np.max(np.abs(std), axis=(-2, -1), initial=0.0), scale)
+        e_std = _rel(np.abs(std).max(axis=(-2, -1), initial=0.0), scale)
         return np.transpose([e_kks, e_std])
 
     return check
@@ -405,11 +405,10 @@ def _check_theorem(chamber, rngs, indices, fd_step):
         return np.zeros((len(rngs), 3))
     kks, std = omega_kks_chart(chart), omega_std_chart(chart)
     # fmax skips NaN as the builtin max does
-    scale = np.fmax(np.fmax(1.0, np.max(np.abs(kks), axis=(-2, -1))),
-                    np.max(np.abs(std), axis=(-2, -1)))
-    e_match = _rel(np.max(np.abs(std - kks), axis=(-2, -1)), scale)
+    scale = np.fmax(np.fmax(1.0, np.abs(kks).max(axis=(-2, -1))), np.abs(std).max(axis=(-2, -1)))
+    e_match = _rel(np.abs(std - kks).max(axis=(-2, -1)), scale)
     # _worst over no axis counts a non-finite quotient as infinite
-    e_inv = _worst(np.max(np.abs(kks - chamber._orbit_form), axis=(-2, -1)) / scale, axis=())
+    e_inv = _worst(np.abs(kks - chamber._orbit_form).max(axis=(-2, -1)) / scale, axis=())
     ratio = SMIN_THRESHOLD / np.linalg.svd(kks, compute_uv=False)[..., -1]
     return np.transpose([e_match, e_inv, ratio])
 

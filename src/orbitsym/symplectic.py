@@ -83,9 +83,9 @@ def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -
     Z_i^T x^T with those of Z_j, one BLAS product per base point of the
     flattened stacks (..., m, n*n), whose base-point axes stay batch axes."""
     n2 = gens.shape[-1] ** 2
-    left = np.swapaxes(gens, -1, -2) @ np.swapaxes(x, -1, -2)[..., None, :, :]
-    m = left.reshape(*left.shape[:-2], n2) @ np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2)
-    return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
+    left = gens.mT @ x.mT[..., None, :, :]
+    m = left.reshape(*left.shape[:-2], n2) @ gens.reshape(*gens.shape[:-2], n2).mT
+    return chamber.model.killing_coefficient * (m - m.mT)
 
 
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
@@ -117,6 +117,14 @@ def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
     return float(x.chamber.model.killing_coefficient * np.einsum("ab,ba->", fiber, k_velocity))
 
 
+@functools.cache
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only strictly lower mask and identity of size n."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    lower.setflags(write=False)
+    return lower, _locked(np.eye(n))
+
+
 def omega_std_chart(chart: OrbitChart) -> np.ndarray:
     """Cotangent-bundle form, as minus the exterior derivative of the
     tautological one-form in chart coordinates, at t = 0.
@@ -139,23 +147,25 @@ def omega_std_chart(chart: OrbitChart) -> np.ndarray:
     at = chart.at
     entries = np.zeros((*at.witness.shape[:-2], m, m))
     if m >= 2:
+        # np.triu(a) is np.where(lower, 0.0, a), less the mask it builds per call
+        lower, ident = _triangle(at.witness.shape[-1])
         k, an = qr_positive(at.witness)
-        an_inv = np.triu(at.witness_inverse @ k)
-        miss = _frobenius_stack(an @ an_inv - np.eye(an.shape[-1]))
-        if not np.all(miss <= INVERSE_RTOL * _frobenius_stack(an) * _frobenius_stack(an_inv)):
+        an_inv = np.where(lower, 0.0, at.witness_inverse @ k)
+        miss = _frobenius_stack(an @ an_inv - ident)
+        if not (miss <= INVERSE_RTOL * _frobenius_stack(an) * _frobenius_stack(an_inv)).all():
             raise ValueError("witness inverse does not invert its R factor")
         p = (an_inv * np.asarray(at.chamber.entries)) @ an
         v0 = (at.chamber.matrix - p)[..., None, :, :]
         dirs = chart.directions
-        u_i = np.triu(an[..., None, :, :] @ dirs @ an_inv[..., None, :, :])
+        u_i = np.where(lower, 0.0, an[..., None, :, :] @ dirs @ an_inv[..., None, :, :])
         l_i = an_inv[..., None, :, :] @ u_i @ an[..., None, :, :]
         d_dual = commutator(l_i, p[..., None, :, :]) + 0.5 * commutator(dirs, v0)
         # d[..., i, j] = d_i lambda_j: each d_i D paired with X_j^T, flattened;
         # the diagonal is computed but cancels exactly
-        flat_dirs = np.swapaxes(dirs, -1, -2).reshape(m, -1)
+        flat_dirs = dirs.mT.reshape(m, -1)
         coefficient = at.chamber.model.killing_coefficient
         d = coefficient * (d_dual.reshape(*d_dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
-        entries = np.swapaxes(d, -1, -2) - d
+        entries = d.mT - d
     entries.setflags(write=False)
     return entries
 

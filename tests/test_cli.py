@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,50 @@ def test_argparse_usage_error_is_one_line(capsys, argv, message):
     assert line.startswith(f"error: {message}")
 
 
+def outcome(capsys, run):
+    """Exit code (a ``SystemExit``'s code as ``("exit", code)``), stdout and
+    stderr of ``run()``."""
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def argparse_routed(argv):
+    """``main`` with argparse's own routing: the top-level parser on all
+    the merged tokens, then the runner of the command it chose."""
+    args = build_parser().parse_args(cli._merge_value_flags(list(argv)))
+    return {"verify": cli._run_verify, "info": cli._run_info}[args.command](args)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "iwasawa", "--H", "1,0,-1", "--samples", "2", "--seed", "4"),
+    ("verify", "--suite", "theorem", "--H", "1,-1", "--samples", "1", "--quiet"),
+    ("info", "--H", "1,0,-1"),
+    ("info", "--n", "3", "--H", "1,1,-2"),
+    ("verify", "graph", "--H", "-1,1", "--samples", "1"),
+    ("info", "--H", "-1,1"),
+    ("verify", "iwasawa", "--H", "1,-1", "--sam", "2"),
+    ("verify", "iwasawa", "--H", "1,-1", "--samples", "1", "extra"),
+    ("verify", "theorem"),
+    ("verify", "theorem", "--H", "1,0,-1", "--samples", "abc"),
+    ("verify", "spectral", "--H", "1,0,-1"),
+    (),
+    ("spectral", "--H", "1,0,-1"),
+    ("-h",),
+    ("verify", "-h"),
+    ("info", "-h"),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_dispatch_matches_argparse_routing(capsys, argv):
+    """``main`` hands the tokens after a known command to that command's
+    parser; on every command line the exit code, stdout and stderr are
+    those of the top-level parser routing the same tokens."""
+    direct = outcome(capsys, lambda: main(list(argv)))
+    assert direct == outcome(capsys, lambda: argparse_routed(argv))
+
+
 def test_help_keeps_its_usage_block(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "-h"])
@@ -494,6 +539,51 @@ def test_json_overwrites_an_existing_file_exactly(capsys, tmp_path, old):
     assert path.stat().st_ino == inode
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_json_to_a_device_is_no_error(capsys):
+    """A device has no end to cut, so writing to it is the whole job."""
+    assert run_cli(capsys, "verify", "iwasawa", "--H", "1,0,-1", "--samples", "1", "--quiet",
+                   "--json", "/dev/null") == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_json_to_a_pipe_gets_the_bytes_of_a_file(capsys, tmp_path):
+    """A named pipe, read by one reader, receives exactly the bytes that a
+    regular file gets, and the run exits 0 with nothing on stderr."""
+    argv = ("verify", "projection", "--H", "1,0,-1", "--samples", "2", "--quiet", "--json")
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(capsys, *argv, str(fresh))[0] == 0
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, *argv, str(pipe)) == (0, "", "")
+    reader.join(timeout=60)
+    assert received == [fresh.read_bytes()]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_json_to_stdout_in_a_pipe(capsys, tmp_path):
+    """``--json /dev/stdout`` with stdout a pipe writes the reports there."""
+    argv = ("verify", "graph", "--H", "1,-1", "--samples", "2", "--quiet", "--json")
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(capsys, *argv, str(fresh))[0] == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SWEEP.parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "orbitsym.cli", *argv, "/dev/stdout"],
+                            capture_output=True, timeout=120, env=env)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == fresh.read_bytes()
+
+
+def test_full_sweep_script_writes_to_a_device():
+    result = run_sweep("--samples", "1", "--json", "/dev/null")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1].endswith(" reports to /dev/null")
+
+
 def test_full_sweep_script_overwrites_an_existing_file_exactly(tmp_path):
     """The same for the sweep script, over a longer and a shorter file."""
     fresh = tmp_path / "fresh.json"
@@ -582,12 +672,17 @@ def handmade_report(errors, tolerance=1e-9, **fields) -> VerificationReport:
         "tolerance": tolerance, "passed": False, **fields})
 
 
-@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5]])
+@pytest.mark.parametrize("entries", [[0, 0], [1, 0, -1], [2.5, 1.5, 0.5, -0.5, -1.5, -2.5],
+                                     "sweep"])
 def test_report_writer_matches_json(entries):
     """The direct writer gives ``json.dump(..., indent=2)``'s bytes for the
-    reports of every suite, chamber-level columns included."""
-    chamber = SpecialLinearModel(len(entries)).chamber_element(entries)
-    reports = [r for name in SUITE_NAMES for r in suites.run_suite(chamber, name, samples=2)]
+    reports of every suite, chamber-level columns included.  "sweep" is
+    the sweep's report list, one chamber after another, so each report's
+    "H" must be its own chamber's, not the one before it."""
+    configs = [e for _, e in sweep_module().CONFIGS] if entries == "sweep" else [entries]
+    chambers = [SpecialLinearModel(len(e)).chamber_element(e) for e in configs]
+    reports = [r for chamber in chambers for name in SUITE_NAMES
+               for r in suites.run_suite(chamber, name, samples=2)]
     assert written(reports) == json_text(reports)
     assert written([]) == json_text([]) == "[]\n"
 

@@ -705,7 +705,8 @@ EXACT_FORM_MUTATIONS = {
                              (1.0, 0.9488), False),
     "velocity-unconjugated": ("l_i = an_inv[..., None, :, :] @ u_i @ an[..., None, :, :]",
                               "l_i = u_i", (1.0, 1.0), False),
-    "velocity-diagonal": ("u_i = np.triu(", "u_i = np.eye(an.shape[-1]) * (", (1.0, 1.0), True),
+    "velocity-diagonal": ("u_i = np.where(lower, 0.0, ", "u_i = np.where(ident == 0.0, 0.0, ",
+                          (1.0, 1.0), True),
 }
 
 
