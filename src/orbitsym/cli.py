@@ -171,7 +171,7 @@ _RAISED = '      {\n        "index": %d,\n        "error": %s,\n        "excepti
 
 def _json_error(value: float) -> str:
     """An error as ``as_dict`` gives it (``_json_number``), written."""
-    return float.__repr__(value) if math.isfinite(value) else f'"{_json_number(value)}"'
+    return _json_scalar(_json_number(value))
 
 
 def _json_list(items: list[str]) -> str:
