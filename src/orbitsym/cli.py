@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     ``main`` call in the process; each ``parse_args`` call returns a
     fresh namespace, so no state carries over between calls.  Its
-    ``commands`` maps each command's name to that command's own parser."""
+    ``commands`` maps each command to its own parser, which sets ``run``."""
     parser = _Parser(
         prog="orbitsym",
         description="Verification suites for hyperbolic adjoint orbits of SL(n,R).",
@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run verification suites")
+    verify.set_defaults(run=_run_verify)
     verify.add_argument("suite_pos", nargs="?", choices=SUITE_CHOICES, metavar="SUITE",
                         help=f"one of {', '.join(SUITE_CHOICES)}")
     verify.add_argument("--suite", choices=SUITE_CHOICES, help="alternative to the positional suite")
@@ -99,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--quiet", action="store_true", help="suppress per-suite lines")
 
     info = sub.add_parser("info", help="print chamber block structure and dimensions")
+    info.set_defaults(run=_run_info)
     info.add_argument("--n", type=int, help="matrix size; inferred from --H when omitted")
     info.add_argument("--H", required=True)
     parser.commands = {"verify": verify, "info": info}
@@ -291,16 +293,13 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return merged
 
 
-_RUNNERS = {"verify": _run_verify, "info": _run_info}
-
-
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     if raw and raw[0] in parser.commands:  # where the top-level parser would route them
-        return _RUNNERS[raw[0]](parser.commands[raw[0]].parse_args(_merge_value_flags(raw[1:])))
+        parser, raw = parser.commands[raw[0]], raw[1:]
     args = parser.parse_args(_merge_value_flags(raw))
-    return _RUNNERS[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

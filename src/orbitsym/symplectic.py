@@ -83,9 +83,9 @@ def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -
     Z_i^T x^T with those of Z_j, one BLAS product per base point of the
     flattened stacks (..., m, n*n), whose base-point axes stay batch axes."""
     n2 = gens.shape[-1] ** 2
-    left = gens.mT @ x.mT[..., None, :, :]
-    m = left.reshape(*left.shape[:-2], n2) @ gens.reshape(*gens.shape[:-2], n2).mT
-    return chamber.model.killing_coefficient * (m - m.mT)
+    left = np.swapaxes(gens, -1, -2) @ np.swapaxes(x, -1, -2)[..., None, :, :]
+    m = left.reshape(*left.shape[:-2], n2) @ np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2)
+    return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
 
 
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
@@ -120,9 +120,7 @@ def tautological(x: OrbitPoint, v: TangentVector, factors=None) -> float:
 @functools.cache
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only strictly lower mask and identity of size n."""
-    lower = np.tri(n, k=-1, dtype=bool)
-    lower.setflags(write=False)
-    return lower, _locked(np.eye(n))
+    return _locked(np.tri(n, k=-1, dtype=bool)), _locked(np.eye(n))
 
 
 def omega_std_chart(chart: OrbitChart) -> np.ndarray:
@@ -162,10 +160,10 @@ def omega_std_chart(chart: OrbitChart) -> np.ndarray:
         d_dual = commutator(l_i, p[..., None, :, :]) + 0.5 * commutator(dirs, v0)
         # d[..., i, j] = d_i lambda_j: each d_i D paired with X_j^T, flattened;
         # the diagonal is computed but cancels exactly
-        flat_dirs = dirs.mT.reshape(m, -1)
+        flat_dirs = np.swapaxes(dirs, -1, -2).reshape(m, -1)
         coefficient = at.chamber.model.killing_coefficient
         d = coefficient * (d_dual.reshape(*d_dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
-        entries = d.mT - d
+        entries = np.swapaxes(d, -1, -2) - d
     entries.setflags(write=False)
     return entries
 

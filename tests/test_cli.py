@@ -278,7 +278,7 @@ def argparse_routed(argv):
     """``main`` with argparse's own routing: the top-level parser on all
     the merged tokens, then the runner of the command it chose."""
     args = build_parser().parse_args(cli._merge_value_flags(list(argv)))
-    return {"verify": cli._run_verify, "info": cli._run_info}[args.command](args)
+    return args.run(args)
 
 
 @pytest.mark.parametrize("argv", [

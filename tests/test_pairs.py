@@ -52,3 +52,10 @@ def test_row_and_summary_lines_read_as_changes_tables(pairs):
     line = pairs.summary_lines(pairs.summarize([(old, new), (old, new)]), 2)[0]
     assert line.startswith("samples_per_s: old median 1404 [1404, 1404], new median 1700.5")
     assert line.endswith("new better in 2 of 2 pairs")
+
+
+def test_fewer_than_ten_pairs_is_a_usage_error(pairs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["HEAD", "HEAD", "--workload", "chart-n6", "--pairs", "9"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 10" in capsys.readouterr().err

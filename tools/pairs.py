@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two versions of orbitsym.
 
-    python3 tools/pairs.py OLD NEW --workload chart-n6 [--pairs 10] [--seconds 60]
+    python3 tools/pairs.py OLD NEW --workload chart-n6 [--pairs 10]
 
 OLD and NEW are each a directory holding a checkout, or a git revision of
 this repository, exported as ``tools/drift.py`` exports it.  Pair i runs
-each side's own ``perfbench/run.py --workload W --seed i --seconds S
---trace 0``, one process at a time, OLD first in odd pairs and NEW first
-in even ones, so that a drift of the host's speed falls on both sides
-alike.  The tool prints one Markdown row per pair (old → new for every
-end-to-end metric, seconds in ms), then each metric's median and
-quartiles on each side and the number of pairs in which NEW is better.
+each side's own ``perfbench/run.py --workload W --seed i --seconds 60
+--trace 0`` (through ``scripts/record_bench.py``'s ``run_benchmark``), one
+process at a time, OLD first in odd pairs and NEW first in even ones, so
+that a drift of the host's speed falls on both sides alike; ``--pairs``
+(default and least 10) sets how many pairs run.  The tool prints one
+Markdown row per pair (old → new for every end-to-end metric, seconds in
+ms), then each metric's median and quartiles on each side and the number
+of pairs in which NEW is better.
 
 Quartiles are linear interpolations between order statistics (numpy's
 default percentile).  A run that fails or reports ``correct: false`` ends
@@ -22,14 +24,17 @@ to ``.perfbench/`` in each checkout.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from drift import checkout
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from record_bench import SECONDS, RunFailed, run_benchmark  # noqa: E402
+
+MIN_PAIRS = 10
 
 # end-to-end metric -> (whether higher is better, scale into the table's
 # unit, decimals in the table)
@@ -43,25 +48,6 @@ METRICS = {
 HEADER = ("| workload | seed | first | samples_per_s old → new | verify_p50_s (ms) | "
           "verify_tail_s (ms) | setup_s (ms) | peak_rss_mb |\n"
           "|---|---|---|---|---|---|---|---|")
-
-
-class RunFailed(RuntimeError):
-    pass
-
-
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run of ``tree``'s own benchmark: metric name -> value."""
-    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
-    try:
-        result = json.loads(done.stdout.strip().splitlines()[-1])
-    except (IndexError, ValueError):
-        result = None
-    if done.returncode != 0 or not result or not result.get("correct"):
-        raise RunFailed(f"{tree} {workload} seed {seed} exited {done.returncode}: "
-                        f"{(done.stderr or done.stdout).strip()[-500:]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -102,11 +88,10 @@ def main(argv=None) -> int:
     parser.add_argument("old", help="directory or git revision")
     parser.add_argument("new", help="directory or git revision")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=60.0)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.seconds <= 0:
-        parser.error("--pairs must be at least 2 and --seconds positive")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
@@ -119,13 +104,15 @@ def main(argv=None) -> int:
         for seed in range(1, args.pairs + 1):
             order = ("old", "new") if seed % 2 else ("new", "old")
             try:
-                got = {side: bench(trees[side], args.workload, seed, args.seconds)
+                got = {side: run_benchmark(trees[side], args.workload, seed, SECONDS, 0)["result"]
                        for side in order}
             except RunFailed as exc:
                 print(f"run failed: {exc}", file=sys.stderr)
                 return 1
-            pairs.append((got["old"], got["new"]))
-            print(row(args.workload, seed, order[0], got["old"], got["new"]), flush=True)
+            old, new = ({name: m["value"] for name, m in got[side]["metrics"].items()}
+                        for side in ("old", "new"))
+            pairs.append((old, new))
+            print(row(args.workload, seed, order[0], old, new), flush=True)
     print("\n".join(summary_lines(summarize(pairs), len(pairs))))
     return 0
 
