@@ -83,9 +83,9 @@ def _bracket_pairing(chamber: ChamberElement, x: np.ndarray, gens: np.ndarray) -
     Z_i^T x^T with those of Z_j, one BLAS product per base point of the
     flattened stacks (..., m, n*n), whose base-point axes stay batch axes."""
     n2 = gens.shape[-1] ** 2
-    left = np.swapaxes(gens, -1, -2) @ np.swapaxes(x, -1, -2)[..., None, :, :]
-    m = left.reshape(*left.shape[:-2], n2) @ np.swapaxes(gens.reshape(*gens.shape[:-2], n2), -1, -2)
-    return chamber.model.killing_coefficient * (m - np.swapaxes(m, -1, -2))
+    left = gens.swapaxes(-1, -2) @ x.swapaxes(-1, -2)[..., None, :, :]
+    m = left.reshape(*left.shape[:-2], n2) @ gens.reshape(*gens.shape[:-2], n2).swapaxes(-1, -2)
+    return chamber.model.killing_coefficient * (m - m.swapaxes(-1, -2))
 
 
 def kks(x: OrbitPoint, v: TangentVector, w: TangentVector) -> float:
@@ -160,10 +160,10 @@ def omega_std_chart(chart: OrbitChart) -> np.ndarray:
         d_dual = commutator(l_i, p[..., None, :, :]) + 0.5 * commutator(dirs, v0)
         # d[..., i, j] = d_i lambda_j: each d_i D paired with X_j^T, flattened;
         # the diagonal is computed but cancels exactly
-        flat_dirs = np.swapaxes(dirs, -1, -2).reshape(m, -1)
+        flat_dirs = dirs.swapaxes(-1, -2).reshape(m, -1)
         coefficient = at.chamber.model.killing_coefficient
         d = coefficient * (d_dual.reshape(*d_dual.shape[:-2], flat_dirs.shape[1]) @ flat_dirs.T)
-        entries = np.swapaxes(d, -1, -2) - d
+        entries = d.swapaxes(-1, -2) - d
     entries.setflags(write=False)
     return entries
 
