@@ -392,7 +392,9 @@ def _check_theorem(chamber, rngs, indices, fd_step):
     compares each sample's orbit form with the chamber's exact Omega(H)
     (``ChamberElement._orbit_form``): at t = 0 the frame generators are
     g X_a g^-1 at x = g H g^-1, so the Ad-invariance of the Killing form
-    makes the form Omega(H) at every witness g.  Nondegeneracy takes each
+    makes the form Omega(H) at every witness g.  Its scale is
+    max(1, max|KKS|, max|Omega(H)|), so the standard form cannot move
+    it.  Nondegeneracy takes each
     computed form's own smallest singular value.
 
     Sample 0 sits at the identity witness and sample 1 far from it.
@@ -405,10 +407,14 @@ def _check_theorem(chamber, rngs, indices, fd_step):
         return np.zeros((len(rngs), 3))
     kks, std = omega_kks_chart(chart), omega_std_chart(chart)
     # fmax skips NaN as the builtin max does
-    scale = np.fmax(np.fmax(1.0, np.abs(kks).max(axis=(-2, -1))), np.abs(std).max(axis=(-2, -1)))
-    e_match = _rel(np.abs(std - kks).max(axis=(-2, -1)), scale)
-    # _worst over no axis counts a non-finite quotient as infinite
-    e_inv = _worst(np.abs(kks - chamber._orbit_form).max(axis=(-2, -1)) / scale, axis=())
+    kks_scale = np.fmax(1.0, np.abs(kks).max(axis=(-2, -1)))
+    e_match = _rel(np.abs(std - kks).max(axis=(-2, -1)),
+                   np.fmax(kks_scale, np.abs(std).max(axis=(-2, -1))))
+    # invariance reads no standard form; _worst over no axis counts a
+    # non-finite quotient as infinite
+    orbit_form = chamber._orbit_form
+    e_inv = _worst(np.abs(kks - orbit_form).max(axis=(-2, -1))
+                   / np.fmax(kks_scale, np.abs(orbit_form).max()), axis=())
     ratio = SMIN_THRESHOLD / np.linalg.svd(kks, compute_uv=False)[..., -1]
     return np.transpose([e_match, e_inv, ratio])
 

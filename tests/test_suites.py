@@ -211,6 +211,49 @@ def test_nan_in_one_sub_check_fails_only_its_report(
             assert report.sample_errors[i] == before.sample_errors[i]
 
 
+def test_invariance_reads_no_standard_form(chamber3, monkeypatch):
+    """At a sample whose standard form binds max(1, max|KKS|, max|std|),
+    the scale ``theorem-match`` divides by, a NaN or doubled standard form
+    fails ``theorem-match`` and leaves ``theorem-invariance`` as it was.
+    The first such sample of seeds 1, 2, ... is taken, so the test does not
+    hang on the rounding of one sample."""
+    real_kks, real_std = suites.omega_kks_chart, suites.omega_std_chart
+    seen = {}
+
+    def record(name, real):
+        def kernel(chart):
+            seen[name] = real(chart)
+            return seen[name]
+        return kernel
+
+    monkeypatch.setattr(suites, "omega_kks_chart", record("kks", real_kks))
+    monkeypatch.setattr(suites, "omega_std_chart", record("std", real_std))
+    for seed in range(1, 41):
+        clean = run_suite(chamber3, "theorem", samples=3, seed=seed)
+        kks_max, std_max = (np.abs(seen[k]).max(axis=(-2, -1)) for k in ("kks", "std"))
+        binding = np.flatnonzero(std_max > np.fmax(1.0, kks_max))
+        if binding.size:
+            break
+    else:
+        pytest.fail("the standard form binds the match scale at no sample")
+    index = int(binding[0])
+    for corrupt in (lambda a: np.full_like(a, NAN), lambda a: 2.0 * a):
+        def std(chart, corrupt=corrupt):
+            a = np.array(real_std(chart))
+            a[index] = corrupt(a[index])
+            return a
+
+        monkeypatch.setattr(suites, "omega_std_chart", std)
+        reports = {r.suite: r for r in run_suite(chamber3, "theorem", samples=3, seed=seed)}
+        for before in clean:
+            after = reports[before.suite]
+            if before.suite == "theorem-match":
+                assert not after.passed
+                assert not after.sample_errors[index] <= before.tolerance
+            else:
+                assert after == before, before.suite
+
+
 def test_type_error_inside_a_sample_propagates(chamber3, monkeypatch):
     """Only numerical breakdown is recorded as a failed sample; a
     TypeError is a bug and must surface."""
