@@ -20,10 +20,19 @@ import numpy as np
 # Pivot threshold for rejecting rank-deficient QR inputs, relative to ||M||.
 SINGULAR_RTOL = 1e-10
 
-# Scaling-and-squaring parameters: halve until the norm is below the cap,
+# Scaling-and-squaring parameters: halve until the norm is at most the cap,
 # then sum the Taylor series to the fixed degree.
 EXP_NORM_CAP = 0.5
 EXP_TAYLOR_DEGREE = 18
+_CAP_FRACTION, _CAP_EXPONENT = math.frexp(EXP_NORM_CAP)
+# The series' coefficients 1/k!, zero past the degree, as the five blocks of
+# its Paterson-Stockmeyer sum: _EXP_BLOCK_COEFFS[i] holds, for each block
+# j, the coefficient of Y^i in B_j, that of Y^(4j + i), shaped to scale a
+# stack (m, n, n) into all five blocks (5, m, n, n) at once.
+_EXP_BLOCK_COEFFS = np.array([
+    1.0 / math.factorial(k) if k <= EXP_TAYLOR_DEGREE else 0.0
+    for k in range(4 * (EXP_TAYLOR_DEGREE // 4 + 1))
+]).reshape(-1, 4).T[:, :, None, None, None]
 
 # Points of the fourth-order central-difference stencil, in steps h.
 STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
@@ -97,41 +106,66 @@ def central_diff(f, t: float = 0.0, h: float = 1e-3):
     return _stencil_diff([f(t + o * h) for o in STENCIL_OFFSETS], h)
 
 
+def _halvings(norms: np.ndarray) -> np.ndarray:
+    """The least count s >= 0 with norm * 2**-s <= EXP_NORM_CAP, for every
+    norm, read exactly from the binary exponents: with norm = f * 2**e and
+    the cap g * 2**c (f, g in [1/2, 1)), s = e - c, plus one when f > g.
+    Raises ``OverflowError`` for a norm that overflowed, which no count
+    scales back to the cap."""
+    if not norms.max(initial=0.0) < math.inf:
+        raise OverflowError("matrix norm overflows; mat_exp cannot scale it")
+    fraction, exponent = np.frexp(norms)
+    exponent += fraction > _CAP_FRACTION
+    exponent -= _CAP_EXPONENT
+    return np.maximum(exponent, 0, out=exponent)
+
+
 def mat_exp(x) -> np.ndarray:
     """Matrix exponential of a matrix, or of every slice of a stack
     (..., n, n), by scaling and squaring.
 
-    Halves each slice until its Frobenius norm is at most 1/2, sums the
-    Taylor series to degree 18 (remainder ~ 0.5**19/19!) and squares back.
-    Relative error stays below 1e-12 for ||X|| <= 10.  The Taylor sum runs
-    over the whole stack and each squaring over the slices that still
-    need it, so every slice gets its own squaring count.  An all-zero
-    input skips the sum, which would give exactly I.
+    Halves each slice s times, s the least count that takes its Frobenius
+    norm to at most 1/2 (``_halvings``), sums the Taylor series to degree
+    18 (remainder ~ 0.5**19/19!) and squares back s times.  Relative error
+    stays below 1e-12 for ||X|| <= 10.  The sum is Paterson and
+    Stockmeyer's, in 7 matrix products where Horner's rule takes 17: Y^2,
+    Y^3 and Y^4; five blocks B_j = sum_i Y^i / (4j + i)! over i = 0..3
+    (zero past degree 18), each summed elementwise in a fixed order,
+    ((Y/(4j+1)! + Y^2/(4j+2)!) + Y^3/(4j+3)!) and then 1/(4j)! on the
+    diagonal; and Horner's rule in Y^4, B_0 + Y^4 (B_1 + Y^4 (...)).
+    Every step is a per-slice product or elementwise, so a slice's bits
+    do not depend on its stack.  The sum runs over the whole stack and
+    each squaring over the slices that still need it.  An all-zero input
+    skips the sum, which would give exactly I.
     """
     a = _stack(x)
     n = a.shape[-1]
     if not a.any():
         return np.broadcast_to(np.eye(n), a.shape).copy()
     flat = a.reshape(-1, n, n)
-    counts = np.array([
-        0 if nrm <= EXP_NORM_CAP else int(math.ceil(math.log2(nrm / EXP_NORM_CAP)))
-        for nrm in _frobenius_stack(flat).tolist()
-    ], dtype=int)
-    y = flat / (2.0 ** counts)[:, None, None]
-    ident = np.eye(n)
-    # Horner's loop in place, its terms y / k all divided at once; its first
-    # step's product with I is exact
-    acc = ident + y / EXP_TAYLOR_DEGREE
-    product = np.empty_like(y)
-    for term in y / np.arange(EXP_TAYLOR_DEGREE - 1, 0, -1.0)[:, None, None, None]:
-        np.matmul(term, acc, out=product)
-        np.add(ident, product, out=acc)
+    counts = _halvings(_frobenius_stack(flat))
+    # C order whatever the input's layout, so that the blocks are too and
+    # the reshape below is a view of their diagonals
+    y = np.ldexp(flat, -counts[:, None, None], order="C")
+    c0, c1, c2, c3 = _EXP_BLOCK_COEFFS
+    y2 = y @ y
+    blocks = c1 * y
+    blocks += c2 * y2
+    blocks += c3 * (y2 @ y)
+    diagonals = blocks.reshape(*blocks.shape[:-2], n * n)[..., ::n + 1]
+    diagonals += c0[..., 0]
+    y4 = y2 @ y2
+    acc = blocks[-1]
+    for block in blocks[-2::-1]:
+        acc = y4 @ acc
+        acc += block
     for step in range(counts.max(initial=0)):
         due = counts > step
         if due.all():
             acc = acc @ acc
         else:
-            acc[due] = acc[due] @ acc[due]
+            part = acc[due]
+            acc[due] = part @ part
     return acc.reshape(a.shape)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from orbitsym.numerics import (
     EXP_NORM_CAP,
     EXP_TAYLOR_DEGREE,
     SingularInput,
+    _halvings,
     central_diff,
     char_poly,
     mat_exp,
@@ -124,6 +126,34 @@ class TestMatExp:
         det = np.linalg.det(mat_exp(x))
         expected = math.exp(np.trace(x))
         assert abs(det - expected) <= 1e-10 * abs(expected)
+
+    def test_overflowing_norm_raises(self):
+        """A slice whose Frobenius norm overflows cannot be scaled to the
+        cap: it raises, alone or stacked, rather than returning NaN."""
+        big = 1e200 * np.diag([1.0, -1.0])
+        with np.errstate(over="ignore"):  # the norm's own overflow warning
+            with pytest.raises(OverflowError):
+                mat_exp(big)
+            with pytest.raises(OverflowError):
+                mat_exp(np.stack([np.eye(2), big]))
+
+    def test_scaled_norms_are_at_most_the_cap(self):
+        """The squaring count is the least that halves a norm to at most
+        EXP_NORM_CAP, also for norms a few ulps above cap * 2**k, where a
+        count from a rounded log2 stops one halving short."""
+        k, j = np.meshgrid(np.arange(59), np.arange(63), indexing="ij")
+        norms = np.concatenate([
+            (EXP_NORM_CAP * 2.0 ** k * (1.0 + j * 2.0 ** -52)).ravel(),
+            EXP_NORM_CAP * np.array([1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52]),
+            [0.0, 5e-324, 1e-300, 0.3, 1.0, 10.0, 1e300, np.finfo(float).max],
+        ])
+        counts = _halvings(norms)
+        for norm, count in zip(norms.tolist(), counts.tolist()):
+            least = 0
+            while norm > EXP_NORM_CAP:
+                norm, least = norm / 2.0, least + 1
+            assert count == least
+        assert (np.ldexp(norms, -counts) <= EXP_NORM_CAP).all()
 
     def test_accuracy_at_norm_ten(self):
         rng = np.random.default_rng(17)
@@ -268,21 +298,49 @@ class TestStackedTwins:
 
 def taylor_reference(x):
     """The full scaling-and-squaring exponential, written out one slice at
-    a time: halve to norm EXP_NORM_CAP, Horner's rule from degree
-    EXP_TAYLOR_DEGREE down to 1, square back."""
+    a time, in C order: halve until the norm is at most EXP_NORM_CAP; sum the series to
+    degree EXP_TAYLOR_DEGREE as Paterson and Stockmeyer do, from the blocks
+    B_j = sum_i Y^i / (4j + i)! (i = 0..3, zero past the degree), each
+    summed from Y upward with 1/(4j)! added to its diagonal last, and
+    Horner's rule in Y^4; square back."""
     out = np.empty_like(x)
     n = x.shape[-1]
+    coeff = [1.0 / math.factorial(k) if k <= EXP_TAYLOR_DEGREE else 0.0 for k in range(20)]
     for index in np.ndindex(x.shape[:-2]):
-        nrm = float(np.linalg.norm(x[index]))
-        count = 0 if nrm <= EXP_NORM_CAP else math.ceil(math.log2(nrm / EXP_NORM_CAP))
-        y = x[index] / 2.0 ** count
-        acc = np.eye(n)
-        for k in range(EXP_TAYLOR_DEGREE, 0, -1):
-            acc = np.eye(n) + (y / k) @ acc
+        y, count = np.array(x[index], order="C"), 0
+        while np.linalg.norm(y) > EXP_NORM_CAP:
+            y, count = y / 2.0, count + 1
+        powers = [None, y, y @ y, y @ y @ y]
+        blocks = []
+        for j in range(5):
+            block = coeff[4 * j + 1] * powers[1]
+            for i in (2, 3):
+                block = block + coeff[4 * j + i] * powers[i]
+            for d in range(n):
+                block[d, d] += coeff[4 * j]
+            blocks.append(block)
+        y4 = powers[2] @ powers[2]
+        acc = blocks[4]
+        for j in range(3, -1, -1):
+            acc = y4 @ acc + blocks[j]
         for _ in range(count):
             acc = acc @ acc
         out[index] = acc
     return out
+
+
+def exact_nilpotent_exp(x):
+    """exp(x) of a nilpotent (n, n) float matrix as exact rationals: the
+    finite sum of x^k / k! for k < n, in Fractions of its entries."""
+    n = x.shape[-1]
+    xs = [[Fraction(v) for v in row] for row in x.tolist()]
+    term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = [row[:] for row in term]
+    for k in range(1, n):
+        term = [[sum(term[i][m] * xs[m][j] for m in range(n)) / k for j in range(n)]
+                for i in range(n)]
+        total = [[t + u for t, u in zip(row, new)] for row, new in zip(total, term)]
+    return total
 
 
 def assert_same_bits(a, b):
@@ -317,6 +375,21 @@ class TestFiniteTaylorSeries:
         for stack in (up, low, mixed, np.stack([up, -up]), np.stack([mixed, -mixed])):
             assert_same_bits(mat_exp(stack), taylor_reference(stack))
             assert_same_bits(mat_exp(stack[0]), taylor_reference(stack[0]))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("norm", [1e-8, 0.3, 3.0, 30.0])
+    def test_nilpotent_stacks_meet_the_exact_series(self, n, norm):
+        """An oracle that shares no arithmetic with the kernel: every entry
+        is within 4 ulps of the largest entry of the exact rational sum."""
+        rng = np.random.default_rng([n, int(norm * 1e8), 1])
+        stack = np.concatenate([strictly_upper(rng, 2, n, norm),
+                                np.swapaxes(strictly_upper(rng, 2, n, norm), -1, -2)])
+        got = mat_exp(stack)
+        for slice_, e in zip(stack, got):
+            exact = exact_nilpotent_exp(slice_)
+            ulp = np.spacing(max(abs(float(v)) for row in exact for v in row))
+            assert max(abs(Fraction(float(g)) - v) for grow, row in zip(e.tolist(), exact)
+                       for g, v in zip(grow, row)) <= 4 * ulp
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_a_triangular_slice_takes_the_same_bits_in_any_stack(self, n):
