@@ -2,8 +2,11 @@
 
 Everything here targets small fixed-size problems (n <= 8): Householder
 QR (LAPACK) with a sign fix for strictly positive pivots, a
-scaling-and-squaring matrix exponential, characteristic polynomials
-without an eigensolve, and fourth-order central differences
+scaling-and-squaring matrix exponential (the least number of halvings
+that takes the Frobenius norm to at most 1/2, read exactly from the
+norm's binary exponent, and the degree-18 Taylor sum in 7 matrix
+products by Paterson and Stockmeyer's method), characteristic
+polynomials without an eigensolve, and fourth-order central differences
 used as the oracle for all derivative claims.
 
 Every kernel takes one matrix (n, n) or a stack (..., n, n) and gives

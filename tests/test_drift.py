@@ -43,3 +43,27 @@ def test_a_changed_report_and_a_verdict_flip_are_listed_and_flagged():
     assert flags == ["renamed report: n=2 H=1,-1 graph-exakt only in NEW",
                      "tolerance change: n=2 H=1,-1 graph-exact 1e-05 -> 1e-09",
                      "verdict flip: n=2 H=1,-1 graph-fd True -> False"]
+
+
+def test_column_summary_counts_changes_and_worst_ratios():
+    """Per column over both configurations: changed reports, the largest
+    |delta| / tolerance, and the worst old and new error / tolerance."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import drift
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+
+    def report(suite, h, error, tolerance=1e-4):
+        return {"suite": suite, "n": 2, "H": h, "max_error": error, "tolerance": tolerance,
+                "pass": isinstance(error, float) and error <= tolerance}
+
+    first = ([report("iwasawa", [1.0, -1.0], 1e-6), report("graph-fd", [1.0, -1.0], 2e-5)],
+             [report("iwasawa", [1.0, -1.0], 3e-6), report("graph-fd", [1.0, -1.0], 2e-5)])
+    second = ([report("iwasawa", [0.0, 0.0], 4e-6), report("graph-fd", [0.0, 0.0], "Infinity")],
+              [report("iwasawa", [0.0, 0.0], 4.5e-6), report("graph-fd", [0.0, 0.0], "Infinity")])
+    assert drift.column_summary([first, second]) == [
+        "  iwasawa: 2 changed, max |delta|/tol 2.000e-02, worst error/tol "
+        "4.000e-02 -> 4.500e-02",
+        "  graph-fd: 0 changed, max |delta|/tol 0.000e+00, worst error/tol inf -> inf",
+    ]

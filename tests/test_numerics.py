@@ -298,11 +298,11 @@ class TestStackedTwins:
 
 def taylor_reference(x):
     """The full scaling-and-squaring exponential, written out one slice at
-    a time, in C order: halve until the norm is at most EXP_NORM_CAP; sum the series to
-    degree EXP_TAYLOR_DEGREE as Paterson and Stockmeyer do, from the blocks
-    B_j = sum_i Y^i / (4j + i)! (i = 0..3, zero past the degree), each
-    summed from Y upward with 1/(4j)! added to its diagonal last, and
-    Horner's rule in Y^4; square back."""
+    a time, in C order: halve until the norm is at most EXP_NORM_CAP; sum
+    the series to degree EXP_TAYLOR_DEGREE as Paterson and Stockmeyer
+    do, from the blocks B_j = sum_i Y^i / (4j + i)! (i = 0..3, zero past
+    the degree), each summed from Y upward with 1/(4j)! added to its
+    diagonal last, and Horner's rule in Y^4; square back."""
     out = np.empty_like(x)
     n = x.shape[-1]
     coeff = [1.0 / math.factorial(k) if k <= EXP_TAYLOR_DEGREE else 0.0 for k in range(20)]
@@ -388,8 +388,8 @@ class TestFiniteTaylorSeries:
         for slice_, e in zip(stack, got):
             exact = exact_nilpotent_exp(slice_)
             ulp = np.spacing(max(abs(float(v)) for row in exact for v in row))
-            assert max(abs(Fraction(float(g)) - v) for grow, row in zip(e.tolist(), exact)
-                       for g, v in zip(grow, row)) <= 4 * ulp
+            assert max(abs(Fraction(g) - v) for got_row, row in zip(e.tolist(), exact)
+                       for g, v in zip(got_row, row)) <= 4 * ulp
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_a_triangular_slice_takes_the_same_bits_in_any_stack(self, n):

@@ -16,7 +16,10 @@ its own, and the two report lists are compared:
   flagged;
 - NEW runs again with ``suites._CHUNK`` set to 1 and to 2, inside the
   sweep's process, so the program gains no option; any byte of report
-  JSON that differs from the run at 64 is flagged.
+  JSON that differs from the run at 64 is flagged;
+- after the lists, one line per report column over all configurations
+  gives how many of its reports changed, the largest |new - old| /
+  tolerance and the worst old and new ``max_error`` / tolerance.
 
 Exit code 0 when nothing is flagged, 1 when something is, 2 on a usage
 error or a sweep that crashes.  Directories need nothing but numpy; a
@@ -122,6 +125,30 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], list[str]]:
     return changed, sorted(flags)
 
 
+def column_summary(pairs: list[tuple[list[dict], list[dict]]]) -> list[str]:
+    """One line per report column (its ``suite`` name) over all the
+    (OLD, NEW) report lists: how many reports changed, the largest
+    |new - old| / tolerance, and the worst old and new max_error / tolerance."""
+    stats = {}
+    for old, new in pairs:
+        old_by = {(tuple(r["H"]), r["suite"]): r for r in old}
+        for r in new:
+            before = old_by.get((tuple(r["H"]), r["suite"]))
+            if before is None:
+                continue
+            s = stats.setdefault(r["suite"], [0, 0.0, 0.0, 0.0])
+            a, b = float(before["max_error"]), float(r["max_error"])
+            if before != r:
+                s[0] += 1
+                if a != b:
+                    s[1] = max(s[1], abs(b - a) / r["tolerance"])
+            s[2] = max(s[2], a / before["tolerance"])
+            s[3] = max(s[3], b / r["tolerance"])
+    return [f"  {suite}: {n} changed, max |delta|/tol {delta:.3e}, worst error/tol "
+            f"{worst_old:.3e} -> {worst_new:.3e}"
+            for suite, (n, delta, worst_old, worst_new) in stats.items()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="directory or git revision")
@@ -136,7 +163,7 @@ def main(argv=None) -> int:
     except ValueError:
         parser.error("--configs takes SAMPLES/SEED pairs, SAMPLES at least 1")
 
-    total_changed, all_flags = 0, []
+    total_changed, all_flags, lists = 0, [], []
     with tempfile.TemporaryDirectory(prefix="drift-") as tmp:
         scratch = Path(tmp)
         try:
@@ -156,6 +183,7 @@ def main(argv=None) -> int:
         (old_code, old_json), (new_code, new_json) = (
             runs[tree, samples, seed, CHUNKS[0]] for tree in (old_tree, new_tree))
         old, new = json.loads(old_json), json.loads(new_json)
+        lists.append((old, new))
         changed, flags = compare(old, new)
         if old_code != new_code:
             flags.append(f"exit code change: {old_code} -> {new_code}")
@@ -169,6 +197,8 @@ def main(argv=None) -> int:
         print("\n".join(changed + [f"  FLAG {f}" for f in flags]) or "  (no changes)")
         total_changed += len(changed)
         all_flags += flags
+    print("per column, over all configurations:")
+    print("\n".join(column_summary(lists)))
     print(f"summary: {len(configs)} configurations, {total_changed} changed reports, "
           f"{len(all_flags)} flags")
     return 1 if all_flags else 0
